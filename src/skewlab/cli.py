@@ -57,6 +57,11 @@ SUITE_BLURBS = {
 }
 
 
+#: suites whose statistical checks refuse fewer than ``_MIN_PATHS`` paths
+_PATH_STATISTIC_SUITES = ("martingale", "skew_law", "representation")
+_MIN_PATHS = 1000
+
+
 class UsageError(ValueError):
     """Bad configuration or command line; mapped to exit code 2."""
 
@@ -89,8 +94,14 @@ class ExperimentConfig:
             raise UsageError(f"unknown suite {self.suite!r}; see list-suites")
         if self.model not in ("trivial", "shifted_brownian"):
             raise UsageError(f"unknown model {self.model!r}")
-        if self.n_paths <= 0 or any(n <= 0 for n in self.n_steps):
-            raise UsageError("paths and steps must be positive")
+        if self.n_paths <= 0 or self.n_seeds <= 0 or any(n <= 0 for n in self.n_steps):
+            raise UsageError("paths, seeds and steps must be positive")
+        if self.n_paths < _MIN_PATHS and self.suite in _PATH_STATISTIC_SUITES + ("all",):
+            raise UsageError(
+                f"suite {self.suite} needs at least {_MIN_PATHS} paths, got {self.n_paths}"
+            )
+        if self.master_seed < 0:
+            raise UsageError(f"seed must be non-negative, got {self.master_seed}")
         if not 0.0 <= self.alpha <= 1.0:
             raise UsageError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.schedule_boundaries or self.schedule_values:

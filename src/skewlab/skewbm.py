@@ -16,6 +16,8 @@ density, and the lattice skew random walk.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -284,15 +286,8 @@ class SkewLaw:
 # Harrison-Shepp skew random walk
 # ---------------------------------------------------------------------------
 
-
-def _walk_terminals_from_uniforms(u: np.ndarray, alpha: float) -> np.ndarray:
-    """Integer terminal states of skew walks driven by uniform rows."""
-    n_walks, n_steps = u.shape
-    state = np.zeros(n_walks, dtype=np.int64)
-    for j in range(n_steps):
-        thresh = np.where(state == 0, alpha, 0.5)
-        state += np.where(u[:, j] < thresh, 1, -1)
-    return state
+#: walks whose uniforms are drawn before being transposed into step tables
+_WALK_BLOCK = 32
 
 
 def harrison_shepp_walk(alpha: float, n_steps: int, seed: SeedSpec) -> SamplePath:
@@ -315,6 +310,45 @@ def harrison_shepp_walk(alpha: float, n_steps: int, seed: SeedSpec) -> SamplePat
     return SamplePath(grid, states / math.sqrt(n_steps))
 
 
+def _walk_step_tables(
+    seed: SeedSpec, lo: int, hi: int, n_steps: int, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step-major tables ``u < alpha`` and ``u < 1/2`` of walks lo..hi-1.
+
+    Row j holds step j of every walk, so the step loop reads one contiguous
+    row per step.  Uniforms are drawn in blocks of ``_WALK_BLOCK`` walks and
+    transposed into the tables block by block.
+    """
+    m = hi - lo
+    below_alpha = np.empty((n_steps, m), dtype=bool)
+    below_half = np.empty((n_steps, m), dtype=bool)
+    u = np.empty((_WALK_BLOCK, n_steps))
+    for b in range(0, m, _WALK_BLOCK):
+        e = min(b + _WALK_BLOCK, m)
+        for i in range(b, e):
+            seed.with_path(lo + i).rng().random(out=u[i - b])
+        np.less(u[: e - b].T, alpha, out=below_alpha[:, b:e])
+        np.less(u[: e - b].T, 0.5, out=below_half[:, b:e])
+    return below_alpha, below_half
+
+
+def _walk_terminals(below_alpha: np.ndarray, below_half: np.ndarray) -> np.ndarray:
+    """Integer terminal states of skew walks from their step tables.
+
+    The state after j steps is 2 * ups - j, with ups the number of +1 steps
+    so far.  It has the parity of j, so it can be 0 only before an even
+    step, and odd steps never read the alpha table.
+    """
+    n_steps, m = below_alpha.shape
+    ups = np.zeros(m, dtype=np.int64)
+    for j in range(n_steps):
+        if j % 2:
+            ups += below_half[j]
+        else:
+            ups += np.where(ups == j // 2, below_alpha[j], below_half[j])
+    return 2 * ups - n_steps
+
+
 def harrison_shepp_terminals(
     alpha: float,
     n_steps: int,
@@ -326,21 +360,27 @@ def harrison_shepp_terminals(
 
     Walk k consumes exactly the uniform stream of ``seed.with_path(k)``, so
     entry k equals the terminal value of ``harrison_shepp_walk`` run with
-    that seed; only the evaluation is batched.
+    that seed; only the evaluation is batched.  Unlike the bulk sampler's,
+    this output depends on neither ``chunk`` nor the walk block size, since
+    the stream of walk k is fixed by k alone.  A chunk of m walks holds two
+    boolean step tables of n_steps * m bytes each (64 MiB at the default
+    chunk and 2**12 steps) and one block of 32 * n_steps float64 uniforms.
+    The walks run serially in the calling thread: the per-walk generator
+    set-up holds the interpreter lock, so threads do not help here.
     """
     out = np.empty(n_walks)
     for lo in range(0, n_walks, chunk):
         hi = min(lo + chunk, n_walks)
-        u = np.empty((hi - lo, n_steps))
-        for k in range(lo, hi):
-            u[k - lo] = seed.with_path(k).rng().random(n_steps)
-        out[lo:hi] = _walk_terminals_from_uniforms(u, alpha)
+        out[lo:hi] = _walk_terminals(*_walk_step_tables(seed, lo, hi, n_steps, alpha))
     return LawSample(out / math.sqrt(n_steps), t=1.0, tag=f"hs_walk[alpha={alpha:g}]")
 
 
 # ---------------------------------------------------------------------------
 # Batched terminal sampling of the construction
 # ---------------------------------------------------------------------------
+
+#: base-path rows generated and scanned at a time within a bulk chunk
+_ROW_BLOCK = 512
 
 
 def skew_path(
@@ -367,6 +407,76 @@ def skew_path(
     return build_skew(spec, seed.child("signs"))
 
 
+def _base_rows(
+    rng: np.random.Generator, m: int, n_steps: int, dt: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row excursion count, straddling-excursion birth index and terminal
+    value of m float32 base-path rows drawn in order from ``rng``.
+
+    Rows are generated and scanned ``_ROW_BLOCK`` at a time, so only one
+    block of the (m, n_steps) base-path matrix is ever held.
+    """
+    n_exc = np.empty(m, dtype=np.int64)
+    birth = np.empty(m, dtype=np.int64)
+    terminal = np.empty(m)
+    scale = np.float32(math.sqrt(dt))
+    for lo in range(0, m, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, m)
+        path = rng.standard_normal((hi - lo, n_steps), dtype=np.float32)
+        path *= scale
+        np.cumsum(path, axis=1, out=path)
+
+        # an excursion starts wherever the path is nonzero and either was 0
+        # or had the other sign one step before; column j is path index
+        # j + 1 (the x0 = 0 column is implicit), so column 0 starts one
+        # whenever it is nonzero
+        pos = path > 0
+        starts = path != 0
+        fresh = pos[:, 1:] != pos[:, :-1]
+        fresh |= ~starts[:, :-1]
+        starts[:, 1:] &= fresh
+        n_exc[lo:hi] = np.count_nonzero(starts, axis=1)
+
+        # birth index of the straddling excursion: its g_index on the full
+        # path, which is 0 for the first excursion (preceded by the exact
+        # zero at t = 0) and the first covered index for crossing starts
+        last_start_col = n_steps - 1 - np.argmax(starts[:, ::-1], axis=1)
+        birth[lo:hi] = np.where(n_exc[lo:hi] > 1, last_start_col + 1, 0)
+        terminal[lo:hi] = path[:, -1]
+    return n_exc, birth, terminal
+
+
+def _bulk_chunk(
+    rng_base: np.random.Generator,
+    rng_signs: Sequence[np.random.Generator],
+    schedules: Sequence[AlphaSchedule],
+    m: int,
+    n_steps: int,
+    dt: float,
+    variant: str,
+) -> list[np.ndarray]:
+    """Terminal values of one chunk's m paths, one array per schedule."""
+    n_exc, birth, terminal = _base_rows(rng_base, m, n_steps, dt)
+    if variant == "absolute":
+        np.abs(terminal, out=terminal)
+    # ordinal of the excursion straddling the horizon = (#starts) - 1
+    last_ord = np.maximum(n_exc - 1, 0)
+    max_exc = int(n_exc.max())
+    birth_time = birth * dt
+    rows = np.arange(m)
+    outs = []
+    for schedule, rng in zip(schedules, rng_signs):
+        alphas = np.asarray(schedule.values)
+        n_cells = schedule.n_cells
+        birth_cell = schedule.cell_indices(birth_time)
+        u = rng.random((m, max(max_exc, 1) * n_cells))
+        pick = u[rows, last_ord * n_cells + birth_cell]
+        zeta = np.where(pick < alphas[birth_cell], 1.0, -1.0)
+        zeta[n_exc == 0] = 0.0
+        outs.append(zeta * terminal)
+    return outs
+
+
 def skew_terminal_samples(
     schedules: Sequence[AlphaSchedule],
     n_paths: int,
@@ -388,52 +498,35 @@ def skew_terminal_samples(
     value depends on; a test pins this shortcut against the full per-path
     pipeline run on the same streams.  Sharing the drivers across schedules
     is a variance-reduction coupling; each individual sample keeps the exact
-    law.  The chunk size is part of the sampler's determinism contract.
+    law.
+
+    The chunk size is part of the sampler's determinism contract; the
+    number of worker threads and the row block size are not.  Chunks run
+    concurrently on a thread pool (one worker per usable CPU, at most one
+    per chunk), and each writes only its own slice of the output, so the
+    result is bit-identical to a serial run.  Each worker holds one row
+    block of 512 * n_steps float32 values plus up to four boolean masks of
+    that shape (about 16 MiB at 2**12 steps) and the sign uniforms of its
+    chunk, chunk * max_excursions * n_cells float64 values.
     """
     if variant not in ("signed", "absolute"):
         raise ValueError(f"unknown variant {variant!r}")
     dt = horizon / n_steps
+    bounds = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
     outs = [np.empty(n_paths) for _ in schedules]
-    for c, lo in enumerate(range(0, n_paths, chunk)):
-        hi = min(lo + chunk, n_paths)
-        m = hi - lo
-        rng_base = seed.child(f"bulk/base/{c}").rng()
-        incr = rng_base.standard_normal((m, n_steps), dtype=np.float32)
-        incr *= np.float32(math.sqrt(dt))
-        path = np.cumsum(incr, axis=1)
-
-        # ordinal of the excursion straddling the horizon = (#starts) - 1,
-        # counting a start wherever the sign is nonzero and fresh; matrix
-        # column j is path index j + 1 (the x0 = 0 column is implicit)
-        sgn = np.sign(path).astype(np.int8)
-        nz = sgn != 0
-        starts = nz.copy()
-        starts[:, 1:] &= ~nz[:, :-1] | (sgn[:, 1:] != sgn[:, :-1])
-        n_exc = starts.sum(axis=1)
-        last_ord = np.maximum(n_exc - 1, 0)
-        max_exc = int(n_exc.max()) if m else 0
-
-        # birth index of the straddling excursion: its g_index on the full
-        # path, which is 0 for the first excursion (preceded by the exact
-        # zero at t = 0) and the first covered index for crossing starts
-        last_start_col = n_steps - 1 - np.argmax(starts[:, ::-1], axis=1)
-        birth = np.where(n_exc > 1, last_start_col + 1, 0)
-        birth_time = birth * dt
-
-        terminal = path[:, -1].astype(float)
-        if variant == "absolute":
-            terminal = np.abs(terminal)
-        rows = np.arange(m)
-        for k, schedule in enumerate(schedules):
-            alphas = np.asarray(schedule.values)
-            n_cells = schedule.n_cells
-            birth_cell = schedule.cell_indices(birth_time)
-            rng_signs = seed.child(f"bulk/signs/{k}/{c}").rng()
-            u = rng_signs.random((m, max(max_exc, 1) * n_cells))
-            pick = u[rows, last_ord * n_cells + birth_cell]
-            zeta = np.where(pick < alphas[birth_cell], 1.0, -1.0)
-            zeta[n_exc == 0] = 0.0
-            outs[k][lo:hi] = zeta * terminal
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(max_workers=max(1, min(len(bounds), cpus or 1))) as pool:
+        futures = []
+        for c, (lo, hi) in enumerate(bounds):
+            # generators are built in this thread, so the workers run numpy only
+            rng_signs = [seed.child(f"bulk/signs/{k}/{c}").rng() for k in range(len(schedules))]
+            futures.append(pool.submit(
+                _bulk_chunk, seed.child(f"bulk/base/{c}").rng(), rng_signs, schedules,
+                hi - lo, n_steps, dt, variant,
+            ))
+        for (lo, hi), future in zip(bounds, futures):
+            for out, values in zip(outs, future.result()):
+                out[lo:hi] = values
     return [
         LawSample(out, t=horizon, tag=f"skew[{variant},{sched.kind}]")
         for out, sched in zip(outs, schedules)

@@ -178,6 +178,25 @@ class TestMain:
     def test_run_usage_error(self, tmp_path):
         assert main(["run", "--suite", "bogus", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("suite", ["skew_law", "martingale", "representation", "all"])
+    def test_too_few_paths_for_statistical_suite(self, suite, tmp_path, capsys):
+        code = main(["run", "--suite", suite, "--paths", "500", "--out", str(tmp_path)])
+        assert code == 2
+        assert "at least 1000 paths" in capsys.readouterr().err
+
+    def test_zero_seeds_rejected(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("suite=identities\nseeds=0\nsteps=64,128\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_too_few_paths_allowed_without_path_statistics(self):
+        assert config_from_pairs({"suite": "identities", "paths": "500"}).n_paths == 500
+
+    def test_negative_seed(self, tmp_path, capsys):
+        code = main(["run", "--suite", "skew_law", "--seed", "-5", "--out", str(tmp_path)])
+        assert code == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SKEWLAB_OUT", str(tmp_path))
         code = main(["run", "--suite", "skew_law", "--paths", "4000",

@@ -1,9 +1,14 @@
 """Skew construction, SDE residual, density and walk oracles, law tests."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstwobign, norm
 
@@ -20,6 +25,7 @@ from skewlab.signed_measure import (
 from skewlab.signflip import AlphaSchedule, SignAssignment, apply_sign, assign_signs, build_sign_path
 from skewlab.skewbm import (
     LawSample,
+    _base_rows,
     SkewBuildSpec,
     SkewLaw,
     birth_frozen_sign_path,
@@ -55,6 +61,67 @@ def walk_exact_distribution(alpha, n):
         q[:-2] += 0.5 * off[1:-1]
         p = q
     return p
+
+
+def walk_terminals_reference(u, alpha):
+    """Column-loop reference for the batched walk: integer terminal states of
+    skew walks driven by uniform rows (one row per walk)."""
+    n_walks, n_steps = u.shape
+    state = np.zeros(n_walks, dtype=np.int64)
+    for j in range(n_steps):
+        thresh = np.where(state == 0, alpha, 0.5)
+        state += np.where(u[:, j] < thresh, 1, -1)
+    return state
+
+
+def reference_scan(rows):
+    """Per-row excursion count and straddling-excursion birth index of base-path
+    rows (column j is path index j + 1), by a sign-change scan."""
+    sgn = np.sign(rows).astype(np.int8)
+    nz = sgn != 0
+    starts = nz.copy()
+    starts[:, 1:] &= ~nz[:, :-1] | (sgn[:, 1:] != sgn[:, :-1])
+    n_exc = starts.sum(axis=1)
+    last_start_col = rows.shape[1] - 1 - np.argmax(starts[:, ::-1], axis=1)
+    return n_exc, np.where(n_exc > 1, last_start_col + 1, 0)
+
+
+def one_shot_chunk(seed, c, m, n_steps, schedules):
+    """Bulk chunk c's streams drawn in one shot: the (m, n_steps) float32
+    base-path rows, their excursion counts and birth indices, and per schedule
+    the (m, max_excursions * n_cells) sign uniforms."""
+    incr = seed.child(f"bulk/base/{c}").rng().standard_normal(
+        (m, n_steps), dtype=np.float32
+    )
+    incr *= np.float32(math.sqrt(1.0 / n_steps))
+    rows = np.cumsum(incr, axis=1)
+    n_exc, birth = reference_scan(rows)
+    uniforms = [
+        seed.child(f"bulk/signs/{k}/{c}").rng().random((m, max(n_exc.max(), 1) * s.n_cells))
+        for k, s in enumerate(schedules)
+    ]
+    return rows, n_exc, birth, uniforms
+
+
+def serial_bulk_reference(schedules, n_paths, n_steps, seed, chunk, variant="absolute"):
+    """Bulk terminal values computed chunk by chunk from one-shot fills, one
+    array per schedule (unit horizon)."""
+    outs = [np.empty(n_paths) for _ in schedules]
+    for c, lo in enumerate(range(0, n_paths, chunk)):
+        hi = min(lo + chunk, n_paths)
+        rows, n_exc, birth, uniforms = one_shot_chunk(seed, c, hi - lo, n_steps, schedules)
+        birth_time = birth * (1.0 / n_steps)
+        last_ord = np.maximum(n_exc - 1, 0)
+        terminal = rows[:, -1].astype(float)
+        if variant == "absolute":
+            terminal = np.abs(terminal)
+        for out, sched, u in zip(outs, schedules, uniforms):
+            cell = sched.cell_indices(birth_time)
+            pick = u[np.arange(hi - lo), last_ord * sched.n_cells + cell]
+            zeta = np.where(pick < np.asarray(sched.values)[cell], 1.0, -1.0)
+            zeta[n_exc == 0] = 0.0
+            out[lo:hi] = zeta * terminal
+    return outs
 
 
 def trivial_spec(schedule, grid, seed, variant="absolute"):
@@ -238,6 +305,22 @@ class TestHarrisonSheppWalk:
         ]
         assert np.array_equal(batch.values, singles)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.one_of(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0)),
+        n_steps=st.integers(1, 70),
+        n_walks=st.integers(1, 150),
+        chunk=st.sampled_from([7, 40, 8192]),
+    )
+    @example(alpha=0.7, n_steps=1, n_walks=33, chunk=8192)
+    @example(alpha=0.0, n_steps=9, n_walks=101, chunk=40)
+    def test_step_major_walk_equals_column_loop(self, alpha, n_steps, n_walks, chunk):
+        seed = SeedSpec(MASTER, "hsprop")
+        u = np.array([seed.with_path(k).rng().random(n_steps) for k in range(n_walks)])
+        expected = walk_terminals_reference(u, alpha) / math.sqrt(n_steps)
+        batch = harrison_shepp_terminals(alpha, n_steps, n_walks, seed, chunk=chunk)
+        assert np.array_equal(batch.values, expected)
+
     def test_symmetric_walk_clt_with_lattice_correction(self):
         w = harrison_shepp_terminals(0.5, 2**12, 100_000, SeedSpec(MASTER, "hs5"))
         ks = ks_statistic(w.values, lambda y: norm.cdf(y))
@@ -280,19 +363,7 @@ class TestTerminalSamplers:
         for c, lo in enumerate(range(0, n_paths, chunk)):
             hi = min(lo + chunk, n_paths)
             m = hi - lo
-            incr = seed.child(f"bulk/base/{c}").rng().standard_normal(
-                (m, n_steps), dtype=np.float32
-            )
-            incr *= np.float32(math.sqrt(grid.dt))
-            rows = np.cumsum(incr, axis=1)
-            sgn = np.sign(rows).astype(np.int8)
-            nz = sgn != 0
-            starts = nz.copy()
-            starts[:, 1:] &= ~nz[:, :-1] | (sgn[:, 1:] != sgn[:, :-1])
-            max_exc = int(starts.sum(axis=1).max())
-            u = seed.child(f"bulk/signs/0/{c}").rng().random(
-                (m, max(max_exc, 1) * sched.n_cells)
-            )
+            rows, _, _, (u,) = one_shot_chunk(seed, c, m, n_steps, [sched])
             for p in range(m):
                 path = SamplePath(grid, np.concatenate([[0.0], rows[p].astype(float)]))
                 exc = decompose_excursions(path)
@@ -306,6 +377,60 @@ class TestTerminalSamplers:
                 z = birth_frozen_sign_path(exc, SignAssignment(signs), sched)
                 full = apply_sign(z, path, mode="absolute").values[-1]
                 assert full == bulk.values[lo + p]
+
+    def test_start_scan_with_exact_zeros(self):
+        # integer steps return to exactly 0 often, which Gaussian rows almost
+        # never do; 1300 rows span three row blocks
+        class IntegerSteps:
+            def __init__(self):
+                self.rng = np.random.default_rng(MASTER)
+
+            def standard_normal(self, size, dtype):
+                return self.rng.integers(-1, 2, size).astype(dtype)
+
+        rows = np.cumsum(IntegerSteps().standard_normal((1300, 40), np.float32), axis=1)
+        n_exc, birth, terminal = _base_rows(IntegerSteps(), 1300, 40, 1.0)
+        ref_n_exc, ref_birth = reference_scan(rows)
+        assert np.array_equal(n_exc, ref_n_exc)
+        assert np.array_equal(birth, ref_birth)
+        assert np.array_equal(terminal, rows[:, -1])
+
+    def test_row_blocks_equal_one_shot_chunks(self):
+        # the default chunk spans many row blocks; the last chunk is short
+        scheds = [AlphaSchedule.constant(0.7), AlphaSchedule.piecewise([0.0, 0.5], [0.3, 0.8])]
+        seed = SeedSpec(MASTER, "rowblocks")
+        n_paths, n_steps = 8192 + 100, 64
+        bulk = skew_terminal_samples(scheds, n_paths, n_steps, seed)
+        ref = serial_bulk_reference(scheds, n_paths, n_steps, seed, chunk=8192)
+        for sample, expected in zip(bulk, ref):
+            assert np.array_equal(sample.values, expected)
+
+    def test_concurrent_chunks_equal_serial_reference(self, monkeypatch):
+        # more chunks than workers and more workers than cores, with the
+        # interpreter switching threads as often as it can
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        scheds = [AlphaSchedule.constant(0.4), AlphaSchedule.piecewise([0.0, 0.3], [0.2, 0.9])]
+        seed = SeedSpec(MASTER, "bulkstress")
+        n_paths, n_steps, chunk = 24 * 64 + 10, 48, 64
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(
+                target=lambda: result.append(
+                    skew_terminal_samples(
+                        scheds, n_paths, n_steps, seed, variant="signed", chunk=chunk
+                    )
+                )
+            )
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and len(result) == 1
+        ref = serial_bulk_reference(scheds, n_paths, n_steps, seed, chunk, variant="signed")
+        for sample, expected in zip(result[0], ref):
+            assert np.array_equal(sample.values, expected)
 
     def test_bulk_deterministic(self):
         sched = AlphaSchedule.constant(0.6)
