@@ -56,12 +56,12 @@ from .signflip import (
     apply_sign,
     assign_signs,
     build_sign_path,
+    draw_sign_path,
 )
 from .skewbm import (
     LawSample,
     SkewBuildSpec,
     SkewLaw,
-    birth_frozen_sign_path,
     build_skew,
     harrison_shepp_terminals,
     harrison_shepp_walk,

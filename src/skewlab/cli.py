@@ -15,7 +15,7 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .excursion import decompose_excursions, last_zero_curve
 from .grid_paths import SamplePath, SeedSpec, make_grid, refine_bridge, sample_brownian
-from .localtime import identity_residual, ito_sum
+from .localtime import identity_residual, ito_sum, local_time
 from .signed_measure import (
     HYPOTHESIS_NOT_MET,
     Decomposition,
@@ -34,10 +34,9 @@ from .signed_measure import (
     optional_representation_check,
     sigma_h_check,
 )
-from .signflip import AlphaSchedule, apply_sign, assign_signs
+from .signflip import AlphaSchedule, apply_sign, draw_sign_path
 from .skewbm import (
     SkewLaw,
-    birth_frozen_sign_path,
     harrison_shepp_terminals,
     law_test,
     sde_residual,
@@ -257,10 +256,11 @@ def run_identities(cfg: ExperimentConfig, seed: SeedSpec):
             for kind, r in rs.items():
                 kinds[kind].setdefault(n, []).append(r.sup_norm)
             if i == 0:
-                curves.append(
-                    CurveSeries(f"tanaka_residual_n{n}", p.grid.times,
-                                _tanaka_curve(p))
-                )
+                curves.append(CurveSeries(
+                    f"tanaka_residual_n{n}", p.grid.times,
+                    local_time(p, "tanaka").curve.values
+                    - local_time(p, "occupation").curve.values,
+                ))
     # the cross-estimator local-time residual floors at O(N^{-1/4}); the
     # default threshold follows that rate so coarse-mesh runs stay calibrated
     finest_level = max(cfg.n_steps)
@@ -285,14 +285,6 @@ def run_identities(cfg: ExperimentConfig, seed: SeedSpec):
     return reports, curves
 
 
-def _tanaka_curve(p: SamplePath) -> np.ndarray:
-    from .localtime import local_time
-
-    occ = local_time(p, "occupation").curve.values
-    tan = local_time(p, "tanaka").curve.values
-    return tan - occ
-
-
 def run_martingale(cfg: ExperimentConfig, seed: SeedSpec):
     n = max(cfg.n_steps)
     g = make_grid(1.0, n)
@@ -308,29 +300,19 @@ def run_martingale(cfg: ExperimentConfig, seed: SeedSpec):
         return fam
 
     for base_name in ("bm", "bm_plus_local_time"):
-        rep = martingale_drift_test(
+        reports.append(martingale_drift_test(
             family(base_name, base_name), cfg.n_paths, [0.5, 1.0],
-            seed=seed, threshold=cfg.tol("drift", 4.0),
-        )
-        reports.append(
-            TestReport(
-                suite=f"martingale.{base_name}", statistic=rep.statistic,
-                threshold=rep.threshold, n_paths=rep.n_paths, n_steps=rep.n_steps,
-                seed=seed, passed=rep.passed, detail=rep.detail,
-            )
-        )
+            seed=seed, threshold=cfg.tol("drift", 4.0), suite=f"martingale.{base_name}",
+        ))
     neg = martingale_drift_test(
-        family("bm_plus_drift", "neg"), cfg.n_paths, [0.5, 1.0], seed=seed
+        family("bm_plus_drift", "neg"), cfg.n_paths, [0.5, 1.0], seed=seed,
+        suite="martingale.negative_control",
     )
     thresh = cfg.tol("drift_reject", 5.0)
-    reports.append(
-        TestReport(
-            suite="martingale.negative_control", statistic=neg.statistic,
-            threshold=thresh, n_paths=neg.n_paths, n_steps=neg.n_steps, seed=seed,
-            passed=neg.statistic > thresh,
-            detail="acceptance region above threshold: control must be rejected",
-        )
-    )
+    reports.append(replace(
+        neg, threshold=thresh, passed=neg.statistic > thresh,
+        detail="acceptance region above threshold: control must be rejected",
+    ))
     return reports, []
 
 
@@ -389,13 +371,7 @@ def run_skew_law(cfg: ExperimentConfig, seed: SeedSpec):
     reports, curves = [], []
     if sched.kind == "constant":
         ks = law_test(sample, SkewLaw(alpha, 1.0), seed=seed)
-        reports.append(
-            TestReport(
-                suite="skew_law.ks", statistic=ks.statistic, threshold=ks.threshold,
-                n_paths=ks.n_paths, n_steps=n, seed=seed, passed=ks.passed,
-                detail=ks.detail,
-            )
-        )
+        reports.append(replace(ks, suite="skew_law.ks", n_steps=n))
         # 0.01 is the acceptance band at 10^5 paths; at smaller sizes fall
         # back to a 4-sigma binomial band so the default is calibrated
         four_sigma = 4.0 * float(np.sqrt(max(alpha * (1 - alpha), 0.05) / sample.n))
@@ -416,13 +392,7 @@ def run_skew_law(cfg: ExperimentConfig, seed: SeedSpec):
             sample, walk, lattice_allowance=allowance, lattice_spacing=spacing,
             seed=seed,
         )
-        reports.append(
-            TestReport(
-                suite="skew_law.walk_cross_check", statistic=wrep.statistic,
-                threshold=wrep.threshold, n_paths=wrep.n_paths, n_steps=n,
-                seed=seed, passed=wrep.passed, detail=wrep.detail,
-            )
-        )
+        reports.append(replace(wrep, suite="skew_law.walk_cross_check", n_steps=n))
         ys = np.linspace(-4, 4, 161)
         curves.append(CurveSeries(f"skew_density_alpha{alpha:g}", ys,
                                   skew_transition_density(alpha, 1.0, ys)))
@@ -456,10 +426,7 @@ def run_skew_residual(cfg: ExperimentConfig, seed: SeedSpec):
             coarse = min(cfg.n_steps)
             p = sample_brownian(make_grid(1.0, coarse), s.child("base"))
             p = refine_bridge(p, n // coarse, s.child("base"))
-            exc = decompose_excursions(p)
-            z = birth_frozen_sign_path(
-                exc, assign_signs(exc, sched, s.child("signs")), sched
-            )
+            z = draw_sign_path(p, sched, s.child("signs"))
             x = apply_sign(z, p, mode="absolute")
             base = Decomposition.martingale(p)
             sups.append(sde_residual(x, base, z, sched, "absolute").sup_norm)
@@ -492,13 +459,10 @@ def run_representation(cfg: ExperimentConfig, seed: SeedSpec):
             family, t_stop, events, cfg.n_paths, cfg.model, g,
             seed.child(f"rep/{t_stop:g}"), threshold=cfg.tol("representation", 4.0),
         )
-        reports.append(
-            TestReport(
-                suite=f"representation.T{t_stop:g}", statistic=rep.statistic,
-                threshold=rep.threshold, n_paths=rep.n_paths, n_steps=rep.n_steps,
-                seed=seed, passed=rep.passed, detail=f"model={cfg.model} " + rep.detail,
-            )
-        )
+        reports.append(replace(
+            rep, suite=f"representation.T{t_stop:g}", seed=seed,
+            detail=f"model={cfg.model} " + rep.detail,
+        ))
     return reports, []
 
 

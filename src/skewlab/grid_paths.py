@@ -56,6 +56,12 @@ class SeedSpec:
     path_index: int = 0
 
     def child(self, tag: str) -> "SeedSpec":
+        """Sub-stream ``tag`` below this one, joined to the label by ``/``.
+
+        A tag may itself contain ``/``, and by design ``child("a/b")`` is the
+        same stream as ``child("a").child("b")``: labels such as
+        ``bulk/base/{c}`` are built either way.
+        """
         label = f"{self.stream_label}/{tag}" if self.stream_label else tag
         return replace(self, stream_label=label)
 

@@ -52,6 +52,19 @@ class ResidualReport:
     n_steps: int
     seed: Optional[SeedSpec] = None
 
+    @classmethod
+    def from_residual(
+        cls, name: str, residual: np.ndarray, n_steps: int, seed: Optional[SeedSpec]
+    ) -> "ResidualReport":
+        """Report of one residual curve: its sup norm and terminal magnitude."""
+        return cls(
+            identity_name=name,
+            sup_norm=float(np.max(np.abs(residual))),
+            terminal=float(abs(residual[-1])),
+            n_steps=n_steps,
+            seed=seed,
+        )
+
 
 def _check_aligned(a: SamplePath, b: SamplePath) -> None:
     if not a.grid.same_as(b.grid):
@@ -103,16 +116,6 @@ def local_time(
     raise ValueError(f"unknown local time method {method!r}")
 
 
-def _report(name: str, residual: np.ndarray, n_steps: int, seed) -> ResidualReport:
-    return ResidualReport(
-        identity_name=name,
-        sup_norm=float(np.max(np.abs(residual))),
-        terminal=float(abs(residual[-1])),
-        n_steps=n_steps,
-        seed=seed,
-    )
-
-
 def identity_residual(kind: str, seed: Optional[SeedSpec] = None, **inputs) -> ResidualReport:
     """Pathwise residual of one of the named identities.
 
@@ -138,11 +141,9 @@ def identity_residual(kind: str, seed: Optional[SeedSpec] = None, **inputs) -> R
     """
     if kind == "tanaka":
         path = _require(inputs, "path", kind)
-        x = path.values
-        sgn = SamplePath(path.grid, np.sign(x))
+        tanaka = local_time(path, "tanaka").curve.values
         occ = local_time(path, "occupation", inputs.get("bandwidth")).curve.values
-        residual = np.abs(x) - abs(x[0]) - ito_sum(sgn, path).values - occ
-        return _report("tanaka", residual, path.grid.n_steps, seed)
+        return ResidualReport.from_residual("tanaka", tanaka - occ, path.grid.n_steps, seed)
 
     if kind == "balayage_predictable":
         y = _require(inputs, "y", kind)
@@ -159,7 +160,9 @@ def identity_residual(kind: str, seed: Optional[SeedSpec] = None, **inputs) -> R
             - k_frozen.values[0] * y.values[0]
             - ito_sum(k_frozen, y).values
         )
-        return _report("balayage_predictable", residual, y.grid.n_steps, seed)
+        return ResidualReport.from_residual(
+            "balayage_predictable", residual, y.grid.n_steps, seed
+        )
 
     if kind == "transform_c3":
         total = _require(inputs, "total", kind)
@@ -176,7 +179,9 @@ def identity_residual(kind: str, seed: Optional[SeedSpec] = None, **inputs) -> R
             - ito_sum(fv, m).values
             - np.asarray(big_f(v.values), dtype=float)
         )
-        return _report("transform_c3", residual, total.grid.n_steps, seed)
+        return ResidualReport.from_residual(
+            "transform_c3", residual, total.grid.n_steps, seed
+        )
 
     raise ValueError(f"unknown identity kind {kind!r}")
 

@@ -28,7 +28,7 @@ import numpy as np
 from .excursion import LastZeroCurve, ZeroMask, decompose_excursions, last_zero_curve
 from .grid_paths import SamplePath, SeedSpec, TimeGrid, sample_brownian
 from .localtime import ResidualReport, ito_sum, local_time, quadratic_covariation
-from .signflip import AlphaSchedule, apply_sign, assign_signs, build_sign_path
+from .signflip import AlphaSchedule, apply_sign, draw_sign_path
 
 __all__ = [
     "HYPOTHESIS_NOT_MET",
@@ -145,6 +145,12 @@ class Decomposition:
         zero = SamplePath(path.grid, np.zeros(len(path)))
         return cls(total=path, martingale_part=path, fv_part=zero, label=label)
 
+    @property
+    def zero_path(self) -> SamplePath:
+        """The path whose excursions define the zero structure:
+        ``zero_source`` when set, else ``total``."""
+        return self.total if self.zero_source is None else self.zero_source
+
 
 @dataclass(frozen=True)
 class TestReport:
@@ -180,12 +186,8 @@ def qp_residual(dec: Decomposition, model: SignedMeasureModel) -> ResidualReport
     if not d.grid.same_as(dec.total.grid):
         raise ValueError("decomposition and model live on different grids")
     residual = ito_sum(d, dec.fv_part).values + quadratic_covariation(dec.total, d).values
-    return ResidualReport(
-        identity_name=f"qp_residual[{dec.label or 'unnamed'}]",
-        sup_norm=float(np.max(np.abs(residual))),
-        terminal=float(abs(residual[-1])),
-        n_steps=dec.total.grid.n_steps,
-        seed=None,
+    return ResidualReport.from_residual(
+        f"qp_residual[{dec.label or 'unnamed'}]", residual, dec.total.grid.n_steps, None
     )
 
 
@@ -321,7 +323,7 @@ def sigma_h_check(
     are treated as zeros, since a reflected path never changes sign on a grid.
     """
     x = dec.total
-    src = dec.zero_source if dec.zero_source is not None else x
+    src = dec.zero_path
     snap = 0.0
     if np.all(src.values >= 0.0):
         snap = snap_scale * math.sqrt(src.grid.dt)
@@ -476,10 +478,8 @@ def _flip(dec: Decomposition, alpha: float, seed: SeedSpec) -> SamplePath:
     A nonnegative total (a reflection) is flipped as Z * |source|: its own
     discretization shows no sign changes to hang excursions on.
     """
-    src = dec.zero_source if dec.zero_source is not None else dec.total
-    exc = decompose_excursions(src)
-    sched = AlphaSchedule.constant(alpha)
-    z = build_sign_path(exc, assign_signs(exc, sched, seed), sched)
+    src = dec.zero_path
+    z = draw_sign_path(src, AlphaSchedule.constant(alpha), seed)
     if dec.zero_source is not None and np.all(dec.total.values >= 0):
         return apply_sign(z, src, mode="absolute")
     return apply_sign(z, dec.total, mode="signed")
@@ -487,8 +487,7 @@ def _flip(dec: Decomposition, alpha: float, seed: SeedSpec) -> SamplePath:
 
 def _zeros_within(dec: Decomposition, model: SignedMeasureModel, dilation: int = 2) -> bool:
     """Empirical check of {t : base_t = 0} subset H (up to grid dilation)."""
-    src = dec.zero_source if dec.zero_source is not None else dec.total
-    events = decompose_excursions(src).zero_events
+    events = decompose_excursions(dec.zero_path).zero_events
     if events.is_empty:
         return True
     near_h = model.h_mask.dilate(dilation)
@@ -557,7 +556,7 @@ def _sigma_side(ctx: _SuiteContext, transform: Optional[str]) -> tuple[bool, flo
 
 def _abs_transform(dec: Decomposition) -> Decomposition:
     """|X| with martingale part int sgn(X) dM and the rest as A."""
-    src = dec.zero_source if dec.zero_source is not None else dec.total
+    src = dec.zero_path
     sgn = SamplePath(dec.total.grid, np.sign(src.values))
     m = ito_sum(sgn, dec.martingale_part)
     total = SamplePath(dec.total.grid, np.abs(dec.total.values))
@@ -575,10 +574,8 @@ def _abs_transform(dec: Decomposition) -> Decomposition:
 
 def _flip_transform(dec: Decomposition, alpha: float, seed: SeedSpec) -> Decomposition:
     """Z^alpha X with martingale part int Z dM and the rest as A."""
-    src = dec.zero_source if dec.zero_source is not None else dec.total
-    exc = decompose_excursions(src)
-    sched = AlphaSchedule.constant(alpha)
-    z = build_sign_path(exc, assign_signs(exc, sched, seed), sched)
+    src = dec.zero_path
+    z = draw_sign_path(src, AlphaSchedule.constant(alpha), seed)
     total = apply_sign(z, dec.total, mode="signed")
     m = ito_sum(z, dec.martingale_part)
     fv = SamplePath(dec.total.grid, total.values - m.values)

@@ -1,10 +1,10 @@
 """Bernoulli sign processes over an excursion decomposition.
 
-The constant-skewness process attaches one independent sign per excursion,
-+1 with probability alpha; the piecewise version draws one sign per
-(excursion, partition-cell) pair and switches value at partition boundaries
-that fall strictly inside an excursion.  Off the excursions the sign path is
-exactly zero.
+Each excursion of the source path carries one sign, +1 with probability
+alpha.  A piecewise schedule draws one sign per (excursion, partition cell)
+pair, and each excursion takes the sign drawn for the cell of its birth (its
+left endpoint), so the sign stays constant on an excursion that straddles a
+cell boundary.  Off the excursions the sign path is exactly zero.
 
 Seed discipline: for a given seed, excursion n with an m-cell schedule
 consumes uniforms [n*m, (n+1)*m) of the substream, so the signs of the first
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .excursion import ExcursionSet
+from .excursion import ExcursionSet, decompose_excursions
 from .grid_paths import SamplePath, SeedSpec
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "SignAssignment",
     "assign_signs",
     "build_sign_path",
+    "draw_sign_path",
     "apply_sign",
 ]
 
@@ -117,8 +118,12 @@ def build_sign_path(
 ) -> SamplePath:
     """Assemble the {-1, 0, +1}-valued sign path from an assignment.
 
-    Constant on each excursion (constant case) or on each excursion-cell
-    piece (piecewise case); exactly 0 on the zero mask.
+    Each excursion takes the sign drawn for the cell containing its birth
+    (its ``g_index``), so the path is constant on each excursion and exactly
+    0 on the zero mask.  Re-flipping inside an excursion that straddles a
+    cell boundary would make the flipped path jump by the full excursion
+    height there, and a solution of the inhomogeneous SDE must stay
+    continuous.  With a single cell every excursion reads its only sign.
     """
     if assignment.n_excursions != excursions.n_excursions:
         raise ValueError(
@@ -128,12 +133,36 @@ def build_sign_path(
     if assignment.n_cells != schedule.n_cells:
         raise ValueError("assignment and schedule disagree on cell count")
     grid = excursions.path.grid
-    covered = excursions.ordinal >= 0
     z = np.zeros(grid.n_points)
-    if covered.any():
-        cells = schedule.cell_indices(grid.times)
-        z[covered] = assignment.signs[excursions.ordinal[covered], cells[covered]]
+    if excursions.n_excursions:
+        births = np.fromiter(
+            (e.g_index for e in excursions.intervals), dtype=np.int64
+        )
+        cells = schedule.cell_indices(grid.times[births])
+        frozen = assignment.signs[np.arange(len(births)), cells]
+        covered = excursions.ordinal >= 0
+        z[covered] = frozen[excursions.ordinal[covered]]
     return SamplePath(grid, z)
+
+
+def draw_sign_path(
+    source: SamplePath, schedule: AlphaSchedule, seed: SeedSpec, pin_start: bool = False
+) -> SamplePath:
+    """Sign path of one sign-flip run: decompose ``source`` into excursions,
+    draw their signs from ``seed`` and assemble the path.
+
+    With ``pin_start`` the excursion straddling t = 0 keeps sign +1 when the
+    source starts away from zero, so nothing is flipped before the first
+    zero.  The signs are drawn either way, so pinning leaves the signs of
+    later excursions unchanged.
+    """
+    exc = decompose_excursions(source)
+    assignment = assign_signs(exc, schedule, seed)
+    if pin_start and source.values[0] != 0.0:
+        signs = assignment.signs.copy()
+        signs[0, :] = 1
+        assignment = SignAssignment(signs)
+    return build_sign_path(exc, assignment, schedule)
 
 
 def apply_sign(sign: SamplePath, path: SamplePath, mode: str = "signed") -> SamplePath:

@@ -35,14 +35,13 @@ from .signed_measure import (
     TestReport,
     qp_residual,
 )
-from .signflip import AlphaSchedule, apply_sign, assign_signs
+from .signflip import AlphaSchedule, apply_sign, draw_sign_path
 
 __all__ = [
     "SkewBuildSpec",
     "LawSample",
     "SkewLaw",
     "build_skew",
-    "birth_frozen_sign_path",
     "recover_driving_noise",
     "sde_residual",
     "skew_transition_density",
@@ -110,8 +109,7 @@ def check_construction_hypotheses(spec: SkewBuildSpec, dilation: int = 2) -> lis
     if spec.model.family == "trivial":
         return []
     problems = []
-    src = spec.base.zero_source if spec.base.zero_source is not None else spec.base.total
-    events = decompose_excursions(src).zero_events
+    events = decompose_excursions(spec.base.zero_path).zero_events
     h_idx = spec.model.h_mask.indices()
     if len(h_idx):
         near = events.dilate(dilation)
@@ -123,30 +121,6 @@ def check_construction_hypotheses(spec: SkewBuildSpec, dilation: int = 2) -> lis
     return problems
 
 
-def birth_frozen_sign_path(excursions, assignment, schedule: AlphaSchedule) -> SamplePath:
-    """Sign path with each excursion's sign frozen at its birth cell.
-
-    For a piecewise schedule the literal per-cell sign path re-flips inside
-    any excursion that straddles a cell boundary, which makes the flipped
-    path jump by the full excursion height there; a solution of the
-    inhomogeneous equation must stay continuous, so the sign drawn for the
-    cell containing the excursion's birth (its left endpoint) rules the
-    whole excursion.  With a single cell this is exactly the plain sign
-    path.
-    """
-    grid = excursions.path.grid
-    z = np.zeros(grid.n_points)
-    if excursions.n_excursions:
-        births = np.fromiter(
-            (e.g_index for e in excursions.intervals), dtype=np.int64
-        )
-        cells = schedule.cell_indices(grid.times[births])
-        frozen = assignment.signs[np.arange(len(births)), cells]
-        covered = excursions.ordinal >= 0
-        z[covered] = frozen[excursions.ordinal[covered]]
-    return SamplePath(grid, z)
-
-
 def build_skew(spec: SkewBuildSpec, seed: SeedSpec, strict: bool = True) -> SamplePath:
     """Run the sign-flip construction and return the flipped path.
 
@@ -156,20 +130,14 @@ def build_skew(spec: SkewBuildSpec, seed: SeedSpec, strict: bool = True) -> Samp
     When the driver starts away from zero the excursion straddling t = 0
     keeps sign +1, so the output starts at x0 (no flip before the first
     zero).  Piecewise schedules freeze each excursion's sign at its birth
-    cell (see :func:`birth_frozen_sign_path`).
+    cell (see :func:`~skewlab.signflip.build_sign_path`).
     """
     if strict:
         problems = check_construction_hypotheses(spec)
         if problems:
             raise HypothesisNotMetError("; ".join(problems))
-    src = spec.base.zero_source if spec.base.zero_source is not None else spec.base.total
-    exc = decompose_excursions(src)
-    assignment = assign_signs(exc, spec.schedule, seed)
-    if src.values[0] != 0.0 and exc.n_excursions:
-        signs = assignment.signs.copy()
-        signs[0, :] = 1
-        assignment = type(assignment)(signs)
-    z = birth_frozen_sign_path(exc, assignment, spec.schedule)
+    src = spec.base.zero_path
+    z = draw_sign_path(src, spec.schedule, seed, pin_start=True)
     return apply_sign(z, src, mode=spec.variant)
 
 
@@ -184,7 +152,7 @@ def recover_driving_noise(
     of M, and summing them with the flip signs injects a (2 alpha - 1) L
     drift into what should be the Brownian driver.
     """
-    src = base.zero_source if base.zero_source is not None else base.total
+    src = base.zero_path
     if variant == "signed":
         integrand = sign
     elif variant == "absolute":
@@ -224,12 +192,8 @@ def sde_residual(
     correction[0] = 0.0
     np.cumsum(weights * np.diff(lt.values), out=correction[1:])
     residual = x_alpha.values - x_alpha.values[0] - w.values - correction
-    return ResidualReport(
-        identity_name=f"skew_sde[{schedule.kind},{variant}]",
-        sup_norm=float(np.max(np.abs(residual))),
-        terminal=float(abs(residual[-1])),
-        n_steps=x_alpha.grid.n_steps,
-        seed=None,
+    return ResidualReport.from_residual(
+        f"skew_sde[{schedule.kind},{variant}]", residual, x_alpha.grid.n_steps, None
     )
 
 
@@ -494,7 +458,7 @@ def skew_terminal_samples(
     max_excursions * n_cells uniforms per path, consumed row-major exactly
     like ``assign_signs``.  Only the sign of the excursion straddling the
     horizon is materialized (drawn in the cell of that excursion's birth,
-    matching :func:`birth_frozen_sign_path`), which is all the terminal
+    matching :func:`~skewlab.signflip.build_sign_path`), which is all the terminal
     value depends on; a test pins this shortcut against the full per-path
     pipeline run on the same streams.  Sharing the drivers across schedules
     is a variance-reduction coupling; each individual sample keeps the exact

@@ -11,7 +11,8 @@ expected to stay red; see the assertion messages for the measured values:
 * criterion 11's frozen-increment instance on the nontrivial model: W - W_gamma
   resets at predictable times with nonzero conditional mean, so it is a
   relative martingale rather than a martingale, and the representation
-  identity genuinely fails at interior stopping times (~10 standard errors).
+  identity genuinely fails at interior stopping times (22.41 standard errors
+  in the printed run).
 """
 
 import math
@@ -33,11 +34,10 @@ from skewlab.signed_measure import (
     qp_residual,
     sigma_h_check,
 )
-from skewlab.signflip import AlphaSchedule, apply_sign, assign_signs
+from skewlab.signflip import AlphaSchedule, apply_sign, draw_sign_path
 from skewlab.skewbm import (
     SkewBuildSpec,
     SkewLaw,
-    birth_frozen_sign_path,
     build_skew,
     harrison_shepp_terminals,
     ks_statistic,
@@ -209,10 +209,7 @@ def test_criterion_06_inhomogeneous_construction():
         sups = []
         for i in range(32):
             p = coupled("c6", i, n)
-            exc = decompose_excursions(p)
-            z = birth_frozen_sign_path(
-                exc, assign_signs(exc, sched, SEED.child("c6/signs").with_path(i)), sched
-            )
+            z = draw_sign_path(p, sched, SEED.child("c6/signs").with_path(i))
             x = apply_sign(z, p, mode="absolute")
             sups.append(
                 sde_residual(x, Decomposition.martingale(p), z, sched, "absolute").sup_norm

@@ -43,6 +43,10 @@ class TestSeedSpec:
         s = SeedSpec(7)
         assert s.child("a").stream_label == "a"
         assert s.child("a").child("b").stream_label == "a/b"
+        # a tag containing "/" addresses the same stream as nested children
+        assert np.array_equal(
+            s.child("a/b").rng().random(4), s.child("a").child("b").rng().random(4)
+        )
         assert s.with_path(3).path_index == 3
 
     def test_distinct_triples_distinct_streams(self):

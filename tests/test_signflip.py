@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewlab.excursion import decompose_excursions
 from skewlab.grid_paths import SeedSpec, make_grid, sample_brownian
@@ -103,21 +105,31 @@ class TestBuildSignPath:
         z_piece = build_sign_path(exc, assign_signs(exc, piece, seed), piece)
         assert np.array_equal(z_const.values, z_piece.values)
 
-    def test_change_only_at_interior_boundary(self, seed):
-        # an excursion straddling t=0.5 may flip exactly at the first index >= 0.5
-        sched = AlphaSchedule.piecewise([0.0, 0.5], [0.5, 0.5])
-        for i in range(20):
-            p = brownian(2**8, path_index=i, label="straddle")
-            exc = decompose_excursions(p)
-            z = build_sign_path(exc, assign_signs(exc, sched, seed.with_path(i)), sched)
-            grid = p.grid
-            cut = int(np.searchsorted(grid.times, 0.5))
-            changes = np.flatnonzero(np.diff(z.values) != 0)
-            for j in changes:
-                # a sign change away from an excursion boundary must be the cut
-                same_exc = exc.ordinal[j] == exc.ordinal[j + 1] and exc.ordinal[j] >= 0
-                if same_exc:
-                    assert j + 1 == cut
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x0=st.integers(-2, 2),
+        steps=st.lists(st.integers(-2, 2), min_size=1, max_size=40),
+        cuts=st.lists(st.floats(0.01, 0.99), max_size=3, unique=True),
+        data=st.data(),
+    )
+    def test_sign_frozen_at_birth_cell(self, x0, steps, cuts, data):
+        # integer steps hit 0 exactly and also cross it, so paths carry both
+        # kinds of excursion boundary; excursions straddle random cell cuts
+        p = path_from_values(np.cumsum([x0] + steps))
+        sched = AlphaSchedule.piecewise([0.0] + sorted(cuts), [0.5] * (len(cuts) + 1))
+        exc = decompose_excursions(p)
+        n_signs = exc.n_excursions * sched.n_cells
+        signs = np.array(
+            data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n_signs, max_size=n_signs)),
+            dtype=np.int8,
+        ).reshape(exc.n_excursions, sched.n_cells)
+        z = build_sign_path(exc, SignAssignment(signs), sched).values
+        cells = sched.cell_indices(p.grid.times)
+        for n, e in enumerate(exc.intervals):
+            on_exc = z[exc.ordinal == n]
+            assert np.all(on_exc == on_exc[0])
+            assert on_exc[0] == signs[n, cells[e.g_index]]
+        assert np.all(z[exc.zero_mask.flags] == 0)
 
     def test_mismatched_assignment_rejected(self, seed):
         exc = decompose_excursions(brownian(2**8, label="mm"))

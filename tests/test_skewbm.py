@@ -22,13 +22,18 @@ from skewlab.signed_measure import (
     PROCESS_ZOO,
     build_model,
 )
-from skewlab.signflip import AlphaSchedule, SignAssignment, apply_sign, assign_signs, build_sign_path
+from skewlab.signflip import (
+    AlphaSchedule,
+    SignAssignment,
+    apply_sign,
+    build_sign_path,
+    draw_sign_path,
+)
 from skewlab.skewbm import (
     LawSample,
     _base_rows,
     SkewBuildSpec,
     SkewLaw,
-    birth_frozen_sign_path,
     build_skew,
     harrison_shepp_terminals,
     harrison_shepp_walk,
@@ -202,11 +207,8 @@ class TestSdeResidual:
     def _construction(self, seed, n_steps, alpha, variant):
         grid = make_grid(1.0, n_steps)
         base = Decomposition.martingale(sample_brownian(grid, seed.child("base")))
-        exc = decompose_excursions(base.total)
         sched = AlphaSchedule.constant(alpha)
-        z = birth_frozen_sign_path(
-            exc, assign_signs(exc, sched, seed.child("signs")), sched
-        )
+        z = draw_sign_path(base.total, sched, seed.child("signs"))
         x = apply_sign(z, base.total, mode=variant)
         return x, base, z, sched
 
@@ -374,7 +376,7 @@ class TestTerminalSamplers:
                     1,
                     -1,
                 ).astype(np.int8)
-                z = birth_frozen_sign_path(exc, SignAssignment(signs), sched)
+                z = build_sign_path(exc, SignAssignment(signs), sched)
                 full = apply_sign(z, path, mode="absolute").values[-1]
                 assert full == bulk.values[lo + p]
 
