@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .excursion import decompose_excursions, last_zero_curve
-from .grid_paths import SamplePath, SeedSpec, make_grid, refine_bridge, sample_brownian
+from .grid_paths import SeedSpec, make_grid, refine_bridge, sample_brownian
 from .localtime import identity_residual, ito_sum, local_time
 from .signed_measure import (
     HYPOTHESIS_NOT_MET,
@@ -30,6 +30,7 @@ from .signed_measure import (
     PROCESS_ZOO,
     TestReport,
     build_model,
+    density_products,
     martingale_drift_test,
     optional_representation_check,
     sigma_h_check,
@@ -93,6 +94,8 @@ class ExperimentConfig:
             raise UsageError(f"unknown suite {self.suite!r}; see list-suites")
         if self.model not in ("trivial", "shifted_brownian"):
             raise UsageError(f"unknown model {self.model!r}")
+        if not self.n_steps:
+            raise UsageError("steps must list at least one step count")
         if self.n_paths <= 0 or self.n_seeds <= 0 or any(n <= 0 for n in self.n_steps):
             raise UsageError("paths, seeds and steps must be positive")
         if self.n_paths < _MIN_PATHS and self.suite in _PATH_STATISTIC_SUITES + ("all",):
@@ -291,13 +294,7 @@ def run_martingale(cfg: ExperimentConfig, seed: SeedSpec):
     reports = []
 
     def family(base_name, tag):
-        def fam(p):
-            s = seed.child(f"mart/{tag}").with_path(p)
-            model = build_model("shifted_brownian", g, s.child("model"))
-            dec = PROCESS_ZOO[base_name](model, g, s)
-            return SamplePath(g, model.d_path.values * dec.total.values)
-
-        return fam
+        return density_products("shifted_brownian", base_name, g, seed.child(f"mart/{tag}"))
 
     for base_name in ("bm", "bm_plus_local_time"):
         reports.append(martingale_drift_test(

@@ -21,11 +21,16 @@ relied on everywhere downstream:
   gbar = 0 (the 0-or-last-zero convention).  The O(sqrt(dt)) values at
   crossing boundaries make these choices immaterial in the mesh limit, which
   the test suite checks explicitly.
+
+The kernels work along the last axis of a ``(rows, n_points)`` block of
+paths (:class:`ExcursionRows`); :func:`decompose_excursions` and
+:func:`last_zero_curve` are their one-row case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +40,7 @@ from .grid_paths import SamplePath
 __all__ = [
     "ZeroMask",
     "Excursion",
+    "ExcursionRows",
     "ExcursionSet",
     "LastZeroCurve",
     "decompose_excursions",
@@ -56,17 +62,18 @@ class ZeroMask:
         return not bool(self.flags.any())
 
     def dilate(self, radius: int) -> np.ndarray:
-        """Flags with True smeared over +/- radius grid indices."""
+        """Flags with True smeared over +/- radius grid indices (along the
+        last axis, so a block of rows dilates row by row)."""
         if radius <= 0:
             return self.flags.copy()
         out = self.flags.copy()
         for off in range(1, radius + 1):
-            out[off:] |= self.flags[:-off]
-            out[:-off] |= self.flags[off:]
+            out[..., off:] |= self.flags[..., :-off]
+            out[..., :-off] |= self.flags[..., off:]
         return out
 
     def __len__(self) -> int:
-        return len(self.flags)
+        return self.flags.shape[-1]
 
 
 class Excursion(NamedTuple):
@@ -75,23 +82,124 @@ class Excursion(NamedTuple):
     sign: int
 
 
+class ExcursionRows:
+    """Excursion structure of a ``(rows, n_points)`` block of paths.
+
+    Every row is decomposed on its own, along the last axis.  Only the signs
+    are computed up front; each other field is computed on first read.
+    Excursion-level arrays (``births``, ``ends``, ``signs``) list the
+    excursions of row 0, then row 1, and so on; ``counts[r]`` is the number
+    of excursions of row r.
+    """
+
+    def __init__(self, values: np.ndarray, snap_tol: float = 0.0):
+        x = values
+        if snap_tol > 0.0:
+            x = np.where(np.abs(x) <= snap_tol, 0.0, x)
+        self.sign = np.sign(x).astype(np.int8)
+
+    @cached_property
+    def covered(self) -> np.ndarray:
+        """True where an excursion covers the index, False on the zero mask."""
+        return self.sign != 0
+
+    @cached_property
+    def events(self) -> np.ndarray:
+        """Zero events: the zero mask plus the entry index of each crossing."""
+        s = self.sign
+        events = s == 0
+        events[:, 1:] |= s[:, 1:] * s[:, :-1] < 0
+        return events
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        starts = self.covered.copy()
+        starts[:, 1:] &= self.sign[:, 1:] != self.sign[:, :-1]
+        return starts
+
+    @cached_property
+    def ordinal(self) -> np.ndarray:
+        """Excursion number covering each index (from 0 in each row), -1 on
+        the zero mask."""
+        ordinal = np.cumsum(self.starts, axis=1, dtype=np.int64)
+        ordinal -= 1
+        ordinal[~self.covered] = -1
+        return ordinal
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Last zero event at or before each index, 0 when there is none."""
+        idx = np.arange(self.sign.shape[1])
+        return np.maximum.accumulate(np.where(self.events, idx, 0), axis=1)
+
+    @property
+    def gbar(self) -> np.ndarray:
+        """Final zero of each row."""
+        return self.gamma[:, -1]
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return np.count_nonzero(self.starts, axis=1)
+
+    @cached_property
+    def births(self) -> np.ndarray:
+        """g index of each excursion: its first covered index, or the exact
+        zero just before it."""
+        row, first = np.nonzero(self.starts)
+        at_zero = (first > 0) & ~self.covered[row, np.maximum(first - 1, 0)]
+        return np.where(at_zero, first - 1, first)
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """d index of each excursion: its last covered index, or the exact
+        zero just after it."""
+        s = self.sign
+        last_cov = self.covered.copy()
+        last_cov[:, :-1] &= s[:, :-1] != s[:, 1:]
+        row, last = np.nonzero(last_cov)
+        n = s.shape[1] - 1
+        at_zero = (last < n) & ~self.covered[row, np.minimum(last + 1, n)]
+        return np.where(at_zero, last + 1, last)
+
+    @cached_property
+    def signs(self) -> np.ndarray:
+        return self.sign[self.starts]
+
+
 @dataclass(frozen=True)
 class ExcursionSet:
-    """Ordered excursion intervals of one path plus its discrete zero data.
+    """Ordered excursion intervals of one path plus its discrete zero data:
+    the one-row view of an :class:`ExcursionRows`.
 
     ``ordinal[j]`` is the excursion number covering index j, or -1 on the
     zero mask; it is the vectorized carrier consumed by the sign-flip module.
     """
 
     path: SamplePath
-    intervals: tuple[Excursion, ...]
-    zero_mask: ZeroMask
-    zero_events: ZeroMask
-    ordinal: np.ndarray
+    rows: ExcursionRows
+
+    @property
+    def zero_mask(self) -> ZeroMask:
+        return ZeroMask(~self.rows.covered[0])
+
+    @property
+    def zero_events(self) -> ZeroMask:
+        return ZeroMask(self.rows.events[0])
+
+    @property
+    def ordinal(self) -> np.ndarray:
+        return self.rows.ordinal[0]
 
     @property
     def n_excursions(self) -> int:
-        return len(self.intervals)
+        return int(self.rows.counts[0])
+
+    @property
+    def intervals(self) -> tuple[Excursion, ...]:
+        r = self.rows
+        return tuple(
+            Excursion(int(g), int(d), int(s)) for g, d, s in zip(r.births, r.ends, r.signs)
+        )
 
 
 @dataclass(frozen=True)
@@ -106,46 +214,9 @@ def decompose_excursions(path: SamplePath, snap_tol: float = 0.0) -> ExcursionSe
 
     Values of magnitude <= snap_tol are treated as exact zeros (default 0:
     only true zeros).  An everywhere-zero path yields no intervals and a full
-    mask.
+    mask.  This is the one-row case of :class:`ExcursionRows`.
     """
-    x = path.values
-    if snap_tol > 0.0:
-        x = np.where(np.abs(x) <= snap_tol, 0.0, x)
-    s = np.sign(x).astype(np.int8)
-    nz = s != 0
-
-    starts = nz.copy()
-    starts[1:] &= ~nz[:-1] | (s[1:] != s[:-1])
-    ends = nz.copy()
-    ends[:-1] &= ~nz[1:] | (s[1:] != s[:-1])
-
-    ordinal = np.where(nz, np.cumsum(starts) - 1, -1).astype(np.int64)
-    start_idx = np.flatnonzero(starts)
-    end_idx = np.flatnonzero(ends)
-    n = len(x) - 1
-
-    # an endpoint extends to the adjacent exact zero when there is one
-    g = np.where((start_idx > 0) & ~nz[np.maximum(start_idx - 1, 0)], start_idx - 1, start_idx)
-    d = np.where((end_idx < n) & ~nz[np.minimum(end_idx + 1, n)], end_idx + 1, end_idx)
-
-    intervals = tuple(
-        Excursion(int(gi), int(di), int(si))
-        for gi, di, si in zip(g, d, s[start_idx])
-    )
-
-    events = ~nz
-    if len(start_idx) > 1:
-        later = start_idx[1:]
-        crossing = later[nz[later - 1]]  # sign change without an exact zero
-        events[crossing] = True
-
-    return ExcursionSet(
-        path=path,
-        intervals=intervals,
-        zero_mask=ZeroMask(~nz),
-        zero_events=ZeroMask(events),
-        ordinal=ordinal,
-    )
+    return ExcursionSet(path, ExcursionRows(path.values[None, :], snap_tol))
 
 
 def last_zero_curve(excursions: ExcursionSet) -> tuple[LastZeroCurve, int]:
@@ -155,8 +226,5 @@ def last_zero_curve(excursions: ExcursionSet) -> tuple[LastZeroCurve, int]:
     index 0 when no event has occurred yet; gbar is the last event index or 0
     for an event-free path.
     """
-    flags = excursions.zero_events.flags
-    idx = np.arange(len(flags))
-    gamma = np.maximum.accumulate(np.where(flags, idx, 0))
-    gbar = int(gamma[-1])
-    return LastZeroCurve(gamma), gbar
+    gamma = excursions.rows.gamma[0]
+    return LastZeroCurve(gamma), int(gamma[-1])

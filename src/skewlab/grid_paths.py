@@ -11,9 +11,10 @@ distinct triples yield streams indistinguishable from independent ones.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +23,8 @@ __all__ = [
     "TimeGrid",
     "SamplePath",
     "make_grid",
+    "block_rows",
+    "brownian_rows",
     "sample_brownian",
     "sample_independent_pair",
     "refine_bridge",
@@ -31,7 +34,11 @@ __all__ = [
 #: sub-labels used by :func:`sample_independent_pair` for its two components
 PAIR_LABELS = ("pair0", "pair1")
 
+#: float64 elements per array of one row block (see :func:`block_rows`)
+BLOCK_ELEMENTS = 2**16
 
+
+@functools.lru_cache(maxsize=4096)
 def _label_digest(label: str) -> int:
     """Stable 64-bit digest of a stream label."""
     return int.from_bytes(
@@ -63,10 +70,10 @@ class SeedSpec:
         ``bulk/base/{c}`` are built either way.
         """
         label = f"{self.stream_label}/{tag}" if self.stream_label else tag
-        return replace(self, stream_label=label)
+        return SeedSpec(self.master_seed, label, self.path_index)
 
     def with_path(self, index: int) -> "SeedSpec":
-        return replace(self, path_index=int(index))
+        return SeedSpec(self.master_seed, self.stream_label, int(index))
 
     def rng(self) -> np.random.Generator:
         ss = np.random.SeedSequence(
@@ -109,7 +116,11 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SamplePath:
-    """A discretized process: values aligned one-to-one with grid.times."""
+    """A discretized process: values aligned one-to-one with grid.times.
+
+    The path stores a read-only view of its values, so a frozen path stays
+    frozen even when its values are a row of a larger block.
+    """
 
     grid: TimeGrid
     values: np.ndarray
@@ -120,8 +131,10 @@ class SamplePath:
             raise ValueError(
                 f"values must have length {self.grid.n_points}, got {v.shape}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("path values must all be finite")
+        v = v.view()
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     def with_values(self, values: np.ndarray) -> "SamplePath":
@@ -145,18 +158,34 @@ def make_grid(horizon: float, n_steps: int) -> TimeGrid:
     return TimeGrid(float(horizon), int(n_steps), times)
 
 
-def sample_brownian(grid: TimeGrid, seed: SeedSpec, x0: float = 0.0) -> SamplePath:
-    """Sample one Brownian path: x0 plus cumulative N(0, dt) increments.
+def block_rows(n_points: int) -> int:
+    """Rows per block for paths of ``n_points`` points: about
+    ``BLOCK_ELEMENTS`` float64 per array, and at least one row.  The block
+    size sets memory and speed only; no result depends on it."""
+    return max(1, BLOCK_ELEMENTS // n_points)
 
-    The same (grid, seed, x0) always reproduces the identical path bit for
-    bit; the increments come entirely from ``seed``'s substream.
+
+def brownian_rows(grid: TimeGrid, seeds, x0: float = 0.0) -> np.ndarray:
+    """Sample a block of Brownian paths as a ``(len(seeds), n_points)`` array.
+
+    Row j is x0 plus cumulative N(0, dt) increments drawn entirely from
+    ``seeds[j]``'s substream, so each row is reproducible on its own, bit
+    for bit, whatever block it is sampled in.
     """
-    incr = seed.rng().standard_normal(grid.n_steps) * math.sqrt(grid.dt)
-    values = np.empty(grid.n_points)
-    values[0] = x0
-    np.cumsum(incr, out=values[1:])
-    values[1:] += x0
-    return SamplePath(grid, values)
+    values = np.empty((len(seeds), grid.n_points))
+    values[:, 0] = x0
+    steps = values[:, 1:]
+    for row, seed in zip(steps, seeds):
+        seed.rng().standard_normal(out=row)
+    steps *= math.sqrt(grid.dt)
+    np.cumsum(steps, axis=1, out=steps)
+    steps += x0
+    return values
+
+
+def sample_brownian(grid: TimeGrid, seed: SeedSpec, x0: float = 0.0) -> SamplePath:
+    """Sample one Brownian path: the one-row case of :func:`brownian_rows`."""
+    return SamplePath(grid, brownian_rows(grid, [seed], x0)[0])
 
 
 def sample_independent_pair(grid: TimeGrid, seed: SeedSpec) -> tuple[SamplePath, SamplePath]:

@@ -6,6 +6,10 @@ fans out across independent paths, never inside one sum.
 
 Sign convention: sgn(0) = 0 throughout (the symmetric local time convention),
 which is what numpy.sign provides.
+
+``ito_rows`` and ``tanaka_rows`` work along the last axis of an array, so one
+call serves a single path or a ``(rows, n_points)`` block; ``ito_sum`` and
+``local_time(path, "tanaka")`` are their one-path case.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from .grid_paths import SamplePath, SeedSpec
 __all__ = [
     "LocalTimeCurve",
     "ResidualReport",
+    "ito_rows",
     "ito_sum",
+    "tanaka_rows",
     "quadratic_covariation",
     "local_time",
     "identity_residual",
@@ -71,13 +77,27 @@ def _check_aligned(a: SamplePath, b: SamplePath) -> None:
         raise ValueError("paths live on different grids")
 
 
+def ito_rows(integrand: np.ndarray, integrator: np.ndarray) -> np.ndarray:
+    """Left-endpoint Ito sums along the last axis:
+    out[..., j] = sum_{i<j} f[..., i] * (g[..., i+1] - g[..., i])."""
+    out = np.empty(integrator.shape)
+    out[..., 0] = 0.0
+    np.cumsum(
+        integrand[..., :-1] * np.diff(integrator, axis=-1), axis=-1, out=out[..., 1:]
+    )
+    return out
+
+
 def ito_sum(integrand: SamplePath, integrator: SamplePath) -> SamplePath:
     """Left-endpoint Ito sum: out[j] = sum_{i<j} f[i] * (g[i+1] - g[i])."""
     _check_aligned(integrand, integrator)
-    out = np.empty(len(integrand.values))
-    out[0] = 0.0
-    np.cumsum(integrand.values[:-1] * np.diff(integrator.values), out=out[1:])
-    return SamplePath(integrand.grid, out)
+    return SamplePath(integrand.grid, ito_rows(integrand.values, integrator.values))
+
+
+def tanaka_rows(x: np.ndarray) -> np.ndarray:
+    """Discrete Tanaka local time along the last axis:
+    |X_t| - |X_0| - sum sgn(X_i) (X_{i+1} - X_i)."""
+    return np.abs(x) - np.abs(x[..., :1]) - ito_rows(np.sign(x), x)
 
 
 def quadratic_covariation(x: SamplePath, y: SamplePath) -> SamplePath:
@@ -101,9 +121,7 @@ def local_time(
     """
     x = path.values
     if method == "tanaka":
-        sgn = SamplePath(path.grid, np.sign(x))
-        curve = np.abs(x) - abs(x[0]) - ito_sum(sgn, path).values
-        return LocalTimeCurve(SamplePath(path.grid, curve), "tanaka", None)
+        return LocalTimeCurve(SamplePath(path.grid, tanaka_rows(x)), "tanaka", None)
     if method == "occupation":
         eps = float(bandwidth) if bandwidth is not None else path.grid.dt**OCCUPATION_EXPONENT
         if eps <= 0:

@@ -15,29 +15,49 @@ equivalent to the pathwise condition
 so the harness checks the property two independent ways: the pathwise
 residual of that display (``qp_residual``) and a conditional-drift test on
 the simulated product process (``martingale_drift_test``).
+
+The short-row suites (the drift test, the equivalence suites and the
+optional representation check) build their models and base processes a row
+block at a time (``build_model_rows`` and the zoo's row kernels), so each
+block is built once and read by everything the suite needs; ``build_model``
+and the ``PROCESS_ZOO`` members are their one-row case.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .excursion import LastZeroCurve, ZeroMask, decompose_excursions, last_zero_curve
-from .grid_paths import SamplePath, SeedSpec, TimeGrid, sample_brownian
-from .localtime import ResidualReport, ito_sum, local_time, quadratic_covariation
-from .signflip import AlphaSchedule, apply_sign, draw_sign_path
+from .excursion import ExcursionRows, LastZeroCurve, ZeroMask, decompose_excursions
+from .grid_paths import (
+    SamplePath,
+    SeedSpec,
+    TimeGrid,
+    block_rows,
+    brownian_rows,
+    make_grid,
+)
+from .localtime import ResidualReport, ito_rows, ito_sum, quadratic_covariation, tanaka_rows
+from .signflip import AlphaSchedule, apply_sign, draw_sign_path, sign_path_rows
 
 __all__ = [
     "HYPOTHESIS_NOT_MET",
     "InsufficientSamplesError",
     "HypothesisNotMetError",
+    "ModelRows",
     "SignedMeasureModel",
+    "DecompositionRows",
     "Decomposition",
+    "PathRows",
     "TestReport",
+    "build_model_rows",
     "build_model",
+    "density_products",
     "qp_residual",
     "carried_by_check",
     "martingale_drift_test",
@@ -74,49 +94,101 @@ class HypothesisNotMetError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignedMeasureModel:
-    """Density process D with its zero set H, last-zero curve and final zero."""
+@dataclass(frozen=True, eq=False)
+class ModelRows:
+    """A block of density processes D, one path per row of ``d``.
 
-    d_path: SamplePath
-    d_infinity: float
-    h_mask: ZeroMask
-    gamma: LastZeroCurve
-    gbar: int
+    The zero structure of D (H, gamma, gbar of every row) is computed on
+    first read, so a suite that never reads it never decomposes D.
+    """
+
     family: str
+    grid: TimeGrid
+    d: np.ndarray
+
+    @cached_property
+    def zeros(self) -> ExcursionRows:
+        return ExcursionRows(self.d)
+
+    def row(self, index: int) -> "SignedMeasureModel":
+        return SignedMeasureModel(self, index)
+
+
+@dataclass(frozen=True, eq=False)
+class SignedMeasureModel:
+    """Density process D with its zero set H, last-zero curve and final zero:
+    row ``index`` of a :class:`ModelRows` block."""
+
+    rows: ModelRows
+    index: int = 0
 
     @classmethod
     def from_density(cls, d_path: SamplePath, family: str = "custom") -> "SignedMeasureModel":
-        exc = decompose_excursions(d_path)
-        gamma, gbar = last_zero_curve(exc)
-        return cls(
-            d_path=d_path,
-            d_infinity=float(d_path.values[-1]),
-            h_mask=exc.zero_events,
-            gamma=gamma,
-            gbar=gbar,
-            family=family,
-        )
+        return cls(ModelRows(family, d_path.grid, d_path.values[None, :]))
+
+    @property
+    def family(self) -> str:
+        return self.rows.family
+
+    @cached_property
+    def d_path(self) -> SamplePath:
+        return SamplePath(self.rows.grid, self.rows.d[self.index])
+
+    @property
+    def d_infinity(self) -> float:
+        return float(self.rows.d[self.index, -1])
+
+    @property
+    def h_mask(self) -> ZeroMask:
+        return ZeroMask(self.rows.zeros.events[self.index])
+
+    @property
+    def gamma(self) -> LastZeroCurve:
+        return LastZeroCurve(self.rows.zeros.gamma[self.index])
+
+    @property
+    def gbar(self) -> int:
+        return int(self.rows.zeros.gbar[self.index])
+
+    @property
+    def block(self) -> ModelRows:
+        """This model as a one-row block."""
+        if self.rows.d.shape[0] == 1:
+            return self.rows
+        i = self.index
+        return ModelRows(self.family, self.rows.grid, self.rows.d[i : i + 1])
+
+
+def build_model_rows(family: str, grid: TimeGrid, seeds: Sequence[SeedSpec]) -> ModelRows:
+    """Models of a block of paths, row j from ``seeds[j]``: ``trivial``
+    (D = 1) or ``shifted_brownian`` (D = 1 + B from the seed's ``density``
+    substream)."""
+    if family == "trivial":
+        return ModelRows(family, grid, np.ones((len(seeds), grid.n_points)))
+    if family == "shifted_brownian":
+        d = brownian_rows(grid, [s.child("density") for s in seeds], x0=1.0)
+        return ModelRows(family, grid, d)
+    raise ValueError(f"unknown model family {family!r}")
 
 
 def build_model(family: str, grid: TimeGrid, seed: SeedSpec) -> SignedMeasureModel:
-    """Construct a concrete model: ``trivial`` (D = 1) or ``shifted_brownian``
-    (D = 1 + B from the seed's ``density`` substream)."""
-    if family == "trivial":
-        d = SamplePath(grid, np.ones(grid.n_points))
-        n = grid.n_points
-        return SignedMeasureModel(
-            d_path=d,
-            d_infinity=1.0,
-            h_mask=ZeroMask(np.zeros(n, dtype=bool)),
-            gamma=LastZeroCurve(np.zeros(n, dtype=np.int64)),
-            gbar=0,
-            family="trivial",
-        )
-    if family == "shifted_brownian":
-        d = sample_brownian(grid, seed.child("density"), x0=1.0)
-        return SignedMeasureModel.from_density(d, family="shifted_brownian")
-    raise ValueError(f"unknown model family {family!r}")
+    """Construct one concrete model: the one-row case of
+    :func:`build_model_rows`."""
+    return build_model_rows(family, grid, [seed]).row(0)
+
+
+def _check_split(total: np.ndarray, mart: np.ndarray, fv: np.ndarray) -> None:
+    """Require |total - recon| <= 1e-9 + 1e-9 |recon| everywhere, with
+    recon = mart + fv: ``np.allclose`` on finite values, computed in place
+    with two temporaries."""
+    recon = mart + fv
+    err = np.subtract(total, recon)
+    np.abs(err, out=err)
+    np.abs(recon, out=recon)
+    recon *= 1e-9
+    recon += 1e-9
+    if not (err <= recon).all():
+        raise ValueError("total must equal martingale_part + fv_part")
 
 
 @dataclass(frozen=True)
@@ -136,9 +208,7 @@ class Decomposition:
     zero_source: Optional[SamplePath] = None
 
     def __post_init__(self):
-        recon = self.martingale_part.values + self.fv_part.values
-        if not np.allclose(self.total.values, recon, atol=1e-9, rtol=1e-9):
-            raise ValueError("total must equal martingale_part + fv_part")
+        _check_split(self.total.values, self.martingale_part.values, self.fv_part.values)
 
     @classmethod
     def martingale(cls, path: SamplePath, label: str = "") -> "Decomposition":
@@ -150,6 +220,42 @@ class Decomposition:
         """The path whose excursions define the zero structure:
         ``zero_source`` when set, else ``total``."""
         return self.total if self.zero_source is None else self.zero_source
+
+
+@dataclass(frozen=True, eq=False)
+class DecompositionRows:
+    """A block of decompositions, one path per row of each array; row j is
+    the :class:`Decomposition` of path j."""
+
+    grid: TimeGrid
+    total: np.ndarray
+    martingale_part: np.ndarray
+    fv_part: np.ndarray
+    label: str = ""
+    zero_source: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        _check_split(self.total, self.martingale_part, self.fv_part)
+
+    @classmethod
+    def martingale(cls, grid: TimeGrid, values: np.ndarray, label: str = "") -> "DecompositionRows":
+        return cls(grid, values, values, np.broadcast_to(0.0, values.shape), label)
+
+    @property
+    def zero_path(self) -> np.ndarray:
+        return self.total if self.zero_source is None else self.zero_source
+
+    def row(self, index: int) -> Decomposition:
+        def path(values):
+            return SamplePath(self.grid, values[index])
+
+        return Decomposition(
+            total=path(self.total),
+            martingale_part=path(self.martingale_part),
+            fv_part=path(self.fv_part),
+            label=self.label,
+            zero_source=None if self.zero_source is None else path(self.zero_source),
+        )
 
 
 @dataclass(frozen=True)
@@ -231,41 +337,58 @@ def carried_by_check(
 # ---------------------------------------------------------------------------
 
 
-def martingale_drift_test(
-    process_family: Callable[[int], SamplePath],
-    n_paths: int,
-    checkpoints: Sequence[float],
-    seed: Optional[SeedSpec] = None,
-    threshold: float = 4.0,
-    suite: str = "martingale_drift",
-) -> TestReport:
-    """Zero-conditional-drift test for a simulated process family.
+@dataclass(frozen=True)
+class PathRows:
+    """A path family produced a block at a time: ``rows(lo, hi)`` returns the
+    values of paths lo..hi-1 as a ``(hi - lo, n_points)`` array, and callers
+    ask for at most ``block`` rows per call."""
 
-    For consecutive checkpoint pairs (s, t) and a fixed dictionary of bounded
-    weights evaluated at or before s (constant 1, the sign of the path at
-    s/2, the indicator that the path at s exceeds the cross-path median) the
-    statistic is |mean w*(P_t - P_s)| over its standard error, maximised over
-    pairs and weights.  Martingales stay below ``threshold`` standard errors.
-    """
+    grid: TimeGrid
+    block: int
+    rows: Callable[[int, int], np.ndarray]
+
+
+def _one_row_producer(process_family: Callable[[int], SamplePath]) -> PathRows:
+    """A per-path family p -> SamplePath read as one-row blocks."""
+    first = process_family(0)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        return (first if lo == 0 else process_family(lo)).values[None, :]
+
+    return PathRows(first.grid, 1, rows)
+
+
+def _require_paths(n_paths: int) -> None:
     if n_paths < 1000:
         raise InsufficientSamplesError(f"need at least 1000 paths, got {n_paths}")
+
+
+def _checkpoint_pairs(n_paths: int, checkpoints: Sequence[float]) -> list[tuple[float, float]]:
+    _require_paths(n_paths)
     cps = sorted(float(t) for t in checkpoints)
     if not cps:
         raise ValueError("need at least one checkpoint")
     if cps[0] > 0.0:
         cps = [0.0] + cps
+    return list(zip(cps[:-1], cps[1:]))
 
-    first = process_family(0)
-    grid = first.grid
-    pairs = list(zip(cps[:-1], cps[1:]))
-    needed = sorted({grid.index_at(t) for s, t in pairs for t in (s, t, s / 2.0)})
-    pos = {ix: j for j, ix in enumerate(needed)}
 
-    values = np.empty((n_paths, len(needed)))
-    values[0] = first.values[needed]
-    for p in range(1, n_paths):
-        values[p] = process_family(p).values[needed]
+def _checkpoint_columns(grid: TimeGrid, pairs) -> list[int]:
+    """Grid indices the drift statistic reads: s, t and s/2 of each pair."""
+    return sorted({grid.index_at(t) for s, t in pairs for t in (s, t, s / 2.0)})
 
+
+def _drift_report(
+    values: np.ndarray,
+    grid: TimeGrid,
+    pairs,
+    seed: Optional[SeedSpec],
+    threshold: float,
+    suite: str,
+) -> TestReport:
+    """The drift statistic of an (n_paths, k) matrix of checkpoint columns."""
+    pos = {ix: j for j, ix in enumerate(_checkpoint_columns(grid, pairs))}
+    n_paths = len(values)
     worst = 0.0
     worst_tag = ""
     sqrt_n = math.sqrt(n_paths)
@@ -296,6 +419,40 @@ def martingale_drift_test(
         passed=worst < threshold,
         detail=worst_tag,
     )
+
+
+def martingale_drift_test(
+    process_family: Union[PathRows, Callable[[int], SamplePath]],
+    n_paths: int,
+    checkpoints: Sequence[float],
+    seed: Optional[SeedSpec] = None,
+    threshold: float = 4.0,
+    suite: str = "martingale_drift",
+) -> TestReport:
+    """Zero-conditional-drift test for a simulated process family.
+
+    For consecutive checkpoint pairs (s, t) and a fixed dictionary of bounded
+    weights evaluated at or before s (constant 1, the sign of the path at
+    s/2, the indicator that the path at s exceeds the cross-path median) the
+    statistic is |mean w*(P_t - P_s)| over its standard error, maximised over
+    pairs and weights.  Martingales stay below ``threshold`` standard errors.
+
+    ``process_family`` is a :class:`PathRows` or a per-path callable
+    p -> SamplePath, read one row at a time; only the checkpoint columns of
+    each path are kept.
+    """
+    pairs = _checkpoint_pairs(n_paths, checkpoints)
+    family = (
+        process_family
+        if isinstance(process_family, PathRows)
+        else _one_row_producer(process_family)
+    )
+    needed = _checkpoint_columns(family.grid, pairs)
+    values = np.empty((n_paths, len(needed)))
+    for lo in range(0, n_paths, family.block):
+        hi = min(lo + family.block, n_paths)
+        values[lo:hi] = family.rows(lo, hi)[:, needed]
+    return _drift_report(values, family.grid, pairs, seed, threshold, suite)
 
 
 # ---------------------------------------------------------------------------
@@ -367,84 +524,81 @@ def sigma_h_check(
 # ---------------------------------------------------------------------------
 
 
-def make_bm(model: SignedMeasureModel, grid: TimeGrid, seed: SeedSpec) -> Decomposition:
+def _zoo(rows_kernel):
+    """Per-path member of the process zoo, ``(model, grid, seed) ->
+    Decomposition``: the one-row case of ``rows_kernel(models, grid, seeds)
+    -> DecompositionRows``, which stays reachable as ``.rows`` for callers
+    that build whole blocks."""
+
+    @functools.wraps(rows_kernel)
+    def one_path(model: SignedMeasureModel, grid: TimeGrid, seed: SeedSpec, *args, **kwargs):
+        return rows_kernel(model.block, grid, [seed], *args, **kwargs).row(0)
+
+    one_path.rows = rows_kernel
+    return one_path
+
+
+def _w(grid: TimeGrid, seeds: Sequence[SeedSpec], x0: float = 0.0) -> np.ndarray:
+    return brownian_rows(grid, [s.child("w") for s in seeds], x0)
+
+
+@_zoo
+def make_bm(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
     """W independent of D (its own substream), so <W, D> = 0."""
-    w = sample_brownian(grid, seed.child("w"))
-    return Decomposition.martingale(w, label="bm")
+    return DecompositionRows.martingale(grid, _w(grid, seeds), label="bm")
 
 
+@_zoo
 def make_bm_plus_local_time(
-    model: SignedMeasureModel, grid: TimeGrid, seed: SeedSpec, scale: float = 2.0
-) -> Decomposition:
+    models: ModelRows, grid: TimeGrid, seeds, scale: float = 2.0
+) -> DecompositionRows:
     """W + scale * L^0(D): the finite-variation part is carried by H."""
-    w = sample_brownian(grid, seed.child("w"))
-    lt = local_time(model.d_path, "tanaka").curve
-    v = SamplePath(grid, scale * lt.values)
-    return Decomposition(
-        total=SamplePath(grid, w.values + v.values),
-        martingale_part=w,
-        fv_part=v,
-        label="bm_plus_local_time",
-    )
+    w = _w(grid, seeds)
+    v = scale * tanaka_rows(models.d)
+    return DecompositionRows(grid, w + v, w, v, label="bm_plus_local_time")
 
 
-def make_bm_plus_drift(
-    model: SignedMeasureModel, grid: TimeGrid, seed: SeedSpec
-) -> Decomposition:
+@_zoo
+def make_bm_plus_drift(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
     """Negative control W + t: Lebesgue drift is carried by nothing useful."""
-    w = sample_brownian(grid, seed.child("w"))
-    v = SamplePath(grid, grid.times.copy())
-    return Decomposition(
-        total=SamplePath(grid, w.values + grid.times),
-        martingale_part=w,
-        fv_part=v,
-        label="bm_plus_drift",
-    )
+    w = _w(grid, seeds)
+    t = np.broadcast_to(grid.times, w.shape)
+    return DecompositionRows(grid, w + grid.times, w, t, label="bm_plus_drift")
 
 
-def make_bm_minus_frozen(
-    model: SignedMeasureModel, grid: TimeGrid, seed: SeedSpec
-) -> Decomposition:
+@_zoo
+def make_bm_minus_frozen(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
     """W - W_gamma with gamma the last zero of D: a martingale null on H."""
-    w = sample_brownian(grid, seed.child("w"))
-    vals = w.values - w.values[model.gamma.gamma]
-    return Decomposition.martingale(SamplePath(grid, vals), label="bm_minus_frozen")
+    w = _w(grid, seeds)
+    frozen = np.take_along_axis(w, models.zeros.gamma, axis=1)
+    return DecompositionRows.martingale(grid, w - frozen, label="bm_minus_frozen")
 
 
-def make_reflected_bm(
-    model: SignedMeasureModel, grid: TimeGrid, seed: SeedSpec
-) -> Decomposition:
+@_zoo
+def make_reflected_bm(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
     """X = |W| split by Tanaka: M = int sgn(W) dW, A = L^0(W)."""
-    w = sample_brownian(grid, seed.child("w"))
-    sgn = SamplePath(grid, np.sign(w.values))
-    m = ito_sum(sgn, w)
-    total = SamplePath(grid, np.abs(w.values))
-    fv = SamplePath(grid, total.values - m.values)
-    return Decomposition(
-        total=total, martingale_part=m, fv_part=fv, label="reflected_bm", zero_source=w
-    )
+    w = _w(grid, seeds)
+    m = ito_rows(np.sign(w), w)
+    total = np.abs(w)
+    return DecompositionRows(grid, total, m, total - m, label="reflected_bm", zero_source=w)
 
 
+@_zoo
 def make_shifted_bm(
-    model: SignedMeasureModel, grid: TimeGrid, seed: SeedSpec, shift: float = 3.0
-) -> Decomposition:
+    models: ModelRows, grid: TimeGrid, seeds, shift: float = 3.0
+) -> DecompositionRows:
     """shift + W: a martingale that almost never hits zero on [0, 1]."""
-    w = sample_brownian(grid, seed.child("w"), x0=shift)
-    return Decomposition.martingale(w, label="shifted_bm")
+    return DecompositionRows.martingale(grid, _w(grid, seeds, shift), label="shifted_bm")
 
 
+@_zoo
 def make_shifted_bm_drift(
-    model: SignedMeasureModel, grid: TimeGrid, seed: SeedSpec, shift: float = 3.0
-) -> Decomposition:
+    models: ModelRows, grid: TimeGrid, seeds, shift: float = 3.0
+) -> DecompositionRows:
     """Negative control shift + W + t, still zero-free but drifting."""
-    w = sample_brownian(grid, seed.child("w"), x0=shift)
-    v = SamplePath(grid, grid.times.copy())
-    return Decomposition(
-        total=SamplePath(grid, w.values + grid.times),
-        martingale_part=w,
-        fv_part=v,
-        label="shifted_bm_drift",
-    )
+    w = _w(grid, seeds, shift)
+    t = np.broadcast_to(grid.times, w.shape)
+    return DecompositionRows(grid, w + grid.times, w, t, label="shifted_bm_drift")
 
 
 PROCESS_ZOO: dict[str, Callable[..., Decomposition]] = {
@@ -458,46 +612,116 @@ PROCESS_ZOO: dict[str, Callable[..., Decomposition]] = {
 }
 
 
+def _base_rows(base) -> Callable[..., DecompositionRows]:
+    """Row kernel of a base process given as a zoo name, a zoo member or any
+    per-path factory (model, grid, seed) -> Decomposition; a factory outside
+    the zoo is run one row at a time."""
+    if not callable(base):
+        try:
+            base = PROCESS_ZOO[base]
+        except KeyError:
+            raise ValueError(f"unknown base process {base!r}") from None
+    kernel = getattr(base, "rows", None)
+    if kernel is not None:
+        return kernel
+
+    def stacked(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
+        decs = [base(models.row(j), grid, s) for j, s in enumerate(seeds)]
+
+        def rows(paths):
+            return np.stack([p.values for p in paths])
+
+        return DecompositionRows(
+            grid,
+            rows(d.total for d in decs),
+            rows(d.martingale_part for d in decs),
+            rows(d.fv_part for d in decs),
+            label=decs[0].label,
+            zero_source=None if decs[0].zero_source is None
+            else rows(d.zero_path for d in decs),
+        )
+
+    return stacked
+
+
+def _instances(model_family: str, base_rows, grid: TimeGrid, seed: SeedSpec, lo: int, hi: int):
+    """Models, base processes and seeds of paths lo..hi-1 as one block.  Path
+    p reads ``seed.with_path(p)`` and its model that seed's ``model``
+    substream, whatever block it falls in."""
+    seeds = [seed.with_path(p) for p in range(lo, hi)]
+    models = build_model_rows(model_family, grid, [s.child("model") for s in seeds])
+    return models, base_rows(models, grid, seeds), seeds
+
+
+def _block_bounds(grid: TimeGrid, n_paths: int) -> list[tuple[int, int]]:
+    """(lo, hi) path ranges of the row blocks covering paths 0..n_paths-1.
+    Callers build and read each block inside one function call, so a block
+    is freed before the next one is built."""
+    step = block_rows(grid.n_points)
+    return [(lo, min(lo + step, n_paths)) for lo in range(0, n_paths, step)]
+
+
+def density_products(
+    model_family: str,
+    base: Union[str, Callable[..., Decomposition]],
+    grid: TimeGrid,
+    seed: SeedSpec,
+) -> PathRows:
+    """The products D * X of a model family and a base process as a
+    :class:`PathRows`: path p reads ``seed.with_path(p)`` (its model the
+    ``model`` substream), and each block of rows is built in one call."""
+    kernel = _base_rows(base)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        models, dec, _ = _instances(model_family, kernel, grid, seed, lo, hi)
+        return models.d * dec.total
+
+    return PathRows(grid, block_rows(grid.n_points), rows)
+
+
 # ---------------------------------------------------------------------------
 # Equivalence suites
 # ---------------------------------------------------------------------------
 
-
-def _resolve_base(base) -> Callable[..., Decomposition]:
-    if callable(base):
-        return base
-    try:
-        return PROCESS_ZOO[base]
-    except KeyError:
-        raise ValueError(f"unknown base process {base!r}") from None
+#: paths whose zeros are checked against H before a *_mart suite runs
+_PROBE_PATHS = 200
 
 
-def _flip(dec: Decomposition, alpha: float, seed: SeedSpec) -> SamplePath:
-    """Z^alpha applied to the total, with signs drawn on the zero source.
+def _flip_rows(dec: DecompositionRows, alpha: float, seeds) -> np.ndarray:
+    """Z^alpha applied to the totals, with signs drawn on the zero source from
+    each path's ``flip`` substream.
 
     A nonnegative total (a reflection) is flipped as Z * |source|: its own
     discretization shows no sign changes to hang excursions on.
     """
     src = dec.zero_path
-    z = draw_sign_path(src, AlphaSchedule.constant(alpha), seed)
-    if dec.zero_source is not None and np.all(dec.total.values >= 0):
-        return apply_sign(z, src, mode="absolute")
-    return apply_sign(z, dec.total, mode="signed")
+    z = sign_path_rows(
+        src, dec.grid, AlphaSchedule.constant(alpha), [s.child("flip") for s in seeds]
+    )
+    flipped = z * dec.total
+    if dec.zero_source is not None:
+        reflected = (dec.total >= 0).all(axis=1)
+        flipped[reflected] = z[reflected] * np.abs(src[reflected])
+    return flipped
 
 
-def _zeros_within(dec: Decomposition, model: SignedMeasureModel, dilation: int = 2) -> bool:
-    """Empirical check of {t : base_t = 0} subset H (up to grid dilation)."""
-    events = decompose_excursions(dec.zero_path).zero_events
-    if events.is_empty:
-        return True
-    near_h = model.h_mask.dilate(dilation)
-    return bool(np.all(near_h[events.indices()]))
+def _hypothesis_violations(models: ModelRows, dec: DecompositionRows, k: int, dilation: int = 2) -> int:
+    """Paths among the block's first k whose zeros are not within H (up to
+    grid dilation): an empirical check of {t : base_t = 0} subset H."""
+    events = ExcursionRows(dec.zero_path[:k]).events
+    near_h = ZeroMask(models.zeros.events[:k]).dilate(dilation)
+    return int(np.count_nonzero((events & ~near_h).any(axis=1)))
+
+
+def _product_at(models: ModelRows, x: np.ndarray, columns) -> np.ndarray:
+    """Columns of the products D * X."""
+    return models.d[:, columns] * x[:, columns]
 
 
 @dataclass
 class _SuiteContext:
     model_family: str
-    base_factory: Callable[..., Decomposition]
+    base_rows: Callable[..., DecompositionRows]
     alpha: float
     seed: SeedSpec
     n_paths: int
@@ -507,51 +731,68 @@ class _SuiteContext:
     n_sigma_paths: int
     hyp_frac: float
 
-    def instance(self, p: int) -> tuple[SignedMeasureModel, Decomposition, SeedSpec]:
-        sp = self.seed.with_path(p)
-        model = build_model(self.model_family, self.grid, sp.child("model"))
-        dec = self.base_factory(model, self.grid, sp)
-        return model, dec, sp
+    def drift_columns(self):
+        """Validated checkpoint pairs and the grid columns the drift
+        statistic reads."""
+        pairs = _checkpoint_pairs(self.n_paths, self.checkpoints)
+        return pairs, _checkpoint_columns(self.grid, pairs)
+
+    def drift(self, values: np.ndarray, pairs, tag: str) -> TestReport:
+        return _drift_report(values, self.grid, pairs, self.seed, self.threshold, tag)
+
+    def read(self, sides=(), probe: bool = False, n_panel: int = 0, per_path=None):
+        """Read what a suite needs in one pass over its row blocks, so each
+        block of models and base processes is built once.
+
+        Each side maps a block ``(models, dec, seeds)`` to one row per path
+        and is gathered over the first ``n_paths`` paths.  With ``probe`` the
+        zeros of the first ``_PROBE_PATHS`` paths are checked against H, and
+        the pass stops after the probe when more than ``hyp_frac`` of them
+        fail.  ``per_path(model, dec, seed)`` is evaluated on each of the
+        first ``n_panel`` paths.
+
+        Returns (probe violation fraction, side matrices or None when the
+        probe failed, per-path results).
+        """
+        n_sides = self.n_paths if sides else 0
+        n_probe = min(_PROBE_PATHS, self.n_paths) if probe else 0
+        gathered, panel = [[] for _ in sides], []
+
+        def read_block(lo: int, hi: int) -> int:
+            models, dec, seeds = _instances(
+                self.model_family, self.base_rows, self.grid, self.seed, lo, hi
+            )
+            for out, side in zip(gathered, sides):
+                out.append(side(models, dec, seeds)[: max(0, min(hi, n_sides) - lo)])
+            panel.extend(
+                per_path(models.row(j), dec.row(j), seeds[j])
+                for j in range(min(hi, n_panel) - lo)
+            )
+            probed = min(hi, n_probe) - lo
+            return _hypothesis_violations(models, dec, probed) if probed > 0 else 0
+
+        bad = 0
+        for lo, hi in _block_bounds(self.grid, max(n_sides, n_panel)):
+            bad += read_block(lo, hi)
+            if lo < n_probe <= hi and bad / n_probe > self.hyp_frac:
+                return bad / n_probe, None, panel
+        sides_read = [np.concatenate(out) for out in gathered]
+        return (bad / n_probe if n_probe else 0.0), sides_read, panel
 
 
-def _drift_verdict(ctx: _SuiteContext, make_product, tag: str, n_paths=None) -> TestReport:
-    return martingale_drift_test(
-        make_product,
-        n_paths or ctx.n_paths,
-        ctx.checkpoints,
-        seed=ctx.seed,
-        threshold=ctx.threshold,
-        suite=tag,
-    )
+def _sigma_check(ctx: _SuiteContext, model, dec, sp, transform: Optional[str] = None) -> TestReport:
+    """sigma_h verdict of one path, or of its abs or flip transform."""
+    if transform == "abs":
+        dec = _abs_transform(dec)
+    elif transform == "flip":
+        dec = _flip_transform(dec, ctx.alpha, sp.child("flip"))
+    return sigma_h_check(dec, model, seed=ctx.seed)
 
 
-def _product(model: SignedMeasureModel, path: SamplePath) -> SamplePath:
-    return SamplePath(path.grid, model.d_path.values * path.values)
-
-
-def _hypothesis_violation_fraction(ctx: _SuiteContext, n_probe: int = 200) -> float:
-    bad = 0
-    n = min(n_probe, ctx.n_paths)
-    for p in range(n):
-        model, dec, _ = ctx.instance(p)
-        if not _zeros_within(dec, model):
-            bad += 1
-    return bad / n
-
-
-def _sigma_side(ctx: _SuiteContext, transform: Optional[str]) -> tuple[bool, float]:
-    """Majority sigma_h verdict over a panel of paths; returns (pass, median stat)."""
-    verdicts, stats = [], []
-    for p in range(ctx.n_sigma_paths):
-        model, dec, sp = ctx.instance(p)
-        if transform == "abs":
-            dec = _abs_transform(dec)
-        elif transform == "flip":
-            dec = _flip_transform(dec, ctx.alpha, sp.child("flip"))
-        rep = sigma_h_check(dec, model, seed=ctx.seed)
-        verdicts.append(rep.passed)
-        stats.append(rep.statistic)
-    return sum(verdicts) >= (len(verdicts) + 1) // 2, float(np.median(stats))
+def _majority(reports) -> tuple[bool, float]:
+    """Majority sigma_h verdict over a panel of paths and the median statistic."""
+    passed = sum(r.passed for r in reports) >= (len(reports) + 1) // 2
+    return passed, float(np.median([r.statistic for r in reports]))
 
 
 def _abs_transform(dec: Decomposition) -> Decomposition:
@@ -603,75 +844,65 @@ def _iff_report(ctx, name, left_pass, right_pass, stat, extra="") -> TestReport:
     )
 
 
-def _suite_abs_mart(ctx: _SuiteContext) -> TestReport:
-    frac = _hypothesis_violation_fraction(ctx)
-    if frac > ctx.hyp_frac:
-        return _hyp_not_met(ctx, "abs_mart", frac)
-    left = _drift_verdict(
-        ctx, lambda p: _product(*_mp(ctx, p)), "equivalence.abs_mart.left"
+def _mart_suite(ctx: _SuiteContext, name: str, right_process) -> TestReport:
+    """An iff suite of two drift tests: D * X on the left, D * right_process
+    on the right, after the hypothesis probe."""
+    pairs, columns = ctx.drift_columns()
+    frac, sides, _ = ctx.read(
+        [
+            lambda models, dec, seeds: _product_at(models, dec.total, columns),
+            lambda models, dec, seeds: _product_at(models, right_process(dec, seeds), columns),
+        ],
+        probe=True,
     )
-    right = _drift_verdict(
-        ctx, lambda p: _abs_product(ctx, p), "equivalence.abs_mart.right"
-    )
+    if sides is None:
+        return _hyp_not_met(ctx, name, frac)
+    left = ctx.drift(sides[0], pairs, f"equivalence.{name}.left")
+    right = ctx.drift(sides[1], pairs, f"equivalence.{name}.right")
     stat = max(left.statistic, right.statistic) / ctx.threshold
-    return _iff_report(ctx, "abs_mart", left.passed, right.passed, stat)
+    return _iff_report(ctx, name, left.passed, right.passed, stat)
 
 
-def _mp(ctx, p):
-    model, dec, _ = ctx.instance(p)
-    return model, dec.total
-
-
-def _abs_product(ctx, p):
-    model, dec, _ = ctx.instance(p)
-    return _product(model, SamplePath(dec.total.grid, np.abs(dec.total.values)))
+def _suite_abs_mart(ctx: _SuiteContext) -> TestReport:
+    return _mart_suite(ctx, "abs_mart", lambda dec, seeds: np.abs(dec.total))
 
 
 def _suite_zalpha_mart(ctx: _SuiteContext) -> TestReport:
-    frac = _hypothesis_violation_fraction(ctx)
-    if frac > ctx.hyp_frac:
-        return _hyp_not_met(ctx, "zalpha_mart", frac)
+    return _mart_suite(ctx, "zalpha_mart", lambda dec, seeds: _flip_rows(dec, ctx.alpha, seeds))
 
-    def flipped(p):
-        model, dec, sp = ctx.instance(p)
-        return _product(model, _flip(dec, ctx.alpha, sp.child("flip")))
 
-    left = _drift_verdict(
-        ctx, lambda p: _product(*_mp(ctx, p)), "equivalence.zalpha_mart.left"
+def _sigma_suite(ctx: _SuiteContext, name: str, transform: str) -> TestReport:
+    """An iff suite of two sigma_h panels, the base and its transform."""
+    _, _, panel = ctx.read(
+        n_panel=ctx.n_sigma_paths,
+        per_path=lambda *row: (_sigma_check(ctx, *row), _sigma_check(ctx, *row, transform)),
     )
-    right = _drift_verdict(ctx, flipped, "equivalence.zalpha_mart.right")
-    stat = max(left.statistic, right.statistic) / ctx.threshold
-    return _iff_report(ctx, "zalpha_mart", left.passed, right.passed, stat)
+    left, right = zip(*panel)
+    (left_pass, left_stat), (right_pass, right_stat) = _majority(left), _majority(right)
+    stat = 1.0 - min(left_stat, right_stat)
+    return _iff_report(
+        ctx, name, left_pass, right_pass, stat,
+        extra=f"stats=({left_stat:.3f},{right_stat:.3f})",
+    )
 
 
 def _suite_abs_sigma(ctx: _SuiteContext) -> TestReport:
-    left_pass, left_stat = _sigma_side(ctx, None)
-    right_pass, right_stat = _sigma_side(ctx, "abs")
-    stat = 1.0 - min(left_stat, right_stat)
-    return _iff_report(
-        ctx, "abs_sigma", left_pass, right_pass, stat,
-        extra=f"stats=({left_stat:.3f},{right_stat:.3f})",
-    )
+    return _sigma_suite(ctx, "abs_sigma", "abs")
 
 
 def _suite_zalpha_sigma(ctx: _SuiteContext) -> TestReport:
-    left_pass, left_stat = _sigma_side(ctx, None)
-    right_pass, right_stat = _sigma_side(ctx, "flip")
-    stat = 1.0 - min(left_stat, right_stat)
-    return _iff_report(
-        ctx, "zalpha_sigma", left_pass, right_pass, stat,
-        extra=f"stats=({left_stat:.3f},{right_stat:.3f})",
-    )
+    return _sigma_suite(ctx, "zalpha_sigma", "flip")
 
 
 def _suite_cmart(ctx: _SuiteContext) -> TestReport:
-    left_pass, left_stat = _sigma_side(ctx, None)
-
-    def half_flip(p):
-        model, dec, sp = ctx.instance(p)
-        return _product(model, _flip(dec, 0.5, sp.child("flip")))
-
-    right = _drift_verdict(ctx, half_flip, "equivalence.cmart.right")
+    pairs, columns = ctx.drift_columns()
+    _, (half_flips,), panel = ctx.read(
+        [lambda models, dec, seeds: _product_at(models, _flip_rows(dec, 0.5, seeds), columns)],
+        n_panel=ctx.n_sigma_paths,
+        per_path=lambda *row: _sigma_check(ctx, *row),
+    )
+    left_pass, left_stat = _majority(panel)
+    right = ctx.drift(half_flips, pairs, "equivalence.cmart.right")
     stat = right.statistic / ctx.threshold
     return _iff_report(
         ctx, "cmart", left_pass, right.passed, stat,
@@ -680,11 +911,11 @@ def _suite_cmart(ctx: _SuiteContext) -> TestReport:
 
 
 def _suite_ito_xdx(ctx: _SuiteContext) -> TestReport:
-    def xdx(p):
-        model, dec, _ = ctx.instance(p)
-        return _product(model, ito_sum(dec.total, dec.total))
-
-    rep = _drift_verdict(ctx, xdx, "equivalence.ito_xdx")
+    pairs, columns = ctx.drift_columns()
+    _, (xdx,), _ = ctx.read(
+        [lambda models, dec, seeds: _product_at(models, ito_rows(dec.total, dec.total), columns)]
+    )
+    rep = ctx.drift(xdx, pairs, "equivalence.ito_xdx")
     return TestReport(
         suite="equivalence.ito_xdx",
         statistic=rep.statistic / ctx.threshold,
@@ -698,13 +929,14 @@ def _suite_ito_xdx(ctx: _SuiteContext) -> TestReport:
 
 
 def _suite_qp_brownian(ctx: _SuiteContext, qv_tol: float = 0.05, qp_tol: float = 0.05) -> TestReport:
-    qv_errs, qp_terms = [], []
     horizon = ctx.grid.horizon
-    for p in range(ctx.n_sigma_paths):
-        model, dec, _ = ctx.instance(p)
+
+    def residuals(model, dec, _):
         qv = quadratic_covariation(dec.total, dec.total).values[-1]
-        qv_errs.append(abs(qv - horizon))
-        qp_terms.append(qp_residual(dec, model).terminal)
+        return abs(qv - horizon), qp_residual(dec, model).terminal
+
+    _, _, panel = ctx.read(n_panel=ctx.n_sigma_paths, per_path=residuals)
+    qv_errs, qp_terms = zip(*panel)
     stat = max(float(np.median(qv_errs)) / qv_tol, float(np.median(qp_terms)) / qp_tol)
     return TestReport(
         suite="equivalence.qp_brownian",
@@ -721,16 +953,15 @@ def _suite_qp_brownian(ctx: _SuiteContext, qv_tol: float = 0.05, qp_tol: float =
 def _suite_abs_brownian(ctx: _SuiteContext) -> TestReport:
     from scipy.stats import kstwobign, norm
 
-    def half_flip(p):
-        model, dec, sp = ctx.instance(p)
-        return _product(model, _flip(dec, 0.5, sp.child("flip")))
+    pairs, columns = ctx.drift_columns()
 
-    rep = _drift_verdict(ctx, half_flip, "equivalence.abs_brownian.drift")
-    terminals = np.empty(ctx.n_paths)
-    for p in range(ctx.n_paths):
-        model, dec, sp = ctx.instance(p)
-        terminals[p] = _flip(dec, 0.5, sp.child("flip")).values[-1]
-    sorted_t = np.sort(terminals)
+    def half_flips(models, dec, seeds):
+        x = _flip_rows(dec, 0.5, seeds)
+        return np.column_stack((_product_at(models, x, columns), x[:, -1]))
+
+    _, (read,), _ = ctx.read([half_flips])
+    rep = ctx.drift(read[:, :-1], pairs, "equivalence.abs_brownian.drift")
+    sorted_t = np.sort(read[:, -1])
     n = len(sorted_t)
     cdf = norm.cdf(sorted_t, scale=math.sqrt(ctx.grid.horizon))
     emp_mid = (np.arange(n) + 0.5) / n
@@ -800,11 +1031,9 @@ def equivalence_suite(
     """
     if name not in EQUIVALENCE_SUITES:
         raise ValueError(f"unknown equivalence suite {name!r}")
-    from .grid_paths import make_grid
-
     ctx = _SuiteContext(
         model_family=model_family,
-        base_factory=_resolve_base(base),
+        base_rows=_base_rows(base),
         alpha=alpha,
         seed=seed,
         n_paths=n_paths,
@@ -839,35 +1068,42 @@ def optional_representation_check(
     |mean (lhs - rhs) 1_A| / SE is required to stay below ``threshold``
     standard errors.  The caller is responsible for certifying the family as
     a signed-measure martingale with M_gbar = 0 (qp_residual / drift test).
+    Models and processes are built a row block at a time; the stopping rule
+    (when callable) and the events see one path and its model per call.
     """
     if not events:
         raise ValueError("event dictionary must not be empty")
-    if n_paths < 1000:
-        raise InsufficientSamplesError(f"need at least 1000 paths, got {n_paths}")
+    _require_paths(n_paths)
 
     names = list(events)
-    diffs = {name: np.empty(n_paths) for name in names}
+    diffs = np.empty(n_paths)
     hits = {name: np.empty(n_paths, dtype=bool) for name in names}
+    fixed_t = None if callable(stopping_rule) else grid.index_at(float(stopping_rule))
 
-    for p in range(n_paths):
-        sp = seed.with_path(p)
-        model = build_model(model_family, grid, sp.child("model"))
-        dec = family(model, grid, sp)
-        m = dec.total.values
-        if callable(stopping_rule):
-            t_idx = int(stopping_rule(dec.total, model))
+    kernel = _base_rows(family)
+
+    def read_block(lo: int, hi: int) -> None:
+        models, dec, _ = _instances(model_family, kernel, grid, seed, lo, hi)
+        m = dec.total
+        paths = [(SamplePath(grid, row), models.row(j)) for j, row in enumerate(m)]
+        if fixed_t is None:
+            t_idx = np.array([int(stopping_rule(*p)) for p in paths])
         else:
-            t_idx = grid.index_at(float(stopping_rule))
-        g_t = int(model.gamma.gamma[t_idx])
-        lhs = m[t_idx] - m[g_t]
-        rhs = m[-1] * (model.gbar < t_idx)
+            t_idx = np.full(len(m), fixed_t)
+        r = np.arange(len(m))
+        g_t = models.zeros.gamma[r, t_idx]
+        lhs = m[r, t_idx] - m[r, g_t]
+        rhs = m[:, -1] * (models.zeros.gbar < t_idx)
+        diffs[lo:hi] = lhs - rhs
         for name in names:
-            diffs[name][p] = lhs - rhs
-            hits[name][p] = bool(events[name](dec.total, model))
+            hits[name][lo:hi] = [bool(events[name](*p)) for p in paths]
+
+    for lo, hi in _block_bounds(grid, n_paths):
+        read_block(lo, hi)
 
     worst, worst_name = 0.0, ""
     for name in names:
-        x = diffs[name] * hits[name]
+        x = diffs * hits[name]
         sd = float(np.std(x, ddof=1))
         stat = 0.0 if sd == 0.0 else abs(float(np.mean(x))) / (sd / math.sqrt(n_paths))
         if stat >= worst:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .excursion import ExcursionSet, decompose_excursions
-from .grid_paths import SamplePath, SeedSpec
+from .excursion import ExcursionRows, ExcursionSet
+from .grid_paths import SamplePath, SeedSpec, TimeGrid
 
 __all__ = [
     "AlphaSchedule",
@@ -28,6 +28,7 @@ __all__ = [
     "assign_signs",
     "build_sign_path",
     "draw_sign_path",
+    "sign_path_rows",
     "apply_sign",
 ]
 
@@ -95,6 +96,12 @@ class SignAssignment:
         return self.signs.shape[1]
 
 
+def _draw_signs(n_excursions: int, schedule: AlphaSchedule, seed: SeedSpec) -> np.ndarray:
+    u = seed.rng().uniform(size=(n_excursions, schedule.n_cells))
+    alpha = np.asarray(schedule.values)
+    return np.where(u < alpha[None, :], 1, -1).astype(np.int8)
+
+
 def assign_signs(
     excursions: ExcursionSet, schedule: AlphaSchedule, seed: SeedSpec
 ) -> SignAssignment:
@@ -104,11 +111,24 @@ def assign_signs(
     gives all +1 and alpha = 0 all -1; draws are independent across both
     indices and independent of the path given its excursion structure.
     """
-    n_exc = excursions.n_excursions
-    u = seed.rng().uniform(size=(n_exc, schedule.n_cells))
-    alpha = np.asarray(schedule.values)
-    signs = np.where(u < alpha[None, :], 1, -1).astype(np.int8)
-    return SignAssignment(signs)
+    return SignAssignment(_draw_signs(excursions.n_excursions, schedule, seed))
+
+
+def _assemble(
+    rows: ExcursionRows, signs: np.ndarray, schedule: AlphaSchedule, grid: TimeGrid
+) -> np.ndarray:
+    """Sign rows from the signs of every excursion of a block (row 0's
+    excursions first), each excursion frozen at the cell of its birth."""
+    z = np.zeros(rows.sign.shape)
+    if len(signs):
+        cells = schedule.cell_indices(grid.times[rows.births])
+        frozen = signs[np.arange(len(signs)), cells]
+        # excursions are numbered across the whole block, row 0's first
+        number = np.cumsum(rows.starts, dtype=np.int64).reshape(z.shape)
+        number -= 1
+        covered = rows.covered
+        z[covered] = frozen[number[covered]]
+    return z
 
 
 def build_sign_path(
@@ -133,36 +153,42 @@ def build_sign_path(
     if assignment.n_cells != schedule.n_cells:
         raise ValueError("assignment and schedule disagree on cell count")
     grid = excursions.path.grid
-    z = np.zeros(grid.n_points)
-    if excursions.n_excursions:
-        births = np.fromiter(
-            (e.g_index for e in excursions.intervals), dtype=np.int64
-        )
-        cells = schedule.cell_indices(grid.times[births])
-        frozen = assignment.signs[np.arange(len(births)), cells]
-        covered = excursions.ordinal >= 0
-        z[covered] = frozen[excursions.ordinal[covered]]
-    return SamplePath(grid, z)
+    return SamplePath(grid, _assemble(excursions.rows, assignment.signs, schedule, grid)[0])
 
 
-def draw_sign_path(
-    source: SamplePath, schedule: AlphaSchedule, seed: SeedSpec, pin_start: bool = False
-) -> SamplePath:
-    """Sign path of one sign-flip run: decompose ``source`` into excursions,
-    draw their signs from ``seed`` and assemble the path.
+def sign_path_rows(
+    sources: np.ndarray,
+    grid: TimeGrid,
+    schedule: AlphaSchedule,
+    seeds,
+    pin_start: bool = False,
+) -> np.ndarray:
+    """Sign paths of a block of sign-flip runs: decompose each row of
+    ``sources`` into excursions, draw its signs from ``seeds[row]`` and
+    assemble the ``(rows, n_points)`` sign rows.
 
     With ``pin_start`` the excursion straddling t = 0 keeps sign +1 when the
     source starts away from zero, so nothing is flipped before the first
     zero.  The signs are drawn either way, so pinning leaves the signs of
     later excursions unchanged.
     """
-    exc = decompose_excursions(source)
-    assignment = assign_signs(exc, schedule, seed)
-    if pin_start and source.values[0] != 0.0:
-        signs = assignment.signs.copy()
-        signs[0, :] = 1
-        assignment = SignAssignment(signs)
-    return build_sign_path(exc, assignment, schedule)
+    rows = ExcursionRows(sources)
+    signs = np.concatenate(
+        [_draw_signs(int(n), schedule, seed) for n, seed in zip(rows.counts, seeds)]
+    )
+    if pin_start:
+        first = np.cumsum(rows.counts) - rows.counts
+        signs[first[sources[:, 0] != 0.0], :] = 1
+    return _assemble(rows, signs, schedule, grid)
+
+
+def draw_sign_path(
+    source: SamplePath, schedule: AlphaSchedule, seed: SeedSpec, pin_start: bool = False
+) -> SamplePath:
+    """Sign path of one sign-flip run: the one-row case of
+    :func:`sign_path_rows`."""
+    z = sign_path_rows(source.values[None, :], source.grid, schedule, [seed], pin_start)
+    return SamplePath(source.grid, z[0])
 
 
 def apply_sign(sign: SamplePath, path: SamplePath, mode: str = "signed") -> SamplePath:

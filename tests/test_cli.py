@@ -189,6 +189,12 @@ class TestMain:
         cfg.write_text("suite=identities\nseeds=0\nsteps=64,128\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("suite,steps", [("sigma_h", ""), ("identities", ",")])
+    def test_empty_step_list_rejected(self, suite, steps, tmp_path, capsys):
+        code = main(["run", "--suite", suite, "--steps", steps, "--out", str(tmp_path)])
+        assert code == 2
+        assert "at least one step count" in capsys.readouterr().err
+
     def test_too_few_paths_allowed_without_path_statistics(self):
         assert config_from_pairs({"suite": "identities", "paths": "500"}).n_paths == 500
 

@@ -6,7 +6,9 @@ from scipy.stats import kstest
 
 from skewlab.grid_paths import (
     PAIR_LABELS,
+    SamplePath,
     SeedSpec,
+    _label_digest,
     make_grid,
     refine_bridge,
     sample_brownian,
@@ -62,9 +64,29 @@ class TestSeedSpec:
         }
         assert len(set(draws.values())) == 4
 
+    def test_label_digests_pinned(self):
+        # the digest is part of every stream's address; memoizing it must not
+        # change it
+        assert _label_digest("") == 13020603013274838756
+        assert _label_digest("skew_law/walk") == 10980857809760498300
+        assert _label_digest("skew_law/walk") == 10980857809760498300
+
     def test_stream_stable_across_generator_instances(self):
         s = SeedSpec(7, "x", 5)
         assert np.array_equal(s.rng().uniform(size=8), s.rng().uniform(size=8))
+
+
+class TestSamplePath:
+    def test_values_are_read_only(self):
+        values = np.linspace(0.0, 1.0, 5)
+        p = SamplePath(make_grid(1.0, 4), values)
+        with pytest.raises(ValueError):
+            p.values[0] = 7.0
+        assert p.values[0] == 0.0
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            SamplePath(make_grid(1.0, 2), np.array([0.0, np.nan, 1.0]))
 
 
 class TestSampleBrownian:

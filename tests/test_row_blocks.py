@@ -1,0 +1,308 @@
+"""Row blocks equal the per-path pipeline, bit for bit, on the same streams.
+
+Each row kernel has a one-row case: ``brownian_rows`` / ``sample_brownian``,
+``ExcursionRows`` / ``decompose_excursions`` and ``last_zero_curve``,
+``sign_path_rows`` / ``draw_sign_path``, ``build_model_rows`` /
+``build_model`` and the zoo's row kernels / ``PROCESS_ZOO``.  A block must
+reproduce the one-row case row by row whatever the block size, so the
+suites built on blocks give the same numbers at any block size, including
+one row per block; the pins at the end were recorded from the per-path
+implementation the blocks replaced.
+"""
+
+import contextlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from skewlab import grid_paths, signed_measure
+from skewlab.cli import config_from_pairs, run_experiment
+from skewlab.excursion import ExcursionRows, decompose_excursions, last_zero_curve
+from skewlab.grid_paths import SamplePath, SeedSpec, brownian_rows, make_grid, sample_brownian
+from skewlab.signed_measure import (
+    EQUIVALENCE_SUITES,
+    PROCESS_ZOO,
+    build_model,
+    density_products,
+    equivalence_suite,
+    martingale_drift_test,
+    optional_representation_check,
+)
+from skewlab.signflip import AlphaSchedule, draw_sign_path, sign_path_rows
+
+from conftest import MASTER
+
+X0 = st.sampled_from([0.0, 1.0, -0.5, 3.0])
+STEPS = st.integers(1, 64)
+
+
+@contextlib.contextmanager
+def block_elements(n):
+    """Run with row blocks of about ``n`` elements per array."""
+    saved = grid_paths.BLOCK_ELEMENTS
+    grid_paths.BLOCK_ELEMENTS = n
+    try:
+        yield
+    finally:
+        grid_paths.BLOCK_ELEMENTS = saved
+
+
+@contextlib.contextmanager
+def drift_matrices():
+    """Collect the checkpoint matrices every drift statistic reads."""
+    seen = []
+    report = signed_measure._drift_report
+
+    def spy(values, *args):
+        seen.append(np.array(values))
+        return report(values, *args)
+
+    signed_measure._drift_report = spy
+    try:
+        yield seen
+    finally:
+        signed_measure._drift_report = report
+
+
+def same_bits(a, b):
+    return np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b) and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
+@st.composite
+def integer_rows(draw):
+    """Rows of integer steps from an integer start: they hit 0 exactly, stay
+    on it, and also cross it."""
+    n_rows, n_steps = draw(st.integers(1, 7)), draw(STEPS)
+    rows = []
+    for _ in range(n_rows):
+        start = draw(st.integers(-2, 2))
+        steps = draw(st.lists(st.integers(-2, 2), min_size=n_steps, max_size=n_steps))
+        rows.append(np.concatenate([[start], start + np.cumsum(steps)]))
+    return np.array(rows, dtype=float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_rows=st.integers(1, 9), n_steps=STEPS, x0=X0)
+def test_brownian_rows_equal_sample_brownian(n_rows, n_steps, x0):
+    grid = make_grid(1.0, n_steps)
+    seeds = [SeedSpec(MASTER, "rows", p) for p in range(n_rows)]
+    block = brownian_rows(grid, seeds, x0)
+    for row, seed in zip(block, seeds):
+        assert same_bits(row, sample_brownian(grid, seed, x0).values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=integer_rows())
+def test_excursion_rows_equal_one_row(values):
+    rows = ExcursionRows(values)
+    first = np.cumsum(rows.counts) - rows.counts
+    for r, row in enumerate(values):
+        exc = decompose_excursions(SamplePath(make_grid(1.0, len(row) - 1), row))
+        curve, gbar = last_zero_curve(exc)
+        assert np.array_equal(rows.events[r], exc.zero_events.flags)
+        assert np.array_equal(rows.covered[r], ~exc.zero_mask.flags)
+        assert same_bits(rows.ordinal[r], exc.ordinal)
+        assert same_bits(rows.gamma[r], curve.gamma)
+        assert rows.gbar[r] == gbar
+        k = slice(first[r], first[r] + rows.counts[r])
+        assert list(zip(rows.births[k], rows.ends[k], rows.signs[k])) == [
+            tuple(e) for e in exc.intervals
+        ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=integer_rows(),
+    cuts=st.lists(st.floats(0.05, 0.95), max_size=2, unique=True),
+    pin_start=st.booleans(),
+)
+def test_sign_path_rows_equal_draw_sign_path(values, cuts, pin_start):
+    grid = make_grid(1.0, values.shape[1] - 1)
+    bounds = [0.0] + sorted(cuts)
+    schedule = AlphaSchedule.piecewise(bounds, np.linspace(0.2, 0.8, len(bounds)))
+    seeds = [SeedSpec(MASTER, "flip", p) for p in range(len(values))]
+    block = sign_path_rows(values, grid, schedule, seeds, pin_start)
+    for row, source, seed in zip(block, values, seeds):
+        one = draw_sign_path(SamplePath(grid, source), schedule, seed, pin_start)
+        assert same_bits(row, one.values)
+
+
+def per_path_products(model_family, base, grid, seed):
+    def fam(p):
+        s = seed.with_path(p)
+        model = build_model(model_family, grid, s.child("model"))
+        dec = PROCESS_ZOO[base](model, grid, s)
+        return SamplePath(grid, model.d_path.values * dec.total.values)
+
+    return fam
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    base=st.sampled_from(sorted(PROCESS_ZOO)),
+    model_family=st.sampled_from(["trivial", "shifted_brownian"]),
+    n_steps=STEPS,
+    extra=st.integers(0, 40),
+    elements=st.integers(1, 400),
+)
+def test_drift_matrix_equals_per_path_family(base, model_family, n_steps, extra, elements):
+    grid = make_grid(1.0, n_steps)
+    seed = SeedSpec(MASTER, f"dm/{base}")
+    n = 1000 + extra
+    with drift_matrices() as seen, block_elements(elements):
+        blocked = martingale_drift_test(
+            density_products(model_family, base, grid, seed), n, [0.25, 0.5, 1.0]
+        )
+        one_row = martingale_drift_test(
+            per_path_products(model_family, base, grid, seed), n, [0.25, 0.5, 1.0]
+        )
+    assert blocked == one_row
+    assert same_bits(seen[0], seen[1])
+
+
+def run_at_block_size(elements, fn):
+    with drift_matrices() as seen, block_elements(elements):
+        return fn(), seen
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    name=st.sampled_from(sorted(EQUIVALENCE_SUITES)),
+    base=st.sampled_from(["shifted_bm", "bm", "reflected_bm", "bm_plus_drift"]),
+    model_family=st.sampled_from(["trivial", "shifted_brownian"]),
+    n_steps=st.integers(2, 64),
+    extra=st.integers(0, 40),
+    elements=st.integers(2, 400),
+)
+def test_equivalence_suite_block_size_free(name, base, model_family, n_steps, extra, elements):
+    def run():
+        return equivalence_suite(
+            name, model_family, base, 0.7, SeedSpec(MASTER, f"eqb/{name}"), 1000 + extra,
+            grid=make_grid(1.0, n_steps), n_sigma_paths=5,
+        )
+
+    one_row, seen_one = run_at_block_size(1, run)
+    blocked, seen_blocked = run_at_block_size(elements, run)
+    assert blocked == one_row
+    assert len(seen_blocked) == len(seen_one)
+    for a, b in zip(seen_blocked, seen_one):
+        assert same_bits(a, b)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    model_family=st.sampled_from(["trivial", "shifted_brownian"]),
+    base=st.sampled_from(["bm", "bm_minus_frozen"]),
+    n_steps=STEPS,
+    callable_stop=st.booleans(),
+    extra=st.integers(0, 40),
+    elements=st.integers(2, 400),
+)
+def test_representation_block_size_free(model_family, base, n_steps, callable_stop, extra, elements):
+    grid = make_grid(1.0, n_steps)
+
+    def first_exit(m, model):
+        idx = np.flatnonzero(np.abs(m.values) >= 0.5)
+        return int(idx[0]) if len(idx) else grid.n_steps
+
+    events = {
+        "omega": lambda m, model: True,
+        "late_zero": lambda m, model: model.gbar > grid.n_steps // 2,
+    }
+
+    def run():
+        return optional_representation_check(
+            PROCESS_ZOO[base], first_exit if callable_stop else 0.5, events,
+            1000 + extra, model_family, grid, SeedSpec(MASTER, "repb"),
+        )
+
+    one_row, _ = run_at_block_size(1, run)
+    blocked, _ = run_at_block_size(elements, run)
+    assert blocked == one_row
+
+
+def test_per_path_factory_outside_zoo_matches_zoo_member():
+    def custom(model, grid, seed):
+        return PROCESS_ZOO["bm"](model, grid, seed)
+
+    args = ("trivial",)
+    grid = make_grid(1.0, 64)
+    for name in ("abs_sigma", "zalpha_sigma"):
+        a = equivalence_suite(name, *args, custom, 0.7, SeedSpec(MASTER, "cz"), 1000, grid=grid)
+        b = equivalence_suite(name, *args, "bm", 0.7, SeedSpec(MASTER, "cz"), 1000, grid=grid)
+        assert a == b
+
+
+def test_later_blocks_leave_handed_out_paths_unchanged():
+    grid = make_grid(1.0, 32)
+    ctx = signed_measure._SuiteContext(
+        "shifted_brownian", PROCESS_ZOO["reflected_bm"].rows, 0.7, SeedSpec(MASTER, "frz"),
+        1000, grid, (0.5, 1.0), 4.0, 12, 0.02,
+    )
+    with block_elements(5 * grid.n_points):
+        _, _, panel = ctx.read(n_panel=12, per_path=lambda *row: row)
+    assert len(panel) == 12
+    for p, (model, dec, seed) in enumerate(panel):
+        assert seed == SeedSpec(MASTER, "frz").with_path(p)
+        fresh_model = build_model("shifted_brownian", grid, seed.child("model"))
+        fresh = PROCESS_ZOO["reflected_bm"](fresh_model, grid, seed)
+        assert same_bits(model.d_path.values, fresh_model.d_path.values)
+        for field in ("total", "martingale_part", "fv_part", "zero_source"):
+            assert same_bits(getattr(dec, field).values, getattr(fresh, field).values)
+        with pytest.raises(ValueError):
+            dec.total.values[0] = 1.0
+
+
+#: report rows (suite, repr(statistic), repr(threshold), n_paths, n_steps,
+#: seed token, pass, detail) recorded with the per-path suites, before the
+#: suites were built on row blocks
+PINS = [
+    ('equivalence.abs_mart', '0.2482177140161689', '1.0', 1000, 1024, '7:pin/abs_mart/shifted_bm:0', True, 'left=pass right=pass'),
+    ('equivalence.abs_mart', '5.838226796395428', '1.0', 1000, 1024, '7:pin/abs_mart/shifted_bm_drift:0', True, 'left=fail right=fail'),
+    ('equivalence.zalpha_mart', '0.44188413429149126', '1.0', 1000, 1024, '7:pin/zalpha_mart/shifted_bm:0', True, 'left=pass right=pass'),
+    ('equivalence.zalpha_mart', '5.470681745425127', '1.0', 1000, 1024, '7:pin/zalpha_mart/shifted_bm_drift:0', True, 'left=fail right=fail'),
+    ('equivalence.abs_sigma', '3.774758283725532e-15', '1.0', 1000, 1024, '7:pin/abs_sigma/bm:0', True, 'left=pass right=pass stats=(1.000,1.000)'),
+    ('equivalence.abs_sigma', '0.94873046875', '1.0', 1000, 1024, '7:pin/abs_sigma/bm_plus_drift:0', True, 'left=fail right=fail stats=(0.051,0.392)'),
+    ('equivalence.zalpha_sigma', '2.6645352591003757e-15', '1.0', 1000, 1024, '7:pin/zalpha_sigma/bm:0', True, 'left=pass right=pass stats=(1.000,1.000)'),
+    ('equivalence.zalpha_sigma', '0.9599609375', '1.0', 1000, 1024, '7:pin/zalpha_sigma/bm_plus_drift:0', True, 'left=fail right=fail stats=(0.040,0.198)'),
+    ('equivalence.cmart', '0.699908723132567', '1.0', 1000, 1024, '7:pin/cmart/reflected_bm:0', True, 'left=pass right=pass sigma_stat=1.000'),
+    ('equivalence.cmart', '1.7875249771351607', '1.0', 1000, 1024, '7:pin/cmart/bm_plus_drift:0', True, 'left=fail right=fail sigma_stat=0.055'),
+    ('martingale.bm', '1.1833701377795653', '4.0', 1000, 256, '7:martingale:0', True, 'pair=(0.5,1) weight=sign_half'),
+    ('martingale.bm_plus_local_time', '2.080412838937297', '4.0', 1000, 256, '7:martingale:0', True, 'pair=(0,0.5) weight=const'),
+    ('martingale.negative_control', '16.876866186754345', '5.0', 1000, 256, '7:martingale:0', True, 'acceptance region above threshold: control must be rejected'),
+    ('representation.T0.5', '0.34388689750575574', '4.0', 1000, 256, '7:representation:0', True, 'model=trivial worst_event=omega'),
+    ('representation.T1', '0.0', '4.0', 1000, 256, '7:representation:0', True, 'model=trivial worst_event=w_quarter_pos'),
+    ('representation.T0.5', '1.9795650403347151', '4.0', 1000, 256, '7:representation:0', True, 'model=shifted_brownian worst_event=w_quarter_pos'),
+    ('representation.T1', '0.0', '4.0', 1000, 256, '7:representation:0', True, 'model=shifted_brownian worst_event=w_quarter_pos'),
+]
+
+EQUIVALENCE_PIN_CASES = (
+    ("abs_mart", "shifted_bm"), ("abs_mart", "shifted_bm_drift"),
+    ("zalpha_mart", "shifted_bm"), ("zalpha_mart", "shifted_bm_drift"),
+    ("abs_sigma", "bm"), ("abs_sigma", "bm_plus_drift"),
+    ("zalpha_sigma", "bm"), ("zalpha_sigma", "bm_plus_drift"),
+    ("cmart", "reflected_bm"), ("cmart", "bm_plus_drift"),
+)
+
+
+def pin_row(r):
+    return (r.suite, repr(r.statistic), repr(r.threshold), r.n_paths, r.n_steps,
+            r.seed.token() if r.seed else "", bool(r.passed), r.detail)
+
+
+def test_report_rows_match_per_path_pins(tmp_path):
+    root = SeedSpec(7)
+    rows = [
+        pin_row(equivalence_suite(name, "trivial", base, 0.5 if name == "cmart" else 0.7,
+                                  root.child(f"pin/{name}/{base}"), 1000))
+        for name, base in EQUIVALENCE_PIN_CASES
+    ]
+    for suite, model in (("martingale", "shifted_brownian"), ("representation", "trivial"),
+                         ("representation", "shifted_brownian")):
+        cfg = config_from_pairs({"suite": suite, "model": model, "paths": "1000",
+                                 "steps": "256", "seed": "7", "out": str(tmp_path)})
+        rows += [pin_row(r) for r in run_experiment(cfg).reports]
+    assert rows == PINS

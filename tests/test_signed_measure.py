@@ -72,6 +72,17 @@ class TestBuildModel:
             build_model("geometric", grid12, seed)
 
 
+class TestDecomposition:
+    def test_split_check_boundary(self):
+        g = make_grid(1.0, 4)
+        mart = SamplePath(g, np.array([0.0, 1.0, -2.0, 3.0, 4.0]))
+        fv = SamplePath(g, np.array([0.0, 0.5, 0.5, 1.0, 2.0]))
+        recon = mart.values + fv.values
+        Decomposition(SamplePath(g, recon * (1 + 1e-12)), mart, fv)
+        with pytest.raises(ValueError):
+            Decomposition(SamplePath(g, recon * (1 + 1e-6)), mart, fv)
+
+
 class TestQpResidual:
     def test_independent_bm_small_terminal(self):
         g = make_grid(1.0, 2**16)
