@@ -7,6 +7,8 @@ triple ``(master_seed, stream_label, path_index)`` is fed through numpy's
 digest so the mix does not depend on Python's salted ``hash``) and drives a
 PCG64 generator.  The mix is stable across runs, processes and platforms;
 distinct triples yield streams indistinguishable from independent ones.
+:func:`stream_states` derives the PCG64 states of a whole block of
+substreams at once, equal to ``SeedSpec.rng``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SeedSpec",
+    "stream_states",
     "TimeGrid",
     "SamplePath",
     "make_grid",
@@ -56,6 +60,10 @@ class SeedSpec:
 
         SeedSequence(entropy=(master_seed, blake2b64(stream_label), path_index))
         -> PCG64
+
+    This is the specification of a stream.  :func:`stream_states` derives
+    the same PCG64 states for a block of specs in numpy, and a test pins it
+    equal to ``rng()`` bit for bit.
     """
 
     master_seed: int
@@ -84,6 +92,137 @@ class SeedSpec:
     def token(self) -> str:
         """Compact text form used in reports."""
         return f"{self.master_seed}:{self.stream_label}:{self.path_index}"
+
+
+# numpy's SeedSequence (4-word pool) and PCG64 seeding constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_POOL = 4
+
+#: blocks with fewer rows build each generator with ``SeedSpec.rng``, which
+#: is faster than the block kernel's fixed cost for them
+_MIN_STREAM_BLOCK = 16
+
+
+def _words(values) -> tuple[np.ndarray, np.ndarray]:
+    """Little-endian 32-bit words of non-negative ints as a ``(width, n)``
+    uint32 array, and each value's word count (0 has one word), as
+    ``SeedSequence`` splits its entropy."""
+    values = [operator.index(v) for v in values]
+    if values and min(values) < 0:
+        raise ValueError("expected non-negative integer")
+    width = max(1, -(-max(values, default=0).bit_length() // 32))
+    words = np.array(
+        [[v >> (32 * k) & _MASK32 for v in values] for k in range(width)], dtype=np.uint32
+    ).reshape(width, len(values))
+    rank = np.arange(1, width + 1)[:, None] * (words != 0)
+    return words, np.maximum(rank.max(axis=0, initial=0), 1)
+
+
+def _hashmix(const: int, mult: int):
+    """numpy's SeedSequence hashmix on uint32 arrays; its hash constant
+    starts at ``const`` and is multiplied by ``mult`` (mod 2**32) in each
+    call."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value *= np.uint32(const)
+        value ^= value >> 16
+        return value
+
+    return hashmix
+
+
+def stream_states(seeds) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of each seed's stream, derived for the whole
+    block at once.
+
+    Row j is ``seeds[j].rng().bit_generator.state["state"]`` as a pair: the
+    entropy words of ``(master_seed, blake2b64(stream_label), path_index)`` go
+    through ``SeedSequence``'s pool (hashmix, mix, and one more mixing pass
+    per word past the fourth) and ``generate_state(4, uint64)`` in vectorized
+    uint32 arithmetic, then through PCG64's two seeding steps.  Like
+    ``SeedSequence``, it raises ValueError for a negative seed or index.
+    """
+    n = len(seeds)
+    parts = [
+        _words([s.master_seed for s in seeds]),
+        _words([_label_digest(s.stream_label) for s in seeds]),
+        _words([s.path_index for s in seeds]),
+    ]
+    entropy = np.zeros((max(_POOL, sum(len(w) for w, _ in parts)), n), dtype=np.uint32)
+    length = np.zeros(n, dtype=np.int64)
+    cols = np.arange(n)
+    for words, counts in parts:
+        for k, row in enumerate(words):
+            live = counts > k
+            entropy[length[live] + k, cols[live]] = row[live]
+        length += counts
+
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        out = _MIX_MULT_L * x - _MIX_MULT_R * y
+        out ^= out >> 16
+        return out
+
+    # entropy rows past a row's length are 0, which is SeedSequence's padding
+    pool = [hashmix(entropy[i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, len(entropy)):
+        live = length > src
+        for dst in range(_POOL):
+            pool[dst] = np.where(live, mix(pool[dst], hashmix(entropy[src])), pool[dst])
+
+    # generate_state(4, uint64): 8 uint32 words, read in little-endian pairs
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    words = [hashmix(pool[i % _POOL]).astype(np.uint64) for i in range(8)]
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)
+    )
+    # PCG64 seeding from (seed, seq): inc = 2 seq + 1, then state = inc is
+    # stepped once after adding seed: state = (inc + seed) * mult + inc
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _reseeded(states):
+    """One Generator, set in turn to each PCG64 ``(state, inc)``: use each
+    before taking the next."""
+    gen = np.random.Generator(np.random.PCG64(0))
+    bits = gen.bit_generator
+    for state, inc in states:
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield gen
+
+
+def _row_generators(seeds):
+    """The generator of each seed's stream in turn, equal to ``seed.rng()``.
+
+    A block of ``_MIN_STREAM_BLOCK`` or more seeds is derived by
+    :func:`stream_states` and shares one reseeded Generator, so each must be
+    used up before the next is taken.
+    """
+    if len(seeds) < _MIN_STREAM_BLOCK:
+        return (seed.rng() for seed in seeds)
+    return _reseeded(stream_states(seeds))
 
 
 @dataclass(frozen=True)
@@ -175,8 +314,8 @@ def brownian_rows(grid: TimeGrid, seeds, x0: float = 0.0) -> np.ndarray:
     values = np.empty((len(seeds), grid.n_points))
     values[:, 0] = x0
     steps = values[:, 1:]
-    for row, seed in zip(steps, seeds):
-        seed.rng().standard_normal(out=row)
+    for row, rng in zip(steps, _row_generators(seeds)):
+        rng.standard_normal(out=row)
     steps *= math.sqrt(grid.dt)
     np.cumsum(steps, axis=1, out=steps)
     steps += x0

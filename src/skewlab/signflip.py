@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excursion import ExcursionRows, ExcursionSet
-from .grid_paths import SamplePath, SeedSpec, TimeGrid
+from .grid_paths import SamplePath, SeedSpec, TimeGrid, _row_generators
 
 __all__ = [
     "AlphaSchedule",
@@ -96,8 +96,10 @@ class SignAssignment:
         return self.signs.shape[1]
 
 
-def _draw_signs(n_excursions: int, schedule: AlphaSchedule, seed: SeedSpec) -> np.ndarray:
-    u = seed.rng().uniform(size=(n_excursions, schedule.n_cells))
+def _draw_signs(
+    n_excursions: int, schedule: AlphaSchedule, rng: np.random.Generator
+) -> np.ndarray:
+    u = rng.uniform(size=(n_excursions, schedule.n_cells))
     alpha = np.asarray(schedule.values)
     return np.where(u < alpha[None, :], 1, -1).astype(np.int8)
 
@@ -111,7 +113,7 @@ def assign_signs(
     gives all +1 and alpha = 0 all -1; draws are independent across both
     indices and independent of the path given its excursion structure.
     """
-    return SignAssignment(_draw_signs(excursions.n_excursions, schedule, seed))
+    return SignAssignment(_draw_signs(excursions.n_excursions, schedule, seed.rng()))
 
 
 def _assemble(
@@ -174,7 +176,10 @@ def sign_path_rows(
     """
     rows = ExcursionRows(sources)
     signs = np.concatenate(
-        [_draw_signs(int(n), schedule, seed) for n, seed in zip(rows.counts, seeds)]
+        [
+            _draw_signs(int(n), schedule, rng)
+            for n, rng in zip(rows.counts, _row_generators(seeds))
+        ]
     )
     if pin_start:
         first = np.cumsum(rows.counts) - rows.counts

@@ -25,7 +25,15 @@ import numpy as np
 from scipy.stats import kstwobign, norm
 
 from .excursion import decompose_excursions
-from .grid_paths import SamplePath, SeedSpec, TimeGrid, make_grid, sample_brownian
+from .grid_paths import (
+    SamplePath,
+    SeedSpec,
+    TimeGrid,
+    _reseeded,
+    make_grid,
+    sample_brownian,
+    stream_states,
+)
 from .localtime import ResidualReport, ito_sum, local_time
 from .signed_measure import (
     Decomposition,
@@ -202,11 +210,27 @@ def sde_residual(
 # ---------------------------------------------------------------------------
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
+def _check_sizes(n_steps: int, chunk: int = 1) -> None:
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+
+
+def _usable_cpus() -> int:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
 def skew_transition_density(alpha: float, t: float, y) -> np.ndarray:
     """Closed-form transition density of skew BM from 0: 2 alpha phi_t(y) for
     y > 0 and 2 (1 - alpha) phi_t(y) for y < 0."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
     y = np.asarray(y, dtype=float)
@@ -217,8 +241,7 @@ def skew_transition_density(alpha: float, t: float, y) -> np.ndarray:
 
 def skew_transition_cdf(alpha: float, t: float, y) -> np.ndarray:
     """CDF matching :func:`skew_transition_density`."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
     y = np.asarray(y, dtype=float)
@@ -250,7 +273,8 @@ class SkewLaw:
 # Harrison-Shepp skew random walk
 # ---------------------------------------------------------------------------
 
-#: walks whose uniforms are drawn before being transposed into step tables
+#: walks whose uniforms are drawn and coded before being transposed into the
+#: pair table
 _WALK_BLOCK = 32
 
 
@@ -259,10 +283,8 @@ def harrison_shepp_walk(alpha: float, n_steps: int, seed: SeedSpec) -> SamplePat
 
     From state 0 the step is +1 with probability alpha; elsewhere symmetric.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    _check_alpha(alpha)
+    _check_sizes(n_steps)
     u = seed.rng().random(n_steps)
     state = 0
     states = np.empty(n_steps + 1, dtype=np.int64)
@@ -274,42 +296,45 @@ def harrison_shepp_walk(alpha: float, n_steps: int, seed: SeedSpec) -> SamplePat
     return SamplePath(grid, states / math.sqrt(n_steps))
 
 
-def _walk_step_tables(
-    seed: SeedSpec, lo: int, hi: int, n_steps: int, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Step-major tables ``u < alpha`` and ``u < 1/2`` of walks lo..hi-1.
+def _walk_pairs(states: Sequence[tuple[int, int]], n_steps: int, alpha: float) -> np.ndarray:
+    """Pair table of the walks with PCG64 ``states``: entry (p, i) codes
+    steps 2p and 2p + 1 of walk i in one byte.
 
-    Row j holds step j of every walk, so the step loop reads one contiguous
-    row per step.  Uniforms are drawn in blocks of ``_WALK_BLOCK`` walks and
-    transposed into the tables block by block.
+    The low two bits count the pair's up-steps when it starts from state 0
+    (step 2p up iff u < alpha), the high bits when it starts elsewhere (iff
+    u < 1/2).  The state has the parity of the step index, so step 2p + 1
+    never starts from 0 and both counts take it up iff its u < 1/2.  Row p
+    holds pair p of every walk, so the step loop reads one
+    contiguous row per pair.  Uniforms are drawn and coded ``_WALK_BLOCK``
+    walks at a time and transposed into the table block by block; an odd
+    n_steps leaves a last uniform of 1, which adds no up-step.
     """
-    m = hi - lo
-    below_alpha = np.empty((n_steps, m), dtype=bool)
-    below_half = np.empty((n_steps, m), dtype=bool)
-    u = np.empty((_WALK_BLOCK, n_steps))
+    m = len(states)
+    n_pairs = (n_steps + 1) // 2
+    table = np.empty((n_pairs, m), dtype=np.uint8)
+    u = np.ones((_WALK_BLOCK, 2 * n_pairs))
+    rngs = _reseeded(states)
     for b in range(0, m, _WALK_BLOCK):
-        e = min(b + _WALK_BLOCK, m)
-        for i in range(b, e):
-            seed.with_path(lo + i).rng().random(out=u[i - b])
-        np.less(u[: e - b].T, alpha, out=below_alpha[:, b:e])
-        np.less(u[: e - b].T, 0.5, out=below_half[:, b:e])
-    return below_alpha, below_half
+        k = min(_WALK_BLOCK, m - b)
+        for row, rng in zip(u[:k], rngs):
+            rng.random(out=row[:n_steps])
+        first, second = u[:k, 0::2], u[:k, 1::2]
+        up_second = second < 0.5
+        from_zero = np.add(first < alpha, up_second, dtype=np.uint8)
+        elsewhere = np.add(first < 0.5, up_second, dtype=np.uint8)
+        table[:, b:b + k] = (from_zero | elsewhere << 2).T
+    return table
 
 
-def _walk_terminals(below_alpha: np.ndarray, below_half: np.ndarray) -> np.ndarray:
-    """Integer terminal states of skew walks from their step tables.
+def _walk_terminals(states: Sequence[tuple[int, int]], n_steps: int, alpha: float) -> np.ndarray:
+    """Integer terminal states of the skew walks with PCG64 ``states``.
 
-    The state after j steps is 2 * ups - j, with ups the number of +1 steps
-    so far.  It has the parity of j, so it can be 0 only before an even
-    step, and odd steps never read the alpha table.
+    The state after j steps is 2 * ups - j, with ups the number of up-steps
+    so far, so pair p starts from state 0 iff ups == p.
     """
-    n_steps, m = below_alpha.shape
-    ups = np.zeros(m, dtype=np.int64)
-    for j in range(n_steps):
-        if j % 2:
-            ups += below_half[j]
-        else:
-            ups += np.where(ups == j // 2, below_alpha[j], below_half[j])
+    ups = np.zeros(len(states), dtype=np.int64)
+    for p, pair in enumerate(_walk_pairs(states, n_steps, alpha)):
+        ups += np.where(ups == p, pair & 3, pair >> 2)
     return 2 * ups - n_steps
 
 
@@ -325,17 +350,36 @@ def harrison_shepp_terminals(
     Walk k consumes exactly the uniform stream of ``seed.with_path(k)``, so
     entry k equals the terminal value of ``harrison_shepp_walk`` run with
     that seed; only the evaluation is batched.  Unlike the bulk sampler's,
-    this output depends on neither ``chunk`` nor the walk block size, since
-    the stream of walk k is fixed by k alone.  A chunk of m walks holds two
-    boolean step tables of n_steps * m bytes each (64 MiB at the default
-    chunk and 2**12 steps) and one block of 32 * n_steps float64 uniforms.
-    The walks run serially in the calling thread: the per-walk generator
-    set-up holds the interpreter lock, so threads do not help here.
+    this output depends on neither ``chunk`` nor the worker count nor the
+    walk block size, since the stream of walk k is fixed by k alone.
+
+    The calling thread derives each chunk's walk streams with
+    :func:`~skewlab.grid_paths.stream_states`; the chunks then run
+    concurrently on a thread pool (one worker per usable CPU, at most one
+    per chunk).  A worker reseeds one Generator per walk, draws and codes
+    its uniforms and steps the walks; the draws and the array passes
+    release the interpreter lock.  It writes only its own slice of the
+    output, so the result is bit-identical to a serial run.  Each
+    worker holds one pair table of ceil(n_steps / 2) * chunk bytes (16 MiB
+    at the default chunk and 2**12 steps) and one block of 32 * n_steps
+    float64 uniforms with their codes.
     """
+    _check_alpha(alpha)
+    _check_sizes(n_steps, chunk)
+    bounds = [(lo, min(lo + chunk, n_walks)) for lo in range(0, n_walks, chunk)]
     out = np.empty(n_walks)
-    for lo in range(0, n_walks, chunk):
-        hi = min(lo + chunk, n_walks)
-        out[lo:hi] = _walk_terminals(*_walk_step_tables(seed, lo, hi, n_steps, alpha))
+    with ThreadPoolExecutor(max_workers=max(1, min(len(bounds), _usable_cpus()))) as pool:
+        futures = [
+            pool.submit(
+                _walk_terminals,
+                stream_states([seed.with_path(k) for k in range(lo, hi)]),
+                n_steps,
+                alpha,
+            )
+            for lo, hi in bounds
+        ]
+        for (lo, hi), future in zip(bounds, futures):
+            out[lo:hi] = future.result()
     return LawSample(out / math.sqrt(n_steps), t=1.0, tag=f"hs_walk[alpha={alpha:g}]")
 
 
@@ -475,11 +519,11 @@ def skew_terminal_samples(
     """
     if variant not in ("signed", "absolute"):
         raise ValueError(f"unknown variant {variant!r}")
+    _check_sizes(n_steps, chunk)
     dt = horizon / n_steps
     bounds = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
     outs = [np.empty(n_paths) for _ in schedules]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(max_workers=max(1, min(len(bounds), cpus or 1))) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, min(len(bounds), _usable_cpus()))) as pool:
         futures = []
         for c, (lo, hi) in enumerate(bounds):
             # generators are built in this thread, so the workers run numpy only

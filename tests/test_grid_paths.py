@@ -2,17 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from skewlab.grid_paths import (
+    _MIN_STREAM_BLOCK,
     PAIR_LABELS,
     SamplePath,
     SeedSpec,
     _label_digest,
+    _reseeded,
+    _row_generators,
     make_grid,
     refine_bridge,
     sample_brownian,
     sample_independent_pair,
+    stream_states,
 )
 from skewlab.localtime import quadratic_covariation
 
@@ -74,6 +80,55 @@ class TestSeedSpec:
     def test_stream_stable_across_generator_instances(self):
         s = SeedSpec(7, "x", 5)
         assert np.array_equal(s.rng().uniform(size=8), s.rng().uniform(size=8))
+
+
+MASTERS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**80))
+LABELS = st.one_of(
+    st.sampled_from(["", "skew_law/walk", "bulk/signs/0/1", "αβ/γ", "路径"]), st.text()
+)
+INDICES = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32]), st.integers(0, 2**32 - 1), st.integers(2**32, 2**80)
+)
+
+
+def pcg64_state(seed):
+    state = seed.rng().bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+class TestStreamStates:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(MASTERS, LABELS, INDICES), min_size=1, max_size=6))
+    @example([(0, "", 0), (2**32 - 1, "αβ/γ", 2**32 - 1), (2**32, "skew_law/walk", 2**32)])
+    @example([(7, "x", 2**64), (2**64 - 1, "", 1), (2**64, "", 0)])
+    def test_block_equals_rng(self, triples):
+        # a block mixes rows of different entropy lengths (3 to 9 words)
+        seeds = [SeedSpec(*t) for t in triples]
+        states = stream_states(seeds)
+        assert states == [pcg64_state(s) for s in seeds]
+        for seed, rng in zip(seeds, _reseeded(states)):
+            ref = seed.rng()
+            assert np.array_equal(rng.random(3), ref.random(3))
+            assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, _MIN_STREAM_BLOCK - 1, _MIN_STREAM_BLOCK, 3 * _MIN_STREAM_BLOCK + 1]
+    )
+    def test_row_generators_equal_rng(self, n):
+        seeds = [SeedSpec(MASTER, "rows", 2**31 + 7 * k) for k in range(n)]
+        draws = [rng.random(5) for rng in _row_generators(seeds)]
+        assert len(draws) == n
+        for got, seed in zip(draws, seeds):
+            assert np.array_equal(got, seed.rng().random(5))
+
+    @pytest.mark.parametrize(
+        "seed", [SeedSpec(-1), SeedSpec(-(2**40), "x", 3), SeedSpec(5, "x", -1)]
+    )
+    def test_negative_entropy_rejected_like_seed_sequence(self, seed):
+        with pytest.raises(ValueError):
+            seed.rng()
+        with pytest.raises(ValueError):
+            stream_states([SeedSpec(1, "ok", 0), seed])
 
 
 class TestSamplePath:

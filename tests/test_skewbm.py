@@ -1,9 +1,13 @@
 """Skew construction, SDE residual, density and walk oracles, law tests."""
 
+import contextlib
+import functools
+import inspect
 import math
 import os
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstwobign, norm
 
+import skewlab
 from skewlab.excursion import decompose_excursions
 from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, sample_brownian
 from skewlab.localtime import quadratic_covariation
@@ -127,6 +132,41 @@ def serial_bulk_reference(schedules, n_paths, n_steps, seed, chunk, variant="abs
             zeta[n_exc == 0] = 0.0
             out[lo:hi] = zeta * terminal
     return outs
+
+
+@contextlib.contextmanager
+def usable_cpus(n):
+    """Make the samplers see n usable CPUs, so their pools start up to n workers."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n)), create=True):
+        yield
+
+
+def record_caller_threads(monkeypatch):
+    """Wrap ``SeedSpec.rng`` and every public skewlab function, at every
+    module binding, so that each call appends ``(name, thread id)``."""
+    calls = []
+
+    def recording(fn, name):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for m in vars(skewlab).values() if inspect.ismodule(m)]
+    wrapped = {
+        fn: recording(fn, f"{mod.__name__}.{name}")
+        for mod in modules
+        for name, fn in vars(mod).items()
+        if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and not name.startswith("_")
+    }
+    for ns in [skewlab] + modules:
+        for name, obj in list(vars(ns).items()):
+            if inspect.isfunction(obj) and obj in wrapped:
+                monkeypatch.setattr(ns, name, wrapped[obj])
+    monkeypatch.setattr(SeedSpec, "rng", recording(SeedSpec.rng, "SeedSpec.rng"))
+    return calls
 
 
 def trivial_spec(schedule, grid, seed, variant="absolute"):
@@ -313,15 +353,42 @@ class TestHarrisonSheppWalk:
         n_steps=st.integers(1, 70),
         n_walks=st.integers(1, 150),
         chunk=st.sampled_from([7, 40, 8192]),
+        cpus=st.sampled_from([1, 2, 3, 8]),
     )
-    @example(alpha=0.7, n_steps=1, n_walks=33, chunk=8192)
-    @example(alpha=0.0, n_steps=9, n_walks=101, chunk=40)
-    def test_step_major_walk_equals_column_loop(self, alpha, n_steps, n_walks, chunk):
+    @example(alpha=0.7, n_steps=1, n_walks=33, chunk=8192, cpus=1)
+    @example(alpha=0.0, n_steps=9, n_walks=101, chunk=40, cpus=2)
+    @example(alpha=0.5, n_steps=64, n_walks=150, chunk=7, cpus=8)
+    def test_step_major_walk_equals_column_loop(self, alpha, n_steps, n_walks, chunk, cpus):
         seed = SeedSpec(MASTER, "hsprop")
         u = np.array([seed.with_path(k).rng().random(n_steps) for k in range(n_walks)])
         expected = walk_terminals_reference(u, alpha) / math.sqrt(n_steps)
-        batch = harrison_shepp_terminals(alpha, n_steps, n_walks, seed, chunk=chunk)
+        with usable_cpus(cpus):
+            batch = harrison_shepp_terminals(alpha, n_steps, n_walks, seed, chunk=chunk)
         assert np.array_equal(batch.values, expected)
+
+    def test_concurrent_chunks_equal_column_loop(self):
+        # more chunks than workers and more workers than cores, with the
+        # interpreter switching threads as often as it can
+        seed = SeedSpec(MASTER, "hsstress")
+        alpha, n_steps, n_walks, chunk = 0.3, 48, 24 * 40 + 9, 40
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with usable_cpus(8):
+                worker = threading.Thread(
+                    target=lambda: result.append(
+                        harrison_shepp_terminals(alpha, n_steps, n_walks, seed, chunk=chunk)
+                    )
+                )
+                worker.start()
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and len(result) == 1
+        u = np.array([seed.with_path(k).rng().random(n_steps) for k in range(n_walks)])
+        expected = walk_terminals_reference(u, alpha) / math.sqrt(n_steps)
+        assert np.array_equal(result[0].values, expected)
 
     def test_symmetric_walk_clt_with_lattice_correction(self):
         w = harrison_shepp_terminals(0.5, 2**12, 100_000, SeedSpec(MASTER, "hs5"))
@@ -350,6 +417,22 @@ class TestHarrisonSheppWalk:
             harrison_shepp_walk(1.2, 16, seed)
         with pytest.raises(ValueError):
             harrison_shepp_walk(0.5, 0, seed)
+
+    @pytest.mark.parametrize(
+        "alpha,n_steps,chunk,match",
+        [
+            (0.7, 16, 0, "chunk"),
+            (0.7, 16, -1, "chunk"),
+            (0.7, 0, 8192, "n_steps"),
+            (0.7, -3, 8192, "n_steps"),
+            (1.5, 16, 8192, "alpha"),
+            (-0.1, 16, 8192, "alpha"),
+            (float("nan"), 16, 8192, "alpha"),
+        ],
+    )
+    def test_terminals_reject_invalid_arguments(self, seed, alpha, n_steps, chunk, match):
+        with pytest.raises(ValueError, match=match):
+            harrison_shepp_terminals(alpha, n_steps, 5, seed, chunk=chunk)
 
 
 class TestTerminalSamplers:
@@ -433,6 +516,32 @@ class TestTerminalSamplers:
         ref = serial_bulk_reference(scheds, n_paths, n_steps, seed, chunk, variant="signed")
         for sample, expected in zip(result[0], ref):
             assert np.array_equal(sample.values, expected)
+
+    @pytest.mark.parametrize(
+        "n_steps,chunk,match",
+        [(16, 0, "chunk"), (16, -1, "chunk"), (0, 8192, "n_steps"), (-2, 8192, "n_steps")],
+    )
+    def test_bulk_rejects_invalid_sizes(self, seed, n_steps, chunk, match):
+        with pytest.raises(ValueError, match=match):
+            skew_terminal_samples([AlphaSchedule.constant(0.7)], 5, n_steps, seed, chunk=chunk)
+
+    def test_streams_and_public_calls_stay_in_calling_thread(self, monkeypatch):
+        # the span tracer keeps a single stack, so the samplers' workers may
+        # run only private helpers and numpy
+        seed = SeedSpec(MASTER, "threadrule")
+        scheds = [AlphaSchedule.constant(0.7), AlphaSchedule.piecewise([0.0, 0.5], [0.3, 0.8])]
+        walk_ref = harrison_shepp_terminals(0.7, 32, 200, seed.child("walk"), chunk=16)
+        bulk_ref = skew_terminal_samples(scheds, 300, 32, seed, chunk=64)
+        calls = record_caller_threads(monkeypatch)
+        with usable_cpus(4):
+            walk = harrison_shepp_terminals(0.7, 32, 200, seed.child("walk"), chunk=16)
+            bulk = skew_terminal_samples(scheds, 300, 32, seed, chunk=64)
+        names = {name for name, _ in calls}
+        assert {"skewlab.grid_paths.stream_states", "SeedSpec.rng"} <= names
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+        assert np.array_equal(walk.values, walk_ref.values)
+        for sample, ref in zip(bulk, bulk_ref):
+            assert np.array_equal(sample.values, ref.values)
 
     def test_bulk_deterministic(self):
         sched = AlphaSchedule.constant(0.6)
