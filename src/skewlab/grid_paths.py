@@ -101,41 +101,52 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 _POOL = 4
-
-#: blocks with fewer rows build each generator with ``SeedSpec.rng``, which
-#: is faster than the block kernel's fixed cost for them
-_MIN_STREAM_BLOCK = 16
+#: pool words each source word is mixed into, in SeedSequence's order
+_OTHERS = [[dst for dst in range(_POOL) if dst != src] for src in range(_POOL)]
 
 
-def _words(values) -> tuple[np.ndarray, np.ndarray]:
-    """Little-endian 32-bit words of non-negative ints as a ``(width, n)``
-    uint32 array, and each value's word count (0 has one word), as
-    ``SeedSequence`` splits its entropy."""
-    values = [operator.index(v) for v in values]
-    if values and min(values) < 0:
-        raise ValueError("expected non-negative integer")
-    width = max(1, -(-max(values, default=0).bit_length() // 32))
-    words = np.array(
-        [[v >> (32 * k) & _MASK32 for v in values] for k in range(width)], dtype=np.uint32
-    ).reshape(width, len(values))
-    rank = np.arange(1, width + 1)[:, None] * (words != 0)
-    return words, np.maximum(rank.max(axis=0, initial=0), 1)
+def _entropy_words(seed: SeedSpec) -> list[int]:
+    """32-bit words of ``(master_seed, blake2b64(stream_label), path_index)``,
+    each value split little-endian (0 has one word) as ``SeedSequence``
+    splits its entropy."""
+    words = []
+    for value in (seed.master_seed, _label_digest(seed.stream_label), seed.path_index):
+        value = operator.index(value)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(value & _MASK32)
+        while value >> 32:
+            value >>= 32
+            words.append(value & _MASK32)
+    return words
 
 
-def _hashmix(const: int, mult: int):
-    """numpy's SeedSequence hashmix on uint32 arrays; its hash constant
-    starts at ``const`` and is multiplied by ``mult`` (mod 2**32) in each
-    call."""
+@functools.cache
+def _hash_constants(init: int, mult: int, n_calls: int) -> np.ndarray:
+    """SeedSequence's hash constants as a ``(n_calls + 1, 1)`` uint32 column:
+    hashmix call k xors with entry k and multiplies by entry k + 1."""
+    consts = [init]
+    for _ in range(n_calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
 
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value *= np.uint32(const)
-        value ^= value >> 16
-        return value
 
-    return hashmix
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 ``values`` by the calls whose
+    constants start ``consts``, one call per row of the result."""
+    out = values ^ consts[:-1]
+    out *= consts[1:]
+    out ^= out >> 16
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_MULT_L * x
+    out -= _MIX_MULT_R * y
+    out ^= out >> 16
+    return out
 
 
 def stream_states(seeds) -> list[tuple[int, int]]:
@@ -145,49 +156,35 @@ def stream_states(seeds) -> list[tuple[int, int]]:
     Row j is ``seeds[j].rng().bit_generator.state["state"]`` as a pair: the
     entropy words of ``(master_seed, blake2b64(stream_label), path_index)`` go
     through ``SeedSequence``'s pool (hashmix, mix, and one more mixing pass
-    per word past the fourth) and ``generate_state(4, uint64)`` in vectorized
-    uint32 arithmetic, then through PCG64's two seeding steps.  Like
-    ``SeedSequence``, it raises ValueError for a negative seed or index.
+    per word past the fourth) and ``generate_state(4, uint64)`` in uint32
+    arithmetic vectorized over the block and the pool words, then through
+    PCG64's two seeding steps.  Like ``SeedSequence``, it raises ValueError
+    for a negative seed or index.
     """
-    n = len(seeds)
-    parts = [
-        _words([s.master_seed for s in seeds]),
-        _words([_label_digest(s.stream_label) for s in seeds]),
-        _words([s.path_index for s in seeds]),
-    ]
-    entropy = np.zeros((max(_POOL, sum(len(w) for w, _ in parts)), n), dtype=np.uint32)
-    length = np.zeros(n, dtype=np.int64)
-    cols = np.arange(n)
-    for words, counts in parts:
-        for k, row in enumerate(words):
-            live = counts > k
-            entropy[length[live] + k, cols[live]] = row[live]
-        length += counts
+    rows = [_entropy_words(seed) for seed in seeds]
+    n_words = np.array([len(words) for words in rows], dtype=np.int64)
+    width = max(_POOL, int(n_words.max(initial=0)))
+    # words past a row's length are 0, which is SeedSequence's pool padding
+    entropy = np.array(
+        [words + [0] * (width - len(words)) for words in rows], dtype=np.uint32
+    ).reshape(len(rows), width).T
 
-    hashmix = _hashmix(_INIT_A, _MULT_A)
-
-    def mix(x, y):
-        out = _MIX_MULT_L * x - _MIX_MULT_R * y
-        out ^= out >> 16
-        return out
-
-    # entropy rows past a row's length are 0, which is SeedSequence's padding
-    pool = [hashmix(entropy[i]) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL, len(entropy)):
-        live = length > src
-        for dst in range(_POOL):
-            pool[dst] = np.where(live, mix(pool[dst], hashmix(entropy[src])), pool[dst])
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * width)
+    pool = _hashmix(entropy[:_POOL], consts[:_POOL + 1])
+    call = _POOL
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[call:call + _POOL]))
+        call += _POOL - 1
+    for src in range(_POOL, width):
+        live = n_words > src
+        mixed = _mix(pool, _hashmix(entropy[src], consts[call:call + _POOL + 1]))
+        pool[:, live] = mixed[:, live]
+        call += _POOL
 
     # generate_state(4, uint64): 8 uint32 words, read in little-endian pairs
-    hashmix = _hashmix(_INIT_B, _MULT_B)
-    words = [hashmix(pool[i % _POOL]).astype(np.uint64) for i in range(8)]
-    seed_hi, seed_lo, inc_hi, inc_lo = (
-        (words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)
-    )
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 8))
+    words = words.astype(np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
     # PCG64 seeding from (seed, seq): inc = 2 seq + 1, then state = inc is
     # stepped once after adding seed: state = (inc + seed) * mult + inc
     states = []
@@ -198,31 +195,28 @@ def stream_states(seeds) -> list[tuple[int, int]]:
     return states
 
 
-def _reseeded(states):
-    """One Generator, set in turn to each PCG64 ``(state, inc)``: use each
-    before taking the next."""
+def _draw_streams(states, draw, rows) -> list:
+    """``draw(rng, row)`` for each PCG64 ``(state, inc)`` of ``states`` and
+    the matching item of ``rows``, in order; the results as a list.
+
+    ``rng`` is one Generator, set to each state in turn and moved to the
+    next one as soon as ``draw`` returns, so ``draw`` must be done with it
+    by then.  Every
+    caller of :func:`stream_states` draws through here, so no caller holds
+    two streams' generators at once.
+    """
     gen = np.random.Generator(np.random.PCG64(0))
     bits = gen.bit_generator
-    for state, inc in states:
+    out = []
+    for (state, inc), row in zip(states, rows, strict=True):
         bits.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
             "has_uint32": 0,
             "uinteger": 0,
         }
-        yield gen
-
-
-def _row_generators(seeds):
-    """The generator of each seed's stream in turn, equal to ``seed.rng()``.
-
-    A block of ``_MIN_STREAM_BLOCK`` or more seeds is derived by
-    :func:`stream_states` and shares one reseeded Generator, so each must be
-    used up before the next is taken.
-    """
-    if len(seeds) < _MIN_STREAM_BLOCK:
-        return (seed.rng() for seed in seeds)
-    return _reseeded(stream_states(seeds))
+        out.append(draw(gen, row))
+    return out
 
 
 @dataclass(frozen=True)
@@ -314,8 +308,7 @@ def brownian_rows(grid: TimeGrid, seeds, x0: float = 0.0) -> np.ndarray:
     values = np.empty((len(seeds), grid.n_points))
     values[:, 0] = x0
     steps = values[:, 1:]
-    for row, rng in zip(steps, _row_generators(seeds)):
-        rng.standard_normal(out=row)
+    _draw_streams(stream_states(seeds), lambda rng, row: rng.standard_normal(out=row), steps)
     steps *= math.sqrt(grid.dt)
     np.cumsum(steps, axis=1, out=steps)
     steps += x0

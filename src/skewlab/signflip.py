@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excursion import ExcursionRows, ExcursionSet
-from .grid_paths import SamplePath, SeedSpec, TimeGrid, _row_generators
+from .grid_paths import SamplePath, SeedSpec, TimeGrid, _draw_streams, stream_states
 
 __all__ = [
     "AlphaSchedule",
@@ -176,10 +176,11 @@ def sign_path_rows(
     """
     rows = ExcursionRows(sources)
     signs = np.concatenate(
-        [
-            _draw_signs(int(n), schedule, rng)
-            for n, rng in zip(rows.counts, _row_generators(seeds))
-        ]
+        _draw_streams(
+            stream_states(seeds),
+            lambda rng, n: _draw_signs(int(n), schedule, rng),
+            rows.counts,
+        )
     )
     if pin_start:
         first = np.cumsum(rows.counts) - rows.counts

@@ -29,7 +29,7 @@ from .grid_paths import (
     SamplePath,
     SeedSpec,
     TimeGrid,
-    _reseeded,
+    _draw_streams,
     make_grid,
     sample_brownian,
     stream_states,
@@ -215,11 +215,9 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
-def _check_sizes(n_steps: int, chunk: int = 1) -> None:
+def _check_steps(n_steps: int) -> None:
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
 
 
 def _usable_cpus() -> int:
@@ -284,7 +282,7 @@ def harrison_shepp_walk(alpha: float, n_steps: int, seed: SeedSpec) -> SamplePat
     From state 0 the step is +1 with probability alpha; elsewhere symmetric.
     """
     _check_alpha(alpha)
-    _check_sizes(n_steps)
+    _check_steps(n_steps)
     u = seed.rng().random(n_steps)
     state = 0
     states = np.empty(n_steps + 1, dtype=np.int64)
@@ -313,11 +311,9 @@ def _walk_pairs(states: Sequence[tuple[int, int]], n_steps: int, alpha: float) -
     n_pairs = (n_steps + 1) // 2
     table = np.empty((n_pairs, m), dtype=np.uint8)
     u = np.ones((_WALK_BLOCK, 2 * n_pairs))
-    rngs = _reseeded(states)
     for b in range(0, m, _WALK_BLOCK):
         k = min(_WALK_BLOCK, m - b)
-        for row, rng in zip(u[:k], rngs):
-            rng.random(out=row[:n_steps])
+        _draw_streams(states[b:b + k], lambda rng, row: rng.random(out=row[:n_steps]), u[:k])
         first, second = u[:k, 0::2], u[:k, 1::2]
         up_second = second < 0.5
         from_zero = np.add(first < alpha, up_second, dtype=np.uint8)
@@ -356,8 +352,8 @@ def harrison_shepp_terminals(
     The calling thread derives each chunk's walk streams with
     :func:`~skewlab.grid_paths.stream_states`; the chunks then run
     concurrently on a thread pool (one worker per usable CPU, at most one
-    per chunk).  A worker reseeds one Generator per walk, draws and codes
-    its uniforms and steps the walks; the draws and the array passes
+    per chunk).  A worker sets a Generator to each walk's state in turn,
+    draws and codes its uniforms and steps the walks; the draws and the array passes
     release the interpreter lock.  It writes only its own slice of the
     output, so the result is bit-identical to a serial run.  Each
     worker holds one pair table of ceil(n_steps / 2) * chunk bytes (16 MiB
@@ -365,7 +361,9 @@ def harrison_shepp_terminals(
     float64 uniforms with their codes.
     """
     _check_alpha(alpha)
-    _check_sizes(n_steps, chunk)
+    _check_steps(n_steps)
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     bounds = [(lo, min(lo + chunk, n_walks)) for lo in range(0, n_walks, chunk)]
     out = np.empty(n_walks)
     with ThreadPoolExecutor(max_workers=max(1, min(len(bounds), _usable_cpus()))) as pool:
@@ -519,7 +517,9 @@ def skew_terminal_samples(
     """
     if variant not in ("signed", "absolute"):
         raise ValueError(f"unknown variant {variant!r}")
-    _check_sizes(n_steps, chunk)
+    _check_steps(n_steps)
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     dt = horizon / n_steps
     bounds = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
     outs = [np.empty(n_paths) for _ in schedules]

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from skewlab.grid_paths import (
-    _MIN_STREAM_BLOCK,
     PAIR_LABELS,
     SamplePath,
     SeedSpec,
+    _draw_streams,
     _label_digest,
-    _reseeded,
-    _row_generators,
     make_grid,
     refine_bridge,
     sample_brownian,
@@ -106,20 +104,27 @@ class TestStreamStates:
         seeds = [SeedSpec(*t) for t in triples]
         states = stream_states(seeds)
         assert states == [pcg64_state(s) for s in seeds]
-        for seed, rng in zip(seeds, _reseeded(states)):
+
+        def draw(rng, seed):
             ref = seed.rng()
             assert np.array_equal(rng.random(3), ref.random(3))
             assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
+            return seed
 
-    @pytest.mark.parametrize(
-        "n", [0, 1, _MIN_STREAM_BLOCK - 1, _MIN_STREAM_BLOCK, 3 * _MIN_STREAM_BLOCK + 1]
-    )
-    def test_row_generators_equal_rng(self, n):
+        assert _draw_streams(states, draw, seeds) == seeds
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 49])
+    def test_draw_streams_equal_rng(self, n):
         seeds = [SeedSpec(MASTER, "rows", 2**31 + 7 * k) for k in range(n)]
-        draws = [rng.random(5) for rng in _row_generators(seeds)]
-        assert len(draws) == n
-        for got, seed in zip(draws, seeds):
+        draws = _draw_streams(stream_states(seeds), lambda rng, k: (k, rng.random(5)), range(n))
+        assert [k for k, _ in draws] == list(range(n))
+        for (_, got), seed in zip(draws, seeds):
             assert np.array_equal(got, seed.rng().random(5))
+
+    def test_draw_streams_needs_one_row_per_state(self):
+        states = stream_states([SeedSpec(MASTER, "rows", k) for k in range(3)])
+        with pytest.raises(ValueError):
+            _draw_streams(states, lambda rng, row: None, range(2))
 
     @pytest.mark.parametrize(
         "seed", [SeedSpec(-1), SeedSpec(-(2**40), "x", 3), SeedSpec(5, "x", -1)]

@@ -14,7 +14,7 @@ import contextlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from skewlab import grid_paths, signed_measure
 from skewlab.cli import config_from_pairs, run_experiment
@@ -85,8 +85,7 @@ def integer_rows(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n_rows=st.integers(1, 3 * grid_paths._MIN_STREAM_BLOCK), n_steps=STEPS, x0=X0)
-@example(n_rows=grid_paths._MIN_STREAM_BLOCK, n_steps=3, x0=0.0)
+@given(n_rows=st.integers(1, 48), n_steps=STEPS, x0=X0)
 def test_brownian_rows_equal_sample_brownian(n_rows, n_steps, x0):
     grid = make_grid(1.0, n_steps)
     seeds = [SeedSpec(MASTER, "rows", p) for p in range(n_rows)]
@@ -133,12 +132,12 @@ def test_sign_path_rows_equal_draw_sign_path(values, cuts, pin_start):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    n_rows=st.integers(grid_paths._MIN_STREAM_BLOCK, 3 * grid_paths._MIN_STREAM_BLOCK),
+    n_rows=st.integers(8, 48),
     n_steps=STEPS,
     pin_start=st.booleans(),
 )
-def test_sign_path_rows_of_stream_blocks_equal_draw_sign_path(n_rows, n_steps, pin_start):
-    # blocks this large derive their sign streams with stream_states
+def test_sign_path_rows_of_large_blocks_equal_draw_sign_path(n_rows, n_steps, pin_start):
+    # blocks larger than integer_rows draws
     steps = np.random.default_rng(n_rows * 1000 + n_steps).integers(-2, 3, (n_rows, n_steps + 1))
     values = np.cumsum(steps, axis=1).astype(float)
     grid = make_grid(1.0, n_steps)
