@@ -580,6 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="master seed")
     run.add_argument("--paths", type=int, help="Monte Carlo paths")
     run.add_argument("--steps", help="comma-separated step counts")
+    run.add_argument("--seeds", type=int, help="paths per mesh level of the long-row suites")
     run.add_argument("--alpha", type=float, help="constant skewness")
     run.add_argument("--out", help="output directory (default $SKEWLAB_OUT or .)")
     run.add_argument("--format", dest="fmt", choices=("json", "csv"), help="report format")
@@ -603,6 +604,7 @@ def _config_from_args(args) -> ExperimentConfig:
         "seed": args.seed,
         "paths": args.paths,
         "steps": args.steps,
+        "seeds": args.seeds,
         "alpha": args.alpha,
         "out": args.out,
         "format": args.fmt,
@@ -634,7 +636,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         config = _config_from_args(args)
         bundle = run_experiment(config)
-        written = emit_report(bundle, config.fmt, config.out_dir)
+        try:
+            written = emit_report(bundle, config.fmt, config.out_dir)
+        except OSError as e:
+            raise UsageError(f"cannot write reports: {e}") from None
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

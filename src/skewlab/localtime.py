@@ -82,9 +82,9 @@ def ito_rows(integrand: np.ndarray, integrator: np.ndarray) -> np.ndarray:
     out[..., j] = sum_{i<j} f[..., i] * (g[..., i+1] - g[..., i])."""
     out = np.empty(integrator.shape)
     out[..., 0] = 0.0
-    np.cumsum(
-        integrand[..., :-1] * np.diff(integrator, axis=-1), axis=-1, out=out[..., 1:]
-    )
+    steps = np.diff(integrator, axis=-1).astype(float, copy=False)
+    steps *= integrand[..., :-1]
+    np.cumsum(steps, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -97,7 +97,10 @@ def ito_sum(integrand: SamplePath, integrator: SamplePath) -> SamplePath:
 def tanaka_rows(x: np.ndarray) -> np.ndarray:
     """Discrete Tanaka local time along the last axis:
     |X_t| - |X_0| - sum sgn(X_i) (X_{i+1} - X_i)."""
-    return np.abs(x) - np.abs(x[..., :1]) - ito_rows(np.sign(x), x)
+    out = np.abs(x).astype(float, copy=False)
+    out -= np.abs(x[..., :1])
+    out -= ito_rows(np.sign(x), x)
+    return out
 
 
 def quadratic_covariation(x: SamplePath, y: SamplePath) -> SamplePath:
@@ -105,7 +108,9 @@ def quadratic_covariation(x: SamplePath, y: SamplePath) -> SamplePath:
     _check_aligned(x, y)
     out = np.empty(len(x.values))
     out[0] = 0.0
-    np.cumsum(np.diff(x.values) * np.diff(y.values), out=out[1:])
+    steps = np.diff(x.values)
+    steps *= np.diff(y.values)
+    np.cumsum(steps, out=out[1:])
     return SamplePath(x.grid, out)
 
 

@@ -32,6 +32,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from scipy.special import kolmogi
 
 from .excursion import ExcursionRows, LastZeroCurve, ZeroMask, decompose_excursions
 from .grid_paths import (
@@ -291,7 +292,8 @@ def qp_residual(dec: Decomposition, model: SignedMeasureModel) -> ResidualReport
     d = model.d_path
     if not d.grid.same_as(dec.total.grid):
         raise ValueError("decomposition and model live on different grids")
-    residual = ito_sum(d, dec.fv_part).values + quadratic_covariation(dec.total, d).values
+    residual = ito_rows(d.values, dec.fv_part.values)
+    residual += quadratic_covariation(dec.total, d).values
     return ResidualReport.from_residual(
         f"qp_residual[{dec.label or 'unnamed'}]", residual, dec.total.grid.n_steps, None
     )
@@ -312,7 +314,8 @@ def carried_by_check(
     """
     if len(mask) != len(fv.values):
         raise ValueError("mask and path lengths differ")
-    dv = np.abs(np.diff(fv.values))
+    dv = np.diff(fv.values)
+    np.abs(dv, out=dv)
     total = float(dv.sum())
     if total == 0.0:
         stat = 1.0
@@ -467,14 +470,13 @@ def sigma_h_check(
     dilation: int = 2,
     qp_tol: float = 0.05,
     snap_scale: float = 2.0,
-    mart_fv: Optional[SamplePath] = None,
     seed: Optional[SeedSpec] = None,
 ) -> TestReport:
     """Membership check for X = M + A in the class Sigma(H).
 
     Passes iff (a) dA is carried by {X = 0} union H, (b) the qp residual of
-    the martingale part stays below ``qp_tol`` (with ``mart_fv`` as M's own
-    finite-variation part, zero when omitted), and (c) both parts start at 0.
+    the martingale part M, split as M = M + 0, stays below ``qp_tol``, and
+    (c) both parts start at 0.
     The zero set of X is read off ``dec.zero_source`` when present; for a
     nonnegative X without a source, values within snap_scale*sqrt(dt) of zero
     are treated as zeros, since a reflected path never changes sign on a grid.
@@ -489,16 +491,7 @@ def sigma_h_check(
 
     carried = carried_by_check(dec.fv_part, mask, tol=tol, dilation=dilation, seed=seed)
 
-    v_m = mart_fv if mart_fv is not None else SamplePath(x.grid, np.zeros(len(x)))
-    m_dec = Decomposition(
-        total=dec.martingale_part,
-        martingale_part=SamplePath(
-            x.grid, dec.martingale_part.values - v_m.values
-        ),
-        fv_part=v_m,
-        label=f"{dec.label}:mart",
-    )
-    qp = qp_residual(m_dec, model)
+    qp = qp_residual(Decomposition.martingale(dec.martingale_part, f"{dec.label}:mart"), model)
     qp_ok = qp.terminal < qp_tol
 
     starts_ok = dec.fv_part.values[0] == 0.0 and dec.martingale_part.values[0] == 0.0
@@ -554,7 +547,8 @@ def make_bm_plus_local_time(
 ) -> DecompositionRows:
     """W + scale * L^0(D): the finite-variation part is carried by H."""
     w = _w(grid, seeds)
-    v = scale * tanaka_rows(models.d)
+    v = tanaka_rows(models.d)
+    v *= scale
     return DecompositionRows(grid, w + v, w, v, label="bm_plus_local_time")
 
 
@@ -951,7 +945,7 @@ def _suite_qp_brownian(ctx: _SuiteContext, qv_tol: float = 0.05, qp_tol: float =
 
 
 def _suite_abs_brownian(ctx: _SuiteContext) -> TestReport:
-    from scipy.stats import kstwobign, norm
+    from .skewbm import skew_transition_cdf  # skewbm imports this module
 
     pairs, columns = ctx.drift_columns()
 
@@ -963,10 +957,10 @@ def _suite_abs_brownian(ctx: _SuiteContext) -> TestReport:
     rep = ctx.drift(read[:, :-1], pairs, "equivalence.abs_brownian.drift")
     sorted_t = np.sort(read[:, -1])
     n = len(sorted_t)
-    cdf = norm.cdf(sorted_t, scale=math.sqrt(ctx.grid.horizon))
+    cdf = skew_transition_cdf(0.5, ctx.grid.horizon, sorted_t)
     emp_mid = (np.arange(n) + 0.5) / n
     ks = float(np.max(np.abs(emp_mid - cdf)))
-    ks_crit = float(kstwobign.isf(0.01)) / math.sqrt(n)
+    ks_crit = float(kolmogi(0.01)) / math.sqrt(n)
     stat = max(rep.statistic / ctx.threshold, ks / ks_crit)
     return TestReport(
         suite="equivalence.abs_brownian",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import kstwobign, norm
+from scipy.special import kolmogi, ndtr
 
 from .excursion import decompose_excursions
 from .grid_paths import (
@@ -225,6 +225,14 @@ def _usable_cpus() -> int:
     return cpus or 1
 
 
+# The normal density, CDF and Kolmogorov quantile below repeat the arithmetic of
+# scipy.stats (``norm.pdf`` is ``_norm_pdf(y / s) / s``, ``norm.cdf`` is
+# ``ndtr(y / s)``, ``kstwobign.isf`` is ``kolmogi``) with scipy.special alone,
+# so importing the package never loads scipy.stats, whose import dominated the
+# package's set-up time; tests/test_scipy_kernels.py pins them bit for bit.
+_SQRT_2PI = math.sqrt(2 * math.pi)
+
+
 def skew_transition_density(alpha: float, t: float, y) -> np.ndarray:
     """Closed-form transition density of skew BM from 0: 2 alpha phi_t(y) for
     y > 0 and 2 (1 - alpha) phi_t(y) for y < 0."""
@@ -232,7 +240,9 @@ def skew_transition_density(alpha: float, t: float, y) -> np.ndarray:
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
     y = np.asarray(y, dtype=float)
-    phi = norm.pdf(y, scale=math.sqrt(t))
+    scale = math.sqrt(t)
+    x = y / scale
+    phi = np.exp(-x**2 / 2.0) / _SQRT_2PI / scale
     weight = np.where(y > 0, 2.0 * alpha, np.where(y < 0, 2.0 * (1.0 - alpha), 1.0))
     return weight * phi
 
@@ -243,7 +253,7 @@ def skew_transition_cdf(alpha: float, t: float, y) -> np.ndarray:
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
     y = np.asarray(y, dtype=float)
-    base = norm.cdf(y, scale=math.sqrt(t))
+    base = ndtr(y / math.sqrt(t))
     neg = 2.0 * (1.0 - alpha) * base
     pos = 2.0 * alpha * base + (1.0 - 2.0 * alpha)
     return np.where(y < 0, neg, pos)
@@ -643,7 +653,7 @@ def law_test(
     """
     if samples_a.n < 1000:
         raise InsufficientSamplesError(f"need at least 1000 samples, got {samples_a.n}")
-    c_level = float(kstwobign.isf(level))
+    c_level = float(kolmogi(level))
     if isinstance(reference, LawSample):
         if reference.n < 1000:
             raise InsufficientSamplesError(

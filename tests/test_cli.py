@@ -189,6 +189,25 @@ class TestMain:
         cfg.write_text("suite=identities\nseeds=0\nsteps=64,128\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    def test_seeds_flag(self, tmp_path, capsys):
+        code = main(["run", "--suite", "identities", "--seeds", "2", "--steps", "64,128",
+                     "--out", str(tmp_path)])
+        assert code in (0, 1)
+        doc = json.loads(open(tmp_path / "reports.json").read())
+        assert doc["provenance"]["config"]["seeds"] == 2
+        assert {row["n_paths"] for row in doc["reports"]} == {2}
+        code = main(["run", "--suite", "identities", "--seeds", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["run", "--suite", "skew_law", "--paths", "1000", "--steps", "16",
+                     "--out", str(taken)])
+        assert code == 2
+        assert "usage error: cannot write reports:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("suite,steps", [("sigma_h", ""), ("identities", ",")])
     def test_empty_step_list_rejected(self, suite, steps, tmp_path, capsys):
         code = main(["run", "--suite", suite, "--steps", steps, "--out", str(tmp_path)])

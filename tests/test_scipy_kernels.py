@@ -1,0 +1,126 @@
+"""The runtime loads scipy.special only.
+
+The normal density and CDF and the Kolmogorov critical values are written
+with scipy.special kernels in the arithmetic scipy.stats uses, so every
+printed number stays bit-identical to a scipy.stats computation.  These pins
+compare them with scipy.stats in the test process, bit for bit, and a fresh
+interpreter checks that importing and warming up the lab never loads
+scipy.stats.
+"""
+
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from scipy.stats import kstwobign, norm
+
+import skewlab
+from skewlab.grid_paths import SeedSpec, make_grid
+from skewlab.signed_measure import equivalence_suite
+from skewlab.skewbm import (
+    LawSample,
+    SkewLaw,
+    law_test,
+    skew_transition_cdf,
+    skew_transition_density,
+)
+
+EDGES = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0])
+
+
+def same_bits(a, b):
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def density_reference(alpha, t, y):
+    y = np.asarray(y, dtype=float)
+    weight = np.where(y > 0, 2.0 * alpha, np.where(y < 0, 2.0 * (1.0 - alpha), 1.0))
+    return weight * norm.pdf(y, scale=math.sqrt(t))
+
+
+def cdf_reference(alpha, t, y):
+    y = np.asarray(y, dtype=float)
+    base = norm.cdf(y, scale=math.sqrt(t))
+    return np.where(y < 0, 2.0 * (1.0 - alpha) * base, 2.0 * alpha * base + (1.0 - 2.0 * alpha))
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.25, 0.5, 1.0, 2.0, 7.3])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.7, 1.0])
+def test_density_and_cdf_equal_scipy_stats(alpha, t):
+    rng = np.random.default_rng(int(1000 * t) + int(10 * alpha))
+    y = np.concatenate([3.0 * math.sqrt(t) * rng.standard_normal(4000), EDGES])
+    assert same_bits(skew_transition_density(alpha, t, y), density_reference(alpha, t, y))
+    assert same_bits(skew_transition_cdf(alpha, t, y), cdf_reference(alpha, t, y))
+    for scalar in (0.0, -0.0, 0.3, -2.5):
+        assert same_bits(skew_transition_density(alpha, t, scalar),
+                         density_reference(alpha, t, scalar))
+        assert same_bits(skew_transition_cdf(alpha, t, scalar), cdf_reference(alpha, t, scalar))
+
+
+@pytest.mark.parametrize("level", [1e-4, 0.001, 0.01, 0.05, 0.1, 0.5, 0.9])
+def test_law_test_critical_value_equals_kstwobign(level):
+    rng = np.random.default_rng(5)
+    sample = LawSample(rng.standard_normal(1500), 1.0)
+    other = LawSample(rng.standard_normal(2100), 1.0)
+    c_level = float(kstwobign.isf(level))
+    one = law_test(sample, SkewLaw(0.5, 1.0), level=level)
+    assert same_bits(one.threshold, c_level / math.sqrt(1500) + 0.0)
+    two = law_test(sample, other, level=level)
+    assert same_bits(two.threshold, c_level * math.sqrt((1500 + 2100) / (1500 * 2100)) + 0.0)
+
+
+#: (base, horizon, repr(statistic), repr(threshold), detail) of the
+#: abs_brownian suite, recorded while it still called scipy.stats; for
+#: reflected_bm the KS term sets the statistic, for bm the drift term does
+ABS_BROWNIAN_PINS = [
+    ("bm", 1.0, "0.7146001245836643", "1.0", "drift=2.86 ks=0.02274 ks_crit=0.05147"),
+    ("reflected_bm", 1.0, "0.6911545649687572", "1.0", "drift=1.67 ks=0.03557 ks_crit=0.05147"),
+    ("reflected_bm", 0.5, "0.6911545649687582", "1.0", "drift=1.74 ks=0.03557 ks_crit=0.05147"),
+]
+
+
+@pytest.mark.parametrize("base,horizon,statistic,threshold,detail", ABS_BROWNIAN_PINS)
+def test_abs_brownian_report_pinned(base, horizon, statistic, threshold, detail):
+    rep = equivalence_suite("abs_brownian", "trivial", base, 0.5,
+                            SeedSpec(7).child(f"pin/abs_brownian/{base}"), 1000,
+                            grid=make_grid(horizon, 2**10))
+    assert (repr(rep.statistic), repr(rep.threshold), rep.detail) == (statistic, threshold, detail)
+
+
+GUARD = """
+import sys
+
+import skewlab
+import skewlab.cli
+from skewlab import excursion, localtime, signed_measure, signflip, skewbm
+from skewlab.grid_paths import SeedSpec, make_grid, refine_bridge, sample_brownian
+
+seed = SeedSpec(0, "warmup")
+p = refine_bridge(sample_brownian(make_grid(1.0, 64), seed), 2, seed)
+exc = excursion.decompose_excursions(p)
+excursion.last_zero_curve(exc)
+sched = signflip.AlphaSchedule.constant(0.7)
+signflip.build_sign_path(exc, signflip.assign_signs(exc, sched, seed), sched)
+localtime.identity_residual("tanaka", path=p)
+signed_measure.build_model("shifted_brownian", p.grid, seed)
+sample = skewbm.skew_terminal_sample(sched, 1000, 16, seed)
+skewbm.law_test(sample, skewbm.SkewLaw(0.7, 1.0))
+skewbm.skew_transition_density(0.7, 1.0, [0.5, -0.5])
+signed_measure.equivalence_suite("abs_brownian", "trivial", "bm", 0.5, seed, 1000)
+loaded = sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats."))
+print(loaded)
+sys.exit(1 if loaded else 0)
+"""
+
+
+def test_runtime_never_imports_scipy_stats():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skewlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", GUARD], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
