@@ -25,7 +25,6 @@ from .grid_paths import (
     make_grid,
     refine_bridge,
     sample_brownian,
-    sample_independent_pair,
 )
 from .localtime import (
     LocalTimeCurve,
@@ -64,11 +63,9 @@ from .skewbm import (
     SkewLaw,
     build_skew,
     harrison_shepp_terminals,
-    harrison_shepp_walk,
     law_test,
     recover_driving_noise,
     sde_residual,
-    skew_path,
     skew_terminal_sample,
     skew_terminal_samples,
     skew_transition_cdf,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -60,6 +61,12 @@ SUITE_BLURBS = {
 #: suites whose statistical checks refuse fewer than ``_MIN_PATHS`` paths
 _PATH_STATISTIC_SUITES = ("martingale", "skew_law", "representation")
 _MIN_PATHS = 1000
+
+#: the ``tol.*`` keys the suites read
+_TOLERANCES = (
+    "identities", "drift", "drift_reject", "carried_by", "sign_probability",
+    "lattice_allowance", "sde_residual", "representation",
+)
 
 
 class UsageError(ValueError):
@@ -113,6 +120,11 @@ class ExperimentConfig:
                 raise UsageError(f"bad schedule: {e}") from None
         if self.fmt not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.fmt!r}")
+        for key, value in self.tolerances.items():
+            if key not in _TOLERANCES:
+                raise UsageError(f"unknown tolerance tol.{key}; known: {', '.join(_TOLERANCES)}")
+            if not 0.0 <= value < math.inf:
+                raise UsageError(f"tol.{key} must be finite and non-negative, got {value}")
 
 
 @dataclass
@@ -199,12 +211,17 @@ def config_from_pairs(pairs: dict) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _coupled_paths(seed: SeedSpec, n_steps_list, i: int):
-    """One coarse driver refined through every requested mesh level."""
-    coarse = min(n_steps_list)
+def _coupled_paths(seed: SeedSpec, n_steps_list, i: int) -> dict:
+    """One coarse driver from ``seed.with_path(i)`` refined through every
+    requested mesh level, keyed by step count.  Each level is refined from
+    the one before, which by :func:`refine_bridge`'s contract is the path a
+    one-shot refinement of the coarse driver gives."""
+    levels = sorted(n_steps_list)
     s = seed.with_path(i)
-    p = sample_brownian(make_grid(1.0, coarse), s)
-    return {n: refine_bridge(p, n // coarse, s) for n in sorted(n_steps_list)}
+    paths = {levels[0]: sample_brownian(make_grid(1.0, levels[0]), s)}
+    for coarse, n in zip(levels, levels[1:]):
+        paths[n] = refine_bridge(paths[coarse], n // coarse, s)
+    return paths
 
 
 def _monotone_report(name: str, medians: dict, seed: SeedSpec, n_paths: int) -> TestReport:
@@ -415,19 +432,15 @@ def run_skew_law(cfg: ExperimentConfig, seed: SeedSpec):
 def run_skew_residual(cfg: ExperimentConfig, seed: SeedSpec):
     _check_refinable(cfg.n_steps)
     sched = cfg.schedule()
-    medians = {}
-    for n in sorted(cfg.n_steps):
-        sups = []
-        for i in range(cfg.n_seeds):
-            s = seed.child("sde").with_path(i)
-            coarse = min(cfg.n_steps)
-            p = sample_brownian(make_grid(1.0, coarse), s.child("base"))
-            p = refine_bridge(p, n // coarse, s.child("base"))
-            z = draw_sign_path(p, sched, s.child("signs"))
+    sups = {}
+    for i in range(cfg.n_seeds):
+        signs = seed.child("sde/signs").with_path(i)
+        for n, p in _coupled_paths(seed.child("sde/base"), cfg.n_steps, i).items():
+            z = draw_sign_path(p, sched, signs)
             x = apply_sign(z, p, mode="absolute")
             base = Decomposition.martingale(p)
-            sups.append(sde_residual(x, base, z, sched, "absolute").sup_norm)
-        medians[n] = float(np.median(sups))
+            sups.setdefault(n, []).append(sde_residual(x, base, z, sched, "absolute").sup_norm)
+    medians = {n: float(np.median(v)) for n, v in sups.items()}
     tol = cfg.tol("sde_residual", max(0.1, 2.5 * max(cfg.n_steps) ** -0.25))
     finest = max(medians)
     reports = [

@@ -96,7 +96,8 @@ class ExcursionRows:
         x = values
         if snap_tol > 0.0:
             x = np.where(np.abs(x) <= snap_tol, 0.0, x)
-        self.sign = np.sign(x).astype(np.int8)
+        # signs straight into int8, with no full-size float temporary
+        self.sign = np.sign(x, out=np.empty(x.shape, np.int8), casting="unsafe")
 
     @cached_property
     def covered(self) -> np.ndarray:

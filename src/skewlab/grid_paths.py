@@ -30,13 +30,8 @@ __all__ = [
     "block_rows",
     "brownian_rows",
     "sample_brownian",
-    "sample_independent_pair",
     "refine_bridge",
-    "PAIR_LABELS",
 ]
-
-#: sub-labels used by :func:`sample_independent_pair` for its two components
-PAIR_LABELS = ("pair0", "pair1")
 
 #: float64 elements per array of one row block (see :func:`block_rows`)
 BLOCK_ELEMENTS = 2**16
@@ -318,19 +313,6 @@ def brownian_rows(grid: TimeGrid, seeds, x0: float = 0.0) -> np.ndarray:
 def sample_brownian(grid: TimeGrid, seed: SeedSpec, x0: float = 0.0) -> SamplePath:
     """Sample one Brownian path: the one-row case of :func:`brownian_rows`."""
     return SamplePath(grid, brownian_rows(grid, [seed], x0)[0])
-
-
-def sample_independent_pair(grid: TimeGrid, seed: SeedSpec) -> tuple[SamplePath, SamplePath]:
-    """Two Brownian paths from disjoint substreams of one seed.
-
-    Component k is exactly ``sample_brownian(grid, seed.child(PAIR_LABELS[k]))``,
-    so the pair is independent by construction and each half is reproducible
-    on its own.
-    """
-    return (
-        sample_brownian(grid, seed.child(PAIR_LABELS[0])),
-        sample_brownian(grid, seed.child(PAIR_LABELS[1])),
-    )
 
 
 def refine_bridge(path: SamplePath, factor: int, seed: SeedSpec) -> SamplePath:

@@ -606,36 +606,12 @@ PROCESS_ZOO: dict[str, Callable[..., Decomposition]] = {
 }
 
 
-def _base_rows(base) -> Callable[..., DecompositionRows]:
-    """Row kernel of a base process given as a zoo name, a zoo member or any
-    per-path factory (model, grid, seed) -> Decomposition; a factory outside
-    the zoo is run one row at a time."""
-    if not callable(base):
-        try:
-            base = PROCESS_ZOO[base]
-        except KeyError:
-            raise ValueError(f"unknown base process {base!r}") from None
-    kernel = getattr(base, "rows", None)
-    if kernel is not None:
-        return kernel
-
-    def stacked(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
-        decs = [base(models.row(j), grid, s) for j, s in enumerate(seeds)]
-
-        def rows(paths):
-            return np.stack([p.values for p in paths])
-
-        return DecompositionRows(
-            grid,
-            rows(d.total for d in decs),
-            rows(d.martingale_part for d in decs),
-            rows(d.fv_part for d in decs),
-            label=decs[0].label,
-            zero_source=None if decs[0].zero_source is None
-            else rows(d.zero_path for d in decs),
-        )
-
-    return stacked
+def _zoo_rows(base) -> Callable[..., DecompositionRows]:
+    """Row kernel of a base process given as a zoo name or a zoo member."""
+    kernel = getattr(PROCESS_ZOO.get(base) if isinstance(base, str) else base, "rows", None)
+    if kernel is None:
+        raise ValueError(f"unknown base process {base!r}: expected a PROCESS_ZOO name or member")
+    return kernel
 
 
 def _instances(model_family: str, base_rows, grid: TimeGrid, seed: SeedSpec, lo: int, hi: int):
@@ -664,7 +640,7 @@ def density_products(
     """The products D * X of a model family and a base process as a
     :class:`PathRows`: path p reads ``seed.with_path(p)`` (its model the
     ``model`` substream), and each block of rows is built in one call."""
-    kernel = _base_rows(base)
+    kernel = _zoo_rows(base)
 
     def rows(lo: int, hi: int) -> np.ndarray:
         models, dec, _ = _instances(model_family, kernel, grid, seed, lo, hi)
@@ -1027,7 +1003,7 @@ def equivalence_suite(
         raise ValueError(f"unknown equivalence suite {name!r}")
     ctx = _SuiteContext(
         model_family=model_family,
-        base_rows=_base_rows(base),
+        base_rows=_zoo_rows(base),
         alpha=alpha,
         seed=seed,
         n_paths=n_paths,
@@ -1074,7 +1050,7 @@ def optional_representation_check(
     hits = {name: np.empty(n_paths, dtype=bool) for name in names}
     fixed_t = None if callable(stopping_rule) else grid.index_at(float(stopping_rule))
 
-    kernel = _base_rows(family)
+    kernel = _zoo_rows(family)
 
     def read_block(lo: int, hi: int) -> None:
         models, dec, _ = _instances(model_family, kernel, grid, seed, lo, hi)

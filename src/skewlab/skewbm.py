@@ -15,25 +15,18 @@ density, and the lattice skew random walk.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import kolmogi, ndtr
 
-from .excursion import decompose_excursions
-from .grid_paths import (
-    SamplePath,
-    SeedSpec,
-    TimeGrid,
-    _draw_streams,
-    make_grid,
-    sample_brownian,
-    stream_states,
-)
+from .excursion import ExcursionRows, decompose_excursions
+from .grid_paths import SamplePath, SeedSpec, _draw_streams, stream_states
 from .localtime import ResidualReport, ito_sum, local_time
 from .signed_measure import (
     Decomposition,
@@ -54,11 +47,9 @@ __all__ = [
     "sde_residual",
     "skew_transition_density",
     "skew_transition_cdf",
-    "harrison_shepp_walk",
     "harrison_shepp_terminals",
     "skew_terminal_sample",
     "skew_terminal_samples",
-    "skew_path",
     "law_test",
     "ks_statistic",
     "two_sample_ks",
@@ -225,6 +216,25 @@ def _usable_cpus() -> int:
     return cpus or 1
 
 
+def _run_chunks(
+    n_items: int, chunk: int, job: Callable[[int, int, int], Callable[[], object]]
+) -> list[tuple[slice, object]]:
+    """Items 0..n_items-1 in chunks of ``chunk``, run concurrently on a thread
+    pool (one worker per usable CPU, at most one per chunk).
+
+    ``job(c, lo, hi)`` runs in the calling thread and returns the
+    zero-argument callable a worker runs for chunk c, so streams and
+    generators are built here and the workers run numpy only.  Returns each
+    chunk's output slice and result, in chunk order.
+    """
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    bounds = [slice(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
+    with ThreadPoolExecutor(max_workers=max(1, min(len(bounds), _usable_cpus()))) as pool:
+        futures = [pool.submit(job(c, b.start, b.stop)) for c, b in enumerate(bounds)]
+        return [(b, future.result()) for b, future in zip(bounds, futures)]
+
+
 # The normal density, CDF and Kolmogorov quantile below repeat the arithmetic of
 # scipy.stats (``norm.pdf`` is ``_norm_pdf(y / s) / s``, ``norm.cdf`` is
 # ``ndtr(y / s)``, ``kstwobign.isf`` is ``kolmogi``) with scipy.special alone,
@@ -286,24 +296,6 @@ class SkewLaw:
 _WALK_BLOCK = 32
 
 
-def harrison_shepp_walk(alpha: float, n_steps: int, seed: SeedSpec) -> SamplePath:
-    """One skew random walk, scaled by 1/sqrt(n) on the unit-horizon grid.
-
-    From state 0 the step is +1 with probability alpha; elsewhere symmetric.
-    """
-    _check_alpha(alpha)
-    _check_steps(n_steps)
-    u = seed.rng().random(n_steps)
-    state = 0
-    states = np.empty(n_steps + 1, dtype=np.int64)
-    states[0] = 0
-    for j in range(n_steps):
-        state += 1 if u[j] < (alpha if state == 0 else 0.5) else -1
-        states[j + 1] = state
-    grid = make_grid(1.0, n_steps)
-    return SamplePath(grid, states / math.sqrt(n_steps))
-
-
 def _walk_pairs(states: Sequence[tuple[int, int]], n_steps: int, alpha: float) -> np.ndarray:
     """Pair table of the walks with PCG64 ``states``: entry (p, i) codes
     steps 2p and 2p + 1 of walk i in one byte.
@@ -351,13 +343,14 @@ def harrison_shepp_terminals(
     seed: SeedSpec,
     chunk: int = 8192,
 ) -> LawSample:
-    """Terminal values of many independent skew walks.
+    """Terminal values of many independent skew walks, scaled by 1/sqrt(n)
+    to the unit horizon.
 
-    Walk k consumes exactly the uniform stream of ``seed.with_path(k)``, so
-    entry k equals the terminal value of ``harrison_shepp_walk`` run with
-    that seed; only the evaluation is batched.  Unlike the bulk sampler's,
-    this output depends on neither ``chunk`` nor the worker count nor the
-    walk block size, since the stream of walk k is fixed by k alone.
+    From state 0 a walk steps +1 with probability alpha; elsewhere it is
+    symmetric.  Step j of walk k is up iff the j-th uniform of
+    ``seed.with_path(k)``'s stream is below that probability, so walk k is
+    fixed by k alone: unlike the bulk sampler's, this output depends on
+    neither ``chunk`` nor the worker count nor the walk block size.
 
     The calling thread derives each chunk's walk streams with
     :func:`~skewlab.grid_paths.stream_states`; the chunks then run
@@ -372,22 +365,14 @@ def harrison_shepp_terminals(
     """
     _check_alpha(alpha)
     _check_steps(n_steps)
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    bounds = [(lo, min(lo + chunk, n_walks)) for lo in range(0, n_walks, chunk)]
+
+    def job(c: int, lo: int, hi: int):
+        states = stream_states([seed.with_path(k) for k in range(lo, hi)])
+        return functools.partial(_walk_terminals, states, n_steps, alpha)
+
     out = np.empty(n_walks)
-    with ThreadPoolExecutor(max_workers=max(1, min(len(bounds), _usable_cpus()))) as pool:
-        futures = [
-            pool.submit(
-                _walk_terminals,
-                stream_states([seed.with_path(k) for k in range(lo, hi)]),
-                n_steps,
-                alpha,
-            )
-            for lo, hi in bounds
-        ]
-        for (lo, hi), future in zip(bounds, futures):
-            out[lo:hi] = future.result()
+    for rows, terminals in _run_chunks(n_walks, chunk, job):
+        out[rows] = terminals
     return LawSample(out / math.sqrt(n_steps), t=1.0, tag=f"hs_walk[alpha={alpha:g}]")
 
 
@@ -399,30 +384,6 @@ def harrison_shepp_terminals(
 _ROW_BLOCK = 512
 
 
-def skew_path(
-    schedule: AlphaSchedule,
-    grid: TimeGrid,
-    seed: SeedSpec,
-    variant: str = "absolute",
-) -> SamplePath:
-    """One full construction run under the trivial model.
-
-    The driver comes from ``seed.child("base")`` and the excursion signs from
-    ``seed.child("signs")``; this is the per-path reference against which the
-    batched terminal sampler is validated.
-    """
-    from .signed_measure import build_model
-
-    base = Decomposition.martingale(
-        sample_brownian(grid, seed.child("base")), label="skew_base"
-    )
-    model = build_model("trivial", grid, seed)
-    spec = SkewBuildSpec(
-        variant=variant, schedule=schedule, base=base, model=model, x0=0.0
-    )
-    return build_skew(spec, seed.child("signs"))
-
-
 def _base_rows(
     rng: np.random.Generator, m: int, n_steps: int, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -430,7 +391,11 @@ def _base_rows(
     value of m float32 base-path rows drawn in order from ``rng``.
 
     Rows are generated and scanned ``_ROW_BLOCK`` at a time, so only one
-    block of the (m, n_steps) base-path matrix is ever held.
+    block of the (m, n_steps) base-path matrix is ever held.  The birth is
+    the straddling excursion's g index on the full path, as
+    :class:`~skewlab.excursion.ExcursionRows` dates it: the exact zero just
+    before its first covered index, else that index; 0 when the row has no
+    excursion.
     """
     n_exc = np.empty(m, dtype=np.int64)
     birth = np.empty(m, dtype=np.int64)
@@ -441,24 +406,17 @@ def _base_rows(
         path = rng.standard_normal((hi - lo, n_steps), dtype=np.float32)
         path *= scale
         np.cumsum(path, axis=1, out=path)
-
-        # an excursion starts wherever the path is nonzero and either was 0
-        # or had the other sign one step before; column j is path index
-        # j + 1 (the x0 = 0 column is implicit), so column 0 starts one
-        # whenever it is nonzero
-        pos = path > 0
-        starts = path != 0
-        fresh = pos[:, 1:] != pos[:, :-1]
-        fresh |= ~starts[:, :-1]
-        starts[:, 1:] &= fresh
-        n_exc[lo:hi] = np.count_nonzero(starts, axis=1)
-
-        # birth index of the straddling excursion: its g_index on the full
-        # path, which is 0 for the first excursion (preceded by the exact
-        # zero at t = 0) and the first covered index for crossing starts
-        last_start_col = n_steps - 1 - np.argmax(starts[:, ::-1], axis=1)
-        birth[lo:hi] = np.where(n_exc[lo:hi] > 1, last_start_col + 1, 0)
         terminal[lo:hi] = path[:, -1]
+
+        # column c is path index c + 1 and the x0 = 0 column is implicit, so
+        # a first covered column c is born at index c when c = 0 or column
+        # c - 1 is an exact zero, and at c + 1 otherwise; only the last start
+        # of each row is read (``rows.births`` would date every excursion)
+        rows = ExcursionRows(path)
+        last = n_steps - 1 - np.argmax(rows.starts[:, ::-1], axis=1)
+        after_zero = (last == 0) | ~rows.covered[np.arange(hi - lo), last - 1]
+        n_exc[lo:hi] = rows.counts
+        birth[lo:hi] = np.where(rows.counts == 0, 0, np.where(after_zero, last, last + 1))
     return n_exc, birth, terminal
 
 
@@ -511,8 +469,9 @@ def skew_terminal_samples(
     like ``assign_signs``.  Only the sign of the excursion straddling the
     horizon is materialized (drawn in the cell of that excursion's birth,
     matching :func:`~skewlab.signflip.build_sign_path`), which is all the terminal
-    value depends on; a test pins this shortcut against the full per-path
-    pipeline run on the same streams.  Sharing the drivers across schedules
+    value depends on; tests pin this shortcut against the full per-path
+    pipeline run on the same streams, on Gaussian rows and on integer-step
+    rows with exact zeros.  Sharing the drivers across schedules
     is a variance-reduction coupling; each individual sample keeps the exact
     law.
 
@@ -521,30 +480,27 @@ def skew_terminal_samples(
     concurrently on a thread pool (one worker per usable CPU, at most one
     per chunk), and each writes only its own slice of the output, so the
     result is bit-identical to a serial run.  Each worker holds one row
-    block of 512 * n_steps float32 values plus up to four boolean masks of
-    that shape (about 16 MiB at 2**12 steps) and the sign uniforms of its
-    chunk, chunk * max_excursions * n_cells float64 values.
+    block of 512 * n_steps float32 values plus its int8 signs and up to
+    three boolean masks of that shape (about 16 MiB at 2**12 steps) and the
+    sign uniforms of its chunk, chunk * max_excursions * n_cells float64
+    values.
     """
     if variant not in ("signed", "absolute"):
         raise ValueError(f"unknown variant {variant!r}")
     _check_steps(n_steps)
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     dt = horizon / n_steps
-    bounds = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
+
+    def job(c: int, lo: int, hi: int):
+        rng_signs = [seed.child(f"bulk/signs/{k}/{c}").rng() for k in range(len(schedules))]
+        return functools.partial(
+            _bulk_chunk, seed.child(f"bulk/base/{c}").rng(), rng_signs, schedules,
+            hi - lo, n_steps, dt, variant,
+        )
+
     outs = [np.empty(n_paths) for _ in schedules]
-    with ThreadPoolExecutor(max_workers=max(1, min(len(bounds), _usable_cpus()))) as pool:
-        futures = []
-        for c, (lo, hi) in enumerate(bounds):
-            # generators are built in this thread, so the workers run numpy only
-            rng_signs = [seed.child(f"bulk/signs/{k}/{c}").rng() for k in range(len(schedules))]
-            futures.append(pool.submit(
-                _bulk_chunk, seed.child(f"bulk/base/{c}").rng(), rng_signs, schedules,
-                hi - lo, n_steps, dt, variant,
-            ))
-        for (lo, hi), future in zip(bounds, futures):
-            for out, values in zip(outs, future.result()):
-                out[lo:hi] = values
+    for rows, values in _run_chunks(n_paths, chunk, job):
+        for out, v in zip(outs, values):
+            out[rows] = v
     return [
         LawSample(out, t=horizon, tag=f"skew[{variant},{sched.kind}]")
         for out, sched in zip(outs, schedules)
@@ -558,26 +514,10 @@ def skew_terminal_sample(
     seed: SeedSpec,
     variant: str = "absolute",
     horizon: float = 1.0,
-    mode: str = "bulk",
     chunk: int = 8192,
 ) -> LawSample:
-    """Terminal values of many independent construction runs (trivial model).
-
-    ``perpath`` mode runs :func:`skew_path` for seed.with_path(k) and is the
-    bit-exact reference; ``bulk`` delegates to :func:`skew_terminal_samples`.
-    """
-    tag = f"skew[{variant},{schedule.kind}]"
-    if mode == "perpath":
-        grid = make_grid(horizon, n_steps)
-        out = np.array(
-            [
-                skew_path(schedule, grid, seed.with_path(k), variant).values[-1]
-                for k in range(n_paths)
-            ]
-        )
-        return LawSample(out, t=horizon, tag=tag)
-    if mode != "bulk":
-        raise ValueError(f"mode must be 'bulk' or 'perpath', got {mode!r}")
+    """Terminal values of many independent construction runs (trivial
+    model): the one-schedule case of :func:`skew_terminal_samples`."""
     return skew_terminal_samples(
         [schedule], n_paths, n_steps, seed, variant, horizon, chunk
     )[0]

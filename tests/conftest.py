@@ -23,6 +23,12 @@ def brownian(n_steps=2**12, path_index=0, label="test", x0=0.0, horizon=1.0):
     )
 
 
+def independent_pair(grid, seed):
+    """Two Brownian paths from the disjoint child streams ``pair0`` and
+    ``pair1`` of one seed."""
+    return sample_brownian(grid, seed.child("pair0")), sample_brownian(grid, seed.child("pair1"))
+
+
 def path_from_values(values):
     """Wrap explicit values on a unit-horizon grid of matching size."""
     from skewlab.grid_paths import SamplePath

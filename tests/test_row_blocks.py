@@ -243,18 +243,6 @@ def test_representation_block_size_free(model_family, base, n_steps, callable_st
     assert blocked == one_row
 
 
-def test_per_path_factory_outside_zoo_matches_zoo_member():
-    def custom(model, grid, seed):
-        return PROCESS_ZOO["bm"](model, grid, seed)
-
-    args = ("trivial",)
-    grid = make_grid(1.0, 64)
-    for name in ("abs_sigma", "zalpha_sigma"):
-        a = equivalence_suite(name, *args, custom, 0.7, SeedSpec(MASTER, "cz"), 1000, grid=grid)
-        b = equivalence_suite(name, *args, "bm", 0.7, SeedSpec(MASTER, "cz"), 1000, grid=grid)
-        assert a == b
-
-
 def test_later_blocks_leave_handed_out_paths_unchanged():
     grid = make_grid(1.0, 32)
     ctx = signed_measure._SuiteContext(

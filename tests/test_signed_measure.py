@@ -338,8 +338,14 @@ class TestEquivalenceSuites:
             equivalence_suite("gilat", "trivial", "bm", 0.5, SeedSpec(MASTER), 2000)
 
     def test_unknown_base(self):
-        with pytest.raises(ValueError):
-            equivalence_suite("abs_mart", "trivial", "levy", 0.5, SeedSpec(MASTER), 2000)
+        # a base is a zoo name or a zoo member; a per-path factory outside
+        # the zoo has no row kernel
+        def custom(model, grid, seed):
+            return PROCESS_ZOO["bm"](model, grid, seed)
+
+        for base in ("levy", custom):
+            with pytest.raises(ValueError, match="unknown base process"):
+                equivalence_suite("abs_mart", "trivial", base, 0.5, SeedSpec(MASTER), 2000)
 
 
 class TestOptionalRepresentation:

@@ -37,16 +37,15 @@ from skewlab.signflip import (
 from skewlab.skewbm import (
     LawSample,
     _base_rows,
+    _bulk_chunk,
     SkewBuildSpec,
     SkewLaw,
     build_skew,
     harrison_shepp_terminals,
-    harrison_shepp_walk,
     ks_statistic,
     law_test,
     recover_driving_noise,
     sde_residual,
-    skew_path,
     skew_terminal_sample,
     skew_terminal_samples,
     skew_transition_cdf,
@@ -86,14 +85,50 @@ def walk_terminals_reference(u, alpha):
 
 def reference_scan(rows):
     """Per-row excursion count and straddling-excursion birth index of base-path
-    rows (column j is path index j + 1), by a sign-change scan."""
+    rows (column j is path index j + 1), by a sign-change scan.  The birth is
+    the excursion's g index on the zero-prefixed path: the exact zero just
+    before its first covered index, else that index; 0 with no excursion."""
     sgn = np.sign(rows).astype(np.int8)
     nz = sgn != 0
     starts = nz.copy()
     starts[:, 1:] &= ~nz[:, :-1] | (sgn[:, 1:] != sgn[:, :-1])
     n_exc = starts.sum(axis=1)
-    last_start_col = rows.shape[1] - 1 - np.argmax(starts[:, ::-1], axis=1)
-    return n_exc, np.where(n_exc > 1, last_start_col + 1, 0)
+    first = rows.shape[1] - np.argmax(starts[:, ::-1], axis=1)
+    full = np.concatenate([np.zeros((len(rows), 1)), rows], axis=1)
+    at_zero = full[np.arange(len(rows)), first - 1] == 0
+    return n_exc, np.where(n_exc == 0, 0, np.where(at_zero, first - 1, first))
+
+
+class IntegerSteps:
+    """Stand-in for a base-path generator whose "normals" are integer steps
+    in {-1, 0, 1}: such rows return to exactly 0 often, which Gaussian rows
+    almost never do."""
+
+    def __init__(self):
+        self.rng = np.random.default_rng(MASTER)
+
+    def standard_normal(self, size, dtype):
+        return self.rng.integers(-1, 2, size).astype(dtype)
+
+
+def pipeline_terminals(rows, uniforms, sched, dt):
+    """Terminal values of the full decompose -> sign -> apply pipeline (absolute
+    variant) on each zero-prefixed base row, its excursion signs drawn
+    row-major from its row of uniforms."""
+    grid = make_grid(dt * rows.shape[1], rows.shape[1])
+    out = []
+    for row, u in zip(rows, uniforms):
+        path = SamplePath(grid, np.concatenate([[0.0], row.astype(float)]))
+        exc = decompose_excursions(path)
+        k = exc.n_excursions
+        signs = np.where(
+            u[: k * sched.n_cells].reshape(k, sched.n_cells) < np.asarray(sched.values)[None, :],
+            1,
+            -1,
+        ).astype(np.int8)
+        z = build_sign_path(exc, SignAssignment(signs), sched)
+        out.append(apply_sign(z, path, mode="absolute").values[-1])
+    return np.array(out)
 
 
 def one_shot_chunk(seed, c, m, n_steps, schedules):
@@ -331,21 +366,15 @@ class TestTransitionDensity:
 
 class TestHarrisonSheppWalk:
     def test_alpha_one_never_negative(self, seed):
-        w = harrison_shepp_walk(1.0, 512, seed)
+        w = harrison_shepp_terminals(1.0, 512, 200, seed)
         assert np.all(w.values >= 0)
 
     def test_scaling(self, seed):
-        w = harrison_shepp_walk(0.5, 256, seed)
-        steps = np.diff(w.values) * math.sqrt(256)
-        assert np.allclose(np.abs(steps), 1.0)
-
-    def test_batch_matches_single_walks(self, seed):
-        batch = harrison_shepp_terminals(0.7, 128, 16, seed)
-        singles = [
-            harrison_shepp_walk(0.7, 128, seed.with_path(k)).values[-1]
-            for k in range(16)
-        ]
-        assert np.array_equal(batch.values, singles)
+        # terminal * sqrt(n) is the integer walk state, which has n's parity
+        for n in (255, 256):
+            state = harrison_shepp_terminals(0.5, n, 200, seed).values * math.sqrt(n)
+            assert np.allclose(state, np.rint(state), rtol=0, atol=1e-9)
+            assert np.all((np.rint(state).astype(np.int64) - n) % 2 == 0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -412,12 +441,6 @@ class TestHarrisonSheppWalk:
         assert abs(frac_mid - alpha) < 0.01
         assert abs((p_pos + 0.5 * p_zero) - alpha) < 0.005  # exact-oracle link
 
-    def test_invalid_arguments(self, seed):
-        with pytest.raises(ValueError):
-            harrison_shepp_walk(1.2, 16, seed)
-        with pytest.raises(ValueError):
-            harrison_shepp_walk(0.5, 0, seed)
-
     @pytest.mark.parametrize(
         "alpha,n_steps,chunk,match",
         [
@@ -444,35 +467,29 @@ class TestTerminalSamplers:
         seed = SeedSpec(MASTER, "bulkhonesty")
         n_paths, n_steps, chunk = 300, 512, 128
         bulk = skew_terminal_sample(sched, n_paths, n_steps, seed, chunk=chunk)
-        grid = make_grid(1.0, n_steps)
         for c, lo in enumerate(range(0, n_paths, chunk)):
             hi = min(lo + chunk, n_paths)
-            m = hi - lo
-            rows, _, _, (u,) = one_shot_chunk(seed, c, m, n_steps, [sched])
-            for p in range(m):
-                path = SamplePath(grid, np.concatenate([[0.0], rows[p].astype(float)]))
-                exc = decompose_excursions(path)
-                k = exc.n_excursions
-                signs = np.where(
-                    u[p, : k * sched.n_cells].reshape(k, sched.n_cells)
-                    < np.asarray(sched.values)[None, :],
-                    1,
-                    -1,
-                ).astype(np.int8)
-                z = build_sign_path(exc, SignAssignment(signs), sched)
-                full = apply_sign(z, path, mode="absolute").values[-1]
-                assert full == bulk.values[lo + p]
+            rows, _, _, (u,) = one_shot_chunk(seed, c, hi - lo, n_steps, [sched])
+            full = pipeline_terminals(rows, u, sched, 1.0 / n_steps)
+            assert np.array_equal(full, bulk.values[lo:hi])
+
+    def test_bulk_equals_full_pipeline_with_exact_zeros(self):
+        # integer-step rows start with zeros and start excursions right after
+        # exact zeros, where the birth cell decides the sign; 4000 rows span
+        # eight row blocks
+        sched = AlphaSchedule.piecewise([0.0, 4.0], [0.1, 0.9])
+        m, n_steps = 4000, 8
+        (bulk,) = _bulk_chunk(
+            IntegerSteps(), [np.random.default_rng(MASTER + 1)], [sched], m, n_steps, 1.0,
+            "absolute",
+        )
+        rows = np.cumsum(IntegerSteps().standard_normal((m, n_steps), np.float32), axis=1)
+        n_exc, _ = reference_scan(rows)
+        u = np.random.default_rng(MASTER + 1).random((m, max(n_exc.max(), 1) * sched.n_cells))
+        assert np.array_equal(bulk, pipeline_terminals(rows, u, sched, 1.0))
 
     def test_start_scan_with_exact_zeros(self):
-        # integer steps return to exactly 0 often, which Gaussian rows almost
-        # never do; 1300 rows span three row blocks
-        class IntegerSteps:
-            def __init__(self):
-                self.rng = np.random.default_rng(MASTER)
-
-            def standard_normal(self, size, dtype):
-                return self.rng.integers(-1, 2, size).astype(dtype)
-
+        # 1300 rows span three row blocks
         rows = np.cumsum(IntegerSteps().standard_normal((1300, 40), np.float32), axis=1)
         n_exc, birth, terminal = _base_rows(IntegerSteps(), 1300, 40, 1.0)
         ref_n_exc, ref_birth = reference_scan(rows)
@@ -558,10 +575,14 @@ class TestTerminalSamplers:
         assert np.array_equal(multi[0].values, single.values)
 
     def test_perpath_law(self):
-        s = skew_terminal_sample(
-            AlphaSchedule.constant(0.7), 2000, 256, SeedSpec(MASTER, "pp"), mode="perpath"
-        )
-        rep = law_test(s, SkewLaw(0.7, 1.0))
+        # one full construction run per path, path k on seed.with_path(k)
+        sched = AlphaSchedule.constant(0.7)
+        grid = make_grid(1.0, 256)
+        terminals = []
+        for k in range(2000):
+            s = SeedSpec(MASTER, "pp").with_path(k)
+            terminals.append(build_skew(trivial_spec(sched, grid, s), s.child("signs")).values[-1])
+        rep = law_test(LawSample(np.array(terminals), 1.0), SkewLaw(0.7, 1.0))
         assert rep.passed
 
     def test_signed_flip_of_brownian_driver_stays_symmetric(self):
