@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .excursion import decompose_excursions, last_zero_curve
 from .grid_paths import SeedSpec, make_grid, refine_bridge, sample_brownian
 from .localtime import identity_residual, ito_sum, local_time
 from .signed_measure import (
@@ -30,11 +29,10 @@ from .signed_measure import (
     Decomposition,
     PROCESS_ZOO,
     TestReport,
-    build_model,
     density_products,
     martingale_drift_test,
     optional_representation_check,
-    sigma_h_check,
+    sigma_h_panel,
 )
 from .signflip import AlphaSchedule, apply_sign, draw_sign_path
 from .skewbm import (
@@ -257,16 +255,22 @@ def run_identities(cfg: ExperimentConfig, seed: SeedSpec):
     for i in range(cfg.n_seeds):
         paths = _coupled_paths(seed.child("identities"), cfg.n_steps, i)
         for n, p in paths.items():
-            gamma, _ = last_zero_curve(decompose_excursions(p))
+            # the curve outlives the loop: made before the level's
+            # temporaries, it does not pin the top of the heap
+            if i == 0:
+                curves.append(CurveSeries(
+                    f"tanaka_residual_n{n}", p.grid.times,
+                    local_time(p, "tanaka").curve.values
+                    - local_time(p, "occupation").curve.values,
+                ))
             y = p.with_values(np.abs(p.values))
-            k = p.with_values(np.cos(p.grid.times[gamma.gamma]))
             sgn = p.with_values(np.sign(p.values))
             m = ito_sum(sgn, p)
             v = p.with_values(y.values - m.values)
             rs = {
                 "tanaka": identity_residual("tanaka", path=p),
                 "balayage": identity_residual(
-                    "balayage_predictable", y=y, k=k, reference=p
+                    "balayage_predictable", y=y, k=np.cos, reference=p
                 ),
                 "transform": identity_residual(
                     "transform_c3", total=y, martingale_part=m, fv_part=v,
@@ -275,12 +279,6 @@ def run_identities(cfg: ExperimentConfig, seed: SeedSpec):
             }
             for kind, r in rs.items():
                 kinds[kind].setdefault(n, []).append(r.sup_norm)
-            if i == 0:
-                curves.append(CurveSeries(
-                    f"tanaka_residual_n{n}", p.grid.times,
-                    local_time(p, "tanaka").curve.values
-                    - local_time(p, "occupation").curve.values,
-                ))
     # the cross-estimator local-time residual floors at O(N^{-1/4}); the
     # default threshold follows that rate so coarse-mesh runs stay calibrated
     finest_level = max(cfg.n_steps)
@@ -341,13 +339,9 @@ def run_sigma_h(cfg: ExperimentConfig, seed: SeedSpec):
     ]
     tol = cfg.tol("carried_by", 0.05)
     for base_name, fam, positive in cases:
-        stats, passes = [], []
-        for i in range(cfg.n_seeds):
-            s = seed.child(f"sigma/{base_name}").with_path(i)
-            model = build_model(fam, g, s.child("model"))
-            rep = sigma_h_check(PROCESS_ZOO[base_name](model, g, s), model, tol=tol)
-            stats.append(rep.statistic)
-            passes.append(rep.passed)
+        stats, passes = sigma_h_panel(
+            fam, base_name, g, seed.child(f"sigma/{base_name}"), cfg.n_seeds, tol=tol
+        )
         frac = float(np.mean(passes))
         ok = frac >= 0.5 if positive else frac < 0.5
         name = base_name if positive else "negative_control"

@@ -89,12 +89,13 @@ class ExcursionRows:
     are computed up front; each other field is computed on first read.
     Excursion-level arrays (``births``, ``ends``, ``signs``) list the
     excursions of row 0, then row 1, and so on; ``counts[r]`` is the number
-    of excursions of row r.
+    of excursions of row r.  Values of magnitude <= ``snap_tol`` count as
+    exact zeros; it is one tolerance or a column of one per row.
     """
 
-    def __init__(self, values: np.ndarray, snap_tol: float = 0.0):
+    def __init__(self, values: np.ndarray, snap_tol=0.0):
         x = values
-        if snap_tol > 0.0:
+        if np.any(snap_tol > 0.0):
             x = np.where(np.abs(x) <= snap_tol, 0.0, x)
         # signs straight into int8, with no full-size float temporary
         self.sign = np.sign(x, out=np.empty(x.shape, np.int8), casting="unsafe")

@@ -7,8 +7,9 @@ fans out across independent paths, never inside one sum.
 Sign convention: sgn(0) = 0 throughout (the symmetric local time convention),
 which is what numpy.sign provides.
 
-``ito_rows`` and ``tanaka_rows`` work along the last axis of an array, so one
-call serves a single path or a ``(rows, n_points)`` block; ``ito_sum`` and
+``ito_rows``, ``covariation_rows`` and ``tanaka_rows`` work along the last
+axis of an array, so one call serves a single path or a ``(rows, n_points)``
+block; ``ito_sum``, ``quadratic_covariation`` and
 ``local_time(path, "tanaka")`` are their one-path case.
 """
 
@@ -27,6 +28,7 @@ __all__ = [
     "ResidualReport",
     "ito_rows",
     "ito_sum",
+    "covariation_rows",
     "tanaka_rows",
     "quadratic_covariation",
     "local_time",
@@ -94,6 +96,17 @@ def ito_sum(integrand: SamplePath, integrator: SamplePath) -> SamplePath:
     return SamplePath(integrand.grid, ito_rows(integrand.values, integrator.values))
 
 
+def covariation_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cumulative sums of increment products along the last axis:
+    out[..., j] = sum_{i<j} (x[..., i+1] - x[..., i]) * (y[..., i+1] - y[..., i])."""
+    out = np.empty(x.shape)
+    out[..., 0] = 0.0
+    steps = np.diff(x, axis=-1)
+    steps *= np.diff(y, axis=-1)
+    np.cumsum(steps, axis=-1, out=out[..., 1:])
+    return out
+
+
 def tanaka_rows(x: np.ndarray) -> np.ndarray:
     """Discrete Tanaka local time along the last axis:
     |X_t| - |X_0| - sum sgn(X_i) (X_{i+1} - X_i)."""
@@ -104,14 +117,10 @@ def tanaka_rows(x: np.ndarray) -> np.ndarray:
 
 
 def quadratic_covariation(x: SamplePath, y: SamplePath) -> SamplePath:
-    """Cumulative sum of increment products <x, y>."""
+    """Cumulative sum of increment products <x, y>: the one-path case of
+    :func:`covariation_rows`."""
     _check_aligned(x, y)
-    out = np.empty(len(x.values))
-    out[0] = 0.0
-    steps = np.diff(x.values)
-    steps *= np.diff(y.values)
-    np.cumsum(steps, out=out[1:])
-    return SamplePath(x.grid, out)
+    return SamplePath(x.grid, covariation_rows(x.values[None, :], y.values[None, :])[0])
 
 
 def local_time(

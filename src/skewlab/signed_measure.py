@@ -16,11 +16,15 @@ so the harness checks the property two independent ways: the pathwise
 residual of that display (``qp_residual``) and a conditional-drift test on
 the simulated product process (``martingale_drift_test``).
 
-The short-row suites (the drift test, the equivalence suites and the
-optional representation check) build their models and base processes a row
-block at a time (``build_model_rows`` and the zoo's row kernels), so each
-block is built once and read by everything the suite needs; ``build_model``
-and the ``PROCESS_ZOO`` members are their one-row case.
+The suites (the drift test, the equivalence suites, the optional
+representation check and the sigma_h panels) build their models and base
+processes a row block at a time (``build_model_rows`` and the zoo's row
+kernels), so each block is built once and read by everything the suite
+needs; ``build_model`` and the ``PROCESS_ZOO`` members are their one-row
+case.  Likewise the qp residual, the carried-by fraction and Sigma(H)
+membership are row kernels that work along the last axis of a block's
+arrays; ``qp_residual``, ``carried_by_check`` and ``sigma_h_check`` are
+their one-row case.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy.special import kolmogi
 
-from .excursion import ExcursionRows, LastZeroCurve, ZeroMask, decompose_excursions
+from .excursion import ExcursionRows, LastZeroCurve, ZeroMask
 from .grid_paths import (
     SamplePath,
     SeedSpec,
@@ -43,8 +47,8 @@ from .grid_paths import (
     brownian_rows,
     make_grid,
 )
-from .localtime import ResidualReport, ito_rows, ito_sum, quadratic_covariation, tanaka_rows
-from .signflip import AlphaSchedule, apply_sign, draw_sign_path, sign_path_rows
+from .localtime import ResidualReport, covariation_rows, ito_rows, tanaka_rows
+from .signflip import AlphaSchedule, sign_path_rows
 
 __all__ = [
     "HYPOTHESIS_NOT_MET",
@@ -63,6 +67,7 @@ __all__ = [
     "carried_by_check",
     "martingale_drift_test",
     "sigma_h_check",
+    "sigma_h_panel",
     "equivalence_suite",
     "optional_representation_check",
     "EQUIVALENCE_SUITES",
@@ -282,21 +287,51 @@ class TestReport:
 # ---------------------------------------------------------------------------
 
 
+def _qp_rows(d: np.ndarray, total: np.ndarray, fv: Optional[np.ndarray] = None) -> np.ndarray:
+    """Residual curves of  int_0^t D dv + <M, D>_t  along the last axis, for
+    M = total with finite-variation part fv (v = 0 when fv is None)."""
+    residual = covariation_rows(total, d)
+    if fv is not None:
+        residual += ito_rows(d, fv)
+    return residual
+
+
+def _check_same_grid(dec: Decomposition, model: SignedMeasureModel) -> None:
+    if not model.rows.grid.same_as(dec.total.grid):
+        raise ValueError("decomposition and model live on different grids")
+
+
 def qp_residual(dec: Decomposition, model: SignedMeasureModel) -> ResidualReport:
-    """Residual curve of  int_0^t D dv + <M, D>_t  for one decomposition.
+    """Residual curve of  int_0^t D dv + <M, D>_t  for one decomposition: the
+    one-row case of the qp row kernel.
 
     A residual near zero certifies the signed-measure local-martingale
     property of M = m + v; the caller asserts which part is the finite
     variation one.
     """
-    d = model.d_path
-    if not d.grid.same_as(dec.total.grid):
-        raise ValueError("decomposition and model live on different grids")
-    residual = ito_rows(d.values, dec.fv_part.values)
-    residual += quadratic_covariation(dec.total, d).values
+    _check_same_grid(dec, model)
+    residual = _qp_rows(
+        model.d_path.values[None, :], dec.total.values[None, :], dec.fv_part.values[None, :]
+    )[0]
     return ResidualReport.from_residual(
         f"qp_residual[{dec.label or 'unnamed'}]", residual, dec.total.grid.n_steps, None
     )
+
+
+def _carried_rows(fv: np.ndarray, mask: np.ndarray, dilation: int) -> np.ndarray:
+    """Carried-by statistic of each row of fv: the total variation over the
+    increments within ``dilation`` steps of a mask index, over the total
+    variation, and 1 where that is 0."""
+    dv = np.diff(fv, axis=-1)
+    np.abs(dv, out=dv)
+    total = dv.sum(axis=-1)
+    near = ZeroMask(mask).dilate(dilation)
+    near_incr = near[:, :-1] | near[:, 1:]
+    stat = np.ones(len(dv))
+    # compacted row by row: a masked sum along the axis rounds differently
+    for r in np.flatnonzero(total):
+        stat[r] = dv[r][near_incr[r]].sum() / total[r]
+    return stat
 
 
 def carried_by_check(
@@ -306,7 +341,8 @@ def carried_by_check(
     dilation: int = 2,
     seed: Optional[SeedSpec] = None,
 ) -> TestReport:
-    """Fraction of the total variation of fv accumulated near the mask.
+    """Fraction of the total variation of fv accumulated near the mask: the
+    one-row case of the carried-by row kernel.
 
     The statistic is TV(fv restricted to increments within ``dilation`` grid
     steps of a mask index) / TV(fv); it passes when >= 1 - tol.  Zero total
@@ -314,15 +350,7 @@ def carried_by_check(
     """
     if len(mask) != len(fv.values):
         raise ValueError("mask and path lengths differ")
-    dv = np.diff(fv.values)
-    np.abs(dv, out=dv)
-    total = float(dv.sum())
-    if total == 0.0:
-        stat = 1.0
-    else:
-        near = mask.dilate(dilation)
-        near_incr = near[:-1] | near[1:]
-        stat = float(dv[near_incr].sum() / total)
+    stat = float(_carried_rows(fv.values[None, :], mask.flags[None, :], dilation)[0])
     return TestReport(
         suite="carried_by",
         statistic=stat,
@@ -463,6 +491,21 @@ def martingale_drift_test(
 # ---------------------------------------------------------------------------
 
 
+def _sigma_rows(models: ModelRows, src, mart, fv, tol=0.05, dilation=2, qp_tol=0.05,
+                snap_scale=2.0):
+    """Sigma(H) membership of X = M + A along the last axis, with the zeros
+    of X read off ``src``: per row the carried-by statistic of A, the qp
+    terminal of M, whether both parts start at 0, and the verdict."""
+    nonneg = (src >= 0.0).all(axis=-1)
+    snap = np.where(nonneg, snap_scale * math.sqrt(models.grid.dt), 0.0)
+    mask = ExcursionRows(src, snap_tol=snap[:, None]).events | models.zeros.events
+    carried = _carried_rows(fv, mask, dilation)
+    qp = np.abs(_qp_rows(models.d, mart)[:, -1])
+    starts_ok = (fv[:, 0] == 0.0) & (mart[:, 0] == 0.0)
+    passed = (carried >= 1.0 - tol) & (qp < qp_tol) & starts_ok
+    return carried, qp, starts_ok, passed
+
+
 def sigma_h_check(
     dec: Decomposition,
     model: SignedMeasureModel,
@@ -472,7 +515,8 @@ def sigma_h_check(
     snap_scale: float = 2.0,
     seed: Optional[SeedSpec] = None,
 ) -> TestReport:
-    """Membership check for X = M + A in the class Sigma(H).
+    """Membership check for X = M + A in the class Sigma(H): the one-row case
+    of the Sigma(H) row kernel.
 
     Passes iff (a) dA is carried by {X = 0} union H, (b) the qp residual of
     the martingale part M, split as M = M + 0, stays below ``qp_tol``, and
@@ -481,33 +525,22 @@ def sigma_h_check(
     nonnegative X without a source, values within snap_scale*sqrt(dt) of zero
     are treated as zeros, since a reflected path never changes sign on a grid.
     """
-    x = dec.total
-    src = dec.zero_path
-    snap = 0.0
-    if np.all(src.values >= 0.0):
-        snap = snap_scale * math.sqrt(src.grid.dt)
-    x_events = decompose_excursions(src, snap_tol=snap).zero_events
-    mask = ZeroMask(x_events.flags | model.h_mask.flags)
-
-    carried = carried_by_check(dec.fv_part, mask, tol=tol, dilation=dilation, seed=seed)
-
-    qp = qp_residual(Decomposition.martingale(dec.martingale_part, f"{dec.label}:mart"), model)
-    qp_ok = qp.terminal < qp_tol
-
-    starts_ok = dec.fv_part.values[0] == 0.0 and dec.martingale_part.values[0] == 0.0
-
-    passed = bool(carried.passed and qp_ok and starts_ok)
+    _check_same_grid(dec, model)
+    rows = [p.values[None, :] for p in (dec.zero_path, dec.martingale_part, dec.fv_part)]
+    carried, qp, starts_ok, passed = (
+        r[0] for r in _sigma_rows(model.block, *rows, tol, dilation, qp_tol, snap_scale)
+    )
     return TestReport(
         suite="sigma_h",
-        statistic=carried.statistic,
+        statistic=float(carried),
         threshold=1.0 - tol,
         n_paths=1,
-        n_steps=x.grid.n_steps,
+        n_steps=dec.total.grid.n_steps,
         seed=seed,
-        passed=passed,
+        passed=bool(passed),
         detail=(
-            f"carried={carried.statistic:.4f} qp_terminal={qp.terminal:.4f} "
-            f"starts_ok={starts_ok} label={dec.label}"
+            f"carried={carried:.4f} qp_terminal={qp:.4f} "
+            f"starts_ok={bool(starts_ok)} label={dec.label}"
         ),
     )
 
@@ -657,22 +690,46 @@ def density_products(
 _PROBE_PATHS = 200
 
 
-def _flip_rows(dec: DecompositionRows, alpha: float, seeds) -> np.ndarray:
-    """Z^alpha applied to the totals, with signs drawn on the zero source from
-    each path's ``flip`` substream.
-
-    A nonnegative total (a reflection) is flipped as Z * |source|: its own
-    discretization shows no sign changes to hang excursions on.
-    """
-    src = dec.zero_path
+def _flip_rows(dec: DecompositionRows, alpha: float, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Z^alpha, with signs drawn on the zero source from each path's ``flip``
+    substream, and Z * X."""
     z = sign_path_rows(
-        src, dec.grid, AlphaSchedule.constant(alpha), [s.child("flip") for s in seeds]
+        dec.zero_path, dec.grid, AlphaSchedule.constant(alpha), [s.child("flip") for s in seeds]
     )
-    flipped = z * dec.total
-    if dec.zero_source is not None:
-        reflected = (dec.total >= 0).all(axis=1)
-        flipped[reflected] = z[reflected] * np.abs(src[reflected])
-    return flipped
+    return z, z * dec.total
+
+
+def _abs_split(dec: DecompositionRows, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """|X| - |X_0| split as int sgn(X) dM plus the rest as A."""
+    m = ito_rows(np.sign(dec.zero_path), dec.martingale_part)
+    total = np.abs(dec.total)
+    return m, total - total[:, :1] - m
+
+
+def _flip_split(dec: DecompositionRows, seeds, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Z^alpha X split as int Z dM plus the rest as A."""
+    z, flipped = _flip_rows(dec, alpha, seeds)
+    m = ito_rows(z, dec.martingale_part)
+    return m, flipped - m
+
+
+def _sigma_side(split=None, tol: float = 0.05):
+    """A side of sigma_h (statistic, verdict) rows of X = M + A, with (M, A)
+    = ``split(dec, seeds)`` (the base's own split when None) and the zeros
+    of X read off the base's zero source."""
+
+    def side(models: ModelRows, dec: DecompositionRows, seeds) -> np.ndarray:
+        m, fv = (dec.martingale_part, dec.fv_part) if split is None else split(dec, seeds)
+        carried, _, _, passed = _sigma_rows(models, dec.zero_path, m, fv, tol)
+        return np.column_stack((carried, passed))
+
+    return side
+
+
+def _majority(panel: np.ndarray) -> tuple[bool, float]:
+    """Majority verdict over a panel of sigma_h rows and the median statistic."""
+    passed = int(panel[:, 1].sum()) >= (len(panel) + 1) // 2
+    return passed, float(np.median(panel[:, 0]))
 
 
 def _hypothesis_violations(models: ModelRows, dec: DecompositionRows, k: int, dilation: int = 2) -> int:
@@ -686,6 +743,48 @@ def _hypothesis_violations(models: ModelRows, dec: DecompositionRows, k: int, di
 def _product_at(models: ModelRows, x: np.ndarray, columns) -> np.ndarray:
     """Columns of the products D * X."""
     return models.d[:, columns] * x[:, columns]
+
+
+def _read_blocks(model_family: str, base_rows, grid: TimeGrid, seed: SeedSpec, sides,
+                 n_probe: int = 0, hyp_frac: float = 0.0):
+    """Read what a suite needs in one pass over its row blocks, so each block
+    of models and base processes is built once.
+
+    Each side is a pair ``(n, side)``: ``side`` maps a block ``(models, dec,
+    seeds)`` to one row per path and is gathered over the first n paths.
+    The zeros of the first ``n_probe`` paths are checked against H, and the
+    pass stops after the probe when more than ``hyp_frac`` of them fail.
+
+    Returns (probe violation fraction, side matrices or None when the probe
+    failed).
+    """
+    gathered = [[] for _ in sides]
+
+    def read_block(lo: int, hi: int) -> int:
+        models, dec, seeds = _instances(model_family, base_rows, grid, seed, lo, hi)
+        for out, (n, side) in zip(gathered, sides):
+            if lo < n:
+                out.append(side(models, dec, seeds)[: min(hi, n) - lo])
+        probed = min(hi, n_probe) - lo
+        return _hypothesis_violations(models, dec, probed) if probed > 0 else 0
+
+    bad = 0
+    for lo, hi in _block_bounds(grid, max(n for n, _ in sides)):
+        bad += read_block(lo, hi)
+        if lo < n_probe <= hi and bad / n_probe > hyp_frac:
+            return bad / n_probe, None
+    return (bad / n_probe if n_probe else 0.0), [np.concatenate(out) for out in gathered]
+
+
+def sigma_h_panel(model_family: str, base, grid: TimeGrid, seed: SeedSpec, n_paths: int, tol=0.05):
+    """sigma_h statistics and verdicts of paths 0..n_paths-1 of a model family
+    and a base process, path p from ``seed.with_path(p)`` as in
+    :func:`density_products`, each block of rows built and checked in one
+    call."""
+    _, (panel,) = _read_blocks(
+        model_family, _zoo_rows(base), grid, seed, [(n_paths, _sigma_side(tol=tol))]
+    )
+    return panel[:, 0], panel[:, 1].astype(bool)
 
 
 @dataclass
@@ -710,107 +809,33 @@ class _SuiteContext:
     def drift(self, values: np.ndarray, pairs, tag: str) -> TestReport:
         return _drift_report(values, self.grid, pairs, self.seed, self.threshold, tag)
 
-    def read(self, sides=(), probe: bool = False, n_panel: int = 0, per_path=None):
-        """Read what a suite needs in one pass over its row blocks, so each
-        block of models and base processes is built once.
-
-        Each side maps a block ``(models, dec, seeds)`` to one row per path
-        and is gathered over the first ``n_paths`` paths.  With ``probe`` the
-        zeros of the first ``_PROBE_PATHS`` paths are checked against H, and
-        the pass stops after the probe when more than ``hyp_frac`` of them
-        fail.  ``per_path(model, dec, seed)`` is evaluated on each of the
-        first ``n_panel`` paths.
-
-        Returns (probe violation fraction, side matrices or None when the
-        probe failed, per-path results).
-        """
-        n_sides = self.n_paths if sides else 0
+    def read(self, sides, probe: bool = False):
+        """:func:`_read_blocks` on this suite's paths; with ``probe`` the
+        first ``_PROBE_PATHS`` of them are probed."""
         n_probe = min(_PROBE_PATHS, self.n_paths) if probe else 0
-        gathered, panel = [[] for _ in sides], []
+        return _read_blocks(
+            self.model_family, self.base_rows, self.grid, self.seed, sides, n_probe, self.hyp_frac
+        )
 
-        def read_block(lo: int, hi: int) -> int:
-            models, dec, seeds = _instances(
-                self.model_family, self.base_rows, self.grid, self.seed, lo, hi
-            )
-            for out, side in zip(gathered, sides):
-                out.append(side(models, dec, seeds)[: max(0, min(hi, n_sides) - lo)])
-            panel.extend(
-                per_path(models.row(j), dec.row(j), seeds[j])
-                for j in range(min(hi, n_panel) - lo)
-            )
-            probed = min(hi, n_probe) - lo
-            return _hypothesis_violations(models, dec, probed) if probed > 0 else 0
+    def panel(self, split=None):
+        """A side of sigma_h rows gathered over the first ``n_sigma_paths``."""
+        return self.n_sigma_paths, _sigma_side(split)
 
-        bad = 0
-        for lo, hi in _block_bounds(self.grid, max(n_sides, n_panel)):
-            bad += read_block(lo, hi)
-            if lo < n_probe <= hi and bad / n_probe > self.hyp_frac:
-                return bad / n_probe, None, panel
-        sides_read = [np.concatenate(out) for out in gathered]
-        return (bad / n_probe if n_probe else 0.0), sides_read, panel
-
-
-def _sigma_check(ctx: _SuiteContext, model, dec, sp, transform: Optional[str] = None) -> TestReport:
-    """sigma_h verdict of one path, or of its abs or flip transform."""
-    if transform == "abs":
-        dec = _abs_transform(dec)
-    elif transform == "flip":
-        dec = _flip_transform(dec, ctx.alpha, sp.child("flip"))
-    return sigma_h_check(dec, model, seed=ctx.seed)
-
-
-def _majority(reports) -> tuple[bool, float]:
-    """Majority sigma_h verdict over a panel of paths and the median statistic."""
-    passed = sum(r.passed for r in reports) >= (len(reports) + 1) // 2
-    return passed, float(np.median([r.statistic for r in reports]))
-
-
-def _abs_transform(dec: Decomposition) -> Decomposition:
-    """|X| with martingale part int sgn(X) dM and the rest as A."""
-    src = dec.zero_path
-    sgn = SamplePath(dec.total.grid, np.sign(src.values))
-    m = ito_sum(sgn, dec.martingale_part)
-    total = SamplePath(dec.total.grid, np.abs(dec.total.values))
-    fv = SamplePath(dec.total.grid, total.values - total.values[0] - m.values)
-    if total.values[0] != 0.0:
-        total = SamplePath(total.grid, total.values - total.values[0])
-    return Decomposition(
-        total=total,
-        martingale_part=m,
-        fv_part=fv,
-        label=f"abs({dec.label})",
-        zero_source=src,
-    )
-
-
-def _flip_transform(dec: Decomposition, alpha: float, seed: SeedSpec) -> Decomposition:
-    """Z^alpha X with martingale part int Z dM and the rest as A."""
-    src = dec.zero_path
-    z = draw_sign_path(src, AlphaSchedule.constant(alpha), seed)
-    total = apply_sign(z, dec.total, mode="signed")
-    m = ito_sum(z, dec.martingale_part)
-    fv = SamplePath(dec.total.grid, total.values - m.values)
-    return Decomposition(
-        total=total,
-        martingale_part=m,
-        fv_part=fv,
-        label=f"flip({dec.label})",
-        zero_source=src,
-    )
+    def report(self, name, statistic, passed, detail, threshold=1.0, n_paths=None) -> TestReport:
+        """The report of suite ``name`` on this suite's grid and seed (over
+        all ``n_paths`` paths unless told otherwise)."""
+        n_paths = self.n_paths if n_paths is None else n_paths
+        return TestReport(
+            f"equivalence.{name}", statistic, threshold, n_paths, self.grid.n_steps, self.seed,
+            passed, detail,
+        )
 
 
 def _iff_report(ctx, name, left_pass, right_pass, stat, extra="") -> TestReport:
     left = "pass" if left_pass else "fail"
     right = "pass" if right_pass else "fail"
-    return TestReport(
-        suite=f"equivalence.{name}",
-        statistic=stat,
-        threshold=1.0,
-        n_paths=ctx.n_paths,
-        n_steps=ctx.grid.n_steps,
-        seed=ctx.seed,
-        passed=left_pass == right_pass,
-        detail=f"left={left} right={right} {extra}".strip(),
+    return ctx.report(
+        name, stat, left_pass == right_pass, f"left={left} right={right} {extra}".strip()
     )
 
 
@@ -818,10 +843,11 @@ def _mart_suite(ctx: _SuiteContext, name: str, right_process) -> TestReport:
     """An iff suite of two drift tests: D * X on the left, D * right_process
     on the right, after the hypothesis probe."""
     pairs, columns = ctx.drift_columns()
-    frac, sides, _ = ctx.read(
+    frac, sides = ctx.read(
         [
-            lambda models, dec, seeds: _product_at(models, dec.total, columns),
-            lambda models, dec, seeds: _product_at(models, right_process(dec, seeds), columns),
+            (ctx.n_paths, lambda models, dec, seeds: _product_at(models, dec.total, columns)),
+            (ctx.n_paths,
+             lambda models, dec, seeds: _product_at(models, right_process(dec, seeds), columns)),
         ],
         probe=True,
     )
@@ -833,22 +859,10 @@ def _mart_suite(ctx: _SuiteContext, name: str, right_process) -> TestReport:
     return _iff_report(ctx, name, left.passed, right.passed, stat)
 
 
-def _suite_abs_mart(ctx: _SuiteContext) -> TestReport:
-    return _mart_suite(ctx, "abs_mart", lambda dec, seeds: np.abs(dec.total))
-
-
-def _suite_zalpha_mart(ctx: _SuiteContext) -> TestReport:
-    return _mart_suite(ctx, "zalpha_mart", lambda dec, seeds: _flip_rows(dec, ctx.alpha, seeds))
-
-
-def _sigma_suite(ctx: _SuiteContext, name: str, transform: str) -> TestReport:
+def _sigma_suite(ctx: _SuiteContext, name: str, split) -> TestReport:
     """An iff suite of two sigma_h panels, the base and its transform."""
-    _, _, panel = ctx.read(
-        n_panel=ctx.n_sigma_paths,
-        per_path=lambda *row: (_sigma_check(ctx, *row), _sigma_check(ctx, *row, transform)),
-    )
-    left, right = zip(*panel)
-    (left_pass, left_stat), (right_pass, right_stat) = _majority(left), _majority(right)
+    _, panels = ctx.read([ctx.panel(), ctx.panel(split)])
+    (left_pass, left_stat), (right_pass, right_stat) = map(_majority, panels)
     stat = 1.0 - min(left_stat, right_stat)
     return _iff_report(
         ctx, name, left_pass, right_pass, stat,
@@ -856,21 +870,13 @@ def _sigma_suite(ctx: _SuiteContext, name: str, transform: str) -> TestReport:
     )
 
 
-def _suite_abs_sigma(ctx: _SuiteContext) -> TestReport:
-    return _sigma_suite(ctx, "abs_sigma", "abs")
-
-
-def _suite_zalpha_sigma(ctx: _SuiteContext) -> TestReport:
-    return _sigma_suite(ctx, "zalpha_sigma", "flip")
-
-
 def _suite_cmart(ctx: _SuiteContext) -> TestReport:
     pairs, columns = ctx.drift_columns()
-    _, (half_flips,), panel = ctx.read(
-        [lambda models, dec, seeds: _product_at(models, _flip_rows(dec, 0.5, seeds), columns)],
-        n_panel=ctx.n_sigma_paths,
-        per_path=lambda *row: _sigma_check(ctx, *row),
-    )
+    _, (panel, half_flips) = ctx.read([
+        ctx.panel(),
+        (ctx.n_paths,
+         lambda models, dec, seeds: _product_at(models, _flip_rows(dec, 0.5, seeds)[1], columns)),
+    ])
     left_pass, left_stat = _majority(panel)
     right = ctx.drift(half_flips, pairs, "equivalence.cmart.right")
     stat = right.statistic / ctx.threshold
@@ -882,41 +888,29 @@ def _suite_cmart(ctx: _SuiteContext) -> TestReport:
 
 def _suite_ito_xdx(ctx: _SuiteContext) -> TestReport:
     pairs, columns = ctx.drift_columns()
-    _, (xdx,), _ = ctx.read(
-        [lambda models, dec, seeds: _product_at(models, ito_rows(dec.total, dec.total), columns)]
+    _, (xdx,) = ctx.read(
+        [(ctx.n_paths,
+          lambda models, dec, seeds: _product_at(models, ito_rows(dec.total, dec.total), columns))]
     )
     rep = ctx.drift(xdx, pairs, "equivalence.ito_xdx")
-    return TestReport(
-        suite="equivalence.ito_xdx",
-        statistic=rep.statistic / ctx.threshold,
-        threshold=1.0,
-        n_paths=ctx.n_paths,
-        n_steps=ctx.grid.n_steps,
-        seed=ctx.seed,
-        passed=rep.passed,
-        detail=rep.detail,
-    )
+    return ctx.report("ito_xdx", rep.statistic / ctx.threshold, rep.passed, rep.detail)
 
 
 def _suite_qp_brownian(ctx: _SuiteContext, qv_tol: float = 0.05, qp_tol: float = 0.05) -> TestReport:
     horizon = ctx.grid.horizon
 
-    def residuals(model, dec, _):
-        qv = quadratic_covariation(dec.total, dec.total).values[-1]
-        return abs(qv - horizon), qp_residual(dec, model).terminal
+    def residuals(models, dec, seeds):
+        qv = covariation_rows(dec.total, dec.total)[:, -1]
+        qp = _qp_rows(models.d, dec.total, dec.fv_part)[:, -1]
+        return np.column_stack((np.abs(qv - horizon), np.abs(qp)))
 
-    _, _, panel = ctx.read(n_panel=ctx.n_sigma_paths, per_path=residuals)
-    qv_errs, qp_terms = zip(*panel)
+    _, (panel,) = ctx.read([(ctx.n_sigma_paths, residuals)])
+    qv_errs, qp_terms = panel.T
     stat = max(float(np.median(qv_errs)) / qv_tol, float(np.median(qp_terms)) / qp_tol)
-    return TestReport(
-        suite="equivalence.qp_brownian",
-        statistic=stat,
-        threshold=1.0,
+    return ctx.report(
+        "qp_brownian", stat, stat < 1.0,
+        f"median_qv_err={np.median(qv_errs):.4f} median_qp={np.median(qp_terms):.4f}",
         n_paths=ctx.n_sigma_paths,
-        n_steps=ctx.grid.n_steps,
-        seed=ctx.seed,
-        passed=stat < 1.0,
-        detail=f"median_qv_err={np.median(qv_errs):.4f} median_qp={np.median(qp_terms):.4f}",
     )
 
 
@@ -926,10 +920,10 @@ def _suite_abs_brownian(ctx: _SuiteContext) -> TestReport:
     pairs, columns = ctx.drift_columns()
 
     def half_flips(models, dec, seeds):
-        x = _flip_rows(dec, 0.5, seeds)
+        _, x = _flip_rows(dec, 0.5, seeds)
         return np.column_stack((_product_at(models, x, columns), x[:, -1]))
 
-    _, (read,), _ = ctx.read([half_flips])
+    _, (read,) = ctx.read([(ctx.n_paths, half_flips)])
     rep = ctx.drift(read[:, :-1], pairs, "equivalence.abs_brownian.drift")
     sorted_t = np.sort(read[:, -1])
     n = len(sorted_t)
@@ -938,39 +932,30 @@ def _suite_abs_brownian(ctx: _SuiteContext) -> TestReport:
     ks = float(np.max(np.abs(emp_mid - cdf)))
     ks_crit = float(kolmogi(0.01)) / math.sqrt(n)
     stat = max(rep.statistic / ctx.threshold, ks / ks_crit)
-    return TestReport(
-        suite="equivalence.abs_brownian",
-        statistic=stat,
-        threshold=1.0,
-        n_paths=ctx.n_paths,
-        n_steps=ctx.grid.n_steps,
-        seed=ctx.seed,
-        passed=stat < 1.0,
-        detail=f"drift={rep.statistic:.2f} ks={ks:.5f} ks_crit={ks_crit:.5f}",
+    return ctx.report(
+        "abs_brownian", stat, stat < 1.0,
+        f"drift={rep.statistic:.2f} ks={ks:.5f} ks_crit={ks_crit:.5f}",
     )
 
 
 def _hyp_not_met(ctx: _SuiteContext, name: str, frac: float) -> TestReport:
-    return TestReport(
-        suite=f"equivalence.{name}",
-        statistic=frac,
+    return ctx.report(
+        name, frac, False,
+        f"{HYPOTHESIS_NOT_MET}: zeros of the base process are not "
+        f"contained in H (violation fraction {frac:.3f})",
         threshold=ctx.hyp_frac,
-        n_paths=ctx.n_paths,
-        n_steps=ctx.grid.n_steps,
-        seed=ctx.seed,
-        passed=False,
-        detail=(
-            f"{HYPOTHESIS_NOT_MET}: zeros of the base process are not "
-            f"contained in H (violation fraction {frac:.3f})"
-        ),
     )
 
 
 EQUIVALENCE_SUITES = {
-    "abs_mart": _suite_abs_mart,
-    "zalpha_mart": _suite_zalpha_mart,
-    "abs_sigma": _suite_abs_sigma,
-    "zalpha_sigma": _suite_zalpha_sigma,
+    "abs_mart": lambda ctx: _mart_suite(ctx, "abs_mart", lambda dec, seeds: np.abs(dec.total)),
+    "zalpha_mart": lambda ctx: _mart_suite(
+        ctx, "zalpha_mart", lambda dec, seeds: _flip_rows(dec, ctx.alpha, seeds)[1]
+    ),
+    "abs_sigma": lambda ctx: _sigma_suite(ctx, "abs_sigma", _abs_split),
+    "zalpha_sigma": lambda ctx: _sigma_suite(
+        ctx, "zalpha_sigma", lambda dec, seeds: _flip_split(dec, seeds, ctx.alpha)
+    ),
     "cmart": _suite_cmart,
     "ito_xdx": _suite_ito_xdx,
     "qp_brownian": _suite_qp_brownian,

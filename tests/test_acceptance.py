@@ -21,8 +21,9 @@ import numpy as np
 import pytest
 from scipy.stats import kstwobign, norm
 
+from skewlab.cli import _coupled_paths
 from skewlab.excursion import decompose_excursions, last_zero_curve
-from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, refine_bridge, sample_brownian
+from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, sample_brownian
 from skewlab.localtime import identity_residual, ito_sum, local_time
 from skewlab.signed_measure import (
     Decomposition,
@@ -59,10 +60,10 @@ def announce(number: int, ok: bool, detail: str) -> None:
     print(f"[CRITERION {number:2d}] {'PASS' if ok else 'FAIL'}  {detail}")
 
 
-def coupled(seed_label: str, i: int, n: int):
-    s = SEED.child(seed_label).with_path(i)
-    p = sample_brownian(make_grid(1.0, LEVELS[0]), s)
-    return refine_bridge(p, n // LEVELS[0], s)
+def coupled(seed_label: str, i: int) -> dict:
+    """Coarse Brownian path i refined through every level, keyed by step
+    count, as the CLI's long-row suites build it."""
+    return _coupled_paths(SEED.child(seed_label), LEVELS, i)
 
 
 @pytest.fixture(scope="module")
@@ -77,13 +78,11 @@ def law_samples():
 
 
 def test_criterion_01_tanaka_identity():
-    medians = {}
-    for n in LEVELS:
-        sups = [
-            identity_residual("tanaka", path=coupled("c1", i, n)).sup_norm
-            for i in range(32)
-        ]
-        medians[n] = float(np.median(sups))
+    sups = {n: [] for n in LEVELS}
+    for i in range(32):
+        for n, p in coupled("c1", i).items():
+            sups[n].append(identity_residual("tanaka", path=p).sup_norm)
+    medians = {n: float(np.median(v)) for n, v in sups.items()}
     decreasing = medians[LEVELS[0]] > medians[LEVELS[1]] > medians[LEVELS[2]]
     bound = medians[LEVELS[2]] < 0.05
     detail = (
@@ -101,16 +100,14 @@ def test_criterion_01_tanaka_identity():
 
 
 def test_criterion_02_balayage_identity():
-    medians = {}
+    sups = {n: [] for n in LEVELS}
     exact_ok = True
-    for n in LEVELS:
-        sups = []
-        for i in range(32):
-            p = coupled("c2", i, n)
+    for i in range(32):
+        for n, p in coupled("c2", i).items():
             y = p.with_values(np.abs(p.values))
             gamma, _ = last_zero_curve(decompose_excursions(p))
             k = p.with_values(np.cos(p.grid.times[gamma.gamma]))
-            sups.append(
+            sups[n].append(
                 identity_residual(
                     "balayage_predictable", y=y, k=k, reference=p
                 ).sup_norm
@@ -121,7 +118,7 @@ def test_criterion_02_balayage_identity():
                     "balayage_predictable", y=y, k=ones, reference=p
                 )
                 exact_ok &= r1.sup_norm < 1e-12
-        medians[n] = float(np.median(sups))
+    medians = {n: float(np.median(v)) for n, v in sups.items()}
     decreasing = medians[LEVELS[0]] > medians[LEVELS[1]] > medians[LEVELS[2]]
     bound = medians[LEVELS[2]] < 0.05
     ok = decreasing and bound and exact_ok
@@ -204,17 +201,16 @@ def test_criterion_05_alpha_degeneracies(law_samples):
 
 def test_criterion_06_inhomogeneous_construction():
     sched = AlphaSchedule.piecewise([0.0, 0.5], [0.3, 0.8])
-    medians = {}
-    for n in LEVELS:
-        sups = []
-        for i in range(32):
-            p = coupled("c6", i, n)
-            z = draw_sign_path(p, sched, SEED.child("c6/signs").with_path(i))
+    sups = {n: [] for n in LEVELS}
+    for i in range(32):
+        signs = SEED.child("c6/signs").with_path(i)
+        for n, p in coupled("c6", i).items():
+            z = draw_sign_path(p, sched, signs)
             x = apply_sign(z, p, mode="absolute")
-            sups.append(
+            sups[n].append(
                 sde_residual(x, Decomposition.martingale(p), z, sched, "absolute").sup_norm
             )
-        medians[n] = float(np.median(sups))
+    medians = {n: float(np.median(v)) for n, v in sups.items()}
     decreasing = medians[LEVELS[0]] > medians[LEVELS[1]] > medians[LEVELS[2]]
     bound = medians[LEVELS[2]] < 0.1
 

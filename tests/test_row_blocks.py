@@ -3,7 +3,9 @@
 Each row kernel has a one-row case: ``brownian_rows`` / ``sample_brownian``,
 ``ExcursionRows`` / ``decompose_excursions`` and ``last_zero_curve``,
 ``sign_path_rows`` / ``draw_sign_path``, ``build_model_rows`` /
-``build_model`` and the zoo's row kernels / ``PROCESS_ZOO``.  A block must
+``build_model``, the zoo's row kernels / ``PROCESS_ZOO``, and the
+covariation, qp, carried-by and sigma_h kernels / ``quadratic_covariation``,
+``qp_residual``, ``carried_by_check`` and ``sigma_h_check``.  A block must
 reproduce the one-row case row by row whatever the block size, so the
 suites built on blocks give the same numbers at any block size, including
 one row per block; the pins at the end were recorded from the per-path
@@ -18,16 +20,23 @@ from hypothesis import given, settings, strategies as st
 
 from skewlab import grid_paths, signed_measure
 from skewlab.cli import config_from_pairs, run_experiment
-from skewlab.excursion import ExcursionRows, decompose_excursions, last_zero_curve
+from skewlab.excursion import ExcursionRows, ZeroMask, decompose_excursions, last_zero_curve
 from skewlab.grid_paths import SamplePath, SeedSpec, brownian_rows, make_grid, sample_brownian
+from skewlab.localtime import covariation_rows, ito_rows, quadratic_covariation, tanaka_rows
 from skewlab.signed_measure import (
     EQUIVALENCE_SUITES,
     PROCESS_ZOO,
+    DecompositionRows,
+    ModelRows,
     build_model,
+    build_model_rows,
+    carried_by_check,
     density_products,
     equivalence_suite,
     martingale_drift_test,
     optional_representation_check,
+    qp_residual,
+    sigma_h_check,
 )
 from skewlab.signflip import AlphaSchedule, draw_sign_path, sign_path_rows
 
@@ -243,16 +252,99 @@ def test_representation_block_size_free(model_family, base, n_steps, callable_st
     assert blocked == one_row
 
 
+def carried_reference(fv, mask, dilation=2):
+    """The carried-by statistic of one path as a compaction of its 1-D
+    increments."""
+    dv = np.abs(np.diff(fv))
+    total = float(dv.sum())
+    if total == 0.0:
+        return 1.0
+    near = ZeroMask(mask).dilate(dilation)
+    return float(dv[near[:-1] | near[1:]].sum() / total)
+
+
+def assert_kernels_equal_one_row(models, dec):
+    """Row r of each check's row kernel on the block equals the one-row
+    check of row r's model and decomposition.  The carried-by fraction is
+    also taken of the total, whose Gaussian increments make a masked row sum
+    round differently from a compaction."""
+    qp = signed_measure._qp_rows(models.d, dec.total, dec.fv_part)
+    cov = covariation_rows(dec.total, models.d)
+    mask = models.zeros.events | ExcursionRows(dec.zero_path).events
+    carried = [signed_measure._carried_rows(v, mask, 2) for v in (dec.fv_part, dec.total)]
+    sigma = signed_measure._sigma_rows(models, dec.zero_path, dec.martingale_part, dec.fv_part)
+    for r in range(len(models.d)):
+        model, one = models.row(r), dec.row(r)
+        rep = qp_residual(one, model)
+        assert rep.terminal == abs(qp[r, -1]) and rep.sup_norm == np.max(np.abs(qp[r]))
+        assert same_bits(cov[r], quadratic_covariation(one.total, model.d_path).values)
+        for path, stat in zip((one.fv_part, one.total), carried):
+            rep = carried_by_check(path, ZeroMask(mask[r]))
+            assert rep.statistic == stat[r] == carried_reference(path.values, mask[r])
+            assert rep.passed == (stat[r] >= 0.95)
+        stat, qp_terminal, starts_ok, passed = (v[r] for v in sigma)
+        rep = sigma_h_check(one, model)
+        assert (rep.statistic, rep.passed) == (stat, passed)
+        assert rep.detail == (f"carried={stat:.4f} qp_terminal={qp_terminal:.4f} "
+                              f"starts_ok={bool(starts_ok)} label={one.label}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.sampled_from(sorted(PROCESS_ZOO)),
+    model_family=st.sampled_from(["trivial", "shifted_brownian"]),
+    n_rows=st.integers(1, 12),
+    n_steps=STEPS,
+)
+def test_check_kernels_equal_one_row_on_zoo_blocks(base, model_family, n_rows, n_steps):
+    grid = make_grid(1.0, n_steps)
+    seeds = [SeedSpec(MASTER, f"kern/{base}", p) for p in range(n_rows)]
+    models = build_model_rows(model_family, grid, [s.child("model") for s in seeds])
+    assert_kernels_equal_one_row(models, PROCESS_ZOO[base].rows(models, grid, seeds))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=integer_rows())
+def test_check_kernels_equal_one_row_on_integer_rows(values):
+    # D and W take integer steps and sit on 0 exactly; A is the Tanaka local
+    # time of D, carried by the zeros of D
+    grid = make_grid(1.0, values.shape[1] - 1)
+    models = ModelRows("custom", grid, values)
+    w = values[::-1]
+    v = tanaka_rows(values)
+    assert_kernels_equal_one_row(models, DecompositionRows(grid, w + v, w, v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_rows=st.integers(1, 12), n_steps=STEPS, reflect=st.integers(0, 2**12 - 1))
+def test_check_kernels_equal_one_row_on_nonnegative_rows(n_rows, n_steps, reflect):
+    # rows picked by ``reflect`` are |W| with no zero source (the snap
+    # branch), the others W itself
+    grid = make_grid(1.0, n_steps)
+    w = brownian_rows(grid, [SeedSpec(MASTER, "refl", p) for p in range(n_rows)])
+    reflected = ((reflect >> np.arange(n_rows)) & 1).astype(bool)[:, None]
+    total = np.where(reflected, np.abs(w), w)
+    m = np.where(reflected, ito_rows(np.sign(w), w), w)
+    models = build_model_rows("trivial", grid, [SeedSpec(MASTER, "refl/model")] * n_rows)
+    assert_kernels_equal_one_row(models, DecompositionRows(grid, total, m, total - m))
+
+
 def test_later_blocks_leave_handed_out_paths_unchanged():
     grid = make_grid(1.0, 32)
     ctx = signed_measure._SuiteContext(
         "shifted_brownian", PROCESS_ZOO["reflected_bm"].rows, 0.7, SeedSpec(MASTER, "frz"),
         1000, grid, (0.5, 1.0), 4.0, 12, 0.02,
     )
+    handed = []
+
+    def side(models, dec, seeds):
+        handed.extend((models.row(j), dec.row(j), seeds[j]) for j in range(len(seeds)))
+        return np.zeros((len(seeds), 0))
+
     with block_elements(5 * grid.n_points):
-        _, _, panel = ctx.read(n_panel=12, per_path=lambda *row: row)
-    assert len(panel) == 12
-    for p, (model, dec, seed) in enumerate(panel):
+        _, (read,) = ctx.read([(12, side)])
+    assert len(read) == len(handed) == 12
+    for p, (model, dec, seed) in enumerate(handed):
         assert seed == SeedSpec(MASTER, "frz").with_path(p)
         fresh_model = build_model("shifted_brownian", grid, seed.child("model"))
         fresh = PROCESS_ZOO["reflected_bm"](fresh_model, grid, seed)
@@ -261,11 +353,34 @@ def test_later_blocks_leave_handed_out_paths_unchanged():
             assert same_bits(getattr(dec, field).values, getattr(fresh, field).values)
         with pytest.raises(ValueError):
             dec.total.values[0] = 1.0
+        with pytest.raises(ValueError):
+            model.d_path.values[0] = 1.0
+
+
+def test_sigma_h_suite_checks_each_split_once(tmp_path):
+    calls = []
+    check = signed_measure._check_split
+
+    def spy(*arrays):
+        calls.append(len(arrays[0]))
+        return check(*arrays)
+
+    signed_measure._check_split = spy
+    try:
+        with block_elements(1):
+            cfg = config_from_pairs({"suite": "sigma_h", "steps": "64", "seeds": "9",
+                                     "out": str(tmp_path)})
+            run_experiment(cfg)
+    finally:
+        signed_measure._check_split = check
+    assert calls == [1] * (3 * 9)
 
 
 #: report rows (suite, repr(statistic), repr(threshold), n_paths, n_steps,
 #: seed token, pass, detail) recorded with the per-path suites, before the
-#: suites were built on row blocks
+#: suites were built on row blocks; the rows from qp_brownian on were
+#: recorded with the per-path qp, carried-by and sigma_h checks, before
+#: those became row kernels
 PINS = [
     ('equivalence.abs_mart', '0.2482177140161689', '1.0', 1000, 1024, '7:pin/abs_mart/shifted_bm:0', True, 'left=pass right=pass'),
     ('equivalence.abs_mart', '5.838226796395428', '1.0', 1000, 1024, '7:pin/abs_mart/shifted_bm_drift:0', True, 'left=fail right=fail'),
@@ -284,6 +399,16 @@ PINS = [
     ('representation.T1', '0.0', '4.0', 1000, 256, '7:representation:0', True, 'model=trivial worst_event=w_quarter_pos'),
     ('representation.T0.5', '1.9795650403347151', '4.0', 1000, 256, '7:representation:0', True, 'model=shifted_brownian worst_event=w_quarter_pos'),
     ('representation.T1', '0.0', '4.0', 1000, 256, '7:representation:0', True, 'model=shifted_brownian worst_event=w_quarter_pos'),
+    ('equivalence.qp_brownian', '0.5907071773594852', '1.0', 32, 1024, '7:pin/shifted_brownian/qp_brownian/bm:0', True, 'median_qv_err=0.0295 median_qp=0.0162'),
+    ('equivalence.qp_brownian', '0.7666571137937339', '1.0', 32, 1024, '7:pin/shifted_brownian/qp_brownian/bm_plus_local_time:0', True, 'median_qv_err=0.0383 median_qp=0.0263'),
+    ('equivalence.abs_brownian', '0.5470579116101064', '1.0', 1000, 1024, '7:pin/trivial/abs_brownian/reflected_bm:0', True, 'drift=0.74 ks=0.02816 ks_crit=0.05147'),
+    ('equivalence.abs_brownian', '0.43762739936115486', '1.0', 1000, 1024, '7:pin/trivial/abs_brownian/bm:0', True, 'drift=1.10 ks=0.02252 ks_crit=0.05147'),
+    ('equivalence.zalpha_sigma', '1.2212453270876722e-14', '1.0', 1000, 1024, '7:pin/trivial/zalpha_sigma/reflected_bm:0', True, 'left=pass right=pass stats=(1.000,1.000)'),
+    ('equivalence.abs_sigma', '5.329070518200751e-15', '1.0', 1000, 1024, '7:pin/shifted_brownian/abs_sigma/bm_plus_local_time:0', True, 'left=pass right=pass stats=(1.000,1.000)'),
+    ('equivalence.zalpha_sigma', '7.771561172376096e-15', '1.0', 1000, 1024, '7:pin/shifted_brownian/zalpha_sigma/bm_plus_local_time:0', True, 'left=pass right=pass stats=(1.000,1.000)'),
+    ('sigma_h.reflected_bm', '0.9999999999999966', '0.95', 16, 1024, '7:sigma_h:0', True, 'pass fraction 1.00 over 16 paths'),
+    ('sigma_h.bm_plus_local_time', '1.0', '0.95', 16, 1024, '7:sigma_h:0', True, 'pass fraction 0.94 over 16 paths'),
+    ('sigma_h.negative_control', '0.1025390625', '0.95', 16, 1024, '7:sigma_h:0', True, 'pass fraction 0.00 over 16 paths; acceptance region below threshold'),
 ]
 
 EQUIVALENCE_PIN_CASES = (
@@ -292,6 +417,18 @@ EQUIVALENCE_PIN_CASES = (
     ("abs_sigma", "bm"), ("abs_sigma", "bm_plus_drift"),
     ("zalpha_sigma", "bm"), ("zalpha_sigma", "bm_plus_drift"),
     ("cmart", "reflected_bm"), ("cmart", "bm_plus_drift"),
+)
+
+#: (suite, model family, base) of the pins that run the panel and flip
+#: paths: nontrivial H, and reflected bases that take the snap branch
+PANEL_PIN_CASES = (
+    ("qp_brownian", "shifted_brownian", "bm"),
+    ("qp_brownian", "shifted_brownian", "bm_plus_local_time"),
+    ("abs_brownian", "trivial", "reflected_bm"),
+    ("abs_brownian", "trivial", "bm"),
+    ("zalpha_sigma", "trivial", "reflected_bm"),
+    ("abs_sigma", "shifted_brownian", "bm_plus_local_time"),
+    ("zalpha_sigma", "shifted_brownian", "bm_plus_local_time"),
 )
 
 
@@ -312,4 +449,12 @@ def test_report_rows_match_per_path_pins(tmp_path):
         cfg = config_from_pairs({"suite": suite, "model": model, "paths": "1000",
                                  "steps": "256", "seed": "7", "out": str(tmp_path)})
         rows += [pin_row(r) for r in run_experiment(cfg).reports]
+    rows += [
+        pin_row(equivalence_suite(name, model, base, 0.7,
+                                  root.child(f"pin/{model}/{name}/{base}"), 1000))
+        for name, model, base in PANEL_PIN_CASES
+    ]
+    cfg = config_from_pairs({"suite": "sigma_h", "steps": "1024", "seeds": "16", "seed": "7",
+                             "out": str(tmp_path)})
+    rows += [pin_row(r) for r in run_experiment(cfg).reports]
     assert rows == PINS
