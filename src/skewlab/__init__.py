@@ -38,11 +38,14 @@ from .signed_measure import (
     Decomposition,
     HypothesisNotMetError,
     InsufficientSamplesError,
+    ModelRows,
     PROCESS_ZOO,
+    PathRows,
     SignedMeasureModel,
     TestReport,
     build_model,
     carried_by_check,
+    density_products,
     equivalence_suite,
     martingale_drift_test,
     optional_representation_check,

@@ -53,6 +53,7 @@ SUITE_BLURBS = {
     "skew_law": "terminal-law verification of the sign-flip construction: closed-form KS, sign probability, skew-walk cross-check",
     "skew_residual": "pathwise skew SDE residuals across mesh levels for the configured schedule",
     "representation": "weak-form optional representation identity over an event dictionary",
+    "all": "runs every suite in order: " + ", ".join(SUITES),
 }
 
 
@@ -87,7 +88,7 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
 
     def schedule(self) -> AlphaSchedule:
-        if self.schedule_boundaries:
+        if self.schedule_boundaries or self.schedule_values:
             return AlphaSchedule.piecewise(self.schedule_boundaries, self.schedule_values)
         return AlphaSchedule.constant(self.alpha)
 
@@ -95,7 +96,7 @@ class ExperimentConfig:
         return float(self.tolerances.get(key, default))
 
     def validate(self) -> None:
-        if self.suite not in SUITES + ("all",):
+        if self.suite not in SUITE_BLURBS:
             raise UsageError(f"unknown suite {self.suite!r}; see list-suites")
         if self.model not in ("trivial", "shifted_brownian"):
             raise UsageError(f"unknown model {self.model!r}")
@@ -453,8 +454,8 @@ def run_skew_residual(cfg: ExperimentConfig, seed: SeedSpec):
 def run_representation(cfg: ExperimentConfig, seed: SeedSpec):
     g = make_grid(1.0, max(cfg.n_steps))
     events = {
-        "omega": lambda m, model: True,
-        "w_quarter_pos": lambda m, model: m.values[m.grid.index_at(0.25)] > 0,
+        "omega": lambda m, models: True,
+        "w_quarter_pos": lambda m, models: m[:, g.index_at(0.25)] > 0,
     }
     family = PROCESS_ZOO["bm" if cfg.model == "trivial" else "bm_minus_frozen"]
     reports = []
@@ -631,7 +632,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     if args.command == "list-suites":
-        for name in SUITES + ("all",):
+        for name in SUITE_BLURBS:
             print(name)
         return 0
     if args.command == "describe":

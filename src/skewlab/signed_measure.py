@@ -370,23 +370,14 @@ def carried_by_check(
 
 @dataclass(frozen=True)
 class PathRows:
-    """A path family produced a block at a time: ``rows(lo, hi)`` returns the
-    values of paths lo..hi-1 as a ``(hi - lo, n_points)`` array, and callers
-    ask for at most ``block`` rows per call."""
+    """A path family produced a block at a time, the one input of
+    :func:`martingale_drift_test`: ``rows(lo, hi)`` returns the values of
+    paths lo..hi-1 as a ``(hi - lo, n_points)`` array, and callers ask for
+    at most ``block`` rows per call (``block=1`` reads a per-path family)."""
 
     grid: TimeGrid
     block: int
     rows: Callable[[int, int], np.ndarray]
-
-
-def _one_row_producer(process_family: Callable[[int], SamplePath]) -> PathRows:
-    """A per-path family p -> SamplePath read as one-row blocks."""
-    first = process_family(0)
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        return (first if lo == 0 else process_family(lo)).values[None, :]
-
-    return PathRows(first.grid, 1, rows)
 
 
 def _require_paths(n_paths: int) -> None:
@@ -453,7 +444,7 @@ def _drift_report(
 
 
 def martingale_drift_test(
-    process_family: Union[PathRows, Callable[[int], SamplePath]],
+    process_family: PathRows,
     n_paths: int,
     checkpoints: Sequence[float],
     seed: Optional[SeedSpec] = None,
@@ -468,22 +459,16 @@ def martingale_drift_test(
     statistic is |mean w*(P_t - P_s)| over its standard error, maximised over
     pairs and weights.  Martingales stay below ``threshold`` standard errors.
 
-    ``process_family`` is a :class:`PathRows` or a per-path callable
-    p -> SamplePath, read one row at a time; only the checkpoint columns of
-    each path are kept.
+    ``process_family`` is read a block of rows at a time; only the
+    checkpoint columns of each path are kept.
     """
     pairs = _checkpoint_pairs(n_paths, checkpoints)
-    family = (
-        process_family
-        if isinstance(process_family, PathRows)
-        else _one_row_producer(process_family)
-    )
-    needed = _checkpoint_columns(family.grid, pairs)
+    needed = _checkpoint_columns(process_family.grid, pairs)
     values = np.empty((n_paths, len(needed)))
-    for lo in range(0, n_paths, family.block):
-        hi = min(lo + family.block, n_paths)
-        values[lo:hi] = family.rows(lo, hi)[:, needed]
-    return _drift_report(values, family.grid, pairs, seed, threshold, suite)
+    for lo in range(0, n_paths, process_family.block):
+        hi = min(lo + process_family.block, n_paths)
+        values[lo:hi] = process_family.rows(lo, hi)[:, needed]
+    return _drift_report(values, process_family.grid, pairs, seed, threshold, suite)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,7 +993,7 @@ def equivalence_suite(
 
 def optional_representation_check(
     family: Callable[[SignedMeasureModel, TimeGrid, SeedSpec], Decomposition],
-    stopping_rule: Union[float, Callable[[SamplePath, SignedMeasureModel], int]],
+    stopping_rule: Union[float, Callable[[np.ndarray, ModelRows], np.ndarray]],
     events: dict,
     n_paths: int,
     model_family: str,
@@ -1023,8 +1008,12 @@ def optional_representation_check(
     |mean (lhs - rhs) 1_A| / SE is required to stay below ``threshold``
     standard errors.  The caller is responsible for certifying the family as
     a signed-measure martingale with M_gbar = 0 (qp_residual / drift test).
-    Models and processes are built a row block at a time; the stopping rule
-    (when callable) and the events see one path and its model per call.
+
+    Models and processes are built a row block at a time, and a callable
+    stopping rule and the events are row functions ``(m, models)`` of a
+    block's ``(rows, n_points)`` M values and its :class:`ModelRows`: the
+    stopping rule returns one grid index per row, an event one bool per row
+    or a scalar that broadcasts to every row.
     """
     if not events:
         raise ValueError("event dictionary must not be empty")
@@ -1040,18 +1029,15 @@ def optional_representation_check(
     def read_block(lo: int, hi: int) -> None:
         models, dec, _ = _instances(model_family, kernel, grid, seed, lo, hi)
         m = dec.total
-        paths = [(SamplePath(grid, row), models.row(j)) for j, row in enumerate(m)]
-        if fixed_t is None:
-            t_idx = np.array([int(stopping_rule(*p)) for p in paths])
-        else:
-            t_idx = np.full(len(m), fixed_t)
+        t_idx = stopping_rule(m, models) if fixed_t is None else fixed_t
+        t_idx = np.broadcast_to(np.asarray(t_idx, dtype=int), len(m))
         r = np.arange(len(m))
         g_t = models.zeros.gamma[r, t_idx]
         lhs = m[r, t_idx] - m[r, g_t]
         rhs = m[:, -1] * (models.zeros.gbar < t_idx)
         diffs[lo:hi] = lhs - rhs
         for name in names:
-            hits[name][lo:hi] = [bool(events[name](*p)) for p in paths]
+            hits[name][lo:hi] = np.asarray(events[name](m, models), dtype=bool)
 
     for lo, hi in _block_bounds(grid, n_paths):
         read_block(lo, hi)

@@ -23,12 +23,13 @@ from scipy.stats import kstwobign, norm
 
 from skewlab.cli import _coupled_paths
 from skewlab.excursion import decompose_excursions, last_zero_curve
-from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, sample_brownian
+from skewlab.grid_paths import SeedSpec, make_grid, sample_brownian
 from skewlab.localtime import identity_residual, ito_sum, local_time
 from skewlab.signed_measure import (
     Decomposition,
     PROCESS_ZOO,
     build_model,
+    density_products,
     equivalence_suite,
     martingale_drift_test,
     optional_representation_check,
@@ -258,20 +259,11 @@ def test_criterion_07_qp_residuals():
 
 def test_criterion_08_martingale_drift():
     g = make_grid(1.0, 2**11)
-
-    def family(base_name, tag):
-        def fam(p):
-            s = SEED.child(f"c8/{tag}").with_path(p)
-            model = build_model("shifted_brownian", g, s.child("model"))
-            dec = PROCESS_ZOO[base_name](model, g, s)
-            return SamplePath(g, model.d_path.values * dec.total.values)
-
-        return fam
-
     stats = {}
     for name in ("bm", "bm_plus_local_time", "bm_plus_drift"):
         stats[name] = martingale_drift_test(
-            family(name, name), 10_000, [0.5, 1.0], seed=SEED
+            density_products("shifted_brownian", name, g, SEED.child(f"c8/{name}")),
+            10_000, [0.5, 1.0], seed=SEED,
         ).statistic
     ok = stats["bm"] < 4 and stats["bm_plus_local_time"] < 4 and stats["bm_plus_drift"] > 5
     announce(
@@ -340,8 +332,8 @@ def test_criterion_10_equivalence_suites():
 def test_criterion_11_optional_representation():
     g = make_grid(1.0, 2**10)
     events = {
-        "omega": lambda m, model: True,
-        "w_quarter_pos": lambda m, model: m.values[m.grid.index_at(0.25)] > 0,
+        "omega": lambda m, models: True,
+        "w_quarter_pos": lambda m, models: m[:, g.index_at(0.25)] > 0,
     }
     stats = {}
     for model_fam, base in (("trivial", "bm"), ("shifted_brownian", "bm_minus_frozen")):

@@ -168,6 +168,8 @@ class TestMain:
     def test_describe(self, capsys):
         assert main(["describe", "identities"]) == 0
         assert "residuals" in capsys.readouterr().out
+        assert main(["describe", "all"]) == 0
+        assert "every suite in order: identities, martingale" in capsys.readouterr().out
 
     def test_describe_unknown(self):
         assert main(["describe", "nonsense"]) == 2
@@ -220,6 +222,19 @@ class TestMain:
         code = main(["run", "--suite", suite, "--steps", steps, "--out", str(tmp_path)])
         assert code == 2
         assert "at least one step count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line", ["schedule.values=0.3,0.8", "schedule.boundaries=0,0.5"]
+    )
+    def test_half_schedule_rejected(self, line, tmp_path, capsys):
+        # either half of a schedule alone is an error, not a constant alpha
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{line}\n")
+        code = main(["run", "--config", str(config), "--suite", "skew_residual",
+                     "--steps", "64,128", "--seeds", "4", "--out", str(tmp_path)])
+        assert code == 2
+        assert "bad schedule: need one alpha value per boundary" in capsys.readouterr().err
+        assert not (tmp_path / "reports.json").exists()
 
     def test_too_few_paths_allowed_without_path_statistics(self):
         assert config_from_pairs({"suite": "identities", "paths": "500"}).n_paths == 500

@@ -28,6 +28,7 @@ from skewlab.signed_measure import (
     PROCESS_ZOO,
     DecompositionRows,
     ModelRows,
+    PathRows,
     build_model,
     build_model_rows,
     carried_by_check,
@@ -122,6 +123,25 @@ def test_excursion_rows_equal_one_row(values):
         ]
 
 
+@settings(max_examples=150, deadline=None)
+@given(values=integer_rows())
+def test_excursion_rows_partition_rows_with_exact_zeros(values):
+    # each index is on the zero mask or covered by exactly one of its row's
+    # (births[k], ends[k]) intervals, counting an interval's nonzero indices
+    rows = ExcursionRows(values)
+    first = np.cumsum(rows.counts) - rows.counts
+    for r, row in enumerate(values):
+        assert np.array_equal(rows.covered[r], row != 0)
+        cover = np.zeros(len(row), dtype=int)
+        for k in range(first[r], first[r] + rows.counts[r]):
+            interval = np.zeros(len(row), dtype=bool)
+            interval[rows.births[k] : rows.ends[k] + 1] = True
+            interval &= row != 0
+            assert interval.any() and np.all(np.sign(row[interval]) == rows.signs[k])
+            cover += interval
+        assert np.array_equal(cover, (row != 0).astype(int))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     values=integer_rows(),
@@ -159,13 +179,15 @@ def test_sign_path_rows_of_large_blocks_equal_draw_sign_path(n_rows, n_steps, pi
 
 
 def per_path_products(model_family, base, grid, seed):
-    def fam(p):
-        s = seed.with_path(p)
+    """The products D * X path by path, read as one-row blocks."""
+
+    def rows(lo, hi):
+        s = seed.with_path(lo)
         model = build_model(model_family, grid, s.child("model"))
         dec = PROCESS_ZOO[base](model, grid, s)
-        return SamplePath(grid, model.d_path.values * dec.total.values)
+        return (model.d_path.values * dec.total.values)[None, :]
 
-    return fam
+    return PathRows(grid, 1, rows)
 
 
 @settings(max_examples=12, deadline=None)
@@ -232,13 +254,13 @@ def test_equivalence_suite_block_size_free(name, base, model_family, n_steps, ex
 def test_representation_block_size_free(model_family, base, n_steps, callable_stop, extra, elements):
     grid = make_grid(1.0, n_steps)
 
-    def first_exit(m, model):
-        idx = np.flatnonzero(np.abs(m.values) >= 0.5)
-        return int(idx[0]) if len(idx) else grid.n_steps
+    def first_exit(m, models):
+        hit = np.abs(m) >= 0.5
+        return np.where(hit.any(axis=1), hit.argmax(axis=1), grid.n_steps)
 
     events = {
-        "omega": lambda m, model: True,
-        "late_zero": lambda m, model: model.gbar > grid.n_steps // 2,
+        "omega": lambda m, models: True,
+        "late_zero": lambda m, models: models.zeros.gbar > grid.n_steps // 2,
     }
 
     def run():

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from skewlab.excursion import ZeroMask, decompose_excursions
-from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, sample_brownian
+from skewlab.grid_paths import SamplePath, SeedSpec, block_rows, make_grid, sample_brownian
 from skewlab.localtime import ito_sum, local_time
 from skewlab.signed_measure import (
     Decomposition,
     InsufficientSamplesError,
     PROCESS_ZOO,
+    PathRows,
     SignedMeasureModel,
     build_model,
+    build_model_rows,
     carried_by_check,
+    density_products,
     equivalence_suite,
     martingale_drift_test,
     optional_representation_check,
@@ -204,15 +207,8 @@ class TestCarriedBy:
 
 
 def product_family(base, label, n_steps=2**11, model_family="shifted_brownian"):
-    g = make_grid(1.0, n_steps)
-
-    def fam(p):
-        s = SeedSpec(MASTER, label, p)
-        model = build_model(model_family, g, s.child("model"))
-        dec = PROCESS_ZOO[base](model, g, s)
-        return SamplePath(g, model.d_path.values * dec.total.values)
-
-    return fam
+    """D * X with path p from ``SeedSpec(MASTER, label, p)``."""
+    return density_products(model_family, base, make_grid(1.0, n_steps), SeedSpec(MASTER, label))
 
 
 class TestMartingaleDrift:
@@ -246,11 +242,12 @@ class TestMartingaleDrift:
         # martingale; the weighted drift test sees the resets
         g = make_grid(1.0, 2**10)
 
-        def fam(p):
-            s = SeedSpec(MASTER, "wmg", p)
-            model = build_model("shifted_brownian", g, s.child("model"))
-            return PROCESS_ZOO["bm_minus_frozen"](model, g, s).total
+        def rows(lo, hi):
+            seeds = [SeedSpec(MASTER, "wmg", p) for p in range(lo, hi)]
+            models = build_model_rows("shifted_brownian", g, [s.child("model") for s in seeds])
+            return PROCESS_ZOO["bm_minus_frozen"].rows(models, g, seeds).total
 
+        fam = PathRows(g, block_rows(g.n_points), rows)
         rep = martingale_drift_test(fam, 20_000, [0.25, 0.5, 1.0], seed=seed)
         assert not rep.passed
 
@@ -350,8 +347,8 @@ class TestEquivalenceSuites:
 
 class TestOptionalRepresentation:
     EVENTS = {
-        "omega": lambda m, model: True,
-        "w_quarter_pos": lambda m, model: m.values[m.grid.index_at(0.25)] > 0,
+        "omega": lambda m, models: True,
+        "w_quarter_pos": lambda m, models: m[:, models.grid.index_at(0.25)] > 0,
     }
 
     def test_trivial_model_bm_passes(self):
@@ -377,13 +374,12 @@ class TestOptionalRepresentation:
     def test_first_hitting_rule(self):
         g = make_grid(1.0, 2**10)
 
-        def hit_or_horizon(m_path, model):
-            above = np.abs(m_path.values) >= 0.5
-            idx = np.flatnonzero(above)
-            return int(idx[0]) if len(idx) else g.n_steps
+        def hit_or_horizon(m, models):
+            above = np.abs(m) >= 0.5
+            return np.where(above.any(axis=1), above.argmax(axis=1), g.n_steps)
 
         rep = optional_representation_check(
-            PROCESS_ZOO["bm"], hit_or_horizon, {"omega": lambda m, mo: True},
+            PROCESS_ZOO["bm"], hit_or_horizon, {"omega": lambda m, models: True},
             20_000, "trivial", g, SeedSpec(MASTER, "rephit"),
         )
         assert rep.passed, rep.detail

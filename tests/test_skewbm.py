@@ -473,6 +473,41 @@ class TestTerminalSamplers:
             full = pipeline_terminals(rows, u, sched, 1.0 / n_steps)
             assert np.array_equal(full, bulk.values[lo:hi])
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_paths=st.integers(1, 200),
+        n_steps=st.integers(1, 64),
+        chunk=st.integers(1, 90),
+        cuts=st.lists(
+            st.lists(
+                st.one_of(st.floats(0.05, 0.95), st.sampled_from([0.125, 0.25, 0.5, 0.75])),
+                max_size=3, unique=True,
+            ),
+            min_size=1, max_size=2,
+        ),
+        data=st.data(),
+    )
+    def test_bulk_equals_references_on_random_shapes(self, n_paths, n_steps, chunk, cuts, data):
+        scheds = [
+            AlphaSchedule.piecewise(
+                [0.0] + sorted(c),
+                data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(c) + 1,
+                                   max_size=len(c) + 1)),
+            )
+            for c in cuts
+        ]
+        seed = SeedSpec(MASTER, "bulkprop")
+        bulk = skew_terminal_samples(scheds, n_paths, n_steps, seed, chunk=chunk)
+        ref = serial_bulk_reference(scheds, n_paths, n_steps, seed, chunk)
+        for sample, expected in zip(bulk, ref):
+            assert np.array_equal(sample.values, expected)
+        for c, lo in enumerate(range(0, n_paths, chunk)):
+            hi = min(lo + chunk, n_paths)
+            rows, _, _, uniforms = one_shot_chunk(seed, c, hi - lo, n_steps, scheds)
+            for sample, sched, u in zip(bulk, scheds, uniforms):
+                full = pipeline_terminals(rows, u, sched, 1.0 / n_steps)
+                assert np.array_equal(full, sample.values[lo:hi])
+
     def test_bulk_equals_full_pipeline_with_exact_zeros(self):
         # integer-step rows start with zeros and start excursions right after
         # exact zeros, where the birth cell decides the sign; 4000 rows span
