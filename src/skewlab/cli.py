@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -112,11 +112,10 @@ class ExperimentConfig:
             raise UsageError(f"seed must be non-negative, got {self.master_seed}")
         if not 0.0 <= self.alpha <= 1.0:
             raise UsageError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.schedule_boundaries or self.schedule_values:
-            try:
-                self.schedule()
-            except ValueError as e:
-                raise UsageError(f"bad schedule: {e}") from None
+        try:
+            self.schedule()  # a constant schedule's alpha is checked above
+        except ValueError as e:
+            raise UsageError(f"bad schedule: {e}") from None
         if self.fmt not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.fmt!r}")
         for key, value in self.tolerances.items():
@@ -173,25 +172,39 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
+class _Key(NamedTuple):
+    field: str
+    parse: Callable[[str], object]
+    flag_help: Optional[str]
+    recorded: bool = True
+
+
+#: every configuration key but ``tol.*``: its ExperimentConfig field, its
+#: parser, the help of its ``skewlab run`` flag (None: no flag) and whether
+#: the provenance ``config`` block records it (the seed is recorded as
+#: ``master_seed``; where and how reports are written is not recorded)
+_KEYS = {
+    "suite": _Key("suite", str, "suite selector (overrides config)"),
+    "model": _Key("model", str, "model family (overrides config)"),
+    "seed": _Key("master_seed", int, "master seed", recorded=False),
+    "paths": _Key("n_paths", int, "Monte Carlo paths"),
+    "steps": _Key("n_steps", _ints, "comma-separated step counts"),
+    "seeds": _Key("n_seeds", int, "paths per mesh level of the long-row suites"),
+    "alpha": _Key("alpha", float, "constant skewness"),
+    "schedule.boundaries": _Key("schedule_boundaries", _floats, None),
+    "schedule.values": _Key("schedule_values", _floats, None),
+    "out": _Key("out_dir", str, "output directory (default $SKEWLAB_OUT or .)", recorded=False),
+    "format": _Key("fmt", str, "report format: json or csv", recorded=False),
+}
+_FLAGS = tuple(key for key, k in _KEYS.items() if k.flag_help is not None)
+
+
 def config_from_pairs(pairs: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    setters = {
-        "suite": lambda v: setattr(cfg, "suite", v),
-        "model": lambda v: setattr(cfg, "model", v),
-        "alpha": lambda v: setattr(cfg, "alpha", float(v)),
-        "schedule.boundaries": lambda v: setattr(cfg, "schedule_boundaries", _floats(v)),
-        "schedule.values": lambda v: setattr(cfg, "schedule_values", _floats(v)),
-        "paths": lambda v: setattr(cfg, "n_paths", int(v)),
-        "steps": lambda v: setattr(cfg, "n_steps", _ints(v)),
-        "seed": lambda v: setattr(cfg, "master_seed", int(v)),
-        "out": lambda v: setattr(cfg, "out_dir", v),
-        "format": lambda v: setattr(cfg, "fmt", v),
-        "seeds": lambda v: setattr(cfg, "n_seeds", int(v)),
-    }
     for key, value in pairs.items():
-        if key in setters:
+        if key in _KEYS:
             try:
-                setters[key](value)
+                setattr(cfg, _KEYS[key].field, _KEYS[key].parse(value))
             except ValueError as e:
                 raise UsageError(f"bad value for {key}: {e}") from None
         elif key.startswith("tol."):
@@ -201,6 +214,10 @@ def config_from_pairs(pairs: dict) -> ExperimentConfig:
                 raise UsageError(f"bad tolerance {key}={value}") from None
         else:
             raise UsageError(f"unknown configuration key {key!r}")
+    if "alpha" in pairs and any(key.startswith("schedule.") for key in pairs):
+        raise UsageError(
+            "alpha cannot be combined with schedule.*: the schedule sets each cell's alpha"
+        )
     cfg.validate()
     return cfg
 
@@ -223,20 +240,36 @@ def _coupled_paths(seed: SeedSpec, n_steps_list, i: int) -> dict:
     return paths
 
 
-def _monotone_report(name: str, medians: dict, seed: SeedSpec, n_paths: int) -> TestReport:
+def _mesh_tol(n_steps) -> float:
+    """Default threshold of a mesh study's median sup-norm.  It follows the
+    O(N^{-1/4}) floor of the cross-estimator local-time residual at the
+    finest N, so coarse-mesh runs stay calibrated."""
+    return max(0.1, 2.5 * max(n_steps) ** -0.25)
+
+
+def _mesh_reports(name: str, sups: dict, tol: float, seed: SeedSpec, n_paths: int,
+                  detail: str) -> list:
+    """A mesh study's reports from its sup-norms per level: the median at the
+    finest level below ``tol`` and, over several levels, ``.monotone``
+    (medians strictly decreasing)."""
+    medians = {n: float(np.median(v)) for n, v in sups.items()}
     levels = sorted(medians)
-    values = [medians[n] for n in levels]
-    decreasing = all(a > b for a, b in zip(values, values[1:]))
-    return TestReport(
-        suite=f"{name}.monotone",
-        statistic=1.0 if decreasing else 0.0,
-        threshold=1.0,
-        n_paths=n_paths,
-        n_steps=max(levels),
-        seed=seed,
-        passed=decreasing,
-        detail="medians " + " ".join(f"{n}:{medians[n]:.4f}" for n in levels),
-    )
+    finest = levels[-1]
+    reports = [TestReport.below(name, medians[finest], tol, n_paths, finest, seed, detail)]
+    if len(levels) > 1:
+        values = [medians[n] for n in levels]
+        decreasing = all(a > b for a, b in zip(values, values[1:]))
+        reports.append(TestReport(
+            suite=f"{name}.monotone",
+            statistic=1.0 if decreasing else 0.0,
+            threshold=1.0,
+            n_paths=n_paths,
+            n_steps=finest,
+            seed=seed,
+            passed=decreasing,
+            detail="medians " + " ".join(f"{n}:{medians[n]:.4f}" for n in levels),
+        ))
+    return reports
 
 
 def _check_refinable(n_steps) -> None:
@@ -280,27 +313,12 @@ def run_identities(cfg: ExperimentConfig, seed: SeedSpec):
             }
             for kind, r in rs.items():
                 kinds[kind].setdefault(n, []).append(r.sup_norm)
-    # the cross-estimator local-time residual floors at O(N^{-1/4}); the
-    # default threshold follows that rate so coarse-mesh runs stay calibrated
-    finest_level = max(cfg.n_steps)
-    tol = cfg.tol("identities", max(0.1, 2.5 * finest_level**-0.25))
+    tol = cfg.tol("identities", _mesh_tol(cfg.n_steps))
     for kind, by_level in kinds.items():
-        medians = {n: float(np.median(v)) for n, v in by_level.items()}
-        finest = max(medians)
-        reports.append(
-            TestReport(
-                suite=f"identities.{kind}",
-                statistic=medians[finest],
-                threshold=tol,
-                n_paths=cfg.n_seeds,
-                n_steps=finest,
-                seed=seed,
-                passed=medians[finest] < tol,
-                detail="median sup-norm at finest level",
-            )
+        reports += _mesh_reports(
+            f"identities.{kind}", by_level, tol, seed, cfg.n_seeds,
+            "median sup-norm at finest level",
         )
-        if len(medians) > 1:
-            reports.append(_monotone_report(f"identities.{kind}", medians, seed, cfg.n_seeds))
     return reports, curves
 
 
@@ -386,14 +404,10 @@ def run_skew_law(cfg: ExperimentConfig, seed: SeedSpec):
         four_sigma = 4.0 * float(np.sqrt(max(alpha * (1 - alpha), 0.05) / sample.n))
         sign_tol = cfg.tol("sign_probability", max(0.01, four_sigma))
         frac = float(np.mean(sample.values > 0))
-        reports.append(
-            TestReport(
-                suite="skew_law.sign_probability", statistic=abs(frac - alpha),
-                threshold=sign_tol, n_paths=sample.n, n_steps=n, seed=seed,
-                passed=abs(frac - alpha) < sign_tol,
-                detail=f"empirical {frac:.4f} vs alpha {alpha:g}",
-            )
-        )
+        reports.append(TestReport.below(
+            "skew_law.sign_probability", abs(frac - alpha), sign_tol, sample.n, n, seed,
+            f"empirical {frac:.4f} vs alpha {alpha:g}",
+        ))
         walk = harrison_shepp_terminals(alpha, n, cfg.n_paths, seed.child("walk"))
         spacing = 2.0 / float(np.sqrt(n))
         allowance = cfg.tol("lattice_allowance", 0.005)
@@ -435,19 +449,11 @@ def run_skew_residual(cfg: ExperimentConfig, seed: SeedSpec):
             x = apply_sign(z, p, mode="absolute")
             base = Decomposition.martingale(p)
             sups.setdefault(n, []).append(sde_residual(x, base, z, sched, "absolute").sup_norm)
-    medians = {n: float(np.median(v)) for n, v in sups.items()}
-    tol = cfg.tol("sde_residual", max(0.1, 2.5 * max(cfg.n_steps) ** -0.25))
-    finest = max(medians)
-    reports = [
-        TestReport(
-            suite="skew_residual", statistic=medians[finest], threshold=tol,
-            n_paths=cfg.n_seeds, n_steps=finest, seed=seed,
-            passed=medians[finest] < tol,
-            detail="median sup-norm at finest level, absolute variant",
-        )
-    ]
-    if len(medians) > 1:
-        reports.append(_monotone_report("skew_residual", medians, seed, cfg.n_seeds))
+    tol = cfg.tol("sde_residual", _mesh_tol(cfg.n_steps))
+    reports = _mesh_reports(
+        "skew_residual", sups, tol, seed, cfg.n_seeds,
+        "median sup-norm at finest level, absolute variant",
+    )
     return reports, []
 
 
@@ -496,14 +502,7 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
         "master_seed": config.master_seed,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": {
-            "suite": config.suite,
-            "model": config.model,
-            "alpha": config.alpha,
-            "schedule.boundaries": list(config.schedule_boundaries),
-            "schedule.values": list(config.schedule_values),
-            "paths": config.n_paths,
-            "steps": list(config.n_steps),
-            "seeds": config.n_seeds,
+            **{key: getattr(config, k.field) for key, k in _KEYS.items() if k.recorded},
             "tolerances": dict(sorted(config.tolerances.items())),
         },
     }
@@ -583,15 +582,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a suite and emit reports")
     run.add_argument("--config", help="config file of key=value lines")
-    run.add_argument("--suite", help="suite selector (overrides config)")
-    run.add_argument("--model", help="model family (overrides config)")
-    run.add_argument("--seed", type=int, help="master seed")
-    run.add_argument("--paths", type=int, help="Monte Carlo paths")
-    run.add_argument("--steps", help="comma-separated step counts")
-    run.add_argument("--seeds", type=int, help="paths per mesh level of the long-row suites")
-    run.add_argument("--alpha", type=float, help="constant skewness")
-    run.add_argument("--out", help="output directory (default $SKEWLAB_OUT or .)")
-    run.add_argument("--format", dest="fmt", choices=("json", "csv"), help="report format")
+    for key in _FLAGS:
+        run.add_argument(f"--{key}", help=_KEYS[key].flag_help)
     sub.add_parser("list-suites", help="list the available suites")
     desc = sub.add_parser("describe", help="describe one suite")
     desc.add_argument("suite")
@@ -606,20 +598,9 @@ def _config_from_args(args) -> ExperimentConfig:
                 pairs.update(parse_config_text(f.read()))
         except OSError as e:
             raise UsageError(f"cannot read config: {e}") from None
-    overrides = {
-        "suite": args.suite,
-        "model": args.model,
-        "seed": args.seed,
-        "paths": args.paths,
-        "steps": args.steps,
-        "seeds": args.seeds,
-        "alpha": args.alpha,
-        "out": args.out,
-        "format": args.fmt,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            pairs[key] = str(value)
+    for key in _FLAGS:
+        if getattr(args, key) is not None:
+            pairs[key] = getattr(args, key)
     if "out" not in pairs and os.environ.get("SKEWLAB_OUT"):
         pairs["out"] = os.environ["SKEWLAB_OUT"]
     return config_from_pairs(pairs)

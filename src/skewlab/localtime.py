@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .excursion import decompose_excursions, last_zero_curve
-from .grid_paths import SamplePath, SeedSpec
+from .grid_paths import SamplePath
 
 __all__ = [
     "LocalTimeCurve",
@@ -58,19 +58,15 @@ class ResidualReport:
     sup_norm: float
     terminal: float
     n_steps: int
-    seed: Optional[SeedSpec] = None
 
     @classmethod
-    def from_residual(
-        cls, name: str, residual: np.ndarray, n_steps: int, seed: Optional[SeedSpec]
-    ) -> "ResidualReport":
+    def from_residual(cls, name: str, residual: np.ndarray, n_steps: int) -> "ResidualReport":
         """Report of one residual curve: its sup norm and terminal magnitude."""
         return cls(
             identity_name=name,
             sup_norm=float(np.max(np.abs(residual))),
             terminal=float(abs(residual[-1])),
             n_steps=n_steps,
-            seed=seed,
         )
 
 
@@ -148,7 +144,7 @@ def local_time(
     raise ValueError(f"unknown local time method {method!r}")
 
 
-def identity_residual(kind: str, seed: Optional[SeedSpec] = None, **inputs) -> ResidualReport:
+def identity_residual(kind: str, **inputs) -> ResidualReport:
     """Pathwise residual of one of the named identities.
 
     tanaka
@@ -175,7 +171,7 @@ def identity_residual(kind: str, seed: Optional[SeedSpec] = None, **inputs) -> R
         path = _require(inputs, "path", kind)
         tanaka = local_time(path, "tanaka").curve.values
         occ = local_time(path, "occupation", inputs.get("bandwidth")).curve.values
-        return ResidualReport.from_residual("tanaka", tanaka - occ, path.grid.n_steps, seed)
+        return ResidualReport.from_residual("tanaka", tanaka - occ, path.grid.n_steps)
 
     if kind == "balayage_predictable":
         y = _require(inputs, "y", kind)
@@ -192,9 +188,7 @@ def identity_residual(kind: str, seed: Optional[SeedSpec] = None, **inputs) -> R
             - k_frozen.values[0] * y.values[0]
             - ito_sum(k_frozen, y).values
         )
-        return ResidualReport.from_residual(
-            "balayage_predictable", residual, y.grid.n_steps, seed
-        )
+        return ResidualReport.from_residual("balayage_predictable", residual, y.grid.n_steps)
 
     if kind == "transform_c3":
         total = _require(inputs, "total", kind)
@@ -211,9 +205,7 @@ def identity_residual(kind: str, seed: Optional[SeedSpec] = None, **inputs) -> R
             - ito_sum(fv, m).values
             - np.asarray(big_f(v.values), dtype=float)
         )
-        return ResidualReport.from_residual(
-            "transform_c3", residual, total.grid.n_steps, seed
-        )
+        return ResidualReport.from_residual("transform_c3", residual, total.grid.n_steps)
 
     raise ValueError(f"unknown identity kind {kind!r}")
 

@@ -36,7 +36,6 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import kolmogi
 
 from .excursion import ExcursionRows, LastZeroCurve, ZeroMask
 from .grid_paths import (
@@ -252,16 +251,21 @@ class DecompositionRows:
         return self.total if self.zero_source is None else self.zero_source
 
     def row(self, index: int) -> Decomposition:
+        """Path ``index`` as a :class:`Decomposition`.  Its split was checked
+        with the block's, so it is not checked again."""
+
         def path(values):
             return SamplePath(self.grid, values[index])
 
-        return Decomposition(
+        dec = object.__new__(Decomposition)
+        dec.__dict__.update(
             total=path(self.total),
             martingale_part=path(self.martingale_part),
             fv_part=path(self.fv_part),
             label=self.label,
             zero_source=None if self.zero_source is None else path(self.zero_source),
         )
+        return dec
 
 
 @dataclass(frozen=True)
@@ -276,6 +280,12 @@ class TestReport:
     seed: Optional[SeedSpec]
     passed: bool
     detail: str = ""
+
+    @classmethod
+    def below(cls, suite, statistic, threshold, n_paths, n_steps, seed, detail="") -> "TestReport":
+        """The report of a check that passes when ``statistic < threshold``."""
+        passed = statistic < threshold
+        return cls(suite, statistic, threshold, n_paths, n_steps, seed, passed, detail)
 
     @property
     def hypothesis_not_met(self) -> bool:
@@ -314,8 +324,15 @@ def qp_residual(dec: Decomposition, model: SignedMeasureModel) -> ResidualReport
         model.d_path.values[None, :], dec.total.values[None, :], dec.fv_part.values[None, :]
     )[0]
     return ResidualReport.from_residual(
-        f"qp_residual[{dec.label or 'unnamed'}]", residual, dec.total.grid.n_steps, None
+        f"qp_residual[{dec.label or 'unnamed'}]", residual, dec.total.grid.n_steps
     )
+
+
+#: grid steps around a zero (of H, or of the base) that count as on it
+_DILATION = 2
+#: tolerance of the carried-by fraction and of the qp residual in a Sigma(H)
+#: check (the carried-by one is ``tol.carried_by`` in the CLI)
+_SIGMA_TOL = 0.05
 
 
 def _carried_rows(fv: np.ndarray, mask: np.ndarray, dilation: int) -> np.ndarray:
@@ -334,32 +351,26 @@ def _carried_rows(fv: np.ndarray, mask: np.ndarray, dilation: int) -> np.ndarray
     return stat
 
 
-def carried_by_check(
-    fv: SamplePath,
-    mask: ZeroMask,
-    tol: float = 0.05,
-    dilation: int = 2,
-    seed: Optional[SeedSpec] = None,
-) -> TestReport:
+def carried_by_check(fv: SamplePath, mask: ZeroMask) -> TestReport:
     """Fraction of the total variation of fv accumulated near the mask: the
     one-row case of the carried-by row kernel.
 
-    The statistic is TV(fv restricted to increments within ``dilation`` grid
-    steps of a mask index) / TV(fv); it passes when >= 1 - tol.  Zero total
-    variation passes vacuously.
+    The statistic is TV(fv restricted to increments within 2 grid steps of a
+    mask index) / TV(fv); it passes when >= 0.95.  Zero total variation
+    passes vacuously.
     """
     if len(mask) != len(fv.values):
         raise ValueError("mask and path lengths differ")
-    stat = float(_carried_rows(fv.values[None, :], mask.flags[None, :], dilation)[0])
+    stat = float(_carried_rows(fv.values[None, :], mask.flags[None, :], _DILATION)[0])
     return TestReport(
         suite="carried_by",
         statistic=stat,
-        threshold=1.0 - tol,
+        threshold=1.0 - _SIGMA_TOL,
         n_paths=1,
         n_steps=fv.grid.n_steps,
-        seed=seed,
-        passed=stat >= 1.0 - tol,
-        detail=f"dilation={dilation}",
+        seed=None,
+        passed=stat >= 1.0 - _SIGMA_TOL,
+        detail=f"dilation={_DILATION}",
     )
 
 
@@ -400,6 +411,16 @@ def _checkpoint_columns(grid: TimeGrid, pairs) -> list[int]:
     return sorted({grid.index_at(t) for s, t in pairs for t in (s, t, s / 2.0)})
 
 
+#: default threshold of the drift and representation t statistics
+_THRESHOLD = 4.0
+
+
+def _t_stat(x: np.ndarray) -> float:
+    """|mean x| over its standard error; 0 when x has no spread."""
+    sd = float(np.std(x, ddof=1))
+    return 0.0 if sd == 0.0 else abs(float(np.mean(x))) / (sd / math.sqrt(len(x)))
+
+
 def _drift_report(
     values: np.ndarray,
     grid: TimeGrid,
@@ -413,7 +434,6 @@ def _drift_report(
     n_paths = len(values)
     worst = 0.0
     worst_tag = ""
-    sqrt_n = math.sqrt(n_paths)
     for s, t in pairs:
         incr = values[:, pos[grid.index_at(t)]] - values[:, pos[grid.index_at(s)]]
         at_half = values[:, pos[grid.index_at(s / 2.0)]]
@@ -424,23 +444,10 @@ def _drift_report(
             "above_median": (at_s > np.median(at_s)).astype(float),
         }
         for wname, w in weights.items():
-            x = w * incr
-            sd = float(np.std(x, ddof=1))
-            if sd == 0.0:
-                continue
-            stat = abs(float(np.mean(x))) / (sd / sqrt_n)
+            stat = _t_stat(w * incr)
             if stat > worst:
                 worst, worst_tag = stat, f"pair=({s:g},{t:g}) weight={wname}"
-    return TestReport(
-        suite=suite,
-        statistic=worst,
-        threshold=threshold,
-        n_paths=n_paths,
-        n_steps=grid.n_steps,
-        seed=seed,
-        passed=worst < threshold,
-        detail=worst_tag,
-    )
+    return TestReport.below(suite, worst, threshold, n_paths, grid.n_steps, seed, worst_tag)
 
 
 def martingale_drift_test(
@@ -448,7 +455,7 @@ def martingale_drift_test(
     n_paths: int,
     checkpoints: Sequence[float],
     seed: Optional[SeedSpec] = None,
-    threshold: float = 4.0,
+    threshold: float = _THRESHOLD,
     suite: str = "martingale_drift",
 ) -> TestReport:
     """Zero-conditional-drift test for a simulated process family.
@@ -476,52 +483,44 @@ def martingale_drift_test(
 # ---------------------------------------------------------------------------
 
 
-def _sigma_rows(models: ModelRows, src, mart, fv, tol=0.05, dilation=2, qp_tol=0.05,
-                snap_scale=2.0):
+def _sigma_rows(models: ModelRows, src, mart, fv, tol=_SIGMA_TOL):
     """Sigma(H) membership of X = M + A along the last axis, with the zeros
     of X read off ``src``: per row the carried-by statistic of A, the qp
     terminal of M, whether both parts start at 0, and the verdict."""
     nonneg = (src >= 0.0).all(axis=-1)
-    snap = np.where(nonneg, snap_scale * math.sqrt(models.grid.dt), 0.0)
+    snap = np.where(nonneg, 2.0 * math.sqrt(models.grid.dt), 0.0)
     mask = ExcursionRows(src, snap_tol=snap[:, None]).events | models.zeros.events
-    carried = _carried_rows(fv, mask, dilation)
+    carried = _carried_rows(fv, mask, _DILATION)
     qp = np.abs(_qp_rows(models.d, mart)[:, -1])
     starts_ok = (fv[:, 0] == 0.0) & (mart[:, 0] == 0.0)
-    passed = (carried >= 1.0 - tol) & (qp < qp_tol) & starts_ok
+    passed = (carried >= 1.0 - tol) & (qp < _SIGMA_TOL) & starts_ok
     return carried, qp, starts_ok, passed
 
 
-def sigma_h_check(
-    dec: Decomposition,
-    model: SignedMeasureModel,
-    tol: float = 0.05,
-    dilation: int = 2,
-    qp_tol: float = 0.05,
-    snap_scale: float = 2.0,
-    seed: Optional[SeedSpec] = None,
-) -> TestReport:
+def sigma_h_check(dec: Decomposition, model: SignedMeasureModel) -> TestReport:
     """Membership check for X = M + A in the class Sigma(H): the one-row case
     of the Sigma(H) row kernel.
 
-    Passes iff (a) dA is carried by {X = 0} union H, (b) the qp residual of
-    the martingale part M, split as M = M + 0, stays below ``qp_tol``, and
-    (c) both parts start at 0.
+    Passes iff (a) dA is carried by {X = 0} union H: at least 0.95 of its
+    total variation lies on increments within 2 grid steps of those zeros
+    (the statistic, against the threshold 0.95), (b) the terminal qp
+    residual of the martingale part M, split as M = M + 0, stays below 0.05,
+    and (c) both parts start at 0.
     The zero set of X is read off ``dec.zero_source`` when present; for a
-    nonnegative X without a source, values within snap_scale*sqrt(dt) of zero
-    are treated as zeros, since a reflected path never changes sign on a grid.
+    nonnegative X without a source, values within 2 sqrt(dt) of zero are
+    treated as zeros, since a reflected path never changes sign on a grid.
+    The report carries no seed.
     """
     _check_same_grid(dec, model)
     rows = [p.values[None, :] for p in (dec.zero_path, dec.martingale_part, dec.fv_part)]
-    carried, qp, starts_ok, passed = (
-        r[0] for r in _sigma_rows(model.block, *rows, tol, dilation, qp_tol, snap_scale)
-    )
+    carried, qp, starts_ok, passed = (r[0] for r in _sigma_rows(model.block, *rows))
     return TestReport(
         suite="sigma_h",
         statistic=float(carried),
-        threshold=1.0 - tol,
+        threshold=1.0 - _SIGMA_TOL,
         n_paths=1,
         n_steps=dec.total.grid.n_steps,
-        seed=seed,
+        seed=None,
         passed=bool(passed),
         detail=(
             f"carried={carried:.4f} qp_terminal={qp:.4f} "
@@ -542,8 +541,8 @@ def _zoo(rows_kernel):
     that build whole blocks."""
 
     @functools.wraps(rows_kernel)
-    def one_path(model: SignedMeasureModel, grid: TimeGrid, seed: SeedSpec, *args, **kwargs):
-        return rows_kernel(model.block, grid, [seed], *args, **kwargs).row(0)
+    def one_path(model: SignedMeasureModel, grid: TimeGrid, seed: SeedSpec):
+        return rows_kernel(model.block, grid, [seed]).row(0)
 
     one_path.rows = rows_kernel
     return one_path
@@ -560,13 +559,11 @@ def make_bm(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
 
 
 @_zoo
-def make_bm_plus_local_time(
-    models: ModelRows, grid: TimeGrid, seeds, scale: float = 2.0
-) -> DecompositionRows:
-    """W + scale * L^0(D): the finite-variation part is carried by H."""
+def make_bm_plus_local_time(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
+    """W + 2 L^0(D): the finite-variation part is carried by H."""
     w = _w(grid, seeds)
     v = tanaka_rows(models.d)
-    v *= scale
+    v *= 2.0
     return DecompositionRows(grid, w + v, w, v, label="bm_plus_local_time")
 
 
@@ -596,19 +593,15 @@ def make_reflected_bm(models: ModelRows, grid: TimeGrid, seeds) -> Decomposition
 
 
 @_zoo
-def make_shifted_bm(
-    models: ModelRows, grid: TimeGrid, seeds, shift: float = 3.0
-) -> DecompositionRows:
-    """shift + W: a martingale that almost never hits zero on [0, 1]."""
-    return DecompositionRows.martingale(grid, _w(grid, seeds, shift), label="shifted_bm")
+def make_shifted_bm(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
+    """3 + W: a martingale that almost never hits zero on [0, 1]."""
+    return DecompositionRows.martingale(grid, _w(grid, seeds, 3.0), label="shifted_bm")
 
 
 @_zoo
-def make_shifted_bm_drift(
-    models: ModelRows, grid: TimeGrid, seeds, shift: float = 3.0
-) -> DecompositionRows:
-    """Negative control shift + W + t, still zero-free but drifting."""
-    w = _w(grid, seeds, shift)
+def make_shifted_bm_drift(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
+    """Negative control 3 + W + t, still zero-free but drifting."""
+    w = _w(grid, seeds, 3.0)
     t = np.broadcast_to(grid.times, w.shape)
     return DecompositionRows(grid, w + grid.times, w, t, label="shifted_bm_drift")
 
@@ -671,8 +664,12 @@ def density_products(
 # Equivalence suites
 # ---------------------------------------------------------------------------
 
-#: paths whose zeros are checked against H before a *_mart suite runs
+#: paths whose zeros are checked against H before a *_mart suite runs, and
+#: the largest fraction of them that may fail
 _PROBE_PATHS = 200
+_HYP_FRAC = 0.02
+#: the checkpoints of the equivalence suites' drift tests
+_CHECKPOINTS = (0.5, 1.0)
 
 
 def _flip_rows(dec: DecompositionRows, alpha: float, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -698,7 +695,7 @@ def _flip_split(dec: DecompositionRows, seeds, alpha: float) -> tuple[np.ndarray
     return m, flipped - m
 
 
-def _sigma_side(split=None, tol: float = 0.05):
+def _sigma_side(split=None, tol: float = _SIGMA_TOL):
     """A side of sigma_h (statistic, verdict) rows of X = M + A, with (M, A)
     = ``split(dec, seeds)`` (the base's own split when None) and the zeros
     of X read off the base's zero source."""
@@ -717,11 +714,11 @@ def _majority(panel: np.ndarray) -> tuple[bool, float]:
     return passed, float(np.median(panel[:, 0]))
 
 
-def _hypothesis_violations(models: ModelRows, dec: DecompositionRows, k: int, dilation: int = 2) -> int:
+def _hypothesis_violations(models: ModelRows, dec: DecompositionRows, k: int) -> int:
     """Paths among the block's first k whose zeros are not within H (up to
     grid dilation): an empirical check of {t : base_t = 0} subset H."""
     events = ExcursionRows(dec.zero_path[:k]).events
-    near_h = ZeroMask(models.zeros.events[:k]).dilate(dilation)
+    near_h = ZeroMask(models.zeros.events[:k]).dilate(_DILATION)
     return int(np.count_nonzero((events & ~near_h).any(axis=1)))
 
 
@@ -731,14 +728,14 @@ def _product_at(models: ModelRows, x: np.ndarray, columns) -> np.ndarray:
 
 
 def _read_blocks(model_family: str, base_rows, grid: TimeGrid, seed: SeedSpec, sides,
-                 n_probe: int = 0, hyp_frac: float = 0.0):
+                 n_probe: int = 0):
     """Read what a suite needs in one pass over its row blocks, so each block
     of models and base processes is built once.
 
     Each side is a pair ``(n, side)``: ``side`` maps a block ``(models, dec,
     seeds)`` to one row per path and is gathered over the first n paths.
     The zeros of the first ``n_probe`` paths are checked against H, and the
-    pass stops after the probe when more than ``hyp_frac`` of them fail.
+    pass stops after the probe when more than ``_HYP_FRAC`` of them fail.
 
     Returns (probe violation fraction, side matrices or None when the probe
     failed).
@@ -756,12 +753,13 @@ def _read_blocks(model_family: str, base_rows, grid: TimeGrid, seed: SeedSpec, s
     bad = 0
     for lo, hi in _block_bounds(grid, max(n for n, _ in sides)):
         bad += read_block(lo, hi)
-        if lo < n_probe <= hi and bad / n_probe > hyp_frac:
+        if lo < n_probe <= hi and bad / n_probe > _HYP_FRAC:
             return bad / n_probe, None
     return (bad / n_probe if n_probe else 0.0), [np.concatenate(out) for out in gathered]
 
 
-def sigma_h_panel(model_family: str, base, grid: TimeGrid, seed: SeedSpec, n_paths: int, tol=0.05):
+def sigma_h_panel(model_family: str, base, grid: TimeGrid, seed: SeedSpec, n_paths: int,
+                  tol=_SIGMA_TOL):
     """sigma_h statistics and verdicts of paths 0..n_paths-1 of a model family
     and a base process, path p from ``seed.with_path(p)`` as in
     :func:`density_products`, each block of rows built and checked in one
@@ -780,39 +778,41 @@ class _SuiteContext:
     seed: SeedSpec
     n_paths: int
     grid: TimeGrid
-    checkpoints: tuple[float, ...]
-    threshold: float
     n_sigma_paths: int
-    hyp_frac: float
 
     def drift_columns(self):
         """Validated checkpoint pairs and the grid columns the drift
         statistic reads."""
-        pairs = _checkpoint_pairs(self.n_paths, self.checkpoints)
+        pairs = _checkpoint_pairs(self.n_paths, _CHECKPOINTS)
         return pairs, _checkpoint_columns(self.grid, pairs)
 
     def drift(self, values: np.ndarray, pairs, tag: str) -> TestReport:
-        return _drift_report(values, self.grid, pairs, self.seed, self.threshold, tag)
+        return _drift_report(values, self.grid, pairs, self.seed, _THRESHOLD, tag)
 
     def read(self, sides, probe: bool = False):
         """:func:`_read_blocks` on this suite's paths; with ``probe`` the
         first ``_PROBE_PATHS`` of them are probed."""
         n_probe = min(_PROBE_PATHS, self.n_paths) if probe else 0
-        return _read_blocks(
-            self.model_family, self.base_rows, self.grid, self.seed, sides, n_probe, self.hyp_frac
-        )
+        return _read_blocks(self.model_family, self.base_rows, self.grid, self.seed, sides, n_probe)
 
     def panel(self, split=None):
         """A side of sigma_h rows gathered over the first ``n_sigma_paths``."""
         return self.n_sigma_paths, _sigma_side(split)
 
-    def report(self, name, statistic, passed, detail, threshold=1.0, n_paths=None) -> TestReport:
-        """The report of suite ``name`` on this suite's grid and seed (over
-        all ``n_paths`` paths unless told otherwise)."""
-        n_paths = self.n_paths if n_paths is None else n_paths
+    def report(self, name, statistic, passed, detail, threshold=1.0) -> TestReport:
+        """The report of suite ``name`` over this suite's paths, grid and seed."""
         return TestReport(
-            f"equivalence.{name}", statistic, threshold, n_paths, self.grid.n_steps, self.seed,
-            passed, detail,
+            f"equivalence.{name}", statistic, threshold, self.n_paths, self.grid.n_steps,
+            self.seed, passed, detail,
+        )
+
+    def below(self, name, statistic, detail, n_paths=None) -> TestReport:
+        """The report of suite ``name`` whose statistic is scaled to a
+        threshold of 1 and passes below it (over all ``n_paths`` paths unless
+        told otherwise)."""
+        n_paths = self.n_paths if n_paths is None else n_paths
+        return TestReport.below(
+            f"equivalence.{name}", statistic, 1.0, n_paths, self.grid.n_steps, self.seed, detail
         )
 
 
@@ -837,10 +837,15 @@ def _mart_suite(ctx: _SuiteContext, name: str, right_process) -> TestReport:
         probe=True,
     )
     if sides is None:
-        return _hyp_not_met(ctx, name, frac)
+        return ctx.report(
+            name, frac, False,
+            f"{HYPOTHESIS_NOT_MET}: zeros of the base process are not "
+            f"contained in H (violation fraction {frac:.3f})",
+            threshold=_HYP_FRAC,
+        )
     left = ctx.drift(sides[0], pairs, f"equivalence.{name}.left")
     right = ctx.drift(sides[1], pairs, f"equivalence.{name}.right")
-    stat = max(left.statistic, right.statistic) / ctx.threshold
+    stat = max(left.statistic, right.statistic) / _THRESHOLD
     return _iff_report(ctx, name, left.passed, right.passed, stat)
 
 
@@ -864,7 +869,7 @@ def _suite_cmart(ctx: _SuiteContext) -> TestReport:
     ])
     left_pass, left_stat = _majority(panel)
     right = ctx.drift(half_flips, pairs, "equivalence.cmart.right")
-    stat = right.statistic / ctx.threshold
+    stat = right.statistic / _THRESHOLD
     return _iff_report(
         ctx, "cmart", left_pass, right.passed, stat,
         extra=f"sigma_stat={left_stat:.3f}",
@@ -878,10 +883,10 @@ def _suite_ito_xdx(ctx: _SuiteContext) -> TestReport:
           lambda models, dec, seeds: _product_at(models, ito_rows(dec.total, dec.total), columns))]
     )
     rep = ctx.drift(xdx, pairs, "equivalence.ito_xdx")
-    return ctx.report("ito_xdx", rep.statistic / ctx.threshold, rep.passed, rep.detail)
+    return ctx.report("ito_xdx", rep.statistic / _THRESHOLD, rep.passed, rep.detail)
 
 
-def _suite_qp_brownian(ctx: _SuiteContext, qv_tol: float = 0.05, qp_tol: float = 0.05) -> TestReport:
+def _suite_qp_brownian(ctx: _SuiteContext) -> TestReport:
     horizon = ctx.grid.horizon
 
     def residuals(models, dec, seeds):
@@ -891,16 +896,16 @@ def _suite_qp_brownian(ctx: _SuiteContext, qv_tol: float = 0.05, qp_tol: float =
 
     _, (panel,) = ctx.read([(ctx.n_sigma_paths, residuals)])
     qv_errs, qp_terms = panel.T
-    stat = max(float(np.median(qv_errs)) / qv_tol, float(np.median(qp_terms)) / qp_tol)
-    return ctx.report(
-        "qp_brownian", stat, stat < 1.0,
+    stat = max(float(np.median(qv_errs)) / 0.05, float(np.median(qp_terms)) / 0.05)
+    return ctx.below(
+        "qp_brownian", stat,
         f"median_qv_err={np.median(qv_errs):.4f} median_qp={np.median(qp_terms):.4f}",
         n_paths=ctx.n_sigma_paths,
     )
 
 
 def _suite_abs_brownian(ctx: _SuiteContext) -> TestReport:
-    from .skewbm import skew_transition_cdf  # skewbm imports this module
+    from .skewbm import LawSample, SkewLaw, law_test  # skewbm imports this module
 
     pairs, columns = ctx.drift_columns()
 
@@ -910,25 +915,12 @@ def _suite_abs_brownian(ctx: _SuiteContext) -> TestReport:
 
     _, (read,) = ctx.read([(ctx.n_paths, half_flips)])
     rep = ctx.drift(read[:, :-1], pairs, "equivalence.abs_brownian.drift")
-    sorted_t = np.sort(read[:, -1])
-    n = len(sorted_t)
-    cdf = skew_transition_cdf(0.5, ctx.grid.horizon, sorted_t)
-    emp_mid = (np.arange(n) + 0.5) / n
-    ks = float(np.max(np.abs(emp_mid - cdf)))
-    ks_crit = float(kolmogi(0.01)) / math.sqrt(n)
-    stat = max(rep.statistic / ctx.threshold, ks / ks_crit)
-    return ctx.report(
-        "abs_brownian", stat, stat < 1.0,
-        f"drift={rep.statistic:.2f} ks={ks:.5f} ks_crit={ks_crit:.5f}",
-    )
-
-
-def _hyp_not_met(ctx: _SuiteContext, name: str, frac: float) -> TestReport:
-    return ctx.report(
-        name, frac, False,
-        f"{HYPOTHESIS_NOT_MET}: zeros of the base process are not "
-        f"contained in H (violation fraction {frac:.3f})",
-        threshold=ctx.hyp_frac,
+    horizon = ctx.grid.horizon
+    ks = law_test(LawSample(read[:, -1], horizon), SkewLaw(0.5, horizon))
+    stat = max(rep.statistic / _THRESHOLD, ks.statistic / ks.threshold)
+    return ctx.below(
+        "abs_brownian", stat,
+        f"drift={rep.statistic:.2f} ks={ks.statistic:.5f} ks_crit={ks.threshold:.5f}",
     )
 
 
@@ -956,10 +948,7 @@ def equivalence_suite(
     seed: SeedSpec,
     n_paths: int,
     grid: Optional[TimeGrid] = None,
-    checkpoints: Sequence[float] = (0.5, 1.0),
-    threshold: float = 4.0,
     n_sigma_paths: int = 32,
-    hyp_frac: float = 0.02,
 ) -> TestReport:
     """Run one named equivalence suite and report the two-sided verdict.
 
@@ -978,10 +967,7 @@ def equivalence_suite(
         seed=seed,
         n_paths=n_paths,
         grid=grid if grid is not None else make_grid(1.0, 2**10),
-        checkpoints=tuple(checkpoints),
-        threshold=threshold,
         n_sigma_paths=n_sigma_paths,
-        hyp_frac=hyp_frac,
     )
     return EQUIVALENCE_SUITES[name](ctx)
 
@@ -999,7 +985,7 @@ def optional_representation_check(
     model_family: str,
     grid: TimeGrid,
     seed: SeedSpec,
-    threshold: float = 4.0,
+    threshold: float = _THRESHOLD,
 ) -> TestReport:
     """Weak-form check of M_T - M_{gamma_T} = E[M_inf 1{gbar < T} | F_T].
 
@@ -1044,18 +1030,10 @@ def optional_representation_check(
 
     worst, worst_name = 0.0, ""
     for name in names:
-        x = diffs * hits[name]
-        sd = float(np.std(x, ddof=1))
-        stat = 0.0 if sd == 0.0 else abs(float(np.mean(x))) / (sd / math.sqrt(n_paths))
+        stat = _t_stat(diffs * hits[name])
         if stat >= worst:
             worst, worst_name = stat, name
-    return TestReport(
-        suite="optional_representation",
-        statistic=worst,
-        threshold=threshold,
-        n_paths=n_paths,
-        n_steps=grid.n_steps,
-        seed=seed,
-        passed=worst < threshold,
-        detail=f"worst_event={worst_name}",
+    return TestReport.below(
+        "optional_representation", worst, threshold, n_paths, grid.n_steps, seed,
+        f"worst_event={worst_name}",
     )

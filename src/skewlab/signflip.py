@@ -48,6 +48,8 @@ class AlphaSchedule:
     def __post_init__(self):
         if len(self.boundaries) != len(self.values) or not self.boundaries:
             raise ValueError("need one alpha value per boundary")
+        if not np.isfinite(self.boundaries).all():
+            raise ValueError("boundaries must be finite")
         if self.boundaries[0] != 0.0:
             raise ValueError("first boundary must be 0")
         if any(b >= c for b, c in zip(self.boundaries, self.boundaries[1:])):

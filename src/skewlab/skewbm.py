@@ -29,6 +29,7 @@ from .excursion import ExcursionRows, decompose_excursions
 from .grid_paths import SamplePath, SeedSpec, _draw_streams, stream_states
 from .localtime import ResidualReport, ito_sum, local_time
 from .signed_measure import (
+    _DILATION,
     Decomposition,
     HypothesisNotMetError,
     InsufficientSamplesError,
@@ -98,12 +99,12 @@ class LawSample:
         return len(self.values)
 
 
-def check_construction_hypotheses(spec: SkewBuildSpec, dilation: int = 2) -> list[str]:
+def check_construction_hypotheses(spec: SkewBuildSpec) -> list[str]:
     """Violations of the standing hypotheses for law-level claims.
 
     Under the trivial model every condition is vacuous.  Otherwise the base
-    must vanish on H (its zero events must cover H) and be orthogonal to D;
-    both are checked empirically on this realization.
+    must vanish on H (its zero events, dilated by 2 grid steps, must cover H)
+    and be orthogonal to D; both are checked empirically on this realization.
     """
     if spec.model.family == "trivial":
         return []
@@ -111,7 +112,7 @@ def check_construction_hypotheses(spec: SkewBuildSpec, dilation: int = 2) -> lis
     events = decompose_excursions(spec.base.zero_path).zero_events
     h_idx = spec.model.h_mask.indices()
     if len(h_idx):
-        near = events.dilate(dilation)
+        near = events.dilate(_DILATION)
         if not np.all(near[h_idx]):
             problems.append("base process does not vanish on H")
     qp = qp_residual(spec.base, spec.model)
@@ -167,32 +168,29 @@ def sde_residual(
     sign: SamplePath,
     schedule: AlphaSchedule,
     variant: str = "signed",
-    lt_method: str = "occupation",
-    bandwidth: Optional[float] = None,
 ) -> ResidualReport:
     """Pathwise residual of the skew SDE for a constructed path.
 
     residual_t = X_t - X_0 - W_t - sum (2 alpha(t_i) - 1) dL_i  with the
-    driving noise W recovered by ``recover_driving_noise`` and L estimated on
-    the constructed path.  The occupation estimator is the default: a flipped
-    path bounces off zero wherever consecutive excursions kept their sign, so
-    the crossing-counting tanaka estimate sees only the 2 alpha (1 - alpha)
-    fraction of boundaries that flipped and underestimates the local time by
-    exactly that factor; the occupation count is insensitive to the boundary
-    microstructure.  ``lt_method="tanaka"`` remains available as the
-    documented-inconsistent cross-check.
+    driving noise W recovered by ``recover_driving_noise`` and L the
+    occupation estimate (default bandwidth dt**0.4) on the constructed path.
+    The occupation count is insensitive to the boundary microstructure; the
+    crossing-counting tanaka estimate is not: a flipped path bounces off
+    zero wherever consecutive excursions kept their sign, so it sees only
+    the 2 alpha (1 - alpha) fraction of boundaries that flipped and
+    underestimates the local time by exactly that factor.
     """
     if not x_alpha.grid.same_as(sign.grid):
         raise ValueError("constructed path and sign path live on different grids")
     w = recover_driving_noise(base, sign, variant)
-    lt = local_time(x_alpha, lt_method, bandwidth).curve
+    lt = local_time(x_alpha, "occupation").curve
     weights = 2.0 * schedule.alpha_at(x_alpha.grid.times[:-1]) - 1.0
     correction = np.empty(len(x_alpha))
     correction[0] = 0.0
     np.cumsum(weights * np.diff(lt.values), out=correction[1:])
     residual = x_alpha.values - x_alpha.values[0] - w.values - correction
     return ResidualReport.from_residual(
-        f"skew_sde[{schedule.kind},{variant}]", residual, x_alpha.grid.n_steps, None
+        f"skew_sde[{schedule.kind},{variant}]", residual, x_alpha.grid.n_steps
     )
 
 
@@ -457,10 +455,10 @@ def skew_terminal_samples(
     n_steps: int,
     seed: SeedSpec,
     variant: str = "absolute",
-    horizon: float = 1.0,
     chunk: int = 8192,
 ) -> list[LawSample]:
-    """Bulk terminal sampling of the construction over shared driver paths.
+    """Bulk terminal sampling of the construction over shared driver paths,
+    at the unit horizon.
 
     Chunk c draws its driver increments from seed.child(f"bulk/base/{c}")
     (row per path, float32) and, for schedule k, its sign uniforms from
@@ -488,7 +486,7 @@ def skew_terminal_samples(
     if variant not in ("signed", "absolute"):
         raise ValueError(f"unknown variant {variant!r}")
     _check_steps(n_steps)
-    dt = horizon / n_steps
+    dt = 1.0 / n_steps
 
     def job(c: int, lo: int, hi: int):
         rng_signs = [seed.child(f"bulk/signs/{k}/{c}").rng() for k in range(len(schedules))]
@@ -502,7 +500,7 @@ def skew_terminal_samples(
         for out, v in zip(outs, values):
             out[rows] = v
     return [
-        LawSample(out, t=horizon, tag=f"skew[{variant},{sched.kind}]")
+        LawSample(out, t=1.0, tag=f"skew[{variant},{sched.kind}]")
         for out, sched in zip(outs, schedules)
     ]
 
@@ -513,14 +511,11 @@ def skew_terminal_sample(
     n_steps: int,
     seed: SeedSpec,
     variant: str = "absolute",
-    horizon: float = 1.0,
     chunk: int = 8192,
 ) -> LawSample:
     """Terminal values of many independent construction runs (trivial
     model): the one-schedule case of :func:`skew_terminal_samples`."""
-    return skew_terminal_samples(
-        [schedule], n_paths, n_steps, seed, variant, horizon, chunk
-    )[0]
+    return skew_terminal_samples([schedule], n_paths, n_steps, seed, variant, chunk)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -618,13 +613,4 @@ def law_test(
             f"sign_prob_err={abs(sign_frac - reference.sign_probability):.5f}"
         )
         n_paths = samples_a.n
-    return TestReport(
-        suite="law_ks",
-        statistic=stat,
-        threshold=crit,
-        n_paths=n_paths,
-        n_steps=0,
-        seed=seed,
-        passed=stat < crit,
-        detail=detail,
-    )
+    return TestReport.below("law_ks", stat, crit, n_paths, 0, seed, detail)

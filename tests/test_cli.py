@@ -236,6 +236,28 @@ class TestMain:
         assert "bad schedule: need one alpha value per boundary" in capsys.readouterr().err
         assert not (tmp_path / "reports.json").exists()
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_alpha_with_schedule_rejected(self, flag, tmp_path, capsys):
+        # a schedule ignores alpha, so an explicit one (flag or key) is an error
+        config = tmp_path / "run.cfg"
+        config.write_text("schedule.boundaries=0,0.5\nschedule.values=0.3,0.8\n"
+                          + ("" if flag else "alpha=0.5\n"))
+        code = main(["run", "--config", str(config), "--suite", "skew_residual",
+                     "--steps", "64,128", "--seeds", "4", "--out", str(tmp_path)]
+                    + (["--alpha", "0.5"] if flag else []))
+        assert code == 2
+        assert "alpha cannot be combined with schedule.*" in capsys.readouterr().err
+        assert not (tmp_path / "reports.json").exists()
+
+    @pytest.mark.parametrize("bound", ["nan", "inf"])
+    def test_non_finite_boundary_rejected(self, bound, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"schedule.boundaries=0,{bound}\nschedule.values=0.3,0.8\n")
+        code = main(["run", "--config", str(config), "--suite", "skew_residual",
+                     "--steps", "64,128", "--seeds", "4", "--out", str(tmp_path)])
+        assert code == 2
+        assert "bad schedule: boundaries must be finite" in capsys.readouterr().err
+
     def test_too_few_paths_allowed_without_path_statistics(self):
         assert config_from_pairs({"suite": "identities", "paths": "500"}).n_paths == 500
 
@@ -267,3 +289,55 @@ class TestMain:
                      "--steps", "512", "--alpha", "0.5", "--seed", "99"])
         assert code == 0
         assert (tmp_path / "reports.json").exists()
+
+
+#: a value, other than its default, for each key that is also a flag
+FLAG_VALUES = {
+    "suite": "skew_residual", "model": "shifted_brownian", "seed": "7", "paths": "500",
+    "steps": "32,64", "seeds": "3", "alpha": "0.25", "out": "elsewhere", "format": "csv",
+}
+
+
+class TestKeyTable:
+    def configs(self, tmp_path, key, value):
+        """The config a run gets with ``key`` in its config file, and with
+        ``key`` as a flag."""
+        base = "suite=identities\nsteps=16,32\nseeds=2\n"
+        keyed = tmp_path / "keyed.cfg"
+        keyed.write_text(f"{base}{key}={value}\n")
+        plain = tmp_path / "plain.cfg"
+        plain.write_text(base)
+        parser = cli._build_parser()
+        return [
+            cli._config_from_args(parser.parse_args(["run", "--config", str(path)] + flag))
+            for path, flag in ((keyed, []), (plain, [f"--{key}", value]))
+        ]
+
+    @pytest.mark.parametrize("key", sorted(FLAG_VALUES))
+    def test_flag_and_config_key_agree(self, key, tmp_path):
+        by_file, by_flag = self.configs(tmp_path, key, FLAG_VALUES[key])
+        assert by_file == by_flag
+        field = cli._KEYS[key].field
+        assert getattr(by_file, field) != getattr(ExperimentConfig(), field)
+        a, b = run_experiment(by_file).provenance, run_experiment(by_flag).provenance
+        a.pop("timestamp")
+        b.pop("timestamp")
+        assert a == b
+        if cli._KEYS[key].recorded:
+            assert a["config"][key] == getattr(by_file, field)
+
+    def test_config_only_keys_recorded(self):
+        pairs = {"suite": "identities", "steps": "16,32", "seeds": "2",
+                 "schedule.boundaries": "0,0.5", "schedule.values": "0.3,0.8"}
+        assert {key for key in cli._KEYS if key not in cli._FLAGS} == {
+            "schedule.boundaries", "schedule.values"
+        }
+        config = run_experiment(config_from_pairs(pairs)).provenance["config"]
+        assert list(config["schedule.boundaries"]) == [0.0, 0.5]
+        assert list(config["schedule.values"]) == [0.3, 0.8]
+
+    def test_run_help_lists_the_table_flags(self, capsys):
+        assert main(["run", "--help"]) == 0
+        flags = set(re.findall(r"--([\w.]+)", capsys.readouterr().out))
+        assert flags == set(FLAG_VALUES) | {"config", "help"}
+        assert set(cli._FLAGS) == set(FLAG_VALUES)

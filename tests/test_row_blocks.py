@@ -355,7 +355,7 @@ def test_later_blocks_leave_handed_out_paths_unchanged():
     grid = make_grid(1.0, 32)
     ctx = signed_measure._SuiteContext(
         "shifted_brownian", PROCESS_ZOO["reflected_bm"].rows, 0.7, SeedSpec(MASTER, "frz"),
-        1000, grid, (0.5, 1.0), 4.0, 12, 0.02,
+        1000, grid, 12,
     )
     handed = []
 

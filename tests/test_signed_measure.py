@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from skewlab import signed_measure
 from skewlab.excursion import ZeroMask, decompose_excursions
 from skewlab.grid_paths import SamplePath, SeedSpec, block_rows, make_grid, sample_brownian
 from skewlab.localtime import ito_sum, local_time
@@ -84,6 +85,19 @@ class TestDecomposition:
         Decomposition(SamplePath(g, recon * (1 + 1e-12)), mart, fv)
         with pytest.raises(ValueError):
             Decomposition(SamplePath(g, recon * (1 + 1e-6)), mart, fv)
+
+    @pytest.mark.parametrize("name", sorted(PROCESS_ZOO))
+    def test_zoo_member_checks_its_split_once(self, name, monkeypatch):
+        # the one-row block is checked; its row is not checked again
+        calls = []
+        check = signed_measure._check_split
+        monkeypatch.setattr(
+            signed_measure, "_check_split", lambda *a: calls.append(1) or check(*a)
+        )
+        g = make_grid(1.0, 64)
+        model = build_model("shifted_brownian", g, SeedSpec(MASTER, "spy/model"))
+        PROCESS_ZOO[name](model, g, SeedSpec(MASTER, "spy"))
+        assert len(calls) == 1
 
 
 class TestQpResidual:
@@ -167,7 +181,7 @@ class TestQpResidual:
             assert abs(
                 quadratic_covariation(dec.total, model.d_path).values[-1]
             ) < 0.05
-            carried = carried_by_check(dec.fv_part, model.h_mask, tol=0.05, dilation=2)
+            carried = carried_by_check(dec.fv_part, model.h_mask)
             assert carried.passed
             assert abs(
                 quadratic_covariation(dec.martingale_part, model.d_path).values[-1]
@@ -192,7 +206,7 @@ class TestCarriedBy:
                 continue
             found += 1
             lt = local_time(model.d_path, "tanaka").curve
-            rep = carried_by_check(lt, model.h_mask, tol=0.05, dilation=2)
+            rep = carried_by_check(lt, model.h_mask)
             assert rep.passed
             assert rep.statistic >= 0.95
         assert found >= 3
@@ -201,7 +215,7 @@ class TestCarriedBy:
         fv = SamplePath(grid12, grid12.times.copy())
         mask = np.zeros(grid12.n_points, dtype=bool)
         mask[::512] = True
-        rep = carried_by_check(fv, ZeroMask(mask), tol=0.05, dilation=2)
+        rep = carried_by_check(fv, ZeroMask(mask))
         assert not rep.passed
         assert rep.statistic < 0.5
 

@@ -30,6 +30,8 @@ class TestAlphaSchedule:
             ([0.0, 0.0], [0.3, 0.8]),  # strictly increasing
             ([0.0, 0.5], [0.3]),  # length mismatch
             ([0.0], [1.2]),  # alpha out of range
+            ([0.0, float("nan")], [0.3, 0.8]),  # boundaries must be finite
+            ([0.0, float("inf")], [0.3, 0.8]),
         ],
     )
     def test_validation(self, bounds, vals):
