@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 from .excursion import (
     Excursion,
     ExcursionSet,
-    LastZeroCurve,
-    ZeroMask,
     decompose_excursions,
+    dilate,
     last_zero_curve,
 )
 from .grid_paths import (
@@ -27,7 +26,6 @@ from .grid_paths import (
     sample_brownian,
 )
 from .localtime import (
-    LocalTimeCurve,
     ResidualReport,
     identity_residual,
     ito_sum,
@@ -41,7 +39,6 @@ from .signed_measure import (
     ModelRows,
     PROCESS_ZOO,
     PathRows,
-    SignedMeasureModel,
     TestReport,
     build_model,
     carried_by_check,
@@ -54,7 +51,6 @@ from .signed_measure import (
 )
 from .signflip import (
     AlphaSchedule,
-    SignAssignment,
     apply_sign,
     assign_signs,
     build_sign_path,

@@ -44,17 +44,10 @@ from .skewbm import (
     skew_transition_density,
 )
 
-SUITES = ("identities", "martingale", "sigma_h", "skew_law", "skew_residual", "representation")
-
-SUITE_BLURBS = {
-    "identities": "pathwise residuals: Tanaka, frozen-k balayage, f(v)M transform, across mesh levels",
-    "martingale": "conditional-drift tests of the density-weighted product processes, with a drifting negative control",
-    "sigma_h": "carried-by membership checks for X = M + A, with a Lebesgue-drift negative control",
-    "skew_law": "terminal-law verification of the sign-flip construction: closed-form KS, sign probability, skew-walk cross-check",
-    "skew_residual": "pathwise skew SDE residuals across mesh levels for the configured schedule",
-    "representation": "weak-form optional representation identity over an event dictionary",
-    "all": "runs every suite in order: " + ", ".join(SUITES),
-}
+#: suite -> runner ``(config, seed) -> (reports, curves)`` and suite -> blurb,
+#: filled in run order by :func:`_suite`; the blurbs end with ``all``
+SUITE_RUNNERS: dict[str, Callable] = {}
+SUITE_BLURBS: dict[str, str] = {}
 
 
 #: suites whose statistical checks refuse fewer than ``_MIN_PATHS`` paths
@@ -282,6 +275,19 @@ def _check_refinable(n_steps) -> None:
             )
 
 
+def _suite(blurb: str):
+    """Register ``run_<name>`` as suite ``name`` with its description."""
+
+    def register(runner):
+        name = runner.__name__.removeprefix("run_")
+        SUITE_RUNNERS[name] = runner
+        SUITE_BLURBS[name] = blurb
+        return runner
+
+    return register
+
+
+@_suite("pathwise residuals: Tanaka, frozen-k balayage, f(v)M transform, across mesh levels")
 def run_identities(cfg: ExperimentConfig, seed: SeedSpec):
     _check_refinable(cfg.n_steps)
     reports, curves = [], []
@@ -294,8 +300,7 @@ def run_identities(cfg: ExperimentConfig, seed: SeedSpec):
             if i == 0:
                 curves.append(CurveSeries(
                     f"tanaka_residual_n{n}", p.grid.times,
-                    local_time(p, "tanaka").curve.values
-                    - local_time(p, "occupation").curve.values,
+                    local_time(p, "tanaka").values - local_time(p, "occupation").values,
                 ))
             y = p.with_values(np.abs(p.values))
             sgn = p.with_values(np.sign(p.values))
@@ -322,6 +327,8 @@ def run_identities(cfg: ExperimentConfig, seed: SeedSpec):
     return reports, curves
 
 
+@_suite("conditional-drift tests of the density-weighted product processes, "
+        "with a drifting negative control")
 def run_martingale(cfg: ExperimentConfig, seed: SeedSpec):
     n = max(cfg.n_steps)
     g = make_grid(1.0, n)
@@ -347,6 +354,7 @@ def run_martingale(cfg: ExperimentConfig, seed: SeedSpec):
     return reports, []
 
 
+@_suite("carried-by membership checks for X = M + A, with a Lebesgue-drift negative control")
 def run_sigma_h(cfg: ExperimentConfig, seed: SeedSpec):
     n = max(cfg.n_steps)
     g = make_grid(1.0, n)
@@ -376,6 +384,8 @@ def run_sigma_h(cfg: ExperimentConfig, seed: SeedSpec):
     return reports, []
 
 
+@_suite("terminal-law verification of the sign-flip construction: closed-form KS, "
+        "sign probability, skew-walk cross-check")
 def run_skew_law(cfg: ExperimentConfig, seed: SeedSpec):
     if cfg.model != "trivial":
         return (
@@ -438,6 +448,7 @@ def run_skew_law(cfg: ExperimentConfig, seed: SeedSpec):
     return reports, curves
 
 
+@_suite("pathwise skew SDE residuals across mesh levels for the configured schedule")
 def run_skew_residual(cfg: ExperimentConfig, seed: SeedSpec):
     _check_refinable(cfg.n_steps)
     sched = cfg.schedule()
@@ -457,6 +468,7 @@ def run_skew_residual(cfg: ExperimentConfig, seed: SeedSpec):
     return reports, []
 
 
+@_suite("weak-form optional representation identity over an event dictionary")
 def run_representation(cfg: ExperimentConfig, seed: SeedSpec):
     g = make_grid(1.0, max(cfg.n_steps))
     events = {
@@ -477,14 +489,8 @@ def run_representation(cfg: ExperimentConfig, seed: SeedSpec):
     return reports, []
 
 
-SUITE_RUNNERS = {
-    "identities": run_identities,
-    "martingale": run_martingale,
-    "sigma_h": run_sigma_h,
-    "skew_law": run_skew_law,
-    "skew_residual": run_skew_residual,
-    "representation": run_representation,
-}
+SUITES = tuple(SUITE_RUNNERS)
+SUITE_BLURBS["all"] = "runs every suite in order: " + ", ".join(SUITES)
 
 
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
@@ -594,10 +600,11 @@ def _config_from_args(args) -> ExperimentConfig:
     pairs = {}
     if args.config:
         try:
-            with open(args.config) as f:
-                pairs.update(parse_config_text(f.read()))
-        except OSError as e:
+            with open(args.config, encoding="utf-8") as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError) as e:
             raise UsageError(f"cannot read config: {e}") from None
+        pairs.update(parse_config_text(text))
     for key in _FLAGS:
         if getattr(args, key) is not None:
             pairs[key] = getattr(args, key)

@@ -38,42 +38,23 @@ import numpy as np
 from .grid_paths import SamplePath
 
 __all__ = [
-    "ZeroMask",
     "Excursion",
     "ExcursionRows",
     "ExcursionSet",
-    "LastZeroCurve",
     "decompose_excursions",
+    "dilate",
     "last_zero_curve",
 ]
 
 
-@dataclass(frozen=True)
-class ZeroMask:
-    """Boolean flags aligned with a grid; True marks a discrete zero."""
-
-    flags: np.ndarray
-
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.flags)
-
-    @property
-    def is_empty(self) -> bool:
-        return not bool(self.flags.any())
-
-    def dilate(self, radius: int) -> np.ndarray:
-        """Flags with True smeared over +/- radius grid indices (along the
-        last axis, so a block of rows dilates row by row)."""
-        if radius <= 0:
-            return self.flags.copy()
-        out = self.flags.copy()
-        for off in range(1, radius + 1):
-            out[..., off:] |= self.flags[..., :-off]
-            out[..., :-off] |= self.flags[..., off:]
-        return out
-
-    def __len__(self) -> int:
-        return self.flags.shape[-1]
+def dilate(flags: np.ndarray, radius: int) -> np.ndarray:
+    """Boolean flags with each True smeared over +/- radius indices along the
+    last axis, so a ``(rows, n_points)`` block dilates row by row."""
+    out = flags.copy()
+    for off in range(1, radius + 1):
+        out[..., off:] |= flags[..., :-off]
+        out[..., :-off] |= flags[..., off:]
+    return out
 
 
 class Excursion(NamedTuple):
@@ -181,12 +162,14 @@ class ExcursionSet:
     rows: ExcursionRows
 
     @property
-    def zero_mask(self) -> ZeroMask:
-        return ZeroMask(~self.rows.covered[0])
+    def zero_mask(self) -> np.ndarray:
+        """True on the exact zeros."""
+        return ~self.rows.covered[0]
 
     @property
-    def zero_events(self) -> ZeroMask:
-        return ZeroMask(self.rows.events[0])
+    def zero_events(self) -> np.ndarray:
+        """True on the zero events (see the module docstring)."""
+        return self.rows.events[0]
 
     @property
     def ordinal(self) -> np.ndarray:
@@ -204,13 +187,6 @@ class ExcursionSet:
         )
 
 
-@dataclass(frozen=True)
-class LastZeroCurve:
-    """gamma[i] = largest zero-event index <= i, or 0 when there is none."""
-
-    gamma: np.ndarray
-
-
 def decompose_excursions(path: SamplePath, snap_tol: float = 0.0) -> ExcursionSet:
     """Split a path into excursion intervals and its discrete zero set.
 
@@ -221,12 +197,12 @@ def decompose_excursions(path: SamplePath, snap_tol: float = 0.0) -> ExcursionSe
     return ExcursionSet(path, ExcursionRows(path.values[None, :], snap_tol))
 
 
-def last_zero_curve(excursions: ExcursionSet) -> tuple[LastZeroCurve, int]:
+def last_zero_curve(excursions: ExcursionSet) -> tuple[np.ndarray, int]:
     """Running last zero event and the final zero gbar of a decomposition.
 
-    gamma is nondecreasing, idempotent (gamma[gamma[i]] = gamma[i]) and uses
-    index 0 when no event has occurred yet; gbar is the last event index or 0
-    for an event-free path.
+    gamma[i] is the largest zero-event index <= i, and 0 when no event has
+    occurred yet; it is nondecreasing and idempotent (gamma[gamma[i]] =
+    gamma[i]).  gbar is the last event index, or 0 for an event-free path.
     """
     gamma = excursions.rows.gamma[0]
-    return LastZeroCurve(gamma), int(gamma[-1])
+    return gamma, int(gamma[-1])

@@ -24,7 +24,6 @@ from .excursion import decompose_excursions, last_zero_curve
 from .grid_paths import SamplePath
 
 __all__ = [
-    "LocalTimeCurve",
     "ResidualReport",
     "ito_rows",
     "ito_sum",
@@ -38,16 +37,6 @@ __all__ = [
 #: occupation bandwidth default: eps = dt**OCCUPATION_EXPONENT, balancing the
 #: eps -> 0 bias against the eps**2/dt -> inf consistency requirement
 OCCUPATION_EXPONENT = 0.4
-
-
-@dataclass(frozen=True)
-class LocalTimeCurve:
-    """A local-time-at-zero estimate; occupation curves are nondecreasing
-    exactly, tanaka curves only up to discretization noise."""
-
-    curve: SamplePath
-    estimator: str
-    bandwidth: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -121,17 +110,20 @@ def quadratic_covariation(x: SamplePath, y: SamplePath) -> SamplePath:
 
 def local_time(
     path: SamplePath, method: str = "tanaka", bandwidth: Optional[float] = None
-) -> LocalTimeCurve:
-    """Estimate the symmetric local time of the path at level 0.
+) -> SamplePath:
+    """Estimate the symmetric local time of the path at level 0, as a path
+    on the same grid.
 
     tanaka:      L_t = |X_t| - |X_0| - sum sgn(X_i) (X_{i+1} - X_i), the
-                 discrete Tanaka rearrangement with sgn(0) = 0.
+                 discrete Tanaka rearrangement with sgn(0) = 0; nondecreasing
+                 only up to discretization noise.
     occupation:  L_t = (2 eps)^-1 * dt * #{i < t : |X_i| <= eps}, a kernel
-                 count with eps = bandwidth or dt**0.4 by default.
+                 count with eps = bandwidth or dt**0.4 by default; exactly
+                 nondecreasing.
     """
     x = path.values
     if method == "tanaka":
-        return LocalTimeCurve(SamplePath(path.grid, tanaka_rows(x)), "tanaka", None)
+        return SamplePath(path.grid, tanaka_rows(x))
     if method == "occupation":
         eps = float(bandwidth) if bandwidth is not None else path.grid.dt**OCCUPATION_EXPONENT
         if eps <= 0:
@@ -140,7 +132,7 @@ def local_time(
         curve = np.empty(len(x))
         curve[0] = 0.0
         np.cumsum(hits * (path.grid.dt / (2.0 * eps)), out=curve[1:])
-        return LocalTimeCurve(SamplePath(path.grid, curve), "occupation", eps)
+        return SamplePath(path.grid, curve)
     raise ValueError(f"unknown local time method {method!r}")
 
 
@@ -150,7 +142,7 @@ def identity_residual(kind: str, **inputs) -> ResidualReport:
     tanaka
         requires ``path``; residual of
         |X_t| - |X_0| - sum sgn(X) dX - L_t  with L estimated by the
-        occupation kernel (optional ``bandwidth``), so the discrete Tanaka
+        occupation kernel at its default bandwidth, so the discrete Tanaka
         rearrangement is checked against an independent estimator of the
         same local time.
     balayage_predictable
@@ -169,8 +161,8 @@ def identity_residual(kind: str, **inputs) -> ResidualReport:
     """
     if kind == "tanaka":
         path = _require(inputs, "path", kind)
-        tanaka = local_time(path, "tanaka").curve.values
-        occ = local_time(path, "occupation", inputs.get("bandwidth")).curve.values
+        tanaka = local_time(path, "tanaka").values
+        occ = local_time(path, "occupation").values
         return ResidualReport.from_residual("tanaka", tanaka - occ, path.grid.n_steps)
 
     if kind == "balayage_predictable":
@@ -182,7 +174,7 @@ def identity_residual(kind: str, **inputs) -> ResidualReport:
         reference = inputs.get("reference") or y
         _check_aligned(reference, y)
         gamma, _ = last_zero_curve(decompose_excursions(reference))
-        k_frozen = SamplePath(y.grid, k.values[gamma.gamma])
+        k_frozen = SamplePath(y.grid, k.values[gamma])
         residual = (
             k_frozen.values * y.values
             - k_frozen.values[0] * y.values[0]

@@ -21,7 +21,8 @@ representation check and the sigma_h panels) build their models and base
 processes a row block at a time (``build_model_rows`` and the zoo's row
 kernels), so each block is built once and read by everything the suite
 needs; ``build_model`` and the ``PROCESS_ZOO`` members are their one-row
-case.  Likewise the qp residual, the carried-by fraction and Sigma(H)
+case (a one-row :class:`ModelRows` and a :class:`Decomposition`).
+Likewise the qp residual, the carried-by fraction and Sigma(H)
 membership are row kernels that work along the last axis of a block's
 arrays; ``qp_residual``, ``carried_by_check`` and ``sigma_h_check`` are
 their one-row case.
@@ -37,7 +38,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .excursion import ExcursionRows, LastZeroCurve, ZeroMask
+from .excursion import ExcursionRows, dilate
 from .grid_paths import (
     SamplePath,
     SeedSpec,
@@ -54,7 +55,6 @@ __all__ = [
     "InsufficientSamplesError",
     "HypothesisNotMetError",
     "ModelRows",
-    "SignedMeasureModel",
     "DecompositionRows",
     "Decomposition",
     "PathRows",
@@ -101,67 +101,31 @@ class HypothesisNotMetError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ModelRows:
-    """A block of density processes D, one path per row of ``d``.
+    """A block of density processes D, one path per row of ``d``; a
+    one-row block is one model.
 
-    The zero structure of D (H, gamma, gbar of every row) is computed on
-    first read, so a suite that never reads it never decomposes D.
+    ``d`` is stored as a read-only view, so a handed-out model stays frozen.
+    The zero structure of D (``zeros.events`` is the zero set H of each row,
+    ``zeros.gamma`` its last-zero curve and ``zeros.gbar`` its final zero) is
+    computed on first read, so a suite that never reads it never decomposes D.
     """
 
     family: str
     grid: TimeGrid
     d: np.ndarray
 
+    def __post_init__(self):
+        d = self.d.view()
+        d.flags.writeable = False
+        object.__setattr__(self, "d", d)
+
     @cached_property
     def zeros(self) -> ExcursionRows:
         return ExcursionRows(self.d)
 
-    def row(self, index: int) -> "SignedMeasureModel":
-        return SignedMeasureModel(self, index)
-
-
-@dataclass(frozen=True, eq=False)
-class SignedMeasureModel:
-    """Density process D with its zero set H, last-zero curve and final zero:
-    row ``index`` of a :class:`ModelRows` block."""
-
-    rows: ModelRows
-    index: int = 0
-
-    @classmethod
-    def from_density(cls, d_path: SamplePath, family: str = "custom") -> "SignedMeasureModel":
-        return cls(ModelRows(family, d_path.grid, d_path.values[None, :]))
-
-    @property
-    def family(self) -> str:
-        return self.rows.family
-
-    @cached_property
-    def d_path(self) -> SamplePath:
-        return SamplePath(self.rows.grid, self.rows.d[self.index])
-
-    @property
-    def d_infinity(self) -> float:
-        return float(self.rows.d[self.index, -1])
-
-    @property
-    def h_mask(self) -> ZeroMask:
-        return ZeroMask(self.rows.zeros.events[self.index])
-
-    @property
-    def gamma(self) -> LastZeroCurve:
-        return LastZeroCurve(self.rows.zeros.gamma[self.index])
-
-    @property
-    def gbar(self) -> int:
-        return int(self.rows.zeros.gbar[self.index])
-
-    @property
-    def block(self) -> ModelRows:
-        """This model as a one-row block."""
-        if self.rows.d.shape[0] == 1:
-            return self.rows
-        i = self.index
-        return ModelRows(self.family, self.rows.grid, self.rows.d[i : i + 1])
+    def row(self, index: int) -> "ModelRows":
+        """Row ``index`` as a one-row block."""
+        return ModelRows(self.family, self.grid, self.d[index][None, :])
 
 
 def build_model_rows(family: str, grid: TimeGrid, seeds: Sequence[SeedSpec]) -> ModelRows:
@@ -176,10 +140,10 @@ def build_model_rows(family: str, grid: TimeGrid, seeds: Sequence[SeedSpec]) -> 
     raise ValueError(f"unknown model family {family!r}")
 
 
-def build_model(family: str, grid: TimeGrid, seed: SeedSpec) -> SignedMeasureModel:
-    """Construct one concrete model: the one-row case of
+def build_model(family: str, grid: TimeGrid, seed: SeedSpec) -> ModelRows:
+    """Construct one concrete model, as a one-row block: the one-row case of
     :func:`build_model_rows`."""
-    return build_model_rows(family, grid, [seed]).row(0)
+    return build_model_rows(family, grid, [seed])
 
 
 def _check_split(total: np.ndarray, mart: np.ndarray, fv: np.ndarray) -> None:
@@ -306,23 +270,23 @@ def _qp_rows(d: np.ndarray, total: np.ndarray, fv: Optional[np.ndarray] = None) 
     return residual
 
 
-def _check_same_grid(dec: Decomposition, model: SignedMeasureModel) -> None:
-    if not model.rows.grid.same_as(dec.total.grid):
+def _check_same_grid(dec: Decomposition, model: ModelRows) -> None:
+    if len(model.d) != 1:
+        raise ValueError(f"need a one-row model, got {len(model.d)} rows")
+    if not model.grid.same_as(dec.total.grid):
         raise ValueError("decomposition and model live on different grids")
 
 
-def qp_residual(dec: Decomposition, model: SignedMeasureModel) -> ResidualReport:
-    """Residual curve of  int_0^t D dv + <M, D>_t  for one decomposition: the
-    one-row case of the qp row kernel.
+def qp_residual(dec: Decomposition, model: ModelRows) -> ResidualReport:
+    """Residual curve of  int_0^t D dv + <M, D>_t  for one decomposition and
+    a one-row model: the one-row case of the qp row kernel.
 
     A residual near zero certifies the signed-measure local-martingale
     property of M = m + v; the caller asserts which part is the finite
     variation one.
     """
     _check_same_grid(dec, model)
-    residual = _qp_rows(
-        model.d_path.values[None, :], dec.total.values[None, :], dec.fv_part.values[None, :]
-    )[0]
+    residual = _qp_rows(model.d, dec.total.values[None, :], dec.fv_part.values[None, :])[0]
     return ResidualReport.from_residual(
         f"qp_residual[{dec.label or 'unnamed'}]", residual, dec.total.grid.n_steps
     )
@@ -335,14 +299,14 @@ _DILATION = 2
 _SIGMA_TOL = 0.05
 
 
-def _carried_rows(fv: np.ndarray, mask: np.ndarray, dilation: int) -> np.ndarray:
+def _carried_rows(fv: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Carried-by statistic of each row of fv: the total variation over the
-    increments within ``dilation`` steps of a mask index, over the total
+    increments within ``_DILATION`` steps of a mask index, over the total
     variation, and 1 where that is 0."""
     dv = np.diff(fv, axis=-1)
     np.abs(dv, out=dv)
     total = dv.sum(axis=-1)
-    near = ZeroMask(mask).dilate(dilation)
+    near = dilate(mask, _DILATION)
     near_incr = near[:, :-1] | near[:, 1:]
     stat = np.ones(len(dv))
     # compacted row by row: a masked sum along the axis rounds differently
@@ -351,17 +315,17 @@ def _carried_rows(fv: np.ndarray, mask: np.ndarray, dilation: int) -> np.ndarray
     return stat
 
 
-def carried_by_check(fv: SamplePath, mask: ZeroMask) -> TestReport:
-    """Fraction of the total variation of fv accumulated near the mask: the
-    one-row case of the carried-by row kernel.
+def carried_by_check(fv: SamplePath, mask: np.ndarray) -> TestReport:
+    """Fraction of the total variation of fv accumulated near a boolean mask
+    on fv's grid: the one-row case of the carried-by row kernel.
 
     The statistic is TV(fv restricted to increments within 2 grid steps of a
     mask index) / TV(fv); it passes when >= 0.95.  Zero total variation
     passes vacuously.
     """
-    if len(mask) != len(fv.values):
+    if mask.shape != fv.values.shape:
         raise ValueError("mask and path lengths differ")
-    stat = float(_carried_rows(fv.values[None, :], mask.flags[None, :], _DILATION)[0])
+    stat = float(_carried_rows(fv.values[None, :], mask[None, :])[0])
     return TestReport(
         suite="carried_by",
         statistic=stat,
@@ -490,16 +454,17 @@ def _sigma_rows(models: ModelRows, src, mart, fv, tol=_SIGMA_TOL):
     nonneg = (src >= 0.0).all(axis=-1)
     snap = np.where(nonneg, 2.0 * math.sqrt(models.grid.dt), 0.0)
     mask = ExcursionRows(src, snap_tol=snap[:, None]).events | models.zeros.events
-    carried = _carried_rows(fv, mask, _DILATION)
+    carried = _carried_rows(fv, mask)
     qp = np.abs(_qp_rows(models.d, mart)[:, -1])
     starts_ok = (fv[:, 0] == 0.0) & (mart[:, 0] == 0.0)
     passed = (carried >= 1.0 - tol) & (qp < _SIGMA_TOL) & starts_ok
     return carried, qp, starts_ok, passed
 
 
-def sigma_h_check(dec: Decomposition, model: SignedMeasureModel) -> TestReport:
-    """Membership check for X = M + A in the class Sigma(H): the one-row case
-    of the Sigma(H) row kernel.
+def sigma_h_check(dec: Decomposition, model: ModelRows) -> TestReport:
+    """Membership check for X = M + A in the class Sigma(H), for one
+    decomposition and a one-row model: the one-row case of the Sigma(H) row
+    kernel.
 
     Passes iff (a) dA is carried by {X = 0} union H: at least 0.95 of its
     total variation lies on increments within 2 grid steps of those zeros
@@ -513,7 +478,7 @@ def sigma_h_check(dec: Decomposition, model: SignedMeasureModel) -> TestReport:
     """
     _check_same_grid(dec, model)
     rows = [p.values[None, :] for p in (dec.zero_path, dec.martingale_part, dec.fv_part)]
-    carried, qp, starts_ok, passed = (r[0] for r in _sigma_rows(model.block, *rows))
+    carried, qp, starts_ok, passed = (r[0] for r in _sigma_rows(model, *rows))
     return TestReport(
         suite="sigma_h",
         statistic=float(carried),
@@ -536,13 +501,13 @@ def sigma_h_check(dec: Decomposition, model: SignedMeasureModel) -> TestReport:
 
 def _zoo(rows_kernel):
     """Per-path member of the process zoo, ``(model, grid, seed) ->
-    Decomposition``: the one-row case of ``rows_kernel(models, grid, seeds)
-    -> DecompositionRows``, which stays reachable as ``.rows`` for callers
-    that build whole blocks."""
+    Decomposition`` for a one-row model: the one-row case of
+    ``rows_kernel(models, grid, seeds) -> DecompositionRows``, which stays
+    reachable as ``.rows`` for callers that build whole blocks."""
 
     @functools.wraps(rows_kernel)
-    def one_path(model: SignedMeasureModel, grid: TimeGrid, seed: SeedSpec):
-        return rows_kernel(model.block, grid, [seed]).row(0)
+    def one_path(model: ModelRows, grid: TimeGrid, seed: SeedSpec):
+        return rows_kernel(model, grid, [seed]).row(0)
 
     one_path.rows = rows_kernel
     return one_path
@@ -718,7 +683,7 @@ def _hypothesis_violations(models: ModelRows, dec: DecompositionRows, k: int) ->
     """Paths among the block's first k whose zeros are not within H (up to
     grid dilation): an empirical check of {t : base_t = 0} subset H."""
     events = ExcursionRows(dec.zero_path[:k]).events
-    near_h = ZeroMask(models.zeros.events[:k]).dilate(_DILATION)
+    near_h = dilate(models.zeros.events[:k], _DILATION)
     return int(np.count_nonzero((events & ~near_h).any(axis=1)))
 
 
@@ -978,7 +943,7 @@ def equivalence_suite(
 
 
 def optional_representation_check(
-    family: Callable[[SignedMeasureModel, TimeGrid, SeedSpec], Decomposition],
+    family: Callable[[ModelRows, TimeGrid, SeedSpec], Decomposition],
     stopping_rule: Union[float, Callable[[np.ndarray, ModelRows], np.ndarray]],
     events: dict,
     n_paths: int,

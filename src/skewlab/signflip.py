@@ -24,7 +24,6 @@ from .grid_paths import SamplePath, SeedSpec, TimeGrid, _draw_streams, stream_st
 
 __all__ = [
     "AlphaSchedule",
-    "SignAssignment",
     "assign_signs",
     "build_sign_path",
     "draw_sign_path",
@@ -83,21 +82,6 @@ class AlphaSchedule:
         return np.asarray(self.values)[self.cell_indices(np.asarray(times))]
 
 
-@dataclass(frozen=True)
-class SignAssignment:
-    """Signs in {-1, +1}, one row per excursion, one column per cell."""
-
-    signs: np.ndarray  # shape (n_excursions, n_cells), int8
-
-    @property
-    def n_excursions(self) -> int:
-        return self.signs.shape[0]
-
-    @property
-    def n_cells(self) -> int:
-        return self.signs.shape[1]
-
-
 def _draw_signs(
     n_excursions: int, schedule: AlphaSchedule, rng: np.random.Generator
 ) -> np.ndarray:
@@ -108,14 +92,15 @@ def _draw_signs(
 
 def assign_signs(
     excursions: ExcursionSet, schedule: AlphaSchedule, seed: SeedSpec
-) -> SignAssignment:
-    """Draw the per-excursion (and per-cell) Bernoulli signs.
+) -> np.ndarray:
+    """Draw the per-excursion (and per-cell) Bernoulli signs: an int8 array
+    of -1 and +1 with one row per excursion and one column per cell.
 
     Sign (n, i) is +1 iff the corresponding uniform is < alpha_i, so alpha = 1
     gives all +1 and alpha = 0 all -1; draws are independent across both
     indices and independent of the path given its excursion structure.
     """
-    return SignAssignment(_draw_signs(excursions.n_excursions, schedule, seed.rng()))
+    return _draw_signs(excursions.n_excursions, schedule, seed.rng())
 
 
 def _assemble(
@@ -137,10 +122,11 @@ def _assemble(
 
 def build_sign_path(
     excursions: ExcursionSet,
-    assignment: SignAssignment,
+    signs: np.ndarray,
     schedule: AlphaSchedule,
 ) -> SamplePath:
-    """Assemble the {-1, 0, +1}-valued sign path from an assignment.
+    """Assemble the {-1, 0, +1}-valued sign path from an ``(n_excursions,
+    n_cells)`` array of signs, such as :func:`assign_signs` draws.
 
     Each excursion takes the sign drawn for the cell containing its birth
     (its ``g_index``), so the path is constant on each excursion and exactly
@@ -149,15 +135,15 @@ def build_sign_path(
     height there, and a solution of the inhomogeneous SDE must stay
     continuous.  With a single cell every excursion reads its only sign.
     """
-    if assignment.n_excursions != excursions.n_excursions:
+    if len(signs) != excursions.n_excursions:
         raise ValueError(
-            f"assignment has {assignment.n_excursions} excursions, "
+            f"signs have {len(signs)} excursions, "
             f"decomposition has {excursions.n_excursions}"
         )
-    if assignment.n_cells != schedule.n_cells:
-        raise ValueError("assignment and schedule disagree on cell count")
+    if signs.shape[1:] != (schedule.n_cells,):
+        raise ValueError("signs and schedule disagree on cell count")
     grid = excursions.path.grid
-    return SamplePath(grid, _assemble(excursions.rows, assignment.signs, schedule, grid)[0])
+    return SamplePath(grid, _assemble(excursions.rows, signs, schedule, grid)[0])
 
 
 def sign_path_rows(

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy.special import kolmogi, ndtr
 
-from .excursion import ExcursionRows, decompose_excursions
+from .excursion import ExcursionRows, decompose_excursions, dilate
 from .grid_paths import SamplePath, SeedSpec, _draw_streams, stream_states
 from .localtime import ResidualReport, ito_sum, local_time
 from .signed_measure import (
@@ -33,7 +33,7 @@ from .signed_measure import (
     Decomposition,
     HypothesisNotMetError,
     InsufficientSamplesError,
-    SignedMeasureModel,
+    ModelRows,
     TestReport,
     qp_residual,
 )
@@ -60,7 +60,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SkewBuildSpec:
-    """Inputs of one skew construction run.
+    """Inputs of one skew construction run; ``model`` is a one-row block.
 
     variant ``signed`` flips the driving process itself, ``absolute`` flips
     its reflection; either way the excursion structure is read off the signed
@@ -70,7 +70,7 @@ class SkewBuildSpec:
     variant: str
     schedule: AlphaSchedule
     base: Decomposition
-    model: SignedMeasureModel
+    model: ModelRows
     x0: float = 0.0
 
     def __post_init__(self):
@@ -109,12 +109,9 @@ def check_construction_hypotheses(spec: SkewBuildSpec) -> list[str]:
     if spec.model.family == "trivial":
         return []
     problems = []
-    events = decompose_excursions(spec.base.zero_path).zero_events
-    h_idx = spec.model.h_mask.indices()
-    if len(h_idx):
-        near = events.dilate(_DILATION)
-        if not np.all(near[h_idx]):
-            problems.append("base process does not vanish on H")
+    near = dilate(decompose_excursions(spec.base.zero_path).zero_events, _DILATION)
+    if not np.all(near[spec.model.zeros.events[0]]):
+        problems.append("base process does not vanish on H")
     qp = qp_residual(spec.base, spec.model)
     if qp.terminal > 0.1:
         problems.append(f"qp residual {qp.terminal:.3f} suggests <D, M> != 0 or bad split")
@@ -183,7 +180,7 @@ def sde_residual(
     if not x_alpha.grid.same_as(sign.grid):
         raise ValueError("constructed path and sign path live on different grids")
     w = recover_driving_noise(base, sign, variant)
-    lt = local_time(x_alpha, "occupation").curve
+    lt = local_time(x_alpha, "occupation")
     weights = 2.0 * schedule.alpha_at(x_alpha.grid.times[:-1]) - 1.0
     correction = np.empty(len(x_alpha))
     correction[0] = 0.0

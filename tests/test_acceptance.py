@@ -107,7 +107,7 @@ def test_criterion_02_balayage_identity():
         for n, p in coupled("c2", i).items():
             y = p.with_values(np.abs(p.values))
             gamma, _ = last_zero_curve(decompose_excursions(p))
-            k = p.with_values(np.cos(p.grid.times[gamma.gamma]))
+            k = p.with_values(np.cos(p.grid.times[gamma]))
             sups[n].append(
                 identity_residual(
                     "balayage_predictable", y=y, k=k, reference=p

@@ -164,12 +164,21 @@ class TestMain:
         assert main(["list-suites"]) == 0
         out = capsys.readouterr().out
         assert "skew_law" in out and "all" in out
+        assert out.split() == list(cli.SUITES) + ["all"]
+        assert cli.SUITES == (
+            "identities", "martingale", "sigma_h", "skew_law", "skew_residual", "representation"
+        )
 
     def test_describe(self, capsys):
         assert main(["describe", "identities"]) == 0
         assert "residuals" in capsys.readouterr().out
         assert main(["describe", "all"]) == 0
         assert "every suite in order: identities, martingale" in capsys.readouterr().out
+        assert main(["describe", "sigma_h"]) == 0
+        assert capsys.readouterr().out == (
+            "sigma_h: carried-by membership checks for X = M + A, "
+            "with a Lebesgue-drift negative control\n"
+        )
 
     def test_describe_unknown(self):
         assert main(["describe", "nonsense"]) == 2
@@ -183,6 +192,13 @@ class TestMain:
         assert code == 0
         doc = json.loads(open(tmp_path / "reports.json").read())
         assert doc["provenance"]["config"]["alpha"] == 0.5
+
+    def test_config_not_utf8_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"suite=skew_law\n\xff\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "usage error: cannot read config:" in capsys.readouterr().err
+        assert not (tmp_path / "reports.json").exists()
 
     def test_run_usage_error(self, tmp_path):
         assert main(["run", "--suite", "bogus", "--out", str(tmp_path)]) == 2

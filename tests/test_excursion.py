@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from skewlab.excursion import decompose_excursions, last_zero_curve
+from skewlab.excursion import decompose_excursions, dilate, last_zero_curve
 from skewlab.grid_paths import SeedSpec, make_grid, refine_bridge, sample_brownian
 
 from conftest import MASTER, brownian, path_from_values
@@ -49,26 +49,26 @@ class TestDecomposeExamples:
     def test_exact_zero_boundaries(self):
         exc = decompose_excursions(path_from_values([0, 1, 2, 0, -1, 0]))
         assert [tuple(e) for e in exc.intervals] == [(0, 3, 1), (3, 5, -1)]
-        assert list(exc.zero_mask.indices()) == [0, 3, 5]
-        assert list(exc.zero_events.indices()) == [0, 3, 5]
+        assert list(np.flatnonzero(exc.zero_mask)) == [0, 3, 5]
+        assert list(np.flatnonzero(exc.zero_events)) == [0, 3, 5]
 
     def test_all_positive_single_interval(self):
         exc = decompose_excursions(path_from_values([1.0, 2.0, 0.5, 3.0]))
         assert [tuple(e) for e in exc.intervals] == [(0, 3, 1)]
-        assert exc.zero_mask.is_empty
-        assert exc.zero_events.is_empty
+        assert not exc.zero_mask.any()
+        assert not exc.zero_events.any()
 
     def test_everywhere_zero(self):
         exc = decompose_excursions(path_from_values([0.0, 0.0, 0.0]))
         assert exc.intervals == ()
-        assert exc.zero_mask.flags.all()
+        assert exc.zero_mask.all()
 
     def test_strict_sign_change_boundary(self):
         # crossing between 0 and 1: neither endpoint masked, event at entry
         exc = decompose_excursions(path_from_values([1.0, -1.0]))
         assert [tuple(e) for e in exc.intervals] == [(0, 0, 1), (1, 1, -1)]
-        assert exc.zero_mask.is_empty
-        assert list(exc.zero_events.indices()) == [1]
+        assert not exc.zero_mask.any()
+        assert list(np.flatnonzero(exc.zero_events)) == [1]
 
     def test_snap_tolerance(self):
         vals = [0.5, 1e-12, -0.5]
@@ -76,7 +76,7 @@ class TestDecomposeExamples:
         assert [tuple(e) for e in no_snap.intervals] == [(0, 1, 1), (2, 2, -1)]
         snapped = decompose_excursions(path_from_values(vals), snap_tol=1e-9)
         assert [tuple(e) for e in snapped.intervals] == [(0, 1, 1), (1, 2, -1)]
-        assert list(snapped.zero_mask.indices()) == [1]
+        assert list(np.flatnonzero(snapped.zero_mask)) == [1]
 
     def test_leading_and_trailing_zeros(self):
         exc = decompose_excursions(path_from_values([0, 0, 2, 0, 0]))
@@ -104,7 +104,7 @@ class TestDecomposeBrownian:
             p = brownian(2**10, path_index=i, label="exc")
             exc = decompose_excursions(p)
             covered = exc.ordinal >= 0
-            assert np.array_equal(covered, ~exc.zero_mask.flags)
+            assert np.array_equal(covered, ~exc.zero_mask)
             assert np.all(np.diff(exc.ordinal[covered]) >= 0)
 
     def test_constant_sign_on_interiors(self):
@@ -138,20 +138,20 @@ class TestDecomposeBrownian:
 class TestLastZeroCurve:
     def test_mask_example(self):
         exc = decompose_excursions(path_from_values([0, 1, 2, 0, -1, 0]))
-        curve, gbar = last_zero_curve(exc)
-        assert list(curve.gamma) == [0, 0, 0, 3, 3, 5]
+        gamma, gbar = last_zero_curve(exc)
+        assert list(gamma) == [0, 0, 0, 3, 3, 5]
         assert gbar == 5
 
     def test_empty_mask_convention(self):
         exc = decompose_excursions(path_from_values([1.0, 2.0, 3.0]))
-        curve, gbar = last_zero_curve(exc)
-        assert np.all(curve.gamma == 0)
+        gamma, gbar = last_zero_curve(exc)
+        assert np.all(gamma == 0)
         assert gbar == 0
 
     def test_crossing_event_advances_gamma(self):
         exc = decompose_excursions(path_from_values([1.0, -1.0, -2.0]))
-        curve, gbar = last_zero_curve(exc)
-        assert list(curve.gamma) == [0, 1, 1]
+        gamma, gbar = last_zero_curve(exc)
+        assert list(gamma) == [0, 1, 1]
         assert gbar == 1
 
     def test_matches_brute_force_on_random_masks(self):
@@ -160,24 +160,36 @@ class TestLastZeroCurve:
             vals = rng.standard_normal(2**10)
             vals[rng.random(2**10) < 0.3] = 0.0
             exc = decompose_excursions(path_from_values(vals))
-            curve, gbar = last_zero_curve(exc)
-            expected = brute_force_gamma(exc.zero_events.flags)
-            assert np.array_equal(curve.gamma, expected)
+            gamma, gbar = last_zero_curve(exc)
+            expected = brute_force_gamma(exc.zero_events)
+            assert np.array_equal(gamma, expected)
             assert gbar == expected[-1]
 
     def test_gamma_idempotent_and_monotone(self):
         for i in range(8):
             exc = decompose_excursions(brownian(2**10, path_index=i, label="gam"))
-            curve, _ = last_zero_curve(exc)
-            g = curve.gamma
+            g, _ = last_zero_curve(exc)
             assert np.all(np.diff(g) >= 0)
             assert np.all(g <= np.arange(len(g)))
             assert np.array_equal(g[g], g)
 
 
-class TestZeroMask:
+class TestDilate:
     def test_dilate(self):
         exc = decompose_excursions(path_from_values([1, 1, 0, 1, 1, 1]))
-        d = exc.zero_mask.dilate(1)
+        d = dilate(exc.zero_mask, 1)
         assert list(np.flatnonzero(d)) == [1, 2, 3]
-        assert list(exc.zero_mask.indices()) == [2]
+        assert list(np.flatnonzero(exc.zero_mask)) == [2]
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 5])
+    def test_block_dilates_row_by_row(self, radius):
+        # a (rows, n) block dilates along its last axis only: rows never mix
+        flags = np.random.default_rng(MASTER).random((6, 40)) < 0.08
+        flags[0] = False
+        flags[1, [0, -1]] = True
+        block = dilate(flags, radius)
+        assert block.shape == flags.shape
+        for r in range(len(flags)):
+            assert np.array_equal(block[r], dilate(flags[r], radius))
+            near = [flags[r, max(j - radius, 0) : j + radius + 1].any() for j in range(40)]
+            assert np.array_equal(block[r], near)

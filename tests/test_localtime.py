@@ -66,19 +66,21 @@ class TestLocalTime:
     def test_positive_path_tanaka_exactly_zero(self):
         p = path_from_values(2.0 + np.linspace(0, 1, 65) ** 2)
         lt = local_time(p, "tanaka")
-        assert np.allclose(lt.curve.values, 0.0, atol=1e-14)
+        assert np.allclose(lt.values, 0.0, atol=1e-14)
 
     def test_positive_path_occupation_zero_for_small_bandwidth(self):
         p = path_from_values(2.0 + np.linspace(0, 1, 65) ** 2)
         lt = local_time(p, "occupation", bandwidth=1.0)
-        assert np.all(lt.curve.values == 0)
+        assert np.all(lt.values == 0)
 
     def test_occupation_nondecreasing_starts_at_zero(self):
         p = brownian(2**12, label="occ")
         lt = local_time(p, "occupation")
-        assert lt.curve.values[0] == 0
-        assert np.all(np.diff(lt.curve.values) >= 0)
-        assert lt.bandwidth == pytest.approx(p.grid.dt**0.4)
+        assert lt.values[0] == 0
+        assert np.all(np.diff(lt.values) >= 0)
+        # the default bandwidth is dt**0.4
+        at_default = local_time(p, "occupation", bandwidth=p.grid.dt**0.4)
+        assert np.array_equal(lt.values, at_default.values)
 
     def test_estimators_agree_on_brownian(self):
         # occupation and tanaka are consistent estimators of the same local
@@ -86,8 +88,8 @@ class TestLocalTime:
         sups = []
         for i in range(32):
             p = sample_brownian(make_grid(1.0, 2**16), SeedSpec(MASTER, "agree", i))
-            occ = local_time(p, "occupation").curve.values
-            tan = local_time(p, "tanaka").curve.values
+            occ = local_time(p, "occupation").values
+            tan = local_time(p, "tanaka").values
             sups.append(np.max(np.abs(occ - tan)))
         assert np.median(sups) < 0.1
 
@@ -101,7 +103,7 @@ class TestLocalTime:
                 p = refine_bridge(
                     sample_brownian(make_grid(1.0, 2**12), s), n // 2**12, s
                 )
-                curve = local_time(p, "tanaka").curve.values
+                curve = local_time(p, "tanaka").values
                 assert np.all(np.diff(curve) >= -1e-15)
 
     def test_abs_path_same_tanaka_when_zeros_are_exact(self):
@@ -110,11 +112,11 @@ class TestLocalTime:
         p = brownian(2**12, label="absL")
         exc = decompose_excursions(p)
         vals = p.values.copy()
-        vals[exc.zero_events.flags] = 0.0
+        vals[exc.zero_events] = 0.0
         q = path_from_values(vals)
         absq = path_from_values(np.abs(vals))
-        lt_q = local_time(q, "tanaka").curve.values
-        lt_abs = local_time(absq, "tanaka").curve.values
+        lt_q = local_time(q, "tanaka").values
+        lt_abs = local_time(absq, "tanaka").values
         assert np.array_equal(lt_q, lt_abs)
         assert lt_q[-1] > 0.1  # the path does visit zero
 
@@ -164,7 +166,7 @@ class TestIdentityResidual:
                 )
                 y = p.with_values(np.abs(p.values))
                 gamma, _ = last_zero_curve(decompose_excursions(p))
-                k = p.with_values(np.cos(p.grid.times[gamma.gamma]))
+                k = p.with_values(np.cos(p.grid.times[gamma]))
                 sups.append(
                     identity_residual(
                         "balayage_predictable", y=y, k=k, reference=p
@@ -181,11 +183,11 @@ class TestIdentityResidual:
         from skewlab.excursion import decompose_excursions as dec
 
         vals = p.values.copy()
-        vals[dec(p).zero_events.flags] = 0.0
+        vals[dec(p).zero_events] = 0.0
         y = p.with_values(np.abs(vals))
         snapped = p.with_values(vals)
         gamma, _ = last_zero_curve(dec(snapped))
-        k = p.with_values(np.cos(p.grid.times[gamma.gamma]))
+        k = p.with_values(np.cos(p.grid.times[gamma]))
         r = identity_residual("balayage_predictable", y=y, k=k, reference=snapped)
         assert r.sup_norm < 1e-12
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewlab import grid_paths, signed_measure
 from skewlab.cli import config_from_pairs, run_experiment
-from skewlab.excursion import ExcursionRows, ZeroMask, decompose_excursions, last_zero_curve
+from skewlab.excursion import ExcursionRows, decompose_excursions, dilate, last_zero_curve
 from skewlab.grid_paths import SamplePath, SeedSpec, brownian_rows, make_grid, sample_brownian
 from skewlab.localtime import covariation_rows, ito_rows, quadratic_covariation, tanaka_rows
 from skewlab.signed_measure import (
@@ -111,11 +111,11 @@ def test_excursion_rows_equal_one_row(values):
     first = np.cumsum(rows.counts) - rows.counts
     for r, row in enumerate(values):
         exc = decompose_excursions(SamplePath(make_grid(1.0, len(row) - 1), row))
-        curve, gbar = last_zero_curve(exc)
-        assert np.array_equal(rows.events[r], exc.zero_events.flags)
-        assert np.array_equal(rows.covered[r], ~exc.zero_mask.flags)
+        gamma, gbar = last_zero_curve(exc)
+        assert np.array_equal(rows.events[r], exc.zero_events)
+        assert np.array_equal(rows.covered[r], ~exc.zero_mask)
         assert same_bits(rows.ordinal[r], exc.ordinal)
-        assert same_bits(rows.gamma[r], curve.gamma)
+        assert same_bits(rows.gamma[r], gamma)
         assert rows.gbar[r] == gbar
         k = slice(first[r], first[r] + rows.counts[r])
         assert list(zip(rows.births[k], rows.ends[k], rows.signs[k])) == [
@@ -185,7 +185,7 @@ def per_path_products(model_family, base, grid, seed):
         s = seed.with_path(lo)
         model = build_model(model_family, grid, s.child("model"))
         dec = PROCESS_ZOO[base](model, grid, s)
-        return (model.d_path.values * dec.total.values)[None, :]
+        return model.d * dec.total.values[None, :]
 
     return PathRows(grid, 1, rows)
 
@@ -281,7 +281,7 @@ def carried_reference(fv, mask, dilation=2):
     total = float(dv.sum())
     if total == 0.0:
         return 1.0
-    near = ZeroMask(mask).dilate(dilation)
+    near = dilate(mask, dilation)
     return float(dv[near[:-1] | near[1:]].sum() / total)
 
 
@@ -293,15 +293,16 @@ def assert_kernels_equal_one_row(models, dec):
     qp = signed_measure._qp_rows(models.d, dec.total, dec.fv_part)
     cov = covariation_rows(dec.total, models.d)
     mask = models.zeros.events | ExcursionRows(dec.zero_path).events
-    carried = [signed_measure._carried_rows(v, mask, 2) for v in (dec.fv_part, dec.total)]
+    carried = [signed_measure._carried_rows(v, mask) for v in (dec.fv_part, dec.total)]
     sigma = signed_measure._sigma_rows(models, dec.zero_path, dec.martingale_part, dec.fv_part)
     for r in range(len(models.d)):
         model, one = models.row(r), dec.row(r)
         rep = qp_residual(one, model)
         assert rep.terminal == abs(qp[r, -1]) and rep.sup_norm == np.max(np.abs(qp[r]))
-        assert same_bits(cov[r], quadratic_covariation(one.total, model.d_path).values)
+        d_path = SamplePath(models.grid, model.d[0])
+        assert same_bits(cov[r], quadratic_covariation(one.total, d_path).values)
         for path, stat in zip((one.fv_part, one.total), carried):
-            rep = carried_by_check(path, ZeroMask(mask[r]))
+            rep = carried_by_check(path, mask[r])
             assert rep.statistic == stat[r] == carried_reference(path.values, mask[r])
             assert rep.passed == (stat[r] >= 0.95)
         stat, qp_terminal, starts_ok, passed = (v[r] for v in sigma)
@@ -370,13 +371,13 @@ def test_later_blocks_leave_handed_out_paths_unchanged():
         assert seed == SeedSpec(MASTER, "frz").with_path(p)
         fresh_model = build_model("shifted_brownian", grid, seed.child("model"))
         fresh = PROCESS_ZOO["reflected_bm"](fresh_model, grid, seed)
-        assert same_bits(model.d_path.values, fresh_model.d_path.values)
+        assert same_bits(model.d, fresh_model.d)
         for field in ("total", "martingale_part", "fv_part", "zero_source"):
             assert same_bits(getattr(dec, field).values, getattr(fresh, field).values)
         with pytest.raises(ValueError):
             dec.total.values[0] = 1.0
         with pytest.raises(ValueError):
-            model.d_path.values[0] = 1.0
+            model.d[0, 0] = 1.0
 
 
 def test_sigma_h_suite_checks_each_split_once(tmp_path):

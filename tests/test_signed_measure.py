@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from skewlab import signed_measure
-from skewlab.excursion import ZeroMask, decompose_excursions
+from skewlab.excursion import decompose_excursions
 from skewlab.grid_paths import SamplePath, SeedSpec, block_rows, make_grid, sample_brownian
 from skewlab.localtime import ito_sum, local_time
 from skewlab.signed_measure import (
     Decomposition,
     InsufficientSamplesError,
     PROCESS_ZOO,
+    ModelRows,
     PathRows,
-    SignedMeasureModel,
     build_model,
     build_model_rows,
     carried_by_check,
@@ -45,18 +45,17 @@ def fine_mesh_touch_probability(n=2**15, paths=20_000):
 class TestBuildModel:
     def test_trivial_fields(self, grid12, seed):
         m = build_model("trivial", grid12, seed)
-        assert m.h_mask.is_empty
-        assert m.gbar == 0
-        assert m.d_infinity == 1.0
-        assert np.all(m.d_path.values == 1.0)
-        assert np.all(m.gamma.gamma == 0)
+        assert m.d.shape == (1, grid12.n_points)
+        assert not m.zeros.events.any()
+        assert m.zeros.gbar[0] == 0
+        assert np.all(m.d == 1.0)
+        assert np.all(m.zeros.gamma == 0)
 
     def test_shifted_brownian_consistency(self, grid12, seed):
         m = build_model("shifted_brownian", grid12, seed)
-        assert m.d_path.values[0] == 1.0
-        exc = decompose_excursions(m.d_path)
-        assert np.array_equal(m.h_mask.flags, exc.zero_events.flags)
-        assert m.d_infinity == m.d_path.values[-1]
+        assert m.d[0, 0] == 1.0
+        exc = decompose_excursions(SamplePath(grid12, m.d[0]))
+        assert np.array_equal(m.zeros.events[0], exc.zero_events)
 
     def test_touch_fraction_matches_fine_mesh_oracle(self):
         g = make_grid(1.0, 2**12)
@@ -66,7 +65,7 @@ class TestBuildModel:
             m = build_model(
                 "shifted_brownian", g, SeedSpec(MASTER, "hfrac", i).child("model")
             )
-            hits += not m.h_mask.is_empty
+            hits += bool(m.zeros.events.any())
         frac = hits / n
         band = 3.0 * np.sqrt(TOUCH_PROBABILITY_ORACLE * (1 - TOUCH_PROBABILITY_ORACLE) / n)
         assert abs(frac - TOUCH_PROBABILITY_ORACLE) < band + 0.004  # oracle MC se
@@ -138,6 +137,18 @@ class TestQpResidual:
         with pytest.raises(ValueError):
             qp_residual(dec, model)
 
+    def test_multi_row_model_rejected(self, seed):
+        g = make_grid(1.0, 2**6)
+        models = build_model_rows("shifted_brownian", g, [seed, seed.with_path(1)])
+        dec = Decomposition.martingale(sample_brownian(g, seed))
+        for check in (qp_residual, sigma_h_check):
+            with pytest.raises(ValueError, match="one-row model"):
+                check(dec, models)
+            check(dec, models.row(1))
+        assert np.array_equal(models.row(-1).d, models.d[1:])
+        with pytest.raises(IndexError):
+            models.row(2)
+
     def test_terminal_residual_decreases_with_mesh(self):
         # v = 0 and m independent of D: the terminal residual is pure
         # covariation noise and shrinks as the grid refines
@@ -156,7 +167,7 @@ class TestQpResidual:
                 w = refine_bridge(
                     sample_brownian(coarse, s.child("w")), n // 2**12, s.child("w")
                 )
-                model = SignedMeasureModel.from_density(d, "shifted_brownian")
+                model = ModelRows("shifted_brownian", d.grid, d.values[None, :])
                 terms.append(qp_residual(Decomposition.martingale(w), model).terminal)
             medians.append(np.median(terms))
         assert medians[0] > medians[1] > medians[2]
@@ -173,18 +184,17 @@ class TestQpResidual:
         for i in range(12):
             s = SeedSpec(MASTER, "dual", i)
             model = build_model("shifted_brownian", g, s.child("model"))
-            if model.h_mask.is_empty:
+            if not model.zeros.events.any():
                 continue
             checked += 1
+            d_path = SamplePath(g, model.d[0])
             dec = PROCESS_ZOO["bm_plus_local_time"](model, g, s)
             assert qp_residual(dec, model).terminal < 0.05
-            assert abs(
-                quadratic_covariation(dec.total, model.d_path).values[-1]
-            ) < 0.05
-            carried = carried_by_check(dec.fv_part, model.h_mask)
+            assert abs(quadratic_covariation(dec.total, d_path).values[-1]) < 0.05
+            carried = carried_by_check(dec.fv_part, model.zeros.events[0])
             assert carried.passed
             assert abs(
-                quadratic_covariation(dec.martingale_part, model.d_path).values[-1]
+                quadratic_covariation(dec.martingale_part, d_path).values[-1]
             ) < 0.05
         assert checked >= 3
 
@@ -193,7 +203,7 @@ class TestCarriedBy:
     def test_zero_variation_passes_vacuously(self, seed):
         g = make_grid(1.0, 2**8)
         fv = SamplePath(g, np.zeros(g.n_points))
-        rep = carried_by_check(fv, ZeroMask(np.zeros(g.n_points, dtype=bool)))
+        rep = carried_by_check(fv, np.zeros(g.n_points, dtype=bool))
         assert rep.passed and rep.statistic == 1.0
 
     def test_local_time_carried_by_h(self):
@@ -202,11 +212,11 @@ class TestCarriedBy:
         for i in range(20):
             s = SeedSpec(MASTER, "car", i)
             model = build_model("shifted_brownian", g, s.child("model"))
-            if model.h_mask.is_empty:
+            if not model.zeros.events.any():
                 continue
             found += 1
-            lt = local_time(model.d_path, "tanaka").curve
-            rep = carried_by_check(lt, model.h_mask)
+            lt = local_time(SamplePath(g, model.d[0]), "tanaka")
+            rep = carried_by_check(lt, model.zeros.events[0])
             assert rep.passed
             assert rep.statistic >= 0.95
         assert found >= 3
@@ -215,7 +225,7 @@ class TestCarriedBy:
         fv = SamplePath(grid12, grid12.times.copy())
         mask = np.zeros(grid12.n_points, dtype=bool)
         mask[::512] = True
-        rep = carried_by_check(fv, ZeroMask(mask))
+        rep = carried_by_check(fv, mask)
         assert not rep.passed
         assert rep.statistic < 0.5
 

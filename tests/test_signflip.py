@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from skewlab.excursion import decompose_excursions
 from skewlab.grid_paths import SeedSpec, make_grid, sample_brownian
-from skewlab.signflip import AlphaSchedule, SignAssignment, apply_sign, assign_signs, build_sign_path
+from skewlab.signflip import AlphaSchedule, apply_sign, assign_signs, build_sign_path
 
 from conftest import MASTER, brownian, path_from_values
 
@@ -46,12 +46,13 @@ class TestAssignSigns:
     def test_alpha_one_all_plus(self, seed):
         exc = self._excursions()
         a = assign_signs(exc, AlphaSchedule.constant(1.0), seed)
-        assert np.all(a.signs == 1)
+        assert a.shape == (exc.n_excursions, 1) and a.dtype == np.int8
+        assert np.all(a == 1)
 
     def test_alpha_zero_all_minus(self, seed):
         exc = self._excursions()
         a = assign_signs(exc, AlphaSchedule.constant(0.0), seed)
-        assert np.all(a.signs == -1)
+        assert np.all(a == -1)
 
     def test_binomial_fraction(self):
         # pooled across paths and excursions: 3 sigma band around alpha
@@ -60,7 +61,7 @@ class TestAssignSigns:
         for i in range(400):
             exc = self._excursions(2**12, i)
             s = SeedSpec(MASTER, "binom", i)
-            signs.append(assign_signs(exc, sched, s).signs[:, 0])
+            signs.append(assign_signs(exc, sched, s)[:, 0])
         signs = np.concatenate(signs)
         n = len(signs)
         assert n >= 10_000
@@ -76,14 +77,14 @@ class TestAssignSigns:
         a_small = assign_signs(exc_small, sched, seed)
         a_big = assign_signs(exc_big, sched, seed)
         k = exc_small.n_excursions
-        assert np.array_equal(a_small.signs, a_big.signs[:k])
+        assert np.array_equal(a_small, a_big[:k])
 
     def test_cells_uncorrelated_within_excursion(self):
         sched = AlphaSchedule.piecewise([0.0, 0.5], [0.5, 0.5])
         exc = self._excursions()
         cols = np.array(
             [
-                assign_signs(exc, sched, SeedSpec(MASTER, "corr", i)).signs[0]
+                assign_signs(exc, sched, SeedSpec(MASTER, "corr", i))[0]
                 for i in range(10_000)
             ],
             dtype=float,
@@ -95,8 +96,8 @@ class TestAssignSigns:
 class TestBuildSignPath:
     def test_constructed_example(self):
         exc = decompose_excursions(path_from_values([0, 1, 2, 0, -1, 0]))
-        assignment = SignAssignment(np.array([[1], [-1]], dtype=np.int8))
-        z = build_sign_path(exc, assignment, AlphaSchedule.constant(0.5))
+        signs = np.array([[1], [-1]], dtype=np.int8)
+        z = build_sign_path(exc, signs, AlphaSchedule.constant(0.5))
         assert list(z.values) == [0, 1, 1, 0, -1, 0]
 
     def test_single_cell_piecewise_degenerates(self, seed):
@@ -125,19 +126,22 @@ class TestBuildSignPath:
             data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n_signs, max_size=n_signs)),
             dtype=np.int8,
         ).reshape(exc.n_excursions, sched.n_cells)
-        z = build_sign_path(exc, SignAssignment(signs), sched).values
+        z = build_sign_path(exc, signs, sched).values
         cells = sched.cell_indices(p.grid.times)
         for n, e in enumerate(exc.intervals):
             on_exc = z[exc.ordinal == n]
             assert np.all(on_exc == on_exc[0])
             assert on_exc[0] == signs[n, cells[e.g_index]]
-        assert np.all(z[exc.zero_mask.flags] == 0)
+        assert np.all(z[exc.zero_mask] == 0)
 
     def test_mismatched_assignment_rejected(self, seed):
         exc = decompose_excursions(brownian(2**8, label="mm"))
-        bad = SignAssignment(np.ones((exc.n_excursions + 1, 1), dtype=np.int8))
-        with pytest.raises(ValueError):
+        bad = np.ones((exc.n_excursions + 1, 1), dtype=np.int8)
+        with pytest.raises(ValueError, match="excursions"):
             build_sign_path(exc, bad, AlphaSchedule.constant(0.5))
+        two_cells = np.ones((exc.n_excursions, 2), dtype=np.int8)
+        with pytest.raises(ValueError, match="cell count"):
+            build_sign_path(exc, two_cells, AlphaSchedule.constant(0.5))
 
 
 class TestApplySign:
@@ -154,9 +158,7 @@ class TestApplySign:
         # the excursions and Z*X = |X| there; both are 0 on the mask
         p = path_from_values([0, 1, 2, 0, -1, 0])
         exc = decompose_excursions(p)
-        own = SignAssignment(
-            np.array([[e.sign] for e in exc.intervals], dtype=np.int8)
-        )
+        own = np.array([[e.sign] for e in exc.intervals], dtype=np.int8)
         z = build_sign_path(exc, own, AlphaSchedule.constant(0.5))
         covered = exc.ordinal >= 0
         out_abs = apply_sign(z, p, mode="absolute")

@@ -29,7 +29,6 @@ from skewlab.signed_measure import (
 )
 from skewlab.signflip import (
     AlphaSchedule,
-    SignAssignment,
     apply_sign,
     build_sign_path,
     draw_sign_path,
@@ -126,7 +125,7 @@ def pipeline_terminals(rows, uniforms, sched, dt):
             1,
             -1,
         ).astype(np.int8)
-        z = build_sign_path(exc, SignAssignment(signs), sched)
+        z = build_sign_path(exc, signs, sched)
         out.append(apply_sign(z, path, mode="absolute").values[-1])
     return np.array(out)
 
@@ -255,7 +254,7 @@ class TestBuildSkew:
         model = None
         for i in range(50):
             m = build_model("shifted_brownian", grid, seed.with_path(i).child("model"))
-            if not m.h_mask.is_empty:
+            if m.zeros.events.any():
                 model = m
                 roots_seed = seed.with_path(i)
                 break
