@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import kolmogi, ndtr
 
 from .excursion import ExcursionRows, decompose_excursions, dilate
 from .grid_paths import SamplePath, SeedSpec, _draw_streams, stream_states
@@ -230,20 +229,111 @@ def _run_chunks(
         return [(b, future.result()) for b, future in zip(bounds, futures)]
 
 
-# The normal density, CDF and Kolmogorov quantile below repeat the arithmetic of
-# scipy.stats (``norm.pdf`` is ``_norm_pdf(y / s) / s``, ``norm.cdf`` is
-# ``ndtr(y / s)``, ``kstwobign.isf`` is ``kolmogi``) with scipy.special alone,
-# so importing the package never loads scipy.stats, whose import dominated the
-# package's set-up time; tests/test_scipy_kernels.py pins them bit for bit.
+def _check_time(t: float) -> None:
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite, got {t}")
+
+
+# The normal density and CDF below repeat the arithmetic of scipy.stats
+# (``norm.pdf`` is ``_norm_pdf(y / s) / s``, ``norm.cdf`` is ``ndtr(y / s)``)
+# in numpy alone, so the runtime loads no scipy module.  ``_ndtr`` is Cephes
+# ``ndtr`` (Moshier, *Methods and Programs for Mathematical Functions*, 1989),
+# as scipy.special runs it: the same rational approximations, the same
+# operations in the same order, and the platform libm ``exp`` (``math.exp``;
+# numpy's SIMD ``np.exp`` can differ in the last bit).  The Kolmogorov
+# critical value at the default level 0.01 is a constant; other levels ask
+# scipy.special.kolmogi.  tests/test_scipy_kernels.py pins all of them bit for
+# bit against scipy.
 _SQRT_2PI = math.sqrt(2 * math.pi)
+_SQRT1_2 = math.sqrt(0.5)
+_MAXLOG = 7.09782712893383996843e2
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+#: ``kolmogi(0.01)``, the Kolmogorov distribution's upper 0.01 point
+_KS_CRITICAL_01 = 1.6276236115189504
+
+
+def _polevl(x: np.ndarray, coef: Sequence[float], leading_one: bool = False) -> np.ndarray:
+    """Cephes ``polevl`` (``p1evl`` with ``leading_one``): Horner's rule with
+    a separate multiply and add per coefficient."""
+    y = x + coef[0] if leading_one else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        y = y * x + c
+    return y
+
+
+def _erf_small(x: np.ndarray) -> np.ndarray:
+    """Cephes ``erf`` on |x| <= 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U, True)
+
+
+def _ndtr(a) -> np.ndarray:
+    """Standard normal CDF, bit for bit Cephes ``ndtr`` as scipy.special runs
+    it; NaN maps to NaN and +-inf to 1 or 0, with no floating-point warning."""
+    a = np.asarray(a, dtype=float)
+    x = (a * _SQRT1_2).ravel()
+    z = np.abs(x)
+    out = np.zeros_like(x)
+    near = z < _SQRT1_2
+    out[near] = 0.5 + 0.5 * _erf_small(x[near])
+    # 0.5 * erfc(z) on the rest: 1 - erf(z) below 1, else a rational tail
+    # times exp(-z * z), which is 0 once -z * z < -MAXLOG (z >= 27 is far past
+    # that and is left out before squaring, so nothing overflows)
+    mid = ~near & (z < 1.0)
+    out[mid] = 0.5 * (1.0 - _erf_small(z[mid]))
+    for lo, hi, p, q in ((1.0, 8.0, _ERFC_P, _ERFC_Q), (8.0, 27.0, _ERFC_R, _ERFC_S)):
+        idx = np.flatnonzero((z >= lo) & (z < hi))
+        w = z[idx]
+        neg_sq = -w * w
+        keep = neg_sq >= -_MAXLOG
+        idx, w = idx[keep], w[keep]
+        e = np.fromiter(map(math.exp, neg_sq[keep].tolist()), dtype=float, count=len(w))
+        out[idx] = 0.5 * (e * _polevl(w, p) / _polevl(w, q, True))
+    upper = ~near & (x > 0)
+    out[upper] = 1.0 - out[upper]
+    out[np.isnan(x)] = np.nan
+    return out.reshape(a.shape)
+
+
+def _ks_critical(level: float) -> float:
+    """Asymptotic Kolmogorov critical value at ``level`` (``kolmogi(level)``)."""
+    if level == 0.01:
+        return _KS_CRITICAL_01
+    from scipy.special import kolmogi
+
+    return float(kolmogi(level))
 
 
 def skew_transition_density(alpha: float, t: float, y) -> np.ndarray:
     """Closed-form transition density of skew BM from 0: 2 alpha phi_t(y) for
     y > 0 and 2 (1 - alpha) phi_t(y) for y < 0."""
     _check_alpha(alpha)
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    _check_time(t)
     y = np.asarray(y, dtype=float)
     scale = math.sqrt(t)
     x = y / scale
@@ -255,10 +345,9 @@ def skew_transition_density(alpha: float, t: float, y) -> np.ndarray:
 def skew_transition_cdf(alpha: float, t: float, y) -> np.ndarray:
     """CDF matching :func:`skew_transition_density`."""
     _check_alpha(alpha)
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    _check_time(t)
     y = np.asarray(y, dtype=float)
-    base = ndtr(y / math.sqrt(t))
+    base = _ndtr(y / math.sqrt(t))
     neg = 2.0 * (1.0 - alpha) * base
     pos = 2.0 * alpha * base + (1.0 - 2.0 * alpha)
     return np.where(y < 0, neg, pos)
@@ -270,6 +359,10 @@ class SkewLaw:
 
     alpha: float
     t: float
+
+    def __post_init__(self):
+        _check_alpha(self.alpha)
+        _check_time(self.t)
 
     def density(self, y):
         return skew_transition_density(self.alpha, self.t, y)
@@ -583,9 +676,11 @@ def law_test(
     handle: one-sample KS (midpoint convention) at the same level; the
     detail also reports the sign-probability discrepancy.
     """
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
     if samples_a.n < 1000:
         raise InsufficientSamplesError(f"need at least 1000 samples, got {samples_a.n}")
-    c_level = float(kolmogi(level))
+    c_level = _ks_critical(level)
     if isinstance(reference, LawSample):
         if reference.n < 1000:
             raise InsufficientSamplesError(

@@ -1,20 +1,24 @@
-"""The runtime loads scipy.special only.
+"""The runtime loads no scipy module.
 
-The normal density and CDF and the Kolmogorov critical values are written
-with scipy.special kernels in the arithmetic scipy.stats uses, so every
-printed number stays bit-identical to a scipy.stats computation.  These pins
-compare them with scipy.stats in the test process, bit for bit, and a fresh
-interpreter checks that importing and warming up the lab never loads
-scipy.stats.
+The normal density and CDF are written in numpy in the arithmetic scipy.stats
+uses, the CDF as Cephes ``ndtr`` on the platform libm ``exp`` exactly as
+scipy.special runs it, and the Kolmogorov critical value at the default
+level 0.01 is a constant (other levels still ask scipy.special.kolmogi), so
+every printed number stays bit-identical to a scipy computation.  These pins
+compare them with scipy.special and scipy.stats in the test process, bit for
+bit, and a fresh interpreter checks that importing and warming up the lab
+loads no scipy module at all.
 """
 
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import kolmogi, ndtr
 from scipy.stats import kstwobign, norm
 
 import skewlab
@@ -23,6 +27,9 @@ from skewlab.signed_measure import equivalence_suite
 from skewlab.skewbm import (
     LawSample,
     SkewLaw,
+    _KS_CRITICAL_01,
+    _ks_critical,
+    _ndtr,
     law_test,
     skew_transition_cdf,
     skew_transition_density,
@@ -73,6 +80,26 @@ def test_law_test_critical_value_equals_kstwobign(level):
     assert same_bits(two.threshold, c_level * math.sqrt((1500 + 2100) / (1500 * 2100)) + 0.0)
 
 
+def test_ndtr_equals_scipy_special():
+    rng = np.random.default_rng(20240817)
+    x = np.concatenate([
+        rng.standard_normal(200_000), rng.uniform(-40.0, 40.0, 200_000),
+        3.0 * rng.standard_normal(200_000), EDGES, [math.inf, -math.inf, math.nan],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert same_bits(_ndtr(x), ndtr(x))
+        for scalar in [*EDGES, math.inf, -math.inf, math.nan, 0.3, -2.5]:
+            out = _ndtr(np.float64(scalar))
+            assert out.shape == () and same_bits(out, ndtr(scalar))
+
+
+def test_default_ks_critical_value_is_kolmogi():
+    assert same_bits(_KS_CRITICAL_01, kolmogi(0.01))
+    assert same_bits(_KS_CRITICAL_01, kstwobign.isf(0.01))
+    assert _ks_critical(0.01) == _KS_CRITICAL_01
+
+
 #: (base, horizon, repr(statistic), repr(threshold), detail) of the
 #: abs_brownian suite, recorded while it still called scipy.stats; for
 #: reflected_bm the KS term sets the statistic, for bm the drift term does
@@ -111,13 +138,13 @@ sample = skewbm.skew_terminal_sample(sched, 1000, 16, seed)
 skewbm.law_test(sample, skewbm.SkewLaw(0.7, 1.0))
 skewbm.skew_transition_density(0.7, 1.0, [0.5, -0.5])
 signed_measure.equivalence_suite("abs_brownian", "trivial", "bm", 0.5, seed, 1000)
-loaded = sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats."))
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(loaded)
 sys.exit(1 if loaded else 0)
 """
 
 
-def test_runtime_never_imports_scipy_stats():
+def test_runtime_never_imports_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(skewlab.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -362,6 +362,16 @@ class TestTransitionDensity:
         with pytest.raises(ValueError):
             skew_transition_density(1.5, 1.0, 1.0)
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_time_must_be_positive_and_finite(self, t):
+        for call in (skew_transition_density, skew_transition_cdf, lambda a, t, y: SkewLaw(a, t)):
+            with pytest.raises(ValueError, match="time must be positive and finite"):
+                call(0.5, t, 1.0)
+
+    def test_law_handle_rejects_bad_alpha(self):
+        with pytest.raises(ValueError, match="alpha"):
+            SkewLaw(1.5, 1.0)
+
 
 class TestHarrisonSheppWalk:
     def test_alpha_one_never_negative(self, seed):
@@ -645,6 +655,14 @@ class TestLawTest:
             b = LawSample(rng.standard_normal(100_000), 1.0)
             passes += law_test(a, b).passed
         assert passes >= 8
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.1, math.nan, math.inf])
+    def test_level_must_lie_in_unit_interval(self, level):
+        rng = np.random.default_rng(MASTER)
+        a, b = LawSample(rng.standard_normal(2000), 1.0), LawSample(rng.standard_normal(2000), 1.0)
+        for reference in (b, SkewLaw(0.5, 1.0)):
+            with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+                law_test(a, reference, level=level)
 
     def test_insufficient_samples(self):
         a = LawSample(np.zeros(10), 1.0)
