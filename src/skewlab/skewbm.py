@@ -200,9 +200,9 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
-def _check_steps(n_steps: int) -> None:
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+def _check_count(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _usable_cpus() -> int:
@@ -221,8 +221,7 @@ def _run_chunks(
     generators are built here and the workers run numpy only.  Returns each
     chunk's output slice and result, in chunk order.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    _check_count("chunk", chunk)
     bounds = [slice(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
     with ThreadPoolExecutor(max_workers=max(1, min(len(bounds), _usable_cpus()))) as pool:
         futures = [pool.submit(job(c, b.start, b.stop)) for c, b in enumerate(bounds)]
@@ -380,35 +379,56 @@ class SkewLaw:
 # ---------------------------------------------------------------------------
 
 #: walks whose uniforms are drawn and coded before being transposed into the
-#: pair table
+#: quad table
 _WALK_BLOCK = 32
 
 
-def _walk_pairs(states: Sequence[tuple[int, int]], n_steps: int, alpha: float) -> np.ndarray:
-    """Pair table of the walks with PCG64 ``states``: entry (p, i) codes
-    steps 2p and 2p + 1 of walk i in one byte.
+def _quad_steps(alpha: float) -> np.ndarray:
+    """Up-steps of one quad (four steps from step 4q) by table entry plus
+    clip(d, -2, 2), with d = ups - 2q: the state at step 4q is 2d.
 
-    The low two bits count the pair's up-steps when it starts from state 0
-    (step 2p up iff u < alpha), the high bits when it starts elsewhere (iff
-    u < 1/2).  The state has the parity of the step index, so step 2p + 1
-    never starts from 0 and both counts take it up iff its u < 1/2.  Row p
-    holds pair p of every walk, so the step loop reads one
-    contiguous row per pair.  Uniforms are drawn and coded ``_WALK_BLOCK``
-    walks at a time and transposed into the table block by block; an odd
-    n_steps leaves a last uniform of 1, which adds no up-step.
+    An even step's code e = [u < alpha] + [u < 1/2] takes it up from any
+    state when e = 2 and from none when e = 0; one comparison implies the
+    other, so e = 1 takes it up from 0 iff alpha >= 1/2 and elsewhere iff
+    alpha < 1/2.  An odd step never starts from 0 and goes up iff its code
+    o = [u < 1/2].  Steps 4q and 4q + 2 start from 0 iff d = 0 and
+    d + (up-steps at 4q, 4q + 1) = 1; neither holds once |d| >= 2, which is
+    why d can be clipped.
+    """
+    e0, o1, e2, o3, d = np.ix_(range(3), range(2), range(3), range(2), range(-2, 3))
+
+    def up(e, from_zero):
+        return (e == 2) | ((e == 1) & (from_zero == (alpha >= 0.5)))
+
+    first = up(e0, d == 0) + o1
+    return (first + up(e2, d + first == 1) + o3).ravel()
+
+
+def _walk_quads(states: Sequence[tuple[int, int]], n_steps: int, alpha: float) -> np.ndarray:
+    """Quad table of the walks with PCG64 ``states``: entry (q, i) codes
+    steps 4q to 4q + 3 of walk i in one byte.
+
+    A pair of steps (an even step's e, then an odd step's o, as in
+    :func:`_quad_steps`) has code 2e + o in 0..5, a quad has code
+    6 * (first pair's) + second pair's in 0..35, and the entry is
+    5 * code + 2, the index of (code, d = 0) in :func:`_quad_steps`.  Row q
+    holds quad q of every walk, so the step loop reads one contiguous row
+    per quad.  Uniforms are drawn and coded ``_WALK_BLOCK`` walks at a time
+    and transposed into the table block by block; padding past n_steps
+    leaves uniforms of 1, which add no up-step.
     """
     m = len(states)
-    n_pairs = (n_steps + 1) // 2
-    table = np.empty((n_pairs, m), dtype=np.uint8)
-    u = np.ones((_WALK_BLOCK, 2 * n_pairs))
+    n_quads = (n_steps + 3) // 4
+    table = np.empty((n_quads, m), dtype=np.uint8)
+    u = np.ones((_WALK_BLOCK, 4 * n_quads))
     for b in range(0, m, _WALK_BLOCK):
         k = min(_WALK_BLOCK, m - b)
         _draw_streams(states[b:b + k], lambda rng, row: rng.random(out=row[:n_steps]), u[:k])
-        first, second = u[:k, 0::2], u[:k, 1::2]
-        up_second = second < 0.5
-        from_zero = np.add(first < alpha, up_second, dtype=np.uint8)
-        elsewhere = np.add(first < 0.5, up_second, dtype=np.uint8)
-        table[:, b:b + k] = (from_zero | elsewhere << 2).T
+        even, odd = u[:k, 0::2], u[:k, 1::2]
+        pair = np.add(even < alpha, even < 0.5, dtype=np.uint8)
+        pair <<= 1
+        pair += odd < 0.5
+        table[:, b:b + k] = (30 * pair[:, 0::2] + 5 * pair[:, 1::2] + 2).T
     return table
 
 
@@ -416,11 +436,16 @@ def _walk_terminals(states: Sequence[tuple[int, int]], n_steps: int, alpha: floa
     """Integer terminal states of the skew walks with PCG64 ``states``.
 
     The state after j steps is 2 * ups - j, with ups the number of up-steps
-    so far, so pair p starts from state 0 iff ups == p.
+    so far; each quad looks its up-steps up at its entry plus
+    clip(ups - 2q, -2, 2).
     """
+    steps = _quad_steps(alpha)
     ups = np.zeros(len(states), dtype=np.int64)
-    for p, pair in enumerate(_walk_pairs(states, n_steps, alpha)):
-        ups += np.where(ups == p, pair & 3, pair >> 2)
+    d = np.empty_like(ups)
+    for q, quad in enumerate(_walk_quads(states, n_steps, alpha)):
+        np.clip(np.subtract(ups, 2 * q, out=d), -2, 2, out=d)
+        d += quad
+        ups += steps[d]
     return 2 * ups - n_steps
 
 
@@ -447,12 +472,13 @@ def harrison_shepp_terminals(
     draws and codes its uniforms and steps the walks; the draws and the array passes
     release the interpreter lock.  It writes only its own slice of the
     output, so the result is bit-identical to a serial run.  Each
-    worker holds one pair table of ceil(n_steps / 2) * chunk bytes (16 MiB
+    worker holds one quad table of ceil(n_steps / 4) * chunk bytes (8 MiB
     at the default chunk and 2**12 steps) and one block of 32 * n_steps
     float64 uniforms with their codes.
     """
     _check_alpha(alpha)
-    _check_steps(n_steps)
+    _check_count("n_steps", n_steps)
+    _check_count("n_walks", n_walks)
 
     def job(c: int, lo: int, hi: int):
         states = stream_states([seed.with_path(k) for k in range(lo, hi)])
@@ -468,8 +494,16 @@ def harrison_shepp_terminals(
 # Batched terminal sampling of the construction
 # ---------------------------------------------------------------------------
 
-#: base-path rows generated and scanned at a time within a bulk chunk
-_ROW_BLOCK = 512
+#: bytes of rows the bulk sampler holds at a time: it draws and scans its
+#: base paths, and draws its sign uniforms, in row blocks of about this size
+_BLOCK_BYTES = 2 << 20
+
+
+def _row_blocks(m: int, row_bytes: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` bounds of rows 0..m-1 in order, in blocks of as many
+    ``row_bytes`` rows as fit in ``_BLOCK_BYTES`` (at least one)."""
+    rows = max(1, _BLOCK_BYTES // row_bytes)
+    return [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
 
 
 def _base_rows(
@@ -478,9 +512,10 @@ def _base_rows(
     """Per-row excursion count, straddling-excursion birth index and terminal
     value of m float32 base-path rows drawn in order from ``rng``.
 
-    Rows are generated and scanned ``_ROW_BLOCK`` at a time, so only one
-    block of the (m, n_steps) base-path matrix is ever held.  The birth is
-    the straddling excursion's g index on the full path, as
+    Rows are generated and scanned one ``_row_blocks`` block at a time, so
+    only about ``_BLOCK_BYTES`` of the (m, n_steps) base-path matrix (128
+    rows at 2**12 steps) is ever held, whatever n_steps.  The birth is the
+    straddling excursion's g index on the full path, as
     :class:`~skewlab.excursion.ExcursionRows` dates it: the exact zero just
     before its first covered index, else that index; 0 when the row has no
     excursion.
@@ -489,8 +524,7 @@ def _base_rows(
     birth = np.empty(m, dtype=np.int64)
     terminal = np.empty(m)
     scale = np.float32(math.sqrt(dt))
-    for lo in range(0, m, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, m)
+    for lo, hi in _row_blocks(m, 4 * n_steps):
         path = rng.standard_normal((hi - lo, n_steps), dtype=np.float32)
         path *= scale
         np.cumsum(path, axis=1, out=path)
@@ -517,7 +551,9 @@ def _bulk_chunk(
     dt: float,
     variant: str,
 ) -> list[np.ndarray]:
-    """Terminal values of one chunk's m paths, one array per schedule."""
+    """Terminal values of one chunk's m paths, one array per schedule; the
+    base paths and then each schedule's sign uniforms are drawn one
+    :func:`_row_blocks` block at a time."""
     n_exc, birth, terminal = _base_rows(rng_base, m, n_steps, dt)
     if variant == "absolute":
         np.abs(terminal, out=terminal)
@@ -531,8 +567,13 @@ def _bulk_chunk(
         alphas = np.asarray(schedule.values)
         n_cells = schedule.n_cells
         birth_cell = schedule.cell_indices(birth_time)
-        u = rng.random((m, max(max_exc, 1) * n_cells))
-        pick = u[rows, last_ord * n_cells + birth_cell]
+        # each path's row of uniforms is drawn in order, a block of rows at
+        # a time, and only the straddling excursion's, in its birth cell, kept
+        width = max(max_exc, 1) * n_cells
+        column = last_ord * n_cells + birth_cell
+        pick = np.empty(m)
+        for lo, hi in _row_blocks(m, 8 * width):
+            pick[lo:hi] = rng.random((hi - lo, width))[rows[:hi - lo], column[lo:hi]]
         zeta = np.where(pick < alphas[birth_cell], 1.0, -1.0)
         zeta[n_exc == 0] = 0.0
         outs.append(zeta * terminal)
@@ -567,15 +608,16 @@ def skew_terminal_samples(
     number of worker threads and the row block size are not.  Chunks run
     concurrently on a thread pool (one worker per usable CPU, at most one
     per chunk), and each writes only its own slice of the output, so the
-    result is bit-identical to a serial run.  Each worker holds one row
-    block of 512 * n_steps float32 values plus its int8 signs and up to
-    three boolean masks of that shape (about 16 MiB at 2**12 steps) and the
-    sign uniforms of its chunk, chunk * max_excursions * n_cells float64
-    values.
+    result is bit-identical to a serial run.  Each worker holds a few
+    arrays of chunk values and one row block at a time: about 2 MiB of
+    float32 base paths (128 rows at 2**12 steps) with their int8 signs and
+    up to three boolean masks of that shape, or about 2 MiB of float64
+    sign uniforms, whatever n_steps up to 2**19 (past that, one row).
     """
     if variant not in ("signed", "absolute"):
         raise ValueError(f"unknown variant {variant!r}")
-    _check_steps(n_steps)
+    _check_count("n_steps", n_steps)
+    _check_count("n_paths", n_paths)
     dt = 1.0 / n_steps
 
     def job(c: int, lo: int, hi: int):

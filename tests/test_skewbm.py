@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -101,12 +102,18 @@ def reference_scan(rows):
 class IntegerSteps:
     """Stand-in for a base-path generator whose "normals" are integer steps
     in {-1, 0, 1}: such rows return to exactly 0 often, which Gaussian rows
-    almost never do."""
+    almost never do.  ``calls`` counts the draws, one per row block.
+
+    Each draw drops the buffered half word of its bounded integers, so a
+    block of an odd number of steps would desynchronize it from one draw of
+    all the rows; real generators have no such buffer."""
 
     def __init__(self):
         self.rng = np.random.default_rng(MASTER)
+        self.calls = 0
 
     def standard_normal(self, size, dtype):
+        self.calls += 1
         return self.rng.integers(-1, 2, size).astype(dtype)
 
 
@@ -166,6 +173,16 @@ def serial_bulk_reference(schedules, n_paths, n_steps, seed, chunk, variant="abs
             zeta[n_exc == 0] = 0.0
             out[lo:hi] = zeta * terminal
     return outs
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @contextlib.contextmanager
@@ -396,6 +413,15 @@ class TestHarrisonSheppWalk:
     @example(alpha=0.7, n_steps=1, n_walks=33, chunk=8192, cpus=1)
     @example(alpha=0.0, n_steps=9, n_walks=101, chunk=40, cpus=2)
     @example(alpha=0.5, n_steps=64, n_walks=150, chunk=7, cpus=8)
+    # e = 1 takes an even step up from 0 for alpha >= 1/2, elsewhere below it
+    @example(alpha=float(np.nextafter(0.5, 0)), n_steps=5, n_walks=150, chunk=40, cpus=2)
+    @example(alpha=float(np.nextafter(0.5, 1)), n_steps=6, n_walks=150, chunk=7, cpus=3)
+    # quads cut short by the horizon
+    @example(alpha=0.3, n_steps=2, n_walks=60, chunk=8192, cpus=1)
+    @example(alpha=0.7, n_steps=3, n_walks=60, chunk=40, cpus=2)
+    @example(alpha=1.0, n_steps=7, n_walks=60, chunk=7, cpus=8)
+    # more than 2**15 up-steps: a 16-bit step counter would wrap
+    @example(alpha=0.7, n_steps=70_001, n_walks=3, chunk=8192, cpus=1)
     def test_step_major_walk_equals_column_loop(self, alpha, n_steps, n_walks, chunk, cpus):
         seed = SeedSpec(MASTER, "hsprop")
         u = np.array([seed.with_path(k).rng().random(n_steps) for k in range(n_walks)])
@@ -466,6 +492,23 @@ class TestHarrisonSheppWalk:
         with pytest.raises(ValueError, match=match):
             harrison_shepp_terminals(alpha, n_steps, 5, seed, chunk=chunk)
 
+    @pytest.mark.parametrize("n_walks", [0, -3])
+    def test_terminals_reject_walk_counts_below_one(self, seed, n_walks):
+        with pytest.raises(ValueError, match="n_walks"):
+            harrison_shepp_terminals(0.7, 16, n_walks, seed)
+
+    def test_working_set_is_two_quad_tables_and_slack(self):
+        # two workers, each with a quad table of ceil(n_steps / 4) bytes per
+        # walk; the slack covers their blocks of 32 * n_steps float64
+        # uniforms (1 MiB each) and their codes, the streams and the output
+        n_steps, chunk = 2**12, 4096
+        tables = 2 * (n_steps // 4) * chunk
+        seed = SeedSpec(MASTER, "hsmemory")
+        with usable_cpus(2):
+            peak = traced_peak(lambda: harrison_shepp_terminals(0.7, n_steps, 2 * chunk, seed,
+                                                                chunk=chunk))
+        assert peak < tables + 6 * 2**20
+
 
 class TestTerminalSamplers:
     def test_bulk_equals_full_pipeline_on_shared_streams(self):
@@ -519,33 +562,37 @@ class TestTerminalSamplers:
 
     def test_bulk_equals_full_pipeline_with_exact_zeros(self):
         # integer-step rows start with zeros and start excursions right after
-        # exact zeros, where the birth cell decides the sign; 4000 rows span
-        # eight row blocks
+        # exact zeros, where the birth cell decides the sign; 4000 rows of
+        # 1024 steps span eight row blocks of 512
         sched = AlphaSchedule.piecewise([0.0, 4.0], [0.1, 0.9])
-        m, n_steps = 4000, 8
+        m, n_steps = 4000, 1024
+        base = IntegerSteps()
         (bulk,) = _bulk_chunk(
-            IntegerSteps(), [np.random.default_rng(MASTER + 1)], [sched], m, n_steps, 1.0,
-            "absolute",
+            base, [np.random.default_rng(MASTER + 1)], [sched], m, n_steps, 1.0, "absolute"
         )
+        assert base.calls == 8
         rows = np.cumsum(IntegerSteps().standard_normal((m, n_steps), np.float32), axis=1)
         n_exc, _ = reference_scan(rows)
         u = np.random.default_rng(MASTER + 1).random((m, max(n_exc.max(), 1) * sched.n_cells))
         assert np.array_equal(bulk, pipeline_terminals(rows, u, sched, 1.0))
 
     def test_start_scan_with_exact_zeros(self):
-        # 1300 rows span three row blocks
-        rows = np.cumsum(IntegerSteps().standard_normal((1300, 40), np.float32), axis=1)
-        n_exc, birth, terminal = _base_rows(IntegerSteps(), 1300, 40, 1.0)
+        # 1300 rows of 1024 steps span three row blocks of 512
+        rows = np.cumsum(IntegerSteps().standard_normal((1300, 1024), np.float32), axis=1)
+        base = IntegerSteps()
+        n_exc, birth, terminal = _base_rows(base, 1300, 1024, 1.0)
+        assert base.calls == 3
         ref_n_exc, ref_birth = reference_scan(rows)
         assert np.array_equal(n_exc, ref_n_exc)
         assert np.array_equal(birth, ref_birth)
         assert np.array_equal(terminal, rows[:, -1])
 
     def test_row_blocks_equal_one_shot_chunks(self):
-        # the default chunk spans many row blocks; the last chunk is short
+        # the default chunk spans four row blocks of 2048 rows of 256 steps
+        # and two to four blocks of sign uniforms; the last chunk is short
         scheds = [AlphaSchedule.constant(0.7), AlphaSchedule.piecewise([0.0, 0.5], [0.3, 0.8])]
         seed = SeedSpec(MASTER, "rowblocks")
-        n_paths, n_steps = 8192 + 100, 64
+        n_paths, n_steps = 8192 + 100, 256
         bulk = skew_terminal_samples(scheds, n_paths, n_steps, seed)
         ref = serial_bulk_reference(scheds, n_paths, n_steps, seed, chunk=8192)
         for sample, expected in zip(bulk, ref):
@@ -585,6 +632,22 @@ class TestTerminalSamplers:
     def test_bulk_rejects_invalid_sizes(self, seed, n_steps, chunk, match):
         with pytest.raises(ValueError, match=match):
             skew_terminal_samples([AlphaSchedule.constant(0.7)], 5, n_steps, seed, chunk=chunk)
+
+    @pytest.mark.parametrize("n_paths", [0, -2])
+    def test_bulk_rejects_path_counts_below_one(self, seed, n_paths):
+        with pytest.raises(ValueError, match="n_paths"):
+            skew_terminal_sample(AlphaSchedule.constant(0.7), n_paths, 16, seed)
+
+    def test_working_set_does_not_grow_with_steps(self):
+        # two workers, each holding one 2 MiB float32 row block with its int8
+        # and boolean masks, or one 2 MiB block of sign uniforms
+        sched = AlphaSchedule.constant(0.7)
+        seed = SeedSpec(MASTER, "bulkmemory")
+        with usable_cpus(2):
+            for n_steps in (2**12, 2**14):
+                peak = traced_peak(lambda: skew_terminal_sample(sched, 2048, n_steps, seed,
+                                                                chunk=1024))
+                assert peak < 16 * 2**20, n_steps
 
     def test_streams_and_public_calls_stay_in_calling_thread(self, monkeypatch):
         # the span tracer keeps a single stack, so the samplers' workers may
