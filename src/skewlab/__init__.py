@@ -30,10 +30,9 @@ from .localtime import (
     identity_residual,
     ito_sum,
     local_time,
-    quadratic_covariation,
 )
 from .signed_measure import (
-    Decomposition,
+    DecompositionRows,
     HypothesisNotMetError,
     InsufficientSamplesError,
     ModelRows,
@@ -58,7 +57,6 @@ from .signflip import (
 )
 from .skewbm import (
     LawSample,
-    SkewBuildSpec,
     SkewLaw,
     build_skew,
     harrison_shepp_terminals,

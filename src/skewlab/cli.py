@@ -26,7 +26,6 @@ from .grid_paths import SeedSpec, make_grid, refine_bridge, sample_brownian
 from .localtime import identity_residual, ito_sum, local_time
 from .signed_measure import (
     HYPOTHESIS_NOT_MET,
-    Decomposition,
     PROCESS_ZOO,
     TestReport,
     density_products,
@@ -458,8 +457,7 @@ def run_skew_residual(cfg: ExperimentConfig, seed: SeedSpec):
         for n, p in _coupled_paths(seed.child("sde/base"), cfg.n_steps, i).items():
             z = draw_sign_path(p, sched, signs)
             x = apply_sign(z, p, mode="absolute")
-            base = Decomposition.martingale(p)
-            sups.setdefault(n, []).append(sde_residual(x, base, z, sched, "absolute").sup_norm)
+            sups.setdefault(n, []).append(sde_residual(x, p, z, sched, "absolute").sup_norm)
     tol = cfg.tol("sde_residual", _mesh_tol(cfg.n_steps))
     reports = _mesh_reports(
         "skew_residual", sups, tol, seed, cfg.n_seeds,

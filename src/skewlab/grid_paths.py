@@ -276,10 +276,11 @@ class SamplePath:
 def make_grid(horizon: float, n_steps: int) -> TimeGrid:
     """Build the uniform grid over [0, horizon] with n_steps steps.
 
-    Raises ValueError for non-positive horizon or fewer than one step.
+    Raises ValueError for a horizon that is not positive and finite, or for
+    fewer than one step.
     """
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     times = np.linspace(0.0, float(horizon), n_steps + 1)

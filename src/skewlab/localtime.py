@@ -9,12 +9,13 @@ which is what numpy.sign provides.
 
 ``ito_rows``, ``covariation_rows`` and ``tanaka_rows`` work along the last
 axis of an array, so one call serves a single path or a ``(rows, n_points)``
-block; ``ito_sum``, ``quadratic_covariation`` and
-``local_time(path, "tanaka")`` are their one-path case.
+block; ``ito_sum`` and ``local_time(path, "tanaka")`` are their one-path
+case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -29,7 +30,6 @@ __all__ = [
     "ito_sum",
     "covariation_rows",
     "tanaka_rows",
-    "quadratic_covariation",
     "local_time",
     "identity_residual",
 ]
@@ -101,13 +101,6 @@ def tanaka_rows(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def quadratic_covariation(x: SamplePath, y: SamplePath) -> SamplePath:
-    """Cumulative sum of increment products <x, y>: the one-path case of
-    :func:`covariation_rows`."""
-    _check_aligned(x, y)
-    return SamplePath(x.grid, covariation_rows(x.values[None, :], y.values[None, :])[0])
-
-
 def local_time(
     path: SamplePath, method: str = "tanaka", bandwidth: Optional[float] = None
 ) -> SamplePath:
@@ -126,8 +119,8 @@ def local_time(
         return SamplePath(path.grid, tanaka_rows(x))
     if method == "occupation":
         eps = float(bandwidth) if bandwidth is not None else path.grid.dt**OCCUPATION_EXPONENT
-        if eps <= 0:
-            raise ValueError("occupation bandwidth must be positive")
+        if not 0 < eps < math.inf:
+            raise ValueError(f"occupation bandwidth must be positive and finite, got {eps}")
         hits = (np.abs(x[:-1]) <= eps).astype(float)
         curve = np.empty(len(x))
         curve[0] = 0.0

@@ -16,21 +16,20 @@ so the harness checks the property two independent ways: the pathwise
 residual of that display (``qp_residual``) and a conditional-drift test on
 the simulated product process (``martingale_drift_test``).
 
-The suites (the drift test, the equivalence suites, the optional
-representation check and the sigma_h panels) build their models and base
-processes a row block at a time (``build_model_rows`` and the zoo's row
-kernels), so each block is built once and read by everything the suite
-needs; ``build_model`` and the ``PROCESS_ZOO`` members are their one-row
-case (a one-row :class:`ModelRows` and a :class:`Decomposition`).
-Likewise the qp residual, the carried-by fraction and Sigma(H)
-membership are row kernels that work along the last axis of a block's
-arrays; ``qp_residual``, ``carried_by_check`` and ``sigma_h_check`` are
-their one-row case.
+Models (:class:`ModelRows`) and processes with their split
+(:class:`DecompositionRows`) are blocks, one path per row.  The suites (the
+drift test, the equivalence suites, the optional representation check and
+the sigma_h panels) build them a row block at a time (``build_model_rows``
+and the ``PROCESS_ZOO`` row kernels), so each block is built once and read
+by everything the suite needs; ``build_model`` is the one-row case.
+Likewise the qp residual, the carried-by fraction and Sigma(H) membership
+are row kernels that work along the last axis of a block's arrays;
+``qp_residual``, ``carried_by_check`` and ``sigma_h_check`` are their
+one-row case.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,7 +55,6 @@ __all__ = [
     "HypothesisNotMetError",
     "ModelRows",
     "DecompositionRows",
-    "Decomposition",
     "PathRows",
     "TestReport",
     "build_model_rows",
@@ -160,41 +158,18 @@ def _check_split(total: np.ndarray, mart: np.ndarray, fv: np.ndarray) -> None:
         raise ValueError("total must equal martingale_part + fv_part")
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """A process with its asserted semimartingale split, total = mart + fv.
-
-    For martingale suites the fields read M = m + v; for class-Sigma(H)
-    suites they read X = M + A.  ``zero_source``, when present, is the signed
-    process whose sign changes define the zero structure of ``total`` (a
-    reflected path shows no sign changes of its own on a grid).
-    """
-
-    total: SamplePath
-    martingale_part: SamplePath
-    fv_part: SamplePath
-    label: str = ""
-    zero_source: Optional[SamplePath] = None
-
-    def __post_init__(self):
-        _check_split(self.total.values, self.martingale_part.values, self.fv_part.values)
-
-    @classmethod
-    def martingale(cls, path: SamplePath, label: str = "") -> "Decomposition":
-        zero = SamplePath(path.grid, np.zeros(len(path)))
-        return cls(total=path, martingale_part=path, fv_part=zero, label=label)
-
-    @property
-    def zero_path(self) -> SamplePath:
-        """The path whose excursions define the zero structure:
-        ``zero_source`` when set, else ``total``."""
-        return self.total if self.zero_source is None else self.zero_source
-
-
 @dataclass(frozen=True, eq=False)
 class DecompositionRows:
-    """A block of decompositions, one path per row of each array; row j is
-    the :class:`Decomposition` of path j."""
+    """A block of processes with their asserted semimartingale split,
+    total = martingale_part + fv_part, one path per row of each array.
+
+    For martingale suites the fields read M = m + v; for class-Sigma(H)
+    suites they read X = M + A.  ``zero_source``, when present, holds the
+    signed processes whose sign changes define the zero structure of
+    ``total`` (a reflected path shows no sign changes of its own on a grid).
+    The arrays are stored as read-only views, so a handed-out block stays
+    frozen.
+    """
 
     grid: TimeGrid
     total: np.ndarray
@@ -205,6 +180,12 @@ class DecompositionRows:
 
     def __post_init__(self):
         _check_split(self.total, self.martingale_part, self.fv_part)
+        for name in ("total", "martingale_part", "fv_part", "zero_source"):
+            values = getattr(self, name)
+            if values is not None:
+                values = values.view()
+                values.flags.writeable = False
+                object.__setattr__(self, name, values)
 
     @classmethod
     def martingale(cls, grid: TimeGrid, values: np.ndarray, label: str = "") -> "DecompositionRows":
@@ -212,24 +193,9 @@ class DecompositionRows:
 
     @property
     def zero_path(self) -> np.ndarray:
+        """The rows whose excursions define the zero structure:
+        ``zero_source`` when set, else ``total``."""
         return self.total if self.zero_source is None else self.zero_source
-
-    def row(self, index: int) -> Decomposition:
-        """Path ``index`` as a :class:`Decomposition`.  Its split was checked
-        with the block's, so it is not checked again."""
-
-        def path(values):
-            return SamplePath(self.grid, values[index])
-
-        dec = object.__new__(Decomposition)
-        dec.__dict__.update(
-            total=path(self.total),
-            martingale_part=path(self.martingale_part),
-            fv_part=path(self.fv_part),
-            label=self.label,
-            zero_source=None if self.zero_source is None else path(self.zero_source),
-        )
-        return dec
 
 
 @dataclass(frozen=True)
@@ -270,25 +236,26 @@ def _qp_rows(d: np.ndarray, total: np.ndarray, fv: Optional[np.ndarray] = None) 
     return residual
 
 
-def _check_same_grid(dec: Decomposition, model: ModelRows) -> None:
-    if len(model.d) != 1:
-        raise ValueError(f"need a one-row model, got {len(model.d)} rows")
-    if not model.grid.same_as(dec.total.grid):
+def _check_one_row(dec: DecompositionRows, model: ModelRows) -> None:
+    for what, rows in (("model", len(model.d)), ("decomposition", len(dec.total))):
+        if rows != 1:
+            raise ValueError(f"need a one-row {what}, got {rows} rows")
+    if not model.grid.same_as(dec.grid):
         raise ValueError("decomposition and model live on different grids")
 
 
-def qp_residual(dec: Decomposition, model: ModelRows) -> ResidualReport:
-    """Residual curve of  int_0^t D dv + <M, D>_t  for one decomposition and
-    a one-row model: the one-row case of the qp row kernel.
+def qp_residual(dec: DecompositionRows, model: ModelRows) -> ResidualReport:
+    """Residual curve of  int_0^t D dv + <M, D>_t  for a one-row
+    decomposition and a one-row model: the one-row case of the qp row kernel.
 
     A residual near zero certifies the signed-measure local-martingale
     property of M = m + v; the caller asserts which part is the finite
     variation one.
     """
-    _check_same_grid(dec, model)
-    residual = _qp_rows(model.d, dec.total.values[None, :], dec.fv_part.values[None, :])[0]
+    _check_one_row(dec, model)
+    residual = _qp_rows(model.d, dec.total, dec.fv_part)[0]
     return ResidualReport.from_residual(
-        f"qp_residual[{dec.label or 'unnamed'}]", residual, dec.total.grid.n_steps
+        f"qp_residual[{dec.label or 'unnamed'}]", residual, dec.grid.n_steps
     )
 
 
@@ -461,8 +428,8 @@ def _sigma_rows(models: ModelRows, src, mart, fv, tol=_SIGMA_TOL):
     return carried, qp, starts_ok, passed
 
 
-def sigma_h_check(dec: Decomposition, model: ModelRows) -> TestReport:
-    """Membership check for X = M + A in the class Sigma(H), for one
+def sigma_h_check(dec: DecompositionRows, model: ModelRows) -> TestReport:
+    """Membership check for X = M + A in the class Sigma(H), for a one-row
     decomposition and a one-row model: the one-row case of the Sigma(H) row
     kernel.
 
@@ -476,15 +443,15 @@ def sigma_h_check(dec: Decomposition, model: ModelRows) -> TestReport:
     treated as zeros, since a reflected path never changes sign on a grid.
     The report carries no seed.
     """
-    _check_same_grid(dec, model)
-    rows = [p.values[None, :] for p in (dec.zero_path, dec.martingale_part, dec.fv_part)]
-    carried, qp, starts_ok, passed = (r[0] for r in _sigma_rows(model, *rows))
+    _check_one_row(dec, model)
+    rows = _sigma_rows(model, dec.zero_path, dec.martingale_part, dec.fv_part)
+    carried, qp, starts_ok, passed = (r[0] for r in rows)
     return TestReport(
         suite="sigma_h",
         statistic=float(carried),
         threshold=1.0 - _SIGMA_TOL,
         n_paths=1,
-        n_steps=dec.total.grid.n_steps,
+        n_steps=dec.grid.n_steps,
         seed=None,
         passed=bool(passed),
         detail=(
@@ -499,31 +466,15 @@ def sigma_h_check(dec: Decomposition, model: ModelRows) -> TestReport:
 # ---------------------------------------------------------------------------
 
 
-def _zoo(rows_kernel):
-    """Per-path member of the process zoo, ``(model, grid, seed) ->
-    Decomposition`` for a one-row model: the one-row case of
-    ``rows_kernel(models, grid, seeds) -> DecompositionRows``, which stays
-    reachable as ``.rows`` for callers that build whole blocks."""
-
-    @functools.wraps(rows_kernel)
-    def one_path(model: ModelRows, grid: TimeGrid, seed: SeedSpec):
-        return rows_kernel(model, grid, [seed]).row(0)
-
-    one_path.rows = rows_kernel
-    return one_path
-
-
 def _w(grid: TimeGrid, seeds: Sequence[SeedSpec], x0: float = 0.0) -> np.ndarray:
     return brownian_rows(grid, [s.child("w") for s in seeds], x0)
 
 
-@_zoo
 def make_bm(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
     """W independent of D (its own substream), so <W, D> = 0."""
     return DecompositionRows.martingale(grid, _w(grid, seeds), label="bm")
 
 
-@_zoo
 def make_bm_plus_local_time(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
     """W + 2 L^0(D): the finite-variation part is carried by H."""
     w = _w(grid, seeds)
@@ -532,7 +483,6 @@ def make_bm_plus_local_time(models: ModelRows, grid: TimeGrid, seeds) -> Decompo
     return DecompositionRows(grid, w + v, w, v, label="bm_plus_local_time")
 
 
-@_zoo
 def make_bm_plus_drift(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
     """Negative control W + t: Lebesgue drift is carried by nothing useful."""
     w = _w(grid, seeds)
@@ -540,7 +490,6 @@ def make_bm_plus_drift(models: ModelRows, grid: TimeGrid, seeds) -> Decompositio
     return DecompositionRows(grid, w + grid.times, w, t, label="bm_plus_drift")
 
 
-@_zoo
 def make_bm_minus_frozen(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
     """W - W_gamma with gamma the last zero of D: a martingale null on H."""
     w = _w(grid, seeds)
@@ -548,7 +497,6 @@ def make_bm_minus_frozen(models: ModelRows, grid: TimeGrid, seeds) -> Decomposit
     return DecompositionRows.martingale(grid, w - frozen, label="bm_minus_frozen")
 
 
-@_zoo
 def make_reflected_bm(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
     """X = |W| split by Tanaka: M = int sgn(W) dW, A = L^0(W)."""
     w = _w(grid, seeds)
@@ -557,13 +505,11 @@ def make_reflected_bm(models: ModelRows, grid: TimeGrid, seeds) -> Decomposition
     return DecompositionRows(grid, total, m, total - m, label="reflected_bm", zero_source=w)
 
 
-@_zoo
 def make_shifted_bm(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
     """3 + W: a martingale that almost never hits zero on [0, 1]."""
     return DecompositionRows.martingale(grid, _w(grid, seeds, 3.0), label="shifted_bm")
 
 
-@_zoo
 def make_shifted_bm_drift(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
     """Negative control 3 + W + t, still zero-free but drifting."""
     w = _w(grid, seeds, 3.0)
@@ -571,7 +517,9 @@ def make_shifted_bm_drift(models: ModelRows, grid: TimeGrid, seeds) -> Decomposi
     return DecompositionRows(grid, w + grid.times, w, t, label="shifted_bm_drift")
 
 
-PROCESS_ZOO: dict[str, Callable[..., Decomposition]] = {
+#: the process zoo: name -> row kernel ``(models, grid, seeds) ->
+#: DecompositionRows``, row j from ``seeds[j]`` and the model in row j
+PROCESS_ZOO: dict[str, Callable[..., DecompositionRows]] = {
     "bm": make_bm,
     "bm_plus_local_time": make_bm_plus_local_time,
     "bm_plus_drift": make_bm_plus_drift,
@@ -584,8 +532,8 @@ PROCESS_ZOO: dict[str, Callable[..., Decomposition]] = {
 
 def _zoo_rows(base) -> Callable[..., DecompositionRows]:
     """Row kernel of a base process given as a zoo name or a zoo member."""
-    kernel = getattr(PROCESS_ZOO.get(base) if isinstance(base, str) else base, "rows", None)
-    if kernel is None:
+    kernel = PROCESS_ZOO.get(base) if isinstance(base, str) else base
+    if kernel not in PROCESS_ZOO.values():
         raise ValueError(f"unknown base process {base!r}: expected a PROCESS_ZOO name or member")
     return kernel
 
@@ -609,7 +557,7 @@ def _block_bounds(grid: TimeGrid, n_paths: int) -> list[tuple[int, int]]:
 
 def density_products(
     model_family: str,
-    base: Union[str, Callable[..., Decomposition]],
+    base: Union[str, Callable[..., DecompositionRows]],
     grid: TimeGrid,
     seed: SeedSpec,
 ) -> PathRows:
@@ -908,7 +856,7 @@ EQUIVALENCE_SUITES = {
 def equivalence_suite(
     name: str,
     model_family: str,
-    base: Union[str, Callable[..., Decomposition]],
+    base: Union[str, Callable[..., DecompositionRows]],
     alpha: float,
     seed: SeedSpec,
     n_paths: int,
@@ -943,7 +891,7 @@ def equivalence_suite(
 
 
 def optional_representation_check(
-    family: Callable[[ModelRows, TimeGrid, SeedSpec], Decomposition],
+    family: Callable[..., DecompositionRows],
     stopping_rule: Union[float, Callable[[np.ndarray, ModelRows], np.ndarray]],
     events: dict,
     n_paths: int,

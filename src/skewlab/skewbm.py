@@ -24,22 +24,22 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .excursion import ExcursionRows, decompose_excursions, dilate
+from .excursion import ExcursionRows, dilate
 from .grid_paths import SamplePath, SeedSpec, _draw_streams, stream_states
 from .localtime import ResidualReport, ito_sum, local_time
 from .signed_measure import (
     _DILATION,
-    Decomposition,
+    _check_one_row,
+    DecompositionRows,
     HypothesisNotMetError,
     InsufficientSamplesError,
     ModelRows,
     TestReport,
     qp_residual,
 )
-from .signflip import AlphaSchedule, apply_sign, draw_sign_path
+from .signflip import AlphaSchedule, sign_path_rows
 
 __all__ = [
-    "SkewBuildSpec",
     "LawSample",
     "SkewLaw",
     "build_skew",
@@ -55,28 +55,6 @@ __all__ = [
     "two_sample_ks",
     "lattice_smooth",
 ]
-
-
-@dataclass(frozen=True)
-class SkewBuildSpec:
-    """Inputs of one skew construction run; ``model`` is a one-row block.
-
-    variant ``signed`` flips the driving process itself, ``absolute`` flips
-    its reflection; either way the excursion structure is read off the signed
-    driver (a reflected path has no sign changes of its own to decompose).
-    """
-
-    variant: str
-    schedule: AlphaSchedule
-    base: Decomposition
-    model: ModelRows
-    x0: float = 0.0
-
-    def __post_init__(self):
-        if self.variant not in ("signed", "absolute"):
-            raise ValueError(f"variant must be 'signed' or 'absolute', got {self.variant!r}")
-        if self.base.total.values[0] != self.x0:
-            raise ValueError("base.total must start at x0")
 
 
 @dataclass(frozen=True)
@@ -98,74 +76,85 @@ class LawSample:
         return len(self.values)
 
 
-def check_construction_hypotheses(spec: SkewBuildSpec) -> list[str]:
-    """Violations of the standing hypotheses for law-level claims.
+def check_construction_hypotheses(base: DecompositionRows, model: ModelRows) -> list[str]:
+    """Violations of the standing hypotheses for law-level claims, for a
+    one-row base and a one-row model.
 
     Under the trivial model every condition is vacuous.  Otherwise the base
     must vanish on H (its zero events, dilated by 2 grid steps, must cover H)
     and be orthogonal to D; both are checked empirically on this realization.
     """
-    if spec.model.family == "trivial":
+    if model.family == "trivial":
         return []
     problems = []
-    near = dilate(decompose_excursions(spec.base.zero_path).zero_events, _DILATION)
-    if not np.all(near[spec.model.zeros.events[0]]):
+    near = dilate(ExcursionRows(base.zero_path).events[0], _DILATION)
+    if not np.all(near[model.zeros.events[0]]):
         problems.append("base process does not vanish on H")
-    qp = qp_residual(spec.base, spec.model)
+    qp = qp_residual(base, model)
     if qp.terminal > 0.1:
         problems.append(f"qp residual {qp.terminal:.3f} suggests <D, M> != 0 or bad split")
     return problems
 
 
-def build_skew(spec: SkewBuildSpec, seed: SeedSpec, strict: bool = True) -> SamplePath:
-    """Run the sign-flip construction and return the flipped path.
+def build_skew(variant: str, schedule: AlphaSchedule, base: DecompositionRows, model: ModelRows,
+               seed: SeedSpec, strict: bool = True) -> SamplePath:
+    """Run the sign-flip construction on a one-row base under a one-row
+    model and return the flipped path.
 
-    With ``strict`` (the default) a violation of the law-level hypotheses
-    raises HypothesisNotMetError; pathwise residual studies on models with a
-    nontrivial H pass ``strict=False`` and assert only the SDE identity.
-    When the driver starts away from zero the excursion straddling t = 0
-    keeps sign +1, so the output starts at x0 (no flip before the first
-    zero).  Piecewise schedules freeze each excursion's sign at its birth
-    cell (see :func:`~skewlab.signflip.build_sign_path`).
+    Variant ``signed`` flips the driving process itself, ``absolute`` flips
+    its reflection; either way the excursion structure is read off the
+    signed driver, ``base.zero_path`` (a reflected path has no sign changes
+    of its own to decompose).  With ``strict`` (the default) a violation of
+    the law-level hypotheses raises HypothesisNotMetError; pathwise residual
+    studies on models with a nontrivial H pass ``strict=False`` and assert
+    only the SDE identity.  When the driver starts away from zero the
+    excursion straddling t = 0 keeps sign +1, so the output starts where the
+    driver does (no flip before the first zero).  Piecewise schedules freeze
+    each excursion's sign at its birth cell (see
+    :func:`~skewlab.signflip.build_sign_path`).
     """
+    if variant not in ("signed", "absolute"):
+        raise ValueError(f"variant must be 'signed' or 'absolute', got {variant!r}")
+    _check_one_row(base, model)
     if strict:
-        problems = check_construction_hypotheses(spec)
+        problems = check_construction_hypotheses(base, model)
         if problems:
             raise HypothesisNotMetError("; ".join(problems))
-    src = spec.base.zero_path
-    z = draw_sign_path(src, spec.schedule, seed, pin_start=True)
-    return apply_sign(z, src, mode=spec.variant)
+    src = base.zero_path
+    z = sign_path_rows(src, base.grid, schedule, [seed], pin_start=True)
+    z *= src if variant == "signed" else np.abs(src)
+    return SamplePath(base.grid, z[0])
 
 
 def recover_driving_noise(
-    base: Decomposition, sign: SamplePath, variant: str = "signed"
+    driver: SamplePath, sign: SamplePath, variant: str = "signed"
 ) -> SamplePath:
-    """The constructed driving noise: int Z dM (signed) or int Z dW with
-    W = int sgn(M) dM (absolute).
+    """The constructed driving noise of a flip of the signed ``driver`` M:
+    int Z dM (signed) or int Z dW with W = int sgn(M) dM (absolute).
 
     The absolute variant must integrate against the reflection's martingale
     part, not against |M| itself: the increments of |M| carry the local time
     of M, and summing them with the flip signs injects a (2 alpha - 1) L
     drift into what should be the Brownian driver.
     """
-    src = base.zero_path
     if variant == "signed":
         integrand = sign
     elif variant == "absolute":
-        integrand = SamplePath(src.grid, sign.values * np.sign(src.values))
+        integrand = SamplePath(driver.grid, sign.values * np.sign(driver.values))
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return ito_sum(integrand, src)
+    return ito_sum(integrand, driver)
 
 
 def sde_residual(
     x_alpha: SamplePath,
-    base: Decomposition,
+    driver: SamplePath,
     sign: SamplePath,
     schedule: AlphaSchedule,
     variant: str = "signed",
 ) -> ResidualReport:
-    """Pathwise residual of the skew SDE for a constructed path.
+    """Pathwise residual of the skew SDE for a path constructed from the
+    signed ``driver``.
 
     residual_t = X_t - X_0 - W_t - sum (2 alpha(t_i) - 1) dL_i  with the
     driving noise W recovered by ``recover_driving_noise`` and L the
@@ -178,7 +167,7 @@ def sde_residual(
     """
     if not x_alpha.grid.same_as(sign.grid):
         raise ValueError("constructed path and sign path live on different grids")
-    w = recover_driving_noise(base, sign, variant)
+    w = recover_driving_noise(driver, sign, variant)
     lt = local_time(x_alpha, "occupation")
     weights = 2.0 * schedule.alpha_at(x_alpha.grid.times[:-1]) - 1.0
     correction = np.empty(len(x_alpha))

@@ -1,9 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
 from skewlab.grid_paths import SeedSpec, make_grid, sample_brownian
 
 MASTER = 314159
+#: the benchmark's directory, whose files the tests read and never write
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 @pytest.fixture
@@ -35,3 +39,10 @@ def path_from_values(values):
 
     values = np.asarray(values, dtype=float)
     return SamplePath(make_grid(1.0, len(values) - 1), values)
+
+
+def martingale_row(path, label=""):
+    """One path as a one-row martingale decomposition M = M + 0."""
+    from skewlab.signed_measure import DecompositionRows
+
+    return DecompositionRows.martingale(path.grid, path.values[None, :], label)

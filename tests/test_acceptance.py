@@ -26,7 +26,7 @@ from skewlab.excursion import decompose_excursions, last_zero_curve
 from skewlab.grid_paths import SeedSpec, make_grid, sample_brownian
 from skewlab.localtime import identity_residual, ito_sum, local_time
 from skewlab.signed_measure import (
-    Decomposition,
+    DecompositionRows,
     PROCESS_ZOO,
     build_model,
     density_products,
@@ -38,7 +38,6 @@ from skewlab.signed_measure import (
 )
 from skewlab.signflip import AlphaSchedule, apply_sign, draw_sign_path
 from skewlab.skewbm import (
-    SkewBuildSpec,
     SkewLaw,
     build_skew,
     harrison_shepp_terminals,
@@ -168,26 +167,24 @@ def test_criterion_04_walk_cross_validation(law_samples):
 def test_criterion_05_alpha_degeneracies(law_samples):
     grid = make_grid(1.0, 2**12)
     s = SEED.child("c5")
-    base = Decomposition.martingale(sample_brownian(grid, s.child("base")))
+    driver = sample_brownian(grid, s.child("base"))
+    base = DecompositionRows.martingale(grid, driver.values[None, :])
     model = build_model("trivial", grid, s)
 
     reflected = build_skew(
-        SkewBuildSpec("absolute", AlphaSchedule.constant(1.0), base, model),
-        s.child("signs"),
+        "absolute", AlphaSchedule.constant(1.0), base, model, s.child("signs"),
     )
-    bit_exact_abs = np.array_equal(reflected.values, np.abs(base.total.values))
+    bit_exact_abs = np.array_equal(reflected.values, np.abs(driver.values))
 
     half = law_samples[0][ALPHAS.index(0.5)]
     ks = ks_statistic(half.values, lambda y: norm.cdf(y))
     ks_ok = ks < kstwobign.isf(0.01) / math.sqrt(half.n)
 
     const = build_skew(
-        SkewBuildSpec("absolute", AlphaSchedule.constant(0.3), base, model),
-        s.child("signs"),
+        "absolute", AlphaSchedule.constant(0.3), base, model, s.child("signs"),
     )
     single = build_skew(
-        SkewBuildSpec("absolute", AlphaSchedule.piecewise([0.0], [0.3]), base, model),
-        s.child("signs"),
+        "absolute", AlphaSchedule.piecewise([0.0], [0.3]), base, model, s.child("signs"),
     )
     bit_exact_cell = np.array_equal(const.values, single.values)
 
@@ -208,9 +205,7 @@ def test_criterion_06_inhomogeneous_construction():
         for n, p in coupled("c6", i).items():
             z = draw_sign_path(p, sched, signs)
             x = apply_sign(z, p, mode="absolute")
-            sups[n].append(
-                sde_residual(x, Decomposition.martingale(p), z, sched, "absolute").sup_norm
-            )
+            sups[n].append(sde_residual(x, p, z, sched, "absolute").sup_norm)
     medians = {n: float(np.median(v)) for n, v in sups.items()}
     decreasing = medians[LEVELS[0]] > medians[LEVELS[1]] > medians[LEVELS[2]]
     bound = medians[LEVELS[2]] < 0.1
@@ -239,14 +234,14 @@ def test_criterion_07_qp_residuals():
         for i in range(32):
             s = SEED.child("c7").with_path(i)
             model = build_model("shifted_brownian", g16, s.child("model"))
-            terms.append(qp_residual(PROCESS_ZOO[name](model, g16, s), model).terminal)
+            terms.append(qp_residual(PROCESS_ZOO[name](model, g16, [s]), model).terminal)
         med[name] = float(np.median(terms))
     g11 = make_grid(1.0, 2**11)
     neg = []
     for i in range(10_000):
         s = SEED.child("c7neg").with_path(i)
         model = build_model("shifted_brownian", g11, s.child("model"))
-        neg.append(qp_residual(PROCESS_ZOO["bm_plus_drift"](model, g11, s), model).terminal)
+        neg.append(qp_residual(PROCESS_ZOO["bm_plus_drift"](model, g11, [s]), model).terminal)
     neg_mean = float(np.mean(neg))
     ok = med["bm"] < 0.05 and med["bm_plus_local_time"] < 0.05 and abs(neg_mean - 1.0) < 0.05
     announce(
@@ -286,7 +281,7 @@ def test_criterion_09_sigma_h():
         for i in range(5):
             s = SEED.child(f"c9/{name}").with_path(i)
             model = build_model(fam, g, s.child("model"))
-            reps.append(sigma_h_check(PROCESS_ZOO[name](model, g, s), model))
+            reps.append(sigma_h_check(PROCESS_ZOO[name](model, g, [s]), model))
         if positive:
             outcomes[name] = all(r.passed and r.statistic >= 0.95 for r in reps)
         else:

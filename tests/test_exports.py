@@ -1,8 +1,13 @@
-"""Every exported name resolves, so no deleted name lingers in an export list."""
+"""Every exported name resolves, so no deleted name lingers in an export list,
+and every function the benchmark's tracer times still exists."""
 
 import importlib
+import os
+import runpy
 
 import pytest
+
+from conftest import PERFBENCH
 
 MODULES = ["skewlab"] + [
     f"skewlab.{name}"
@@ -14,3 +19,18 @@ MODULES = ["skewlab"] + [
 def test_all_names_resolve(module_name):
     module = importlib.import_module(module_name)
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_benchmark_span_targets_resolve():
+    # a span is "<module>.<attribute path>" below skewlab; a deleted target
+    # would leave its per-layer metric reading 0 in every traced run
+    spans = runpy.run_path(os.path.join(PERFBENCH, "spans.py"))
+    missing = []
+    for target in sorted(set(spans["SPANS"].values()) | set(spans["HOOKS"])):
+        module, *path = target.split(".")
+        obj = importlib.import_module(f"skewlab.{module}")
+        for name in path:
+            obj = getattr(obj, name, None)
+        if not callable(obj):
+            missing.append(target)
+    assert missing == []

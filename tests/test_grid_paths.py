@@ -16,7 +16,7 @@ from skewlab.grid_paths import (
     sample_brownian,
     stream_states,
 )
-from skewlab.localtime import quadratic_covariation
+from skewlab.localtime import covariation_rows
 
 from conftest import MASTER, independent_pair
 
@@ -31,7 +31,7 @@ class TestMakeGrid:
         g = make_grid(2.0, 1)
         assert np.array_equal(g.times, [0.0, 2.0])
 
-    @pytest.mark.parametrize("horizon,n", [(1.0, 0), (0.0, 4), (-1.0, 4)])
+    @pytest.mark.parametrize("horizon,n", [(1.0, 0), (0.0, 4), (-1.0, 4), (np.inf, 4)])
     def test_invalid_arguments(self, horizon, n):
         with pytest.raises(ValueError):
             make_grid(horizon, n)
@@ -200,7 +200,7 @@ class TestIndependentPair:
         vals = []
         for i in range(32):
             a, b = independent_pair(g, SeedSpec(MASTER, "cov", i))
-            vals.append(quadratic_covariation(a, b).values[-1])
+            vals.append(covariation_rows(a.values, b.values)[-1])
         assert np.median(np.abs(vals)) < 0.05
 
 

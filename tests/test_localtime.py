@@ -5,7 +5,7 @@ import pytest
 
 from skewlab.excursion import decompose_excursions, last_zero_curve
 from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, refine_bridge, sample_brownian
-from skewlab.localtime import identity_residual, ito_sum, local_time, quadratic_covariation
+from skewlab.localtime import covariation_rows, identity_residual, ito_sum, local_time
 
 from conftest import MASTER, brownian, independent_pair, path_from_values
 
@@ -27,13 +27,13 @@ class TestItoSum:
         x = brownian(2**10, path_index=1, label="ibp")
         y = brownian(2**10, path_index=2, label="ibp")
         lhs = x.values * y.values - x.values[0] * y.values[0]
-        rhs = ito_sum(x, y).values + ito_sum(y, x).values + quadratic_covariation(x, y).values
+        rhs = ito_sum(x, y).values + ito_sum(y, x).values + covariation_rows(x.values, y.values)
         assert np.allclose(lhs, rhs, atol=1e-10)
 
     def test_self_integration_identity(self):
         # 2 I(B, B)_T + <B, B>_T = B_T^2 - B_0^2 exactly at any mesh
         p = brownian(2**6, label="self")
-        lhs = 2 * ito_sum(p, p).values[-1] + quadratic_covariation(p, p).values[-1]
+        lhs = 2 * ito_sum(p, p).values[-1] + covariation_rows(p.values, p.values)[-1]
         assert np.isclose(lhs, p.values[-1] ** 2 - p.values[0] ** 2, atol=1e-12)
 
     def test_grid_mismatch(self):
@@ -46,19 +46,19 @@ class TestQuadraticCovariation:
         vals = []
         for i in range(32):
             p = sample_brownian(make_grid(1.0, 2**16), SeedSpec(MASTER, "qv", i))
-            vals.append(quadratic_covariation(p, p).values[-1])
+            vals.append(covariation_rows(p.values, p.values)[-1])
         assert 0.97 <= np.median(vals) <= 1.03
 
     def test_constant_second_argument(self):
         p = brownian(2**8)
         c = p.with_values(np.full(len(p), 3.0))
-        assert np.all(quadratic_covariation(p, c).values == 0)
+        assert np.all(covariation_rows(p.values, c.values) == 0)
 
     def test_independent_pair_vanishes(self):
         vals = []
         for i in range(32):
             a, b = independent_pair(make_grid(1.0, 2**16), SeedSpec(MASTER, "qvp", i))
-            vals.append(quadratic_covariation(a, b).values[-1])
+            vals.append(covariation_rows(a.values, b.values)[-1])
         assert np.median(np.abs(vals)) < 0.05
 
 
@@ -123,6 +123,12 @@ class TestLocalTime:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             local_time(brownian(2**4), "kernel")
+
+    @pytest.mark.parametrize("bandwidth", [np.inf, np.nan])
+    def test_occupation_rejects_non_finite_bandwidth(self, bandwidth):
+        # the error names the bandwidth, not the path values
+        with pytest.raises(ValueError, match="occupation bandwidth"):
+            local_time(brownian(2**4), "occupation", bandwidth)
 
 
 class TestIdentityResidual:

@@ -3,9 +3,10 @@
 Each row kernel has a one-row case: ``brownian_rows`` / ``sample_brownian``,
 ``ExcursionRows`` / ``decompose_excursions`` and ``last_zero_curve``,
 ``sign_path_rows`` / ``draw_sign_path``, ``build_model_rows`` /
-``build_model``, the zoo's row kernels / ``PROCESS_ZOO``, and the
-covariation, qp, carried-by and sigma_h kernels / ``quadratic_covariation``,
-``qp_residual``, ``carried_by_check`` and ``sigma_h_check``.  A block must
+``build_model``, and the qp, carried-by and sigma_h kernels /
+``qp_residual``, ``carried_by_check`` and ``sigma_h_check``; the
+``PROCESS_ZOO`` members and ``covariation_rows`` take a block of any size,
+one row included.  A block must
 reproduce the one-row case row by row whatever the block size, so the
 suites built on blocks give the same numbers at any block size, including
 one row per block; the pins at the end were recorded from the per-path
@@ -22,7 +23,7 @@ from skewlab import grid_paths, signed_measure
 from skewlab.cli import config_from_pairs, run_experiment
 from skewlab.excursion import ExcursionRows, decompose_excursions, dilate, last_zero_curve
 from skewlab.grid_paths import SamplePath, SeedSpec, brownian_rows, make_grid, sample_brownian
-from skewlab.localtime import covariation_rows, ito_rows, quadratic_covariation, tanaka_rows
+from skewlab.localtime import covariation_rows, ito_rows, tanaka_rows
 from skewlab.signed_measure import (
     EQUIVALENCE_SUITES,
     PROCESS_ZOO,
@@ -184,8 +185,7 @@ def per_path_products(model_family, base, grid, seed):
     def rows(lo, hi):
         s = seed.with_path(lo)
         model = build_model(model_family, grid, s.child("model"))
-        dec = PROCESS_ZOO[base](model, grid, s)
-        return model.d * dec.total.values[None, :]
+        return model.d * PROCESS_ZOO[base](model, grid, [s]).total
 
     return PathRows(grid, 1, rows)
 
@@ -285,6 +285,16 @@ def carried_reference(fv, mask, dilation=2):
     return float(dv[near[:-1] | near[1:]].sum() / total)
 
 
+def row_of(dec, r):
+    """Row r of a decomposition block as a one-row block."""
+
+    def cut(values):
+        return None if values is None else values[r:r + 1]
+
+    return DecompositionRows(dec.grid, cut(dec.total), cut(dec.martingale_part),
+                             cut(dec.fv_part), dec.label, cut(dec.zero_source))
+
+
 def assert_kernels_equal_one_row(models, dec):
     """Row r of each check's row kernel on the block equals the one-row
     check of row r's model and decomposition.  The carried-by fraction is
@@ -296,12 +306,12 @@ def assert_kernels_equal_one_row(models, dec):
     carried = [signed_measure._carried_rows(v, mask) for v in (dec.fv_part, dec.total)]
     sigma = signed_measure._sigma_rows(models, dec.zero_path, dec.martingale_part, dec.fv_part)
     for r in range(len(models.d)):
-        model, one = models.row(r), dec.row(r)
+        model, one = models.row(r), row_of(dec, r)
         rep = qp_residual(one, model)
         assert rep.terminal == abs(qp[r, -1]) and rep.sup_norm == np.max(np.abs(qp[r]))
-        d_path = SamplePath(models.grid, model.d[0])
-        assert same_bits(cov[r], quadratic_covariation(one.total, d_path).values)
-        for path, stat in zip((one.fv_part, one.total), carried):
+        assert same_bits(cov[r], covariation_rows(one.total, model.d)[0])
+        for values, stat in zip((one.fv_part, one.total), carried):
+            path = SamplePath(models.grid, values[0])
             rep = carried_by_check(path, mask[r])
             assert rep.statistic == stat[r] == carried_reference(path.values, mask[r])
             assert rep.passed == (stat[r] >= 0.95)
@@ -323,7 +333,7 @@ def test_check_kernels_equal_one_row_on_zoo_blocks(base, model_family, n_rows, n
     grid = make_grid(1.0, n_steps)
     seeds = [SeedSpec(MASTER, f"kern/{base}", p) for p in range(n_rows)]
     models = build_model_rows(model_family, grid, [s.child("model") for s in seeds])
-    assert_kernels_equal_one_row(models, PROCESS_ZOO[base].rows(models, grid, seeds))
+    assert_kernels_equal_one_row(models, PROCESS_ZOO[base](models, grid, seeds))
 
 
 @settings(max_examples=100, deadline=None)
@@ -355,27 +365,27 @@ def test_check_kernels_equal_one_row_on_nonnegative_rows(n_rows, n_steps, reflec
 def test_later_blocks_leave_handed_out_paths_unchanged():
     grid = make_grid(1.0, 32)
     ctx = signed_measure._SuiteContext(
-        "shifted_brownian", PROCESS_ZOO["reflected_bm"].rows, 0.7, SeedSpec(MASTER, "frz"),
+        "shifted_brownian", PROCESS_ZOO["reflected_bm"], 0.7, SeedSpec(MASTER, "frz"),
         1000, grid, 12,
     )
     handed = []
 
     def side(models, dec, seeds):
-        handed.extend((models.row(j), dec.row(j), seeds[j]) for j in range(len(seeds)))
+        handed.extend((models.row(j), dec, j, seeds[j]) for j in range(len(seeds)))
         return np.zeros((len(seeds), 0))
 
     with block_elements(5 * grid.n_points):
         _, (read,) = ctx.read([(12, side)])
     assert len(read) == len(handed) == 12
-    for p, (model, dec, seed) in enumerate(handed):
+    for p, (model, dec, j, seed) in enumerate(handed):
         assert seed == SeedSpec(MASTER, "frz").with_path(p)
         fresh_model = build_model("shifted_brownian", grid, seed.child("model"))
-        fresh = PROCESS_ZOO["reflected_bm"](fresh_model, grid, seed)
+        fresh = PROCESS_ZOO["reflected_bm"](fresh_model, grid, [seed])
         assert same_bits(model.d, fresh_model.d)
         for field in ("total", "martingale_part", "fv_part", "zero_source"):
-            assert same_bits(getattr(dec, field).values, getattr(fresh, field).values)
-        with pytest.raises(ValueError):
-            dec.total.values[0] = 1.0
+            assert same_bits(getattr(dec, field)[j], getattr(fresh, field)[0])
+            with pytest.raises(ValueError):
+                getattr(dec, field)[j, 0] = 1.0
         with pytest.raises(ValueError):
             model.d[0, 0] = 1.0
 

@@ -35,6 +35,8 @@ from skewlab.skewbm import (
     skew_transition_density,
 )
 
+from conftest import PERFBENCH
+
 EDGES = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0])
 
 
@@ -118,24 +120,20 @@ def test_abs_brownian_report_pinned(base, horizon, statistic, threshold, detail)
     assert (repr(rep.statistic), repr(rep.threshold), rep.detail) == (statistic, threshold, detail)
 
 
+#: the benchmark's own warm-up (``perfbench/workloads.warmup``, imported
+#: without writing bytecode there), then the calls it does not make
 GUARD = """
 import sys
 
-import skewlab
-import skewlab.cli
-from skewlab import excursion, localtime, signed_measure, signflip, skewbm
-from skewlab.grid_paths import SeedSpec, make_grid, refine_bridge, sample_brownian
+sys.dont_write_bytecode = True
+sys.path.insert(0, sys.argv[1])
+import workloads
 
+from skewlab import signed_measure, skewbm
+from skewlab.grid_paths import SeedSpec
+
+workloads.warmup()
 seed = SeedSpec(0, "warmup")
-p = refine_bridge(sample_brownian(make_grid(1.0, 64), seed), 2, seed)
-exc = excursion.decompose_excursions(p)
-excursion.last_zero_curve(exc)
-sched = signflip.AlphaSchedule.constant(0.7)
-signflip.build_sign_path(exc, signflip.assign_signs(exc, sched, seed), sched)
-localtime.identity_residual("tanaka", path=p)
-signed_measure.build_model("shifted_brownian", p.grid, seed)
-sample = skewbm.skew_terminal_sample(sched, 1000, 16, seed)
-skewbm.law_test(sample, skewbm.SkewLaw(0.7, 1.0))
 skewbm.skew_transition_density(0.7, 1.0, [0.5, -0.5])
 signed_measure.equivalence_suite("abs_brownian", "trivial", "bm", 0.5, seed, 1000)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -148,6 +146,6 @@ def test_runtime_never_imports_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(skewlab.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", GUARD], env=env, capture_output=True,
-                          text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-c", GUARD, PERFBENCH], env=env,
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr

@@ -6,9 +6,9 @@ import pytest
 from skewlab import signed_measure
 from skewlab.excursion import decompose_excursions
 from skewlab.grid_paths import SamplePath, SeedSpec, block_rows, make_grid, sample_brownian
-from skewlab.localtime import ito_sum, local_time
+from skewlab.localtime import covariation_rows, ito_sum, local_time
 from skewlab.signed_measure import (
-    Decomposition,
+    DecompositionRows,
     InsufficientSamplesError,
     PROCESS_ZOO,
     ModelRows,
@@ -24,7 +24,7 @@ from skewlab.signed_measure import (
     sigma_h_check,
 )
 
-from conftest import MASTER
+from conftest import MASTER, martingale_row
 
 
 # frozen fine-mesh Monte Carlo oracle for P(min over [0,1] of 1 + B <= 0):
@@ -78,16 +78,16 @@ class TestBuildModel:
 class TestDecomposition:
     def test_split_check_boundary(self):
         g = make_grid(1.0, 4)
-        mart = SamplePath(g, np.array([0.0, 1.0, -2.0, 3.0, 4.0]))
-        fv = SamplePath(g, np.array([0.0, 0.5, 0.5, 1.0, 2.0]))
-        recon = mart.values + fv.values
-        Decomposition(SamplePath(g, recon * (1 + 1e-12)), mart, fv)
+        mart = np.array([[0.0, 1.0, -2.0, 3.0, 4.0]])
+        fv = np.array([[0.0, 0.5, 0.5, 1.0, 2.0]])
+        recon = mart + fv
+        DecompositionRows(g, recon * (1 + 1e-12), mart, fv)
         with pytest.raises(ValueError):
-            Decomposition(SamplePath(g, recon * (1 + 1e-6)), mart, fv)
+            DecompositionRows(g, recon * (1 + 1e-6), mart, fv)
 
     @pytest.mark.parametrize("name", sorted(PROCESS_ZOO))
     def test_zoo_member_checks_its_split_once(self, name, monkeypatch):
-        # the one-row block is checked; its row is not checked again
+        # a zoo member checks the split of the block it builds once
         calls = []
         check = signed_measure._check_split
         monkeypatch.setattr(
@@ -95,7 +95,7 @@ class TestDecomposition:
         )
         g = make_grid(1.0, 64)
         model = build_model("shifted_brownian", g, SeedSpec(MASTER, "spy/model"))
-        PROCESS_ZOO[name](model, g, SeedSpec(MASTER, "spy"))
+        PROCESS_ZOO[name](model, g, [SeedSpec(MASTER, "spy")])
         assert len(calls) == 1
 
 
@@ -106,7 +106,7 @@ class TestQpResidual:
         for i in range(32):
             s = SeedSpec(MASTER, "qp", i)
             model = build_model("shifted_brownian", g, s.child("model"))
-            terms.append(qp_residual(PROCESS_ZOO["bm"](model, g, s), model).terminal)
+            terms.append(qp_residual(PROCESS_ZOO["bm"](model, g, [s]), model).terminal)
         assert np.median(terms) < 0.05
 
     def test_local_time_drift_small_terminal(self):
@@ -115,7 +115,7 @@ class TestQpResidual:
         for i in range(32):
             s = SeedSpec(MASTER, "qp", i)
             model = build_model("shifted_brownian", g, s.child("model"))
-            dec = PROCESS_ZOO["bm_plus_local_time"](model, g, s)
+            dec = PROCESS_ZOO["bm_plus_local_time"](model, g, [s])
             terms.append(qp_residual(dec, model).terminal)
         assert np.median(terms) < 0.05
 
@@ -126,24 +126,28 @@ class TestQpResidual:
         for i in range(10_000):
             s = SeedSpec(MASTER, "qpneg", i)
             model = build_model("shifted_brownian", g, s.child("model"))
-            dec = PROCESS_ZOO["bm_plus_drift"](model, g, s)
+            dec = PROCESS_ZOO["bm_plus_drift"](model, g, [s])
             vals.append(qp_residual(dec, model).terminal)
         assert abs(np.mean(vals) - 1.0) < 0.05
 
     def test_grid_mismatch(self, seed):
         g1, g2 = make_grid(1.0, 2**8), make_grid(1.0, 2**9)
         model = build_model("trivial", g1, seed)
-        dec = Decomposition.martingale(sample_brownian(g2, seed))
+        dec = martingale_row(sample_brownian(g2, seed))
         with pytest.raises(ValueError):
             qp_residual(dec, model)
 
     def test_multi_row_model_rejected(self, seed):
         g = make_grid(1.0, 2**6)
         models = build_model_rows("shifted_brownian", g, [seed, seed.with_path(1)])
-        dec = Decomposition.martingale(sample_brownian(g, seed))
+        dec = martingale_row(sample_brownian(g, seed))
+        w = np.stack([sample_brownian(g, s).values for s in (seed, seed.with_path(1))])
+        two = DecompositionRows.martingale(g, w)
         for check in (qp_residual, sigma_h_check):
             with pytest.raises(ValueError, match="one-row model"):
                 check(dec, models)
+            with pytest.raises(ValueError, match="one-row decomposition"):
+                check(two, models.row(1))
             check(dec, models.row(1))
         assert np.array_equal(models.row(-1).d, models.d[1:])
         with pytest.raises(IndexError):
@@ -168,7 +172,7 @@ class TestQpResidual:
                     sample_brownian(coarse, s.child("w")), n // 2**12, s.child("w")
                 )
                 model = ModelRows("shifted_brownian", d.grid, d.values[None, :])
-                terms.append(qp_residual(Decomposition.martingale(w), model).terminal)
+                terms.append(qp_residual(martingale_row(w), model).terminal)
             medians.append(np.median(terms))
         assert medians[0] > medians[1] > medians[2]
 
@@ -176,9 +180,6 @@ class TestQpResidual:
         # one direction: a decomposition passing the qp residual with
         # <M, D> ~ 0 has its finite-variation part carried by H; converse:
         # a construction with v carried by H has <m, D> ~ 0
-        from skewlab.excursion import decompose_excursions as dec_exc
-        from skewlab.localtime import quadratic_covariation
-
         g = make_grid(1.0, 2**16)
         checked = 0
         for i in range(12):
@@ -187,15 +188,12 @@ class TestQpResidual:
             if not model.zeros.events.any():
                 continue
             checked += 1
-            d_path = SamplePath(g, model.d[0])
-            dec = PROCESS_ZOO["bm_plus_local_time"](model, g, s)
+            dec = PROCESS_ZOO["bm_plus_local_time"](model, g, [s])
             assert qp_residual(dec, model).terminal < 0.05
-            assert abs(quadratic_covariation(dec.total, d_path).values[-1]) < 0.05
-            carried = carried_by_check(dec.fv_part, model.zeros.events[0])
+            assert abs(covariation_rows(dec.total, model.d)[0, -1]) < 0.05
+            carried = carried_by_check(SamplePath(g, dec.fv_part[0]), model.zeros.events[0])
             assert carried.passed
-            assert abs(
-                quadratic_covariation(dec.martingale_part, d_path).values[-1]
-            ) < 0.05
+            assert abs(covariation_rows(dec.martingale_part, model.d)[0, -1]) < 0.05
         assert checked >= 3
 
 
@@ -269,7 +267,7 @@ class TestMartingaleDrift:
         def rows(lo, hi):
             seeds = [SeedSpec(MASTER, "wmg", p) for p in range(lo, hi)]
             models = build_model_rows("shifted_brownian", g, [s.child("model") for s in seeds])
-            return PROCESS_ZOO["bm_minus_frozen"].rows(models, g, seeds).total
+            return PROCESS_ZOO["bm_minus_frozen"](models, g, seeds).total
 
         fam = PathRows(g, block_rows(g.n_points), rows)
         rep = martingale_drift_test(fam, 20_000, [0.25, 0.5, 1.0], seed=seed)
@@ -281,7 +279,7 @@ class TestSigmaH:
         g = make_grid(1.0, 2**14)
         s = SeedSpec(MASTER, "sig", 0)
         model = build_model("trivial", g, s.child("model"))
-        rep = sigma_h_check(PROCESS_ZOO["reflected_bm"](model, g, s), model)
+        rep = sigma_h_check(PROCESS_ZOO["reflected_bm"](model, g, [s]), model)
         assert rep.passed
         assert rep.statistic >= 0.95
 
@@ -290,21 +288,21 @@ class TestSigmaH:
         for i in range(6):
             s = SeedSpec(MASTER, "sig", i)
             model = build_model("shifted_brownian", g, s.child("model"))
-            rep = sigma_h_check(PROCESS_ZOO["bm_plus_local_time"](model, g, s), model)
+            rep = sigma_h_check(PROCESS_ZOO["bm_plus_local_time"](model, g, [s]), model)
             assert rep.passed
 
     def test_lebesgue_drift_fails(self):
         g = make_grid(1.0, 2**14)
         s = SeedSpec(MASTER, "sig", 1)
         model = build_model("shifted_brownian", g, s.child("model"))
-        rep = sigma_h_check(PROCESS_ZOO["bm_plus_drift"](model, g, s), model)
+        rep = sigma_h_check(PROCESS_ZOO["bm_plus_drift"](model, g, [s]), model)
         assert not rep.passed
 
     def test_nonzero_start_fails(self, seed):
         g = make_grid(1.0, 2**10)
         model = build_model("trivial", g, seed)
         w = sample_brownian(g, seed.child("w"), x0=1.0)
-        rep = sigma_h_check(Decomposition.martingale(w, label="shifted"), model)
+        rep = sigma_h_check(martingale_row(w, label="shifted"), model)
         assert not rep.passed
         assert "starts_ok=False" in rep.detail
 

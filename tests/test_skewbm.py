@@ -20,9 +20,9 @@ from scipy.stats import kstwobign, norm
 import skewlab
 from skewlab.excursion import decompose_excursions
 from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, sample_brownian
-from skewlab.localtime import quadratic_covariation
+from skewlab.localtime import covariation_rows
 from skewlab.signed_measure import (
-    Decomposition,
+    DecompositionRows,
     HypothesisNotMetError,
     InsufficientSamplesError,
     PROCESS_ZOO,
@@ -38,7 +38,6 @@ from skewlab.skewbm import (
     LawSample,
     _base_rows,
     _bulk_chunk,
-    SkewBuildSpec,
     SkewLaw,
     build_skew,
     harrison_shepp_terminals,
@@ -53,7 +52,7 @@ from skewlab.skewbm import (
     two_sample_ks,
 )
 
-from conftest import MASTER
+from conftest import MASTER, martingale_row
 
 
 def walk_exact_distribution(alpha, n):
@@ -220,49 +219,43 @@ def record_caller_threads(monkeypatch):
     return calls
 
 
-def trivial_spec(schedule, grid, seed, variant="absolute"):
-    base = Decomposition.martingale(
-        sample_brownian(grid, seed.child("base")), label="driver"
-    )
-    model = build_model("trivial", grid, seed)
-    return SkewBuildSpec(variant=variant, schedule=schedule, base=base, model=model)
+def trivial_inputs(grid, seed):
+    """The one-row base (a Brownian driver from ``seed``'s ``base`` substream)
+    and the trivial model of a construction run."""
+    base = martingale_row(sample_brownian(grid, seed.child("base")), label="driver")
+    return base, build_model("trivial", grid, seed)
 
 
 class TestBuildSkew:
     def test_alpha_one_absolute_is_reflection(self, seed):
         grid = make_grid(1.0, 2**10)
-        spec = trivial_spec(AlphaSchedule.constant(1.0), grid, seed)
-        out = build_skew(spec, seed.child("signs"))
-        assert np.array_equal(out.values, np.abs(spec.base.total.values))
+        base, model = trivial_inputs(grid, seed)
+        out = build_skew("absolute", AlphaSchedule.constant(1.0), base, model, seed.child("signs"))
+        assert np.array_equal(out.values, np.abs(base.total[0]))
 
     def test_single_cell_piecewise_matches_constant(self, seed):
         grid = make_grid(1.0, 2**10)
-        const = trivial_spec(AlphaSchedule.constant(0.3), grid, seed)
-        piece = trivial_spec(AlphaSchedule.piecewise([0.0], [0.3]), grid, seed)
-        a = build_skew(const, seed.child("signs"))
-        b = build_skew(piece, seed.child("signs"))
+        base, model = trivial_inputs(grid, seed)
+        a = build_skew("absolute", AlphaSchedule.constant(0.3), base, model, seed.child("signs"))
+        piece = AlphaSchedule.piecewise([0.0], [0.3])
+        b = build_skew("absolute", piece, base, model, seed.child("signs"))
         assert np.array_equal(a.values, b.values)
 
     def test_absolute_law_invariance(self, seed):
         grid = make_grid(1.0, 2**10)
         for i, alpha in enumerate([0.2, 0.7]):
             s = seed.with_path(i)
-            spec = trivial_spec(AlphaSchedule.constant(alpha), grid, s)
-            out = build_skew(spec, s.child("signs"))
-            assert np.array_equal(np.abs(out.values), np.abs(spec.base.total.values))
+            base, model = trivial_inputs(grid, s)
+            out = build_skew("absolute", AlphaSchedule.constant(alpha), base, model,
+                             s.child("signs"))
+            assert np.array_equal(np.abs(out.values), np.abs(base.total[0]))
 
     def test_nonzero_start_keeps_initial_sign(self, seed):
         grid = make_grid(1.0, 2**8)
-        base = Decomposition.martingale(sample_brownian(grid, seed.child("base"), x0=0.4))
+        base = martingale_row(sample_brownian(grid, seed.child("base"), x0=0.4))
         model = build_model("trivial", grid, seed)
-        spec = SkewBuildSpec(
-            variant="signed",
-            schedule=AlphaSchedule.constant(0.0),  # every unforced sign is -1
-            base=base,
-            model=model,
-            x0=0.4,
-        )
-        out = build_skew(spec, seed.child("signs"))
+        # every unforced sign is -1
+        out = build_skew("signed", AlphaSchedule.constant(0.0), base, model, seed.child("signs"))
         assert out.values[0] == 0.4  # no flip before the first zero
 
     def test_strict_mode_rejects_bad_hypotheses(self, seed):
@@ -276,48 +269,53 @@ class TestBuildSkew:
                 roots_seed = seed.with_path(i)
                 break
         assert model is not None
-        base = Decomposition.martingale(sample_brownian(grid, roots_seed.child("w")))
-        spec = SkewBuildSpec(
-            variant="signed",
-            schedule=AlphaSchedule.constant(0.7),
-            base=base,
-            model=model,
+        base = martingale_row(sample_brownian(grid, roots_seed.child("w")))
+        run = functools.partial(
+            build_skew, "signed", AlphaSchedule.constant(0.7), base, model,
+            roots_seed.child("signs"),
         )
         with pytest.raises(HypothesisNotMetError):
-            build_skew(spec, roots_seed.child("signs"))
-        out = build_skew(spec, roots_seed.child("signs"), strict=False)
-        assert len(out) == len(base.total)
+            run()
+        out = run(strict=False)
+        assert len(out) == base.total.shape[1]
 
     def test_invalid_variant_rejected(self, seed):
         grid = make_grid(1.0, 16)
         with pytest.raises(ValueError):
-            trivial_spec(AlphaSchedule.constant(0.5), grid, seed, variant="upside")
+            build_skew("upside", AlphaSchedule.constant(0.5), *trivial_inputs(grid, seed), seed)
+
+    def test_multi_row_base_rejected(self, seed):
+        grid = make_grid(1.0, 16)
+        base, model = trivial_inputs(grid, seed)
+        two = DecompositionRows.martingale(grid, np.repeat(base.total, 2, axis=0))
+        with pytest.raises(ValueError, match="one-row decomposition"):
+            build_skew("signed", AlphaSchedule.constant(0.5), two, model, seed)
 
 
 class TestSdeResidual:
     def _construction(self, seed, n_steps, alpha, variant):
         grid = make_grid(1.0, n_steps)
-        base = Decomposition.martingale(sample_brownian(grid, seed.child("base")))
+        driver = sample_brownian(grid, seed.child("base"))
         sched = AlphaSchedule.constant(alpha)
-        z = draw_sign_path(base.total, sched, seed.child("signs"))
-        x = apply_sign(z, base.total, mode=variant)
-        return x, base, z, sched
+        z = draw_sign_path(driver, sched, seed.child("signs"))
+        x = apply_sign(z, driver, mode=variant)
+        return x, driver, z, sched
 
     def test_alpha_one_absolute_reduces_to_tanaka_residual(self, seed):
         # Z == 1 on excursions, so the identity collapses to the reflection's
         # Tanaka rearrangement checked against the occupation estimate
         from skewlab.localtime import identity_residual
 
-        x, base, z, sched = self._construction(seed, 2**10, 1.0, "absolute")
-        r = sde_residual(x, base, z, sched, variant="absolute")
-        r_tanaka = identity_residual("tanaka", path=base.total)
+        x, driver, z, sched = self._construction(seed, 2**10, 1.0, "absolute")
+        r = sde_residual(x, driver, z, sched, variant="absolute")
+        r_tanaka = identity_residual("tanaka", path=driver)
         assert r.sup_norm == pytest.approx(r_tanaka.sup_norm)
         assert r.terminal == pytest.approx(r_tanaka.terminal)
 
     def test_alpha_half_reduces_to_driving_noise(self, seed):
-        x, base, z, sched = self._construction(seed, 2**12, 0.5, "absolute")
-        w = recover_driving_noise(base, z, "absolute")
-        r = sde_residual(x, base, z, sched, variant="absolute")
+        x, driver, z, sched = self._construction(seed, 2**12, 0.5, "absolute")
+        w = recover_driving_noise(driver, z, "absolute")
+        r = sde_residual(x, driver, z, sched, variant="absolute")
         direct = np.max(np.abs(x.values - x.values[0] - w.values))
         assert r.sup_norm == pytest.approx(direct)
 
@@ -327,16 +325,16 @@ class TestSdeResidual:
             sups = []
             for i in range(8):
                 s = SeedSpec(MASTER, "sdeconv", i)
-                x, base, z, sched = self._construction(s, n, 0.7, "absolute")
-                sups.append(sde_residual(x, base, z, sched, "absolute").sup_norm)
+                x, driver, z, sched = self._construction(s, n, 0.7, "absolute")
+                sups.append(sde_residual(x, driver, z, sched, "absolute").sup_norm)
             meds[n] = np.median(sups)
         assert meds[2**12] > meds[2**16]
         assert meds[2**16] < 0.1
 
     def test_recovered_noise_is_brownian_in_qv(self, seed):
-        x, base, z, _ = self._construction(seed, 2**14, 0.7, "absolute")
-        w = recover_driving_noise(base, z, "absolute")
-        assert abs(quadratic_covariation(w, w).values[-1] - 1.0) < 0.05
+        x, driver, z, _ = self._construction(seed, 2**14, 0.7, "absolute")
+        w = recover_driving_noise(driver, z, "absolute")
+        assert abs(covariation_rows(w.values, w.values)[-1] - 1.0) < 0.05
 
     def test_signed_variant_residual_does_not_vanish(self):
         # flipping the signed driver re-randomizes excursion signs that are
@@ -347,8 +345,8 @@ class TestSdeResidual:
         sups = []
         for i in range(8):
             s = SeedSpec(MASTER, "sdesigned", i)
-            x, base, z, sched = self._construction(s, 2**14, 0.7, "signed")
-            sups.append(sde_residual(x, base, z, sched, "signed").sup_norm)
+            x, driver, z, sched = self._construction(s, 2**14, 0.7, "signed")
+            sups.append(sde_residual(x, driver, z, sched, "signed").sup_norm)
         assert np.median(sups) > 0.15
 
 
@@ -688,7 +686,8 @@ class TestTerminalSamplers:
         terminals = []
         for k in range(2000):
             s = SeedSpec(MASTER, "pp").with_path(k)
-            terminals.append(build_skew(trivial_spec(sched, grid, s), s.child("signs")).values[-1])
+            out = build_skew("absolute", sched, *trivial_inputs(grid, s), s.child("signs"))
+            terminals.append(out.values[-1])
         rep = law_test(LawSample(np.array(terminals), 1.0), SkewLaw(0.7, 1.0))
         assert rep.passed
 
