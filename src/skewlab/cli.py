@@ -22,8 +22,22 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .grid_paths import SeedSpec, make_grid, refine_bridge, sample_brownian
-from .localtime import identity_residual, ito_sum, local_time
+from .excursion import ExcursionRows
+from .grid_paths import (
+    SamplePath,
+    SeedSpec,
+    _check_finite,
+    make_grid,
+    refine_bridge,
+    sample_brownian,
+)
+from .localtime import (
+    ResidualReport,
+    _increments,
+    _product_residual,
+    _tanaka_residual,
+    ito_rows,
+)
 from .signed_measure import (
     HYPOTHESIS_NOT_MET,
     PROCESS_ZOO,
@@ -292,31 +306,12 @@ def run_identities(cfg: ExperimentConfig, seed: SeedSpec):
     reports, curves = [], []
     kinds = {"tanaka": {}, "balayage": {}, "transform": {}}
     for i in range(cfg.n_seeds):
-        paths = _coupled_paths(seed.child("identities"), cfg.n_steps, i)
-        for n, p in paths.items():
-            # the curve outlives the loop: made before the level's
-            # temporaries, it does not pin the top of the heap
-            if i == 0:
-                curves.append(CurveSeries(
-                    f"tanaka_residual_n{n}", p.grid.times,
-                    local_time(p, "tanaka").values - local_time(p, "occupation").values,
-                ))
-            y = p.with_values(np.abs(p.values))
-            sgn = p.with_values(np.sign(p.values))
-            m = ito_sum(sgn, p)
-            v = p.with_values(y.values - m.values)
-            rs = {
-                "tanaka": identity_residual("tanaka", path=p),
-                "balayage": identity_residual(
-                    "balayage_predictable", y=y, k=np.cos, reference=p
-                ),
-                "transform": identity_residual(
-                    "transform_c3", total=y, martingale_part=m, fv_part=v,
-                    f=np.cos, F=np.sin,
-                ),
-            }
-            for kind, r in rs.items():
-                kinds[kind].setdefault(n, []).append(r.sup_norm)
+        # a comprehension, so no path outlives its seed (see _sde_sup)
+        levels = {n: _identity_sups(p, curves if i == 0 else None)
+                  for n, p in _coupled_paths(seed.child("identities"), cfg.n_steps, i).items()}
+        for n, sups in levels.items():
+            for kind, sup in sups.items():
+                kinds[kind].setdefault(n, []).append(sup)
     tol = cfg.tol("identities", _mesh_tol(cfg.n_steps))
     for kind, by_level in kinds.items():
         reports += _mesh_reports(
@@ -324,6 +319,49 @@ def run_identities(cfg: ExperimentConfig, seed: SeedSpec):
             "median sup-norm at finest level",
         )
     return reports, curves
+
+
+def _identity_sups(p: SamplePath, curves: Optional[list]) -> dict:
+    """Sup norms of the Tanaka, balayage (k = cos) and transform (f = cos,
+    F = sin) residuals of one path, with the kernels of
+    :func:`~skewlab.localtime.identity_residual`.  sign(X), |X| and
+    int sgn(X) dX are computed once for all three, and each buffer is freed
+    or reused as soon as it is spent, so at most five path-length float
+    arrays are alive at once, the path included.  The Tanaka residual is
+    appended to ``curves`` when that is given."""
+    x, grid = p.values, p.grid
+    # balayage first, while the fewest arrays are alive
+    rows = ExcursionRows(x[None, :])
+    signs = rows.sign[0]
+    k_frozen = _check_finite(np.cos(grid.times))[rows.gamma[0]]
+    del rows
+    y = _check_finite(np.abs(x))
+    balayage = _product_residual(k_frozen, y, _increments(y))
+    sups = {"balayage": _sup(balayage)}
+    del balayage, k_frozen
+
+    m = _check_finite(ito_rows(signs, x))
+    del signs
+    tanaka = _tanaka_residual(y, m, grid.dt)
+    if curves is None:
+        sups["tanaka"] = _sup(tanaka)
+    else:
+        sups["tanaka"] = ResidualReport.from_residual("tanaka", tanaka, grid.n_steps).sup_norm
+        curves.append(CurveSeries(f"tanaka_residual_n{grid.n_steps}", grid.times, tanaka))
+    del tanaka
+
+    v = _check_finite(y - m)
+    dm = _increments(m)
+    del m
+    fv = np.cos(v)
+    transform = _product_residual(fv, y, dm, np.sin(v, out=v))
+    sups["transform"] = _sup(transform)
+    return sups
+
+
+def _sup(residual: np.ndarray) -> float:
+    """Sup norm of a residual whose buffer is spent."""
+    return ResidualReport.from_residual("", residual, len(residual) - 1, out=residual).sup_norm
 
 
 @_suite("conditional-drift tests of the density-weighted product processes, "
@@ -454,16 +492,28 @@ def run_skew_residual(cfg: ExperimentConfig, seed: SeedSpec):
     sups = {}
     for i in range(cfg.n_seeds):
         signs = seed.child("sde/signs").with_path(i)
-        for n, p in _coupled_paths(seed.child("sde/base"), cfg.n_steps, i).items():
-            z = draw_sign_path(p, sched, signs)
-            x = apply_sign(z, p, mode="absolute")
-            sups.setdefault(n, []).append(sde_residual(x, p, z, sched, "absolute").sup_norm)
+        levels = {n: _sde_sup(p, sched, signs)
+                  for n, p in _coupled_paths(seed.child("sde/base"), cfg.n_steps, i).items()}
+        for n, sup in levels.items():
+            sups.setdefault(n, []).append(sup)
     tol = cfg.tol("sde_residual", _mesh_tol(cfg.n_steps))
     reports = _mesh_reports(
         "skew_residual", sups, tol, seed, cfg.n_seeds,
         "median sup-norm at finest level, absolute variant",
     )
     return reports, []
+
+
+def _sde_sup(p: SamplePath, sched: AlphaSchedule, signs: SeedSpec) -> float:
+    """Sup norm of the absolute variant's SDE residual on one driver.  Each
+    level's arrays die with this call, and each seed's paths with the
+    comprehension that calls it, so a level's buffers are freed before the
+    next are built: a path or sign path left bound in the suite's scope
+    would make the next level's buffers leapfrog it, and the heap grow by
+    about one working set."""
+    z = draw_sign_path(p, sched, signs)
+    x = apply_sign(z, p, mode="absolute")
+    return sde_residual(x, p, z, sched, "absolute").sup_norm
 
 
 @_suite("weak-form optional representation identity over an event dictionary")

@@ -75,11 +75,13 @@ class ExcursionRows:
     """
 
     def __init__(self, values: np.ndarray, snap_tol=0.0):
-        x = values
-        if np.any(snap_tol > 0.0):
-            x = np.where(np.abs(x) <= snap_tol, 0.0, x)
         # signs straight into int8, with no full-size float temporary
-        self.sign = np.sign(x, out=np.empty(x.shape, np.int8), casting="unsafe")
+        self.sign = np.sign(values, out=np.empty(values.shape, np.int8), casting="unsafe")
+        if np.any(snap_tol > 0.0):
+            # |x| <= snap_tol as two comparisons, again with no float temporary
+            near = values <= snap_tol
+            near &= values >= -snap_tol
+            self.sign[near] = 0
 
     @cached_property
     def covered(self) -> np.ndarray:
@@ -112,8 +114,11 @@ class ExcursionRows:
     @cached_property
     def gamma(self) -> np.ndarray:
         """Last zero event at or before each index, 0 when there is none."""
-        idx = np.arange(self.sign.shape[1])
-        return np.maximum.accumulate(np.where(self.events, idx, 0), axis=1)
+        # each row of the flat index minus its first entry is the column index
+        gamma = np.arange(self.sign.size, dtype=np.int64).reshape(self.sign.shape)
+        gamma -= gamma[:, :1]
+        gamma *= self.events
+        return np.maximum.accumulate(gamma, axis=1, out=gamma)
 
     @property
     def gbar(self) -> np.ndarray:

@@ -242,6 +242,15 @@ class TimeGrid:
         )
 
 
+def _check_finite(values: np.ndarray) -> np.ndarray:
+    """``values``, once checked finite as a :class:`SamplePath` checks its
+    own; kernels that keep their intermediates as bare arrays check each
+    one here."""
+    if not np.isfinite(values).all():
+        raise ValueError("path values must all be finite")
+    return values
+
+
 @dataclass(frozen=True)
 class SamplePath:
     """A discretized process: values aligned one-to-one with grid.times.
@@ -259,8 +268,7 @@ class SamplePath:
             raise ValueError(
                 f"values must have length {self.grid.n_points}, got {v.shape}"
             )
-        if not np.isfinite(v).all():
-            raise ValueError("path values must all be finite")
+        _check_finite(v)
         v = v.view()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

@@ -10,7 +10,16 @@ which is what numpy.sign provides.
 ``ito_rows``, ``covariation_rows`` and ``tanaka_rows`` work along the last
 axis of an array, so one call serves a single path or a ``(rows, n_points)``
 block; ``ito_sum`` and ``local_time(path, "tanaka")`` are their one-path
-case.
+case.  Each builds its result in one output buffer (``out=`` differences,
+in-place products and ``cumsum``), with the same floating-point operations
+in the same order as the textbook ``np.diff``/``cumsum`` expressions.
+
+Each pathwise identity has one implementation, a private kernel on bare
+arrays of one path: ``identity_residual`` calls it on ``SamplePath`` inputs,
+and the CLI's ``identities`` suite calls it directly, computing sign(X),
+|X| and int sgn(X) dX once per level for all three identities.  A kernel
+overwrites the buffers it consumes, and checks every intermediate finite,
+with the ``ValueError`` a ``SamplePath`` raises.
 """
 
 from __future__ import annotations
@@ -21,8 +30,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .excursion import decompose_excursions, last_zero_curve
-from .grid_paths import SamplePath
+from .excursion import ExcursionRows
+from .grid_paths import SamplePath, _check_finite
 
 __all__ = [
     "ResidualReport",
@@ -49,12 +58,16 @@ class ResidualReport:
     n_steps: int
 
     @classmethod
-    def from_residual(cls, name: str, residual: np.ndarray, n_steps: int) -> "ResidualReport":
-        """Report of one residual curve: its sup norm and terminal magnitude."""
+    def from_residual(
+        cls, name: str, residual: np.ndarray, n_steps: int, out: Optional[np.ndarray] = None
+    ) -> "ResidualReport":
+        """Report of one residual curve: its sup norm and terminal magnitude.
+        The magnitudes go to ``out`` when given, which may be ``residual``."""
+        magnitude = np.abs(residual, out=out)
         return cls(
             identity_name=name,
-            sup_norm=float(np.max(np.abs(residual))),
-            terminal=float(abs(residual[-1])),
+            sup_norm=float(np.max(magnitude)),
+            terminal=float(magnitude[-1]),
             n_steps=n_steps,
         )
 
@@ -64,14 +77,41 @@ def _check_aligned(a: SamplePath, b: SamplePath) -> None:
         raise ValueError("paths live on different grids")
 
 
+def _increments(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """x[..., i+1] - x[..., i] along the last axis, into ``out`` when given."""
+    return np.subtract(x[..., 1:], x[..., :-1], out=out)
+
+
+def _increments_in_place(x: np.ndarray, chunk: int = 4096) -> np.ndarray:
+    """Overwrite x[1:] of a 1-d array with the increments of x and return
+    that view.  Chunks run from the end, so each reads values not yet
+    overwritten, and only a chunk is ever copied."""
+    for hi in range(len(x) - 1, 0, -chunk):
+        lo = max(hi - chunk, 0)
+        x[lo + 1:hi + 1] -= x[lo:hi]
+    return x[1:]
+
+
+def _ito_accumulate(integrand: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Turn the integrator increments ``steps`` into the left-endpoint Ito
+    sum without its leading 0, in place:
+    steps[..., j] <- sum_{i<=j} integrand[..., i] * steps[..., i]."""
+    steps *= integrand[..., :-1]
+    return np.cumsum(steps, axis=-1, out=steps)
+
+
+def _signs(x: np.ndarray) -> np.ndarray:
+    """sgn(x) as int8, which multiplies a float exactly as the float sign
+    does."""
+    return np.sign(x, out=np.empty(x.shape, np.int8), casting="unsafe")
+
+
 def ito_rows(integrand: np.ndarray, integrator: np.ndarray) -> np.ndarray:
     """Left-endpoint Ito sums along the last axis:
     out[..., j] = sum_{i<j} f[..., i] * (g[..., i+1] - g[..., i])."""
     out = np.empty(integrator.shape)
     out[..., 0] = 0.0
-    steps = np.diff(integrator, axis=-1).astype(float, copy=False)
-    steps *= integrand[..., :-1]
-    np.cumsum(steps, axis=-1, out=out[..., 1:])
+    _ito_accumulate(integrand, _increments(integrator, out=out[..., 1:]))
     return out
 
 
@@ -86,9 +126,9 @@ def covariation_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out[..., j] = sum_{i<j} (x[..., i+1] - x[..., i]) * (y[..., i+1] - y[..., i])."""
     out = np.empty(x.shape)
     out[..., 0] = 0.0
-    steps = np.diff(x, axis=-1)
+    steps = _increments(x, out=out[..., 1:])
     steps *= np.diff(y, axis=-1)
-    np.cumsum(steps, axis=-1, out=out[..., 1:])
+    np.cumsum(steps, axis=-1, out=steps)
     return out
 
 
@@ -97,8 +137,20 @@ def tanaka_rows(x: np.ndarray) -> np.ndarray:
     |X_t| - |X_0| - sum sgn(X_i) (X_{i+1} - X_i)."""
     out = np.abs(x).astype(float, copy=False)
     out -= np.abs(x[..., :1])
-    out -= ito_rows(np.sign(x), x)
+    out -= ito_rows(_signs(x), x)
     return out
+
+
+def _occupation(x: np.ndarray, dt: float, eps: float) -> np.ndarray:
+    """Occupation local time of one path at bandwidth eps:
+    (2 eps)^-1 * dt * #{i < t : |x_i| <= eps}, built in its own buffer."""
+    curve = np.empty(len(x))
+    curve[0] = 0.0
+    hits = np.abs(x[:-1], out=curve[1:])
+    np.less_equal(hits, eps, out=hits)
+    hits *= dt / (2.0 * eps)
+    np.cumsum(hits, out=hits)
+    return curve
 
 
 def local_time(
@@ -114,19 +166,49 @@ def local_time(
                  count with eps = bandwidth or dt**0.4 by default; exactly
                  nondecreasing.
     """
-    x = path.values
     if method == "tanaka":
-        return SamplePath(path.grid, tanaka_rows(x))
+        return SamplePath(path.grid, tanaka_rows(path.values))
     if method == "occupation":
         eps = float(bandwidth) if bandwidth is not None else path.grid.dt**OCCUPATION_EXPONENT
         if not 0 < eps < math.inf:
             raise ValueError(f"occupation bandwidth must be positive and finite, got {eps}")
-        hits = (np.abs(x[:-1]) <= eps).astype(float)
-        curve = np.empty(len(x))
-        curve[0] = 0.0
-        np.cumsum(hits * (path.grid.dt / (2.0 * eps)), out=curve[1:])
-        return SamplePath(path.grid, curve)
+        return SamplePath(path.grid, _occupation(path.values, path.grid.dt, eps))
     raise ValueError(f"unknown local time method {method!r}")
+
+
+# The identity kernels below work on bare arrays of one path and overwrite
+# the buffers they are said to consume, so a caller holding |X| and
+# int sgn(X) dX computes each once for all three identities.  Each
+# intermediate is checked finite, with the ValueError a SamplePath raises.
+
+
+def _tanaka_residual(y: np.ndarray, m: np.ndarray, dt: float) -> np.ndarray:
+    """|X_t| - |X_0| - int sgn(X) dX - L_t with L the occupation estimate at
+    the default bandwidth, from y = |X| and m = int sgn(X) dX, in a new
+    buffer."""
+    occ = _check_finite(_occupation(y, dt, dt**OCCUPATION_EXPONENT))
+    residual = y - y[0]
+    residual -= m
+    _check_finite(residual)  # the Tanaka local time
+    residual -= occ
+    return residual
+
+
+def _product_residual(
+    f: np.ndarray, total: np.ndarray, dm: np.ndarray, tail: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """f_t M_t - f_0 M_0 - sum f_i dm_i [- tail_t] for M = ``total`` and the
+    increments ``dm`` of the integrator m, in the buffer of ``f``; consumes
+    ``f`` and ``dm``, and checks ``f`` and the Ito sum finite."""
+    ito = _check_finite(_ito_accumulate(_check_finite(f), dm))
+    start = f[0] * total[0]
+    residual = f
+    residual *= total
+    residual -= start
+    residual[1:] -= ito
+    if tail is not None:
+        residual -= tail
+    return residual
 
 
 def identity_residual(kind: str, **inputs) -> ResidualReport:
@@ -154,9 +236,10 @@ def identity_residual(kind: str, **inputs) -> ResidualReport:
     """
     if kind == "tanaka":
         path = _require(inputs, "path", kind)
-        tanaka = local_time(path, "tanaka").values
-        occ = local_time(path, "occupation").values
-        return ResidualReport.from_residual("tanaka", tanaka - occ, path.grid.n_steps)
+        x = path.values
+        y = _check_finite(np.abs(x))
+        residual = _tanaka_residual(y, _check_finite(ito_rows(_signs(x), x)), path.grid.dt)
+        return ResidualReport.from_residual("tanaka", residual, path.grid.n_steps, out=residual)
 
     if kind == "balayage_predictable":
         y = _require(inputs, "y", kind)
@@ -166,14 +249,11 @@ def identity_residual(kind: str, **inputs) -> ResidualReport:
         _check_aligned(k, y)
         reference = inputs.get("reference") or y
         _check_aligned(reference, y)
-        gamma, _ = last_zero_curve(decompose_excursions(reference))
-        k_frozen = SamplePath(y.grid, k.values[gamma])
-        residual = (
-            k_frozen.values * y.values
-            - k_frozen.values[0] * y.values[0]
-            - ito_sum(k_frozen, y).values
+        k_frozen = k.values[ExcursionRows(reference.values[None, :]).gamma[0]]
+        residual = _product_residual(k_frozen, y.values, _increments(y.values))
+        return ResidualReport.from_residual(
+            "balayage_predictable", residual, y.grid.n_steps, out=residual
         )
-        return ResidualReport.from_residual("balayage_predictable", residual, y.grid.n_steps)
 
     if kind == "transform_c3":
         total = _require(inputs, "total", kind)
@@ -183,14 +263,13 @@ def identity_residual(kind: str, **inputs) -> ResidualReport:
         big_f: Callable = _require(inputs, "F", kind)
         _check_aligned(total, m)
         _check_aligned(total, v)
-        fv = SamplePath(total.grid, np.asarray(f(v.values), dtype=float))
-        residual = (
-            fv.values * total.values
-            - fv.values[0] * total.values[0]
-            - ito_sum(fv, m).values
-            - np.asarray(big_f(v.values), dtype=float)
+        # a copy, since the kernel overwrites it and f may return its input
+        fv = SamplePath(total.grid, np.asarray(f(v.values), dtype=float)).values.copy()
+        residual = _product_residual(
+            fv, total.values, _increments(m.values), np.asarray(big_f(v.values), dtype=float)
         )
-        return ResidualReport.from_residual("transform_c3", residual, total.grid.n_steps)
+        return ResidualReport.from_residual("transform_c3", residual, total.grid.n_steps,
+                                            out=residual)
 
     raise ValueError(f"unknown identity kind {kind!r}")
 

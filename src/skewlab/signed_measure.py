@@ -46,7 +46,7 @@ from .grid_paths import (
     brownian_rows,
     make_grid,
 )
-from .localtime import ResidualReport, covariation_rows, ito_rows, tanaka_rows
+from .localtime import ResidualReport, _signs, covariation_rows, ito_rows, tanaka_rows
 from .signflip import AlphaSchedule, sign_path_rows
 
 __all__ = [
@@ -500,7 +500,7 @@ def make_bm_minus_frozen(models: ModelRows, grid: TimeGrid, seeds) -> Decomposit
 def make_reflected_bm(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
     """X = |W| split by Tanaka: M = int sgn(W) dW, A = L^0(W)."""
     w = _w(grid, seeds)
-    m = ito_rows(np.sign(w), w)
+    m = ito_rows(_signs(w), w)
     total = np.abs(w)
     return DecompositionRows(grid, total, m, total - m, label="reflected_bm", zero_source=w)
 
@@ -596,7 +596,7 @@ def _flip_rows(dec: DecompositionRows, alpha: float, seeds) -> tuple[np.ndarray,
 
 def _abs_split(dec: DecompositionRows, seeds) -> tuple[np.ndarray, np.ndarray]:
     """|X| - |X_0| split as int sgn(X) dM plus the rest as A."""
-    m = ito_rows(np.sign(dec.zero_path), dec.martingale_part)
+    m = ito_rows(_signs(dec.zero_path), dec.martingale_part)
     total = np.abs(dec.total)
     return m, total - total[:, :1] - m
 

@@ -108,16 +108,14 @@ def _assemble(
 ) -> np.ndarray:
     """Sign rows from the signs of every excursion of a block (row 0's
     excursions first), each excursion frozen at the cell of its birth."""
-    z = np.zeros(rows.sign.shape)
-    if len(signs):
-        cells = schedule.cell_indices(grid.times[rows.births])
-        frozen = signs[np.arange(len(signs)), cells]
-        # excursions are numbered across the whole block, row 0's first
-        number = np.cumsum(rows.starts, dtype=np.int64).reshape(z.shape)
-        number -= 1
-        covered = rows.covered
-        z[covered] = frozen[number[covered]]
-    return z
+    cells = schedule.cell_indices(grid.times[rows.births])
+    frozen = np.append(signs[np.arange(len(signs)), cells], 0).astype(float)
+    # excursions are numbered across the whole block, row 0's first; the
+    # zero mask gets number -1, which reads the 0 appended to their signs
+    number = np.cumsum(rows.starts, dtype=np.int64).reshape(rows.sign.shape)
+    number -= 1
+    number[~rows.covered] = -1
+    return np.take(frozen, number)
 
 
 def build_sign_path(
@@ -192,7 +190,8 @@ def apply_sign(sign: SamplePath, path: SamplePath, mode: str = "signed") -> Samp
     if mode == "signed":
         values = sign.values * path.values
     elif mode == "absolute":
-        values = sign.values * np.abs(path.values)
+        values = np.abs(path.values)
+        np.multiply(sign.values, values, out=values)
     else:
         raise ValueError(f"mode must be 'signed' or 'absolute', got {mode!r}")
     return SamplePath(path.grid, values)

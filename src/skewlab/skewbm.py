@@ -25,8 +25,15 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .excursion import ExcursionRows, dilate
-from .grid_paths import SamplePath, SeedSpec, _draw_streams, stream_states
-from .localtime import ResidualReport, ito_sum, local_time
+from .grid_paths import SamplePath, SeedSpec, _check_finite, _draw_streams, stream_states
+from .localtime import (
+    OCCUPATION_EXPONENT,
+    ResidualReport,
+    _check_aligned,
+    _increments_in_place,
+    _occupation,
+    ito_rows,
+)
 from .signed_measure import (
     _DILATION,
     _check_one_row,
@@ -126,24 +133,46 @@ def build_skew(variant: str, schedule: AlphaSchedule, base: DecompositionRows, m
     return SamplePath(base.grid, z[0])
 
 
+def _driving_noise(driver: SamplePath, sign: SamplePath, variant: str) -> np.ndarray:
+    """The curve :func:`recover_driving_noise` returns, as an array checked
+    finite."""
+    if variant not in ("signed", "absolute"):
+        raise ValueError(f"unknown variant {variant!r}")
+    _check_aligned(sign, driver)
+    integrand = sign.values
+    if variant == "absolute":
+        integrand = np.sign(driver.values)
+        _check_finite(np.multiply(sign.values, integrand, out=integrand))
+    return _check_finite(ito_rows(integrand, driver.values))
+
+
 def recover_driving_noise(
     driver: SamplePath, sign: SamplePath, variant: str = "signed"
 ) -> SamplePath:
     """The constructed driving noise of a flip of the signed ``driver`` M:
-    int Z dM (signed) or int Z dW with W = int sgn(M) dM (absolute).
+    int Z dM (signed) or int Z dW with W = int sgn(M) dM (absolute).  Either
+    way the sign path must live on the driver's grid.
 
     The absolute variant must integrate against the reflection's martingale
     part, not against |M| itself: the increments of |M| carry the local time
     of M, and summing them with the flip signs injects a (2 alpha - 1) L
     drift into what should be the Brownian driver.
     """
-    if variant == "signed":
-        integrand = sign
-    elif variant == "absolute":
-        integrand = SamplePath(driver.grid, sign.values * np.sign(driver.values))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return ito_sum(integrand, driver)
+    return SamplePath(driver.grid, _driving_noise(driver, sign, variant))
+
+
+def _skew_correction(x_alpha: SamplePath, schedule: AlphaSchedule) -> np.ndarray:
+    """sum_{i<j} (2 alpha(t_i) - 1) dL_i for j = 1..N, with L the occupation
+    local time of ``x_alpha`` at the default bandwidth."""
+    grid = x_alpha.grid
+    lt = _check_finite(_occupation(x_alpha.values, grid.dt, grid.dt**OCCUPATION_EXPONENT))
+    steps = _increments_in_place(lt)
+    # alpha(t_i) is constant on the runs of grid times between the
+    # schedule's boundaries; times[lo:hi] is cell c's run
+    edges = np.searchsorted(grid.times[:-1], schedule.boundaries[1:]).tolist()
+    for alpha, lo, hi in zip(schedule.values, [0] + edges, edges + [len(steps)]):
+        steps[lo:hi] *= 2.0 * alpha - 1.0
+    return np.cumsum(steps, out=steps)
 
 
 def sde_residual(
@@ -167,15 +196,14 @@ def sde_residual(
     """
     if not x_alpha.grid.same_as(sign.grid):
         raise ValueError("constructed path and sign path live on different grids")
-    w = recover_driving_noise(driver, sign, variant)
-    lt = local_time(x_alpha, "occupation")
-    weights = 2.0 * schedule.alpha_at(x_alpha.grid.times[:-1]) - 1.0
-    correction = np.empty(len(x_alpha))
-    correction[0] = 0.0
-    np.cumsum(weights * np.diff(lt.values), out=correction[1:])
-    residual = x_alpha.values - x_alpha.values[0] - w.values - correction
+    w = _driving_noise(driver, sign, variant)
+    x = x_alpha.values
+    residual = x - x[0]
+    residual -= w
+    del w
+    residual[1:] -= _skew_correction(x_alpha, schedule)
     return ResidualReport.from_residual(
-        f"skew_sde[{schedule.kind},{variant}]", residual, x_alpha.grid.n_steps
+        f"skew_sde[{schedule.kind},{variant}]", residual, x_alpha.grid.n_steps, out=residual
     )
 
 

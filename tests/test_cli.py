@@ -4,11 +4,13 @@ import inspect
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from skewlab import cli
+from skewlab.grid_paths import SeedSpec
 from skewlab.cli import (
     ExperimentConfig,
     UsageError,
@@ -357,3 +359,30 @@ class TestKeyTable:
         flags = set(re.findall(r"--([\w.]+)", capsys.readouterr().out))
         assert flags == set(FLAG_VALUES) | {"config", "help"}
         assert set(cli._FLAGS) == set(FLAG_VALUES)
+
+
+#: path-length float arrays of 8 (n + 1) bytes that one level of a long-row
+#: suite may hold at its peak, above the curves it returns: the path, the
+#: grid's times and four working arrays, with room for the int8 and boolean
+#: scratch.  A copy kept per intermediate, or an Ito sum or local time
+#: computed twice, takes a level past it.
+LONG_ROW_ARRAYS = 7
+
+
+@pytest.mark.parametrize("suite, extra", [
+    ("identities", {}),
+    ("skew_residual", {"schedule.boundaries": "0,0.5", "schedule.values": "0.3,0.8"}),
+])
+def test_long_row_suite_working_set(suite, extra):
+    n = 2**16
+    cfg = config_from_pairs(dict(extra, suite=suite, steps=str(n), seeds="1", seed="7"))
+    runner = cli.SUITE_RUNNERS[suite]
+    runner(cfg, SeedSpec(7))  # first calls fill the library's small caches
+    tracemalloc.start()
+    try:
+        _, curves = runner(cfg, SeedSpec(7))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = (peak - held) / (8 * (n + 1))
+    assert arrays <= LONG_ROW_ARRAYS, f"{suite} peaked at {arrays:.2f} arrays above its curves"

@@ -5,9 +5,24 @@ import pytest
 
 from skewlab.excursion import decompose_excursions, last_zero_curve
 from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, refine_bridge, sample_brownian
-from skewlab.localtime import covariation_rows, identity_residual, ito_sum, local_time
+from skewlab.localtime import (
+    _increments_in_place,
+    covariation_rows,
+    identity_residual,
+    ito_sum,
+    local_time,
+)
 
 from conftest import MASTER, brownian, independent_pair, path_from_values
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 5, 9, 16, 17, 33])
+def test_increments_in_place_equal_diff(n_points):
+    # small chunks, so the chunk edges fall inside, on and past the array
+    x = np.random.default_rng(n_points).standard_normal(n_points)
+    expected = np.diff(x)
+    got = _increments_in_place(x.copy(), chunk=4)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestItoSum:

@@ -14,13 +14,15 @@ implementation the blocks replaced.
 """
 
 import contextlib
+import hashlib
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewlab import grid_paths, signed_measure
-from skewlab.cli import config_from_pairs, run_experiment
+from skewlab.cli import config_from_pairs, emit_report, run_experiment
 from skewlab.excursion import ExcursionRows, decompose_excursions, dilate, last_zero_curve
 from skewlab.grid_paths import SamplePath, SeedSpec, brownian_rows, make_grid, sample_brownian
 from skewlab.localtime import covariation_rows, ito_rows, tanaka_rows
@@ -491,3 +493,43 @@ def test_report_rows_match_per_path_pins(tmp_path):
                              "out": str(tmp_path)})
     rows += [pin_row(r) for r in run_experiment(cfg).reports]
     assert rows == PINS
+
+
+#: report rows of the long-row suites at steps 256,1024,4096 with 4 seeds and
+#: master seed 7, recorded before their levels were computed in place
+LONG_ROW_PINS = [
+    ('identities.tanaka', '0.2771789412297955', '0.3125', 4, 4096, '7:identities:0', True, 'median sup-norm at finest level'),
+    ('identities.tanaka.monotone', '0.0', '1.0', 4, 4096, '7:identities:0', False, 'medians 256:0.2264 1024:0.5580 4096:0.2772'),
+    ('identities.balayage', '0.00211036379124456', '0.3125', 4, 4096, '7:identities:0', True, 'median sup-norm at finest level'),
+    ('identities.balayage.monotone', '1.0', '1.0', 4, 4096, '7:identities:0', True, 'medians 256:0.0038 1024:0.0028 4096:0.0021'),
+    ('identities.transform', '0.0001095889564287078', '0.3125', 4, 4096, '7:identities:0', True, 'median sup-norm at finest level'),
+    ('identities.transform.monotone', '1.0', '1.0', 4, 4096, '7:identities:0', True, 'medians 256:0.0013 1024:0.0005 4096:0.0001'),
+    ('skew_residual', '0.09141351962573611', '0.3125', 4, 4096, '7:skew_residual:0', True, 'median sup-norm at finest level, absolute variant'),
+    ('skew_residual.monotone', '0.0', '1.0', 4, 4096, '7:skew_residual:0', False, 'medians 256:0.0872 1024:0.0875 4096:0.0914'),
+]
+
+#: SHA-256 of the seed-0 Tanaka residual curves of the same identities run
+TANAKA_CURVE_SHA256 = {
+    "curve_tanaka_residual_n256.csv": "2d6d17d3b28d051ef35dbcd71eb6e62dbad0fb5605363cfd0df50ab537ecd684",
+    "curve_tanaka_residual_n1024.csv": "7cceb335bb84a3b75b9509c751cf5dda7835f6ceac6867d41ae1edc6637831ce",
+    "curve_tanaka_residual_n4096.csv": "9fe4e503d8b8eb0a8de93f1f31d66f3d76f7985e6df86a5ce9458946b1ca131e",
+}
+
+
+def test_long_row_suites_pinned(tmp_path):
+    pairs = {"steps": "256,1024,4096", "seeds": "4", "seed": "7", "format": "csv",
+             "out": str(tmp_path)}
+    cfg = config_from_pairs(dict(pairs, suite="identities"))
+    bundle = run_experiment(cfg)
+    rows = [pin_row(r) for r in bundle.reports]
+    curves = {}
+    for path in emit_report(bundle, cfg.fmt, cfg.out_dir):
+        name = os.path.basename(path)
+        if name.startswith("curve_tanaka_residual"):
+            with open(path, "rb") as f:
+                curves[name] = hashlib.sha256(f.read()).hexdigest()
+    cfg = config_from_pairs(dict(pairs, suite="skew_residual", **{
+        "schedule.boundaries": "0,0.5", "schedule.values": "0.3,0.8"}))
+    rows += [pin_row(r) for r in run_experiment(cfg).reports]
+    assert rows == LONG_ROW_PINS
+    assert curves == TANAKA_CURVE_SHA256

@@ -20,7 +20,7 @@ from scipy.stats import kstwobign, norm
 import skewlab
 from skewlab.excursion import decompose_excursions
 from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, sample_brownian
-from skewlab.localtime import covariation_rows
+from skewlab.localtime import covariation_rows, local_time
 from skewlab.signed_measure import (
     DecompositionRows,
     HypothesisNotMetError,
@@ -38,6 +38,7 @@ from skewlab.skewbm import (
     LawSample,
     _base_rows,
     _bulk_chunk,
+    _skew_correction,
     SkewLaw,
     build_skew,
     harrison_shepp_terminals,
@@ -335,6 +336,31 @@ class TestSdeResidual:
         x, driver, z, _ = self._construction(seed, 2**14, 0.7, "absolute")
         w = recover_driving_noise(driver, z, "absolute")
         assert abs(covariation_rows(w.values, w.values)[-1] - 1.0) < 0.05
+
+    @pytest.mark.parametrize("boundaries, values", [
+        ((0.0,), (0.7,)),
+        ((0.0, 0.5), (0.3, 0.8)),  # a boundary on a grid time
+        ((0.0, 0.3, 0.71, 2.0), (0.2, 0.9, 0.4, 0.6)),  # off the grid, and past it
+    ])
+    def test_correction_equals_per_point_weights(self, seed, boundaries, values):
+        # the correction scales each run of one cell by its weight; the
+        # reference reads alpha at every grid time
+        sched = AlphaSchedule.piecewise(boundaries, values)
+        x, _, _, _ = self._construction(seed, 2**10, 0.7, "absolute")
+        weights = 2.0 * sched.alpha_at(x.grid.times[:-1]) - 1.0
+        expected = np.cumsum(weights * np.diff(local_time(x, "occupation").values))
+        assert np.array_equal(_skew_correction(x, sched), expected)
+
+    @pytest.mark.parametrize("variant", ["signed", "absolute"])
+    def test_driver_on_another_grid_rejected(self, seed, variant):
+        # a driver at horizon 2 against a sign path at horizon 1, both of 64
+        # steps: the same number of points, on different grids
+        x, _, z, sched = self._construction(seed, 64, 0.7, variant)
+        driver = sample_brownian(make_grid(2.0, 64), seed.child("base"))
+        with pytest.raises(ValueError, match="paths live on different grids"):
+            recover_driving_noise(driver, z, variant)
+        with pytest.raises(ValueError, match="paths live on different grids"):
+            sde_residual(x, driver, z, sched, variant)
 
     def test_signed_variant_residual_does_not_vanish(self):
         # flipping the signed driver re-randomizes excursion signs that are
