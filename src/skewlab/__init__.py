@@ -11,7 +11,6 @@ walk.
 __version__ = "0.1.0"
 
 from .excursion import (
-    Excursion,
     ExcursionSet,
     decompose_excursions,
     dilate,
@@ -40,7 +39,6 @@ from .signed_measure import (
     PathRows,
     TestReport,
     build_model,
-    carried_by_check,
     density_products,
     equivalence_suite,
     martingale_drift_test,
@@ -61,7 +59,6 @@ from .skewbm import (
     build_skew,
     harrison_shepp_terminals,
     law_test,
-    recover_driving_noise,
     sde_residual,
     skew_terminal_sample,
     skew_terminal_samples,

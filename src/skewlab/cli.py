@@ -337,16 +337,16 @@ def _identity_sups(p: SamplePath, curves: Optional[list]) -> dict:
     del rows
     y = _check_finite(np.abs(x))
     balayage = _product_residual(k_frozen, y, _increments(y))
-    sups = {"balayage": _sup(balayage)}
+    sups = {"balayage": ResidualReport.from_residual(balayage, out=balayage).sup_norm}
     del balayage, k_frozen
 
     m = _check_finite(ito_rows(signs, x))
     del signs
     tanaka = _tanaka_residual(y, m, grid.dt)
     if curves is None:
-        sups["tanaka"] = _sup(tanaka)
+        sups["tanaka"] = ResidualReport.from_residual(tanaka, out=tanaka).sup_norm
     else:
-        sups["tanaka"] = ResidualReport.from_residual("tanaka", tanaka, grid.n_steps).sup_norm
+        sups["tanaka"] = ResidualReport.from_residual(tanaka).sup_norm
         curves.append(CurveSeries(f"tanaka_residual_n{grid.n_steps}", grid.times, tanaka))
     del tanaka
 
@@ -355,13 +355,8 @@ def _identity_sups(p: SamplePath, curves: Optional[list]) -> dict:
     del m
     fv = np.cos(v)
     transform = _product_residual(fv, y, dm, np.sin(v, out=v))
-    sups["transform"] = _sup(transform)
+    sups["transform"] = ResidualReport.from_residual(transform, out=transform).sup_norm
     return sups
-
-
-def _sup(residual: np.ndarray) -> float:
-    """Sup norm of a residual whose buffer is spent."""
-    return ResidualReport.from_residual("", residual, len(residual) - 1, out=residual).sup_norm
 
 
 @_suite("conditional-drift tests of the density-weighted product processes, "

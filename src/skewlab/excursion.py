@@ -1,19 +1,20 @@
 """Excursion decomposition of a discretized path.
 
-A path is split into the discrete zero set and the ordered intervals on which
-it keeps a constant nonzero sign.  Boundary conventions, fixed once here and
+A path is split into the discrete zero set and the excursions on which it
+keeps a constant nonzero sign.  Boundary conventions, fixed once here and
 relied on everywhere downstream:
 
 * An index belongs to the zero mask iff its value is exactly zero (after the
-  optional snap tolerance).  Discretized Brownian paths almost never hit zero
-  exactly, so strict sign changes also terminate excursions: when
-  ``x[i] * x[i+1] < 0`` the boundary lies between i and i+1, index i is the
-  last index of the ending excursion and i+1 the first of the next one, and
+  optional snap tolerance).  Every other index is covered by exactly one
+  excursion: a maximal run of covered indices of one sign.  Discretized
+  Brownian paths almost never hit zero exactly, so strict sign changes also
+  end excursions: when ``x[i] * x[i+1] < 0``, index i is the last covered
+  index of the ending excursion and i+1 the first of the next one, and
   neither index is masked.
-* The stored interval ``(g_index, d_index, sign)`` covers the open interior
-  plus whichever endpoints are not exact zeros, i.e. the covered indices are
-  exactly those j in [g, d] with x[j] != 0.  Every index is either masked or
-  covered by exactly one interval.
+* An excursion's birth (its g index) is its first covered index, or the
+  exact zero just before it when there is one.  The sign-flip construction
+  draws each excursion's sign in the schedule cell of its birth and gives it
+  to every index the excursion covers; masked indices stay 0.
 * ``zero_events`` marks the discrete stand-ins for visits to zero: the masked
   indices plus, for each sign change, the entry index i+1 of the new
   excursion.  The last-zero curve gamma and the final zero gbar are computed
@@ -31,14 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .grid_paths import SamplePath
 
 __all__ = [
-    "Excursion",
     "ExcursionRows",
     "ExcursionSet",
     "decompose_excursions",
@@ -57,10 +56,10 @@ def dilate(flags: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
-class Excursion(NamedTuple):
-    g_index: int
-    d_index: int
-    sign: int
+def _signs(x: np.ndarray) -> np.ndarray:
+    """sgn(x) as int8, with no full-size float temporary; an int8 sign
+    multiplies a float exactly as the float sign does."""
+    return np.sign(x, out=np.empty(x.shape, np.int8), casting="unsafe")
 
 
 class ExcursionRows:
@@ -68,15 +67,14 @@ class ExcursionRows:
 
     Every row is decomposed on its own, along the last axis.  Only the signs
     are computed up front; each other field is computed on first read.
-    Excursion-level arrays (``births``, ``ends``, ``signs``) list the
-    excursions of row 0, then row 1, and so on; ``counts[r]`` is the number
-    of excursions of row r.  Values of magnitude <= ``snap_tol`` count as
-    exact zeros; it is one tolerance or a column of one per row.
+    ``births`` lists the excursions of row 0, then row 1, and so on;
+    ``counts[r]`` is the number of excursions of row r.  Values of magnitude
+    <= ``snap_tol`` count as exact zeros; it is one tolerance or a column of
+    one per row.
     """
 
     def __init__(self, values: np.ndarray, snap_tol=0.0):
-        # signs straight into int8, with no full-size float temporary
-        self.sign = np.sign(values, out=np.empty(values.shape, np.int8), casting="unsafe")
+        self.sign = _signs(values)
         if np.any(snap_tol > 0.0):
             # |x| <= snap_tol as two comparisons, again with no float temporary
             near = values <= snap_tol
@@ -101,15 +99,6 @@ class ExcursionRows:
         starts = self.covered.copy()
         starts[:, 1:] &= self.sign[:, 1:] != self.sign[:, :-1]
         return starts
-
-    @cached_property
-    def ordinal(self) -> np.ndarray:
-        """Excursion number covering each index (from 0 in each row), -1 on
-        the zero mask."""
-        ordinal = np.cumsum(self.starts, axis=1, dtype=np.int64)
-        ordinal -= 1
-        ordinal[~self.covered] = -1
-        return ordinal
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -137,31 +126,11 @@ class ExcursionRows:
         at_zero = (first > 0) & ~self.covered[row, np.maximum(first - 1, 0)]
         return np.where(at_zero, first - 1, first)
 
-    @cached_property
-    def ends(self) -> np.ndarray:
-        """d index of each excursion: its last covered index, or the exact
-        zero just after it."""
-        s = self.sign
-        last_cov = self.covered.copy()
-        last_cov[:, :-1] &= s[:, :-1] != s[:, 1:]
-        row, last = np.nonzero(last_cov)
-        n = s.shape[1] - 1
-        at_zero = (last < n) & ~self.covered[row, np.minimum(last + 1, n)]
-        return np.where(at_zero, last + 1, last)
-
-    @cached_property
-    def signs(self) -> np.ndarray:
-        return self.sign[self.starts]
-
 
 @dataclass(frozen=True)
 class ExcursionSet:
-    """Ordered excursion intervals of one path plus its discrete zero data:
-    the one-row view of an :class:`ExcursionRows`.
-
-    ``ordinal[j]`` is the excursion number covering index j, or -1 on the
-    zero mask; it is the vectorized carrier consumed by the sign-flip module.
-    """
+    """Excursions of one path plus its discrete zero data: the one-row view
+    of an :class:`ExcursionRows`."""
 
     path: SamplePath
     rows: ExcursionRows
@@ -177,27 +146,16 @@ class ExcursionSet:
         return self.rows.events[0]
 
     @property
-    def ordinal(self) -> np.ndarray:
-        return self.rows.ordinal[0]
-
-    @property
     def n_excursions(self) -> int:
         return int(self.rows.counts[0])
 
-    @property
-    def intervals(self) -> tuple[Excursion, ...]:
-        r = self.rows
-        return tuple(
-            Excursion(int(g), int(d), int(s)) for g, d, s in zip(r.births, r.ends, r.signs)
-        )
-
 
 def decompose_excursions(path: SamplePath, snap_tol: float = 0.0) -> ExcursionSet:
-    """Split a path into excursion intervals and its discrete zero set.
+    """Split a path into excursions and its discrete zero set.
 
     Values of magnitude <= snap_tol are treated as exact zeros (default 0:
-    only true zeros).  An everywhere-zero path yields no intervals and a full
-    mask.  This is the one-row case of :class:`ExcursionRows`.
+    only true zeros).  An everywhere-zero path yields no excursions and a
+    full mask.  This is the one-row case of :class:`ExcursionRows`.
     """
     return ExcursionSet(path, ExcursionRows(path.values[None, :], snap_tol))
 

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .excursion import ExcursionRows
+from .excursion import ExcursionRows, _signs
 from .grid_paths import SamplePath, _check_finite
 
 __all__ = [
@@ -52,24 +52,17 @@ OCCUPATION_EXPONENT = 0.4
 class ResidualReport:
     """Pathwise residual of one identity: sup norm over [0, T] and terminal."""
 
-    identity_name: str
     sup_norm: float
     terminal: float
-    n_steps: int
 
     @classmethod
     def from_residual(
-        cls, name: str, residual: np.ndarray, n_steps: int, out: Optional[np.ndarray] = None
+        cls, residual: np.ndarray, out: Optional[np.ndarray] = None
     ) -> "ResidualReport":
         """Report of one residual curve: its sup norm and terminal magnitude.
         The magnitudes go to ``out`` when given, which may be ``residual``."""
         magnitude = np.abs(residual, out=out)
-        return cls(
-            identity_name=name,
-            sup_norm=float(np.max(magnitude)),
-            terminal=float(magnitude[-1]),
-            n_steps=n_steps,
-        )
+        return cls(sup_norm=float(np.max(magnitude)), terminal=float(magnitude[-1]))
 
 
 def _check_aligned(a: SamplePath, b: SamplePath) -> None:
@@ -98,12 +91,6 @@ def _ito_accumulate(integrand: np.ndarray, steps: np.ndarray) -> np.ndarray:
     steps[..., j] <- sum_{i<=j} integrand[..., i] * steps[..., i]."""
     steps *= integrand[..., :-1]
     return np.cumsum(steps, axis=-1, out=steps)
-
-
-def _signs(x: np.ndarray) -> np.ndarray:
-    """sgn(x) as int8, which multiplies a float exactly as the float sign
-    does."""
-    return np.sign(x, out=np.empty(x.shape, np.int8), casting="unsafe")
 
 
 def ito_rows(integrand: np.ndarray, integrator: np.ndarray) -> np.ndarray:
@@ -239,7 +226,7 @@ def identity_residual(kind: str, **inputs) -> ResidualReport:
         x = path.values
         y = _check_finite(np.abs(x))
         residual = _tanaka_residual(y, _check_finite(ito_rows(_signs(x), x)), path.grid.dt)
-        return ResidualReport.from_residual("tanaka", residual, path.grid.n_steps, out=residual)
+        return ResidualReport.from_residual(residual, out=residual)
 
     if kind == "balayage_predictable":
         y = _require(inputs, "y", kind)
@@ -251,9 +238,7 @@ def identity_residual(kind: str, **inputs) -> ResidualReport:
         _check_aligned(reference, y)
         k_frozen = k.values[ExcursionRows(reference.values[None, :]).gamma[0]]
         residual = _product_residual(k_frozen, y.values, _increments(y.values))
-        return ResidualReport.from_residual(
-            "balayage_predictable", residual, y.grid.n_steps, out=residual
-        )
+        return ResidualReport.from_residual(residual, out=residual)
 
     if kind == "transform_c3":
         total = _require(inputs, "total", kind)
@@ -268,8 +253,7 @@ def identity_residual(kind: str, **inputs) -> ResidualReport:
         residual = _product_residual(
             fv, total.values, _increments(m.values), np.asarray(big_f(v.values), dtype=float)
         )
-        return ResidualReport.from_residual("transform_c3", residual, total.grid.n_steps,
-                                            out=residual)
+        return ResidualReport.from_residual(residual, out=residual)
 
     raise ValueError(f"unknown identity kind {kind!r}")
 

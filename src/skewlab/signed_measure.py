@@ -24,8 +24,8 @@ and the ``PROCESS_ZOO`` row kernels), so each block is built once and read
 by everything the suite needs; ``build_model`` is the one-row case.
 Likewise the qp residual, the carried-by fraction and Sigma(H) membership
 are row kernels that work along the last axis of a block's arrays;
-``qp_residual``, ``carried_by_check`` and ``sigma_h_check`` are their
-one-row case.
+``qp_residual`` and ``sigma_h_check`` are the one-row case of the first and
+the last.
 """
 
 from __future__ import annotations
@@ -37,16 +37,9 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .excursion import ExcursionRows, dilate
-from .grid_paths import (
-    SamplePath,
-    SeedSpec,
-    TimeGrid,
-    block_rows,
-    brownian_rows,
-    make_grid,
-)
-from .localtime import ResidualReport, _signs, covariation_rows, ito_rows, tanaka_rows
+from .excursion import ExcursionRows, _signs, dilate
+from .grid_paths import SeedSpec, TimeGrid, block_rows, brownian_rows, make_grid
+from .localtime import ResidualReport, covariation_rows, ito_rows, tanaka_rows
 from .signflip import AlphaSchedule, sign_path_rows
 
 __all__ = [
@@ -61,7 +54,6 @@ __all__ = [
     "build_model",
     "density_products",
     "qp_residual",
-    "carried_by_check",
     "martingale_drift_test",
     "sigma_h_check",
     "sigma_h_panel",
@@ -128,10 +120,10 @@ class ModelRows:
 
 def build_model_rows(family: str, grid: TimeGrid, seeds: Sequence[SeedSpec]) -> ModelRows:
     """Models of a block of paths, row j from ``seeds[j]``: ``trivial``
-    (D = 1) or ``shifted_brownian`` (D = 1 + B from the seed's ``density``
-    substream)."""
+    (D = 1, a read-only broadcast of 1.0 that holds no row of its own) or
+    ``shifted_brownian`` (D = 1 + B from the seed's ``density`` substream)."""
     if family == "trivial":
-        return ModelRows(family, grid, np.ones((len(seeds), grid.n_points)))
+        return ModelRows(family, grid, np.broadcast_to(1.0, (len(seeds), grid.n_points)))
     if family == "shifted_brownian":
         d = brownian_rows(grid, [s.child("density") for s in seeds], x0=1.0)
         return ModelRows(family, grid, d)
@@ -254,9 +246,7 @@ def qp_residual(dec: DecompositionRows, model: ModelRows) -> ResidualReport:
     """
     _check_one_row(dec, model)
     residual = _qp_rows(model.d, dec.total, dec.fv_part)[0]
-    return ResidualReport.from_residual(
-        f"qp_residual[{dec.label or 'unnamed'}]", residual, dec.grid.n_steps
-    )
+    return ResidualReport.from_residual(residual)
 
 
 #: grid steps around a zero (of H, or of the base) that count as on it
@@ -280,29 +270,6 @@ def _carried_rows(fv: np.ndarray, mask: np.ndarray) -> np.ndarray:
     for r in np.flatnonzero(total):
         stat[r] = dv[r][near_incr[r]].sum() / total[r]
     return stat
-
-
-def carried_by_check(fv: SamplePath, mask: np.ndarray) -> TestReport:
-    """Fraction of the total variation of fv accumulated near a boolean mask
-    on fv's grid: the one-row case of the carried-by row kernel.
-
-    The statistic is TV(fv restricted to increments within 2 grid steps of a
-    mask index) / TV(fv); it passes when >= 0.95.  Zero total variation
-    passes vacuously.
-    """
-    if mask.shape != fv.values.shape:
-        raise ValueError("mask and path lengths differ")
-    stat = float(_carried_rows(fv.values[None, :], mask[None, :])[0])
-    return TestReport(
-        suite="carried_by",
-        statistic=stat,
-        threshold=1.0 - _SIGMA_TOL,
-        n_paths=1,
-        n_steps=fv.grid.n_steps,
-        seed=None,
-        passed=stat >= 1.0 - _SIGMA_TOL,
-        detail=f"dilation={_DILATION}",
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ __all__ = [
     "LawSample",
     "SkewLaw",
     "build_skew",
-    "recover_driving_noise",
     "sde_residual",
     "skew_transition_density",
     "skew_transition_cdf",
@@ -134,8 +133,15 @@ def build_skew(variant: str, schedule: AlphaSchedule, base: DecompositionRows, m
 
 
 def _driving_noise(driver: SamplePath, sign: SamplePath, variant: str) -> np.ndarray:
-    """The curve :func:`recover_driving_noise` returns, as an array checked
-    finite."""
+    """The constructed driving noise of a flip of the signed ``driver`` M, as
+    an array checked finite: int Z dM (signed) or int Z dW with
+    W = int sgn(M) dM (absolute).  Either way the sign path must live on the
+    driver's grid.
+
+    The absolute variant must integrate against the reflection's martingale
+    part, not against |M| itself: the increments of |M| carry the local time
+    of M, and summing them with the flip signs injects a (2 alpha - 1) L
+    drift into what should be the Brownian driver."""
     if variant not in ("signed", "absolute"):
         raise ValueError(f"unknown variant {variant!r}")
     _check_aligned(sign, driver)
@@ -144,21 +150,6 @@ def _driving_noise(driver: SamplePath, sign: SamplePath, variant: str) -> np.nda
         integrand = np.sign(driver.values)
         _check_finite(np.multiply(sign.values, integrand, out=integrand))
     return _check_finite(ito_rows(integrand, driver.values))
-
-
-def recover_driving_noise(
-    driver: SamplePath, sign: SamplePath, variant: str = "signed"
-) -> SamplePath:
-    """The constructed driving noise of a flip of the signed ``driver`` M:
-    int Z dM (signed) or int Z dW with W = int sgn(M) dM (absolute).  Either
-    way the sign path must live on the driver's grid.
-
-    The absolute variant must integrate against the reflection's martingale
-    part, not against |M| itself: the increments of |M| carry the local time
-    of M, and summing them with the flip signs injects a (2 alpha - 1) L
-    drift into what should be the Brownian driver.
-    """
-    return SamplePath(driver.grid, _driving_noise(driver, sign, variant))
 
 
 def _skew_correction(x_alpha: SamplePath, schedule: AlphaSchedule) -> np.ndarray:
@@ -186,8 +177,8 @@ def sde_residual(
     signed ``driver``.
 
     residual_t = X_t - X_0 - W_t - sum (2 alpha(t_i) - 1) dL_i  with the
-    driving noise W recovered by ``recover_driving_noise`` and L the
-    occupation estimate (default bandwidth dt**0.4) on the constructed path.
+    driving noise W recovered by ``_driving_noise`` and L the occupation
+    estimate (default bandwidth dt**0.4) on the constructed path.
     The occupation count is insensitive to the boundary microstructure; the
     crossing-counting tanaka estimate is not: a flipped path bounces off
     zero wherever consecutive excursions kept their sign, so it sees only
@@ -202,9 +193,7 @@ def sde_residual(
     residual -= w
     del w
     residual[1:] -= _skew_correction(x_alpha, schedule)
-    return ResidualReport.from_residual(
-        f"skew_sde[{schedule.kind},{variant}]", residual, x_alpha.grid.n_steps, out=residual
-    )
+    return ResidualReport.from_residual(residual, out=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +246,8 @@ def _check_time(t: float) -> None:
 # as scipy.special runs it: the same rational approximations, the same
 # operations in the same order, and the platform libm ``exp`` (``math.exp``;
 # numpy's SIMD ``np.exp`` can differ in the last bit).  The Kolmogorov
-# critical value at the default level 0.01 is a constant; other levels ask
-# scipy.special.kolmogi.  tests/test_scipy_kernels.py pins all of them bit for
-# bit against scipy.
+# critical value at the one KS level, 0.01, is a constant.
+# tests/test_scipy_kernels.py pins all of them bit for bit against scipy.
 _SQRT_2PI = math.sqrt(2 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
 _MAXLOG = 7.09782712893383996843e2
@@ -334,15 +322,6 @@ def _ndtr(a) -> np.ndarray:
     out[upper] = 1.0 - out[upper]
     out[np.isnan(x)] = np.nan
     return out.reshape(a.shape)
-
-
-def _ks_critical(level: float) -> float:
-    """Asymptotic Kolmogorov critical value at ``level`` (``kolmogi(level)``)."""
-    if level == 0.01:
-        return _KS_CRITICAL_01
-    from scipy.special import kolmogi
-
-    return float(kolmogi(level))
 
 
 def skew_transition_density(alpha: float, t: float, y) -> np.ndarray:
@@ -721,7 +700,6 @@ def lattice_smooth(values: np.ndarray, spacing: float) -> np.ndarray:
 def law_test(
     samples_a: LawSample,
     reference: Union[LawSample, SkewLaw],
-    level: float = 0.01,
     lattice_allowance: float = 0.0,
     lattice_spacing: Optional[float] = None,
     seed: Optional[SeedSpec] = None,
@@ -729,17 +707,14 @@ def law_test(
     """KS comparison of a law sample against a reference.
 
     Against another sample: two-sample KS below the asymptotic critical
-    value at ``level`` plus ``lattice_allowance``; when the reference lives
+    value at level 0.01 plus ``lattice_allowance``; when the reference lives
     on a lattice, pass its spacing so the continuity correction of
     :func:`lattice_smooth` is applied (and disclosed).  Against a density
     handle: one-sample KS (midpoint convention) at the same level; the
     detail also reports the sign-probability discrepancy.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
     if samples_a.n < 1000:
         raise InsufficientSamplesError(f"need at least 1000 samples, got {samples_a.n}")
-    c_level = _ks_critical(level)
     if isinstance(reference, LawSample):
         if reference.n < 1000:
             raise InsufficientSamplesError(
@@ -752,15 +727,15 @@ def law_test(
             note = f" lattice_spacing={lattice_spacing:.5f} smoothed"
         stat = two_sample_ks(samples_a.values, ref_values)
         n, m = samples_a.n, reference.n
-        crit = c_level * math.sqrt((n + m) / (n * m)) + lattice_allowance
-        detail = f"two_sample vs {reference.tag or 'sample'} level={level:g}{note}"
+        crit = _KS_CRITICAL_01 * math.sqrt((n + m) / (n * m)) + lattice_allowance
+        detail = f"two_sample vs {reference.tag or 'sample'} level=0.01{note}"
         n_paths = min(n, m)
     else:
         stat = ks_statistic(samples_a.values, reference.cdf)
-        crit = c_level / math.sqrt(samples_a.n) + lattice_allowance
+        crit = _KS_CRITICAL_01 / math.sqrt(samples_a.n) + lattice_allowance
         sign_frac = float(np.mean(samples_a.values > 0))
         detail = (
-            f"one_sample midpoint level={level:g} "
+            "one_sample midpoint level=0.01 "
             f"sign_prob_err={abs(sign_frac - reference.sign_probability):.5f}"
         )
         n_paths = samples_a.n

@@ -46,3 +46,19 @@ def martingale_row(path, label=""):
     from skewlab.signed_measure import DecompositionRows
 
     return DecompositionRows.martingale(path.grid, path.values[None, :], label)
+
+
+def excursion_runs(rows, r=0):
+    """(birth, first covered, last covered, sign) of each excursion of row r
+    of an ``ExcursionRows``, read from its births, starts and coverage: an
+    excursion covers the covered indices from its start up to the next
+    start."""
+    first = int(np.sum(rows.counts[:r]))
+    births = rows.births[first:first + rows.counts[r]]
+    starts = np.flatnonzero(rows.starts[r]).tolist()
+    covered = rows.covered[r]
+    runs = []
+    for birth, lo, hi in zip(births.tolist(), starts, starts[1:] + [len(covered)]):
+        idx = lo + np.flatnonzero(covered[lo:hi])
+        runs.append((birth, int(idx[0]), int(idx[-1]), int(rows.sign[r, lo])))
+    return runs

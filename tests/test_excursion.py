@@ -6,7 +6,7 @@ import pytest
 from skewlab.excursion import decompose_excursions, dilate, last_zero_curve
 from skewlab.grid_paths import SeedSpec, make_grid, refine_bridge, sample_brownian
 
-from conftest import MASTER, brownian, path_from_values
+from conftest import MASTER, brownian, excursion_runs, path_from_values
 
 
 def brute_force_runs(values):
@@ -39,52 +39,46 @@ def brute_force_gamma(event_flags):
     return np.asarray(out)
 
 
-def covered_indices(exc, k):
-    g, d, _ = exc.intervals[k]
-    x = exc.path.values
-    return [j for j in range(g, d + 1) if x[j] != 0]
-
-
 class TestDecomposeExamples:
     def test_exact_zero_boundaries(self):
         exc = decompose_excursions(path_from_values([0, 1, 2, 0, -1, 0]))
-        assert [tuple(e) for e in exc.intervals] == [(0, 3, 1), (3, 5, -1)]
+        assert excursion_runs(exc.rows) == [(0, 1, 2, 1), (3, 4, 4, -1)]
         assert list(np.flatnonzero(exc.zero_mask)) == [0, 3, 5]
         assert list(np.flatnonzero(exc.zero_events)) == [0, 3, 5]
 
     def test_all_positive_single_interval(self):
         exc = decompose_excursions(path_from_values([1.0, 2.0, 0.5, 3.0]))
-        assert [tuple(e) for e in exc.intervals] == [(0, 3, 1)]
+        assert excursion_runs(exc.rows) == [(0, 0, 3, 1)]
         assert not exc.zero_mask.any()
         assert not exc.zero_events.any()
 
     def test_everywhere_zero(self):
         exc = decompose_excursions(path_from_values([0.0, 0.0, 0.0]))
-        assert exc.intervals == ()
+        assert exc.n_excursions == 0 and excursion_runs(exc.rows) == []
         assert exc.zero_mask.all()
 
     def test_strict_sign_change_boundary(self):
         # crossing between 0 and 1: neither endpoint masked, event at entry
         exc = decompose_excursions(path_from_values([1.0, -1.0]))
-        assert [tuple(e) for e in exc.intervals] == [(0, 0, 1), (1, 1, -1)]
+        assert excursion_runs(exc.rows) == [(0, 0, 0, 1), (1, 1, 1, -1)]
         assert not exc.zero_mask.any()
         assert list(np.flatnonzero(exc.zero_events)) == [1]
 
     def test_snap_tolerance(self):
         vals = [0.5, 1e-12, -0.5]
         no_snap = decompose_excursions(path_from_values(vals))
-        assert [tuple(e) for e in no_snap.intervals] == [(0, 1, 1), (2, 2, -1)]
+        assert excursion_runs(no_snap.rows) == [(0, 0, 1, 1), (2, 2, 2, -1)]
         snapped = decompose_excursions(path_from_values(vals), snap_tol=1e-9)
-        assert [tuple(e) for e in snapped.intervals] == [(0, 1, 1), (1, 2, -1)]
+        assert excursion_runs(snapped.rows) == [(0, 0, 0, 1), (1, 2, 2, -1)]
         assert list(np.flatnonzero(snapped.zero_mask)) == [1]
 
     def test_leading_and_trailing_zeros(self):
         exc = decompose_excursions(path_from_values([0, 0, 2, 0, 0]))
-        assert [tuple(e) for e in exc.intervals] == [(1, 3, 1)]
+        assert excursion_runs(exc.rows) == [(1, 2, 2, 1)]
 
     def test_incomplete_final_excursion(self):
         exc = decompose_excursions(path_from_values([0, 1, 1]))
-        assert [tuple(e) for e in exc.intervals] == [(0, 2, 1)]
+        assert excursion_runs(exc.rows) == [(0, 1, 2, 1)]
 
 
 class TestDecomposeBrownian:
@@ -93,29 +87,30 @@ class TestDecomposeBrownian:
         exc = decompose_excursions(p)
         runs = brute_force_runs(p.values)
         assert exc.n_excursions == len(runs)
-        for k, (s0, s1, sg) in enumerate(runs):
-            cov = covered_indices(exc, k)
-            assert cov[0] == s0 and cov[-1] == s1
-            assert exc.intervals[k].sign == sg
+        at_zero = [s0 > 0 and p.values[s0 - 1] == 0 for s0, _, _ in runs]
+        assert excursion_runs(exc.rows) == [
+            (s0 - z, s0, s1, sg) for (s0, s1, sg), z in zip(runs, at_zero)
+        ]
 
     def test_reconstruction_partition(self):
         # every index is masked xor covered by exactly one excursion
         for i in range(4):
             p = brownian(2**10, path_index=i, label="exc")
             exc = decompose_excursions(p)
-            covered = exc.ordinal >= 0
-            assert np.array_equal(covered, ~exc.zero_mask)
-            assert np.all(np.diff(exc.ordinal[covered]) >= 0)
+            cover = np.zeros(len(p.values), dtype=int)
+            for _, lo, hi, _ in excursion_runs(exc.rows):
+                cover[lo : hi + 1] += 1
+            assert np.array_equal(cover, (~exc.zero_mask).astype(int))
 
     def test_constant_sign_on_interiors(self):
         p = brownian(2**12, path_index=5, label="exc")
         exc = decompose_excursions(p)
-        for g, d, sign in exc.intervals:
-            interior = p.values[g + 1 : d]
-            assert np.all(np.sign(interior) == sign) or interior.size == 0
+        for _, lo, hi, sign in excursion_runs(exc.rows):
+            assert np.all(np.sign(p.values[lo : hi + 1]) == sign)
 
     def test_mesh_stability_of_boundaries(self):
-        # max over boundaries of min(|X_g|, |X_d|) shrinks as the grid refines
+        # max over excursions of min(|X| at the birth, |X| at the last
+        # covered index) shrinks as the grid refines
         medians = []
         for n in (2**12, 2**14, 2**16):
             gaps = []
@@ -127,9 +122,7 @@ class TestDecomposeBrownian:
                 if exc.n_excursions < 2:
                     continue
                 x = np.abs(p.values)
-                worst = max(
-                    min(x[g], x[d]) for g, d, _ in exc.intervals
-                )
+                worst = max(min(x[g], x[d]) for g, _, d, _ in excursion_runs(exc.rows))
                 gaps.append(worst)
             medians.append(np.median(gaps))
         assert medians[0] > medians[1] > medians[2]

@@ -3,10 +3,9 @@
 Each row kernel has a one-row case: ``brownian_rows`` / ``sample_brownian``,
 ``ExcursionRows`` / ``decompose_excursions`` and ``last_zero_curve``,
 ``sign_path_rows`` / ``draw_sign_path``, ``build_model_rows`` /
-``build_model``, and the qp, carried-by and sigma_h kernels /
-``qp_residual``, ``carried_by_check`` and ``sigma_h_check``; the
-``PROCESS_ZOO`` members and ``covariation_rows`` take a block of any size,
-one row included.  A block must
+``build_model``, and the qp and sigma_h kernels / ``qp_residual`` and
+``sigma_h_check``; the carried-by kernel, the ``PROCESS_ZOO`` members and
+``covariation_rows`` take a block of any size, one row included.  A block must
 reproduce the one-row case row by row whatever the block size, so the
 suites built on blocks give the same numbers at any block size, including
 one row per block; the pins at the end were recorded from the per-path
@@ -34,7 +33,6 @@ from skewlab.signed_measure import (
     PathRows,
     build_model,
     build_model_rows,
-    carried_by_check,
     density_products,
     equivalence_suite,
     martingale_drift_test,
@@ -44,7 +42,7 @@ from skewlab.signed_measure import (
 )
 from skewlab.signflip import AlphaSchedule, draw_sign_path, sign_path_rows
 
-from conftest import MASTER
+from conftest import MASTER, excursion_runs
 
 X0 = st.sampled_from([0.0, 1.0, -0.5, 3.0])
 STEPS = st.integers(1, 64)
@@ -117,31 +115,31 @@ def test_excursion_rows_equal_one_row(values):
         gamma, gbar = last_zero_curve(exc)
         assert np.array_equal(rows.events[r], exc.zero_events)
         assert np.array_equal(rows.covered[r], ~exc.zero_mask)
-        assert same_bits(rows.ordinal[r], exc.ordinal)
+        assert np.array_equal(rows.starts[r], exc.rows.starts[0])
         assert same_bits(rows.gamma[r], gamma)
         assert rows.gbar[r] == gbar
         k = slice(first[r], first[r] + rows.counts[r])
-        assert list(zip(rows.births[k], rows.ends[k], rows.signs[k])) == [
-            tuple(e) for e in exc.intervals
-        ]
+        assert same_bits(rows.births[k], exc.rows.births)
+        assert excursion_runs(rows, r) == excursion_runs(exc.rows)
 
 
 @settings(max_examples=150, deadline=None)
 @given(values=integer_rows())
 def test_excursion_rows_partition_rows_with_exact_zeros(values):
     # each index is on the zero mask or covered by exactly one of its row's
-    # (births[k], ends[k]) intervals, counting an interval's nonzero indices
+    # excursions, a maximal run of one sign born at its first covered index
+    # or at the exact zero just before it
     rows = ExcursionRows(values)
-    first = np.cumsum(rows.counts) - rows.counts
     for r, row in enumerate(values):
         assert np.array_equal(rows.covered[r], row != 0)
         cover = np.zeros(len(row), dtype=int)
-        for k in range(first[r], first[r] + rows.counts[r]):
-            interval = np.zeros(len(row), dtype=bool)
-            interval[rows.births[k] : rows.ends[k] + 1] = True
-            interval &= row != 0
-            assert interval.any() and np.all(np.sign(row[interval]) == rows.signs[k])
-            cover += interval
+        runs = excursion_runs(rows, r)
+        for birth, lo, hi, sign in runs:
+            assert np.all(np.sign(row[lo : hi + 1]) == sign)
+            assert birth == (lo - 1 if lo > 0 and row[lo - 1] == 0 else lo)
+            cover[lo : hi + 1] += 1
+        for (_, _, hi, sign), (_, lo, _, next_sign) in zip(runs, runs[1:]):
+            assert lo > hi + 1 or next_sign != sign
         assert np.array_equal(cover, (row != 0).astype(int))
 
 
@@ -299,9 +297,10 @@ def row_of(dec, r):
 
 def assert_kernels_equal_one_row(models, dec):
     """Row r of each check's row kernel on the block equals the one-row
-    check of row r's model and decomposition.  The carried-by fraction is
-    also taken of the total, whose Gaussian increments make a masked row sum
-    round differently from a compaction."""
+    check, or the kernel on a one-row block, of row r's model and
+    decomposition.  The carried-by fraction is also taken of the total,
+    whose Gaussian increments make a masked row sum round differently from
+    a compaction."""
     qp = signed_measure._qp_rows(models.d, dec.total, dec.fv_part)
     cov = covariation_rows(dec.total, models.d)
     mask = models.zeros.events | ExcursionRows(dec.zero_path).events
@@ -313,10 +312,8 @@ def assert_kernels_equal_one_row(models, dec):
         assert rep.terminal == abs(qp[r, -1]) and rep.sup_norm == np.max(np.abs(qp[r]))
         assert same_bits(cov[r], covariation_rows(one.total, model.d)[0])
         for values, stat in zip((one.fv_part, one.total), carried):
-            path = SamplePath(models.grid, values[0])
-            rep = carried_by_check(path, mask[r])
-            assert rep.statistic == stat[r] == carried_reference(path.values, mask[r])
-            assert rep.passed == (stat[r] >= 0.95)
+            one_row = signed_measure._carried_rows(values, mask[r][None, :])[0]
+            assert one_row == stat[r] == carried_reference(values[0], mask[r])
         stat, qp_terminal, starts_ok, passed = (v[r] for v in sigma)
         rep = sigma_h_check(one, model)
         assert (rep.statistic, rep.passed) == (stat, passed)
@@ -533,3 +530,32 @@ def test_long_row_suites_pinned(tmp_path):
     rows += [pin_row(r) for r in run_experiment(cfg).reports]
     assert rows == LONG_ROW_PINS
     assert curves == TANAKA_CURVE_SHA256
+
+
+#: report rows of a default-config skew_law run at 1000 paths and 256 steps
+SKEW_LAW_PINS = [
+    ('skew_law.ks', '0.016615714142923954', '0.051469977858689536', 1000, 256, '20240817:skew_law:0', True, 'one_sample midpoint level=0.01 sign_prob_err=0.01000'),
+    ('skew_law.sign_probability', '0.010000000000000009', '0.057965506984757754', 1000, 256, '20240817:skew_law:0', True, 'empirical 0.7100 vs alpha 0.7'),
+    ('skew_law.walk_cross_check', '0.02300000000000002', '0.07778954074280166', 1000, 256, '20240817:skew_law:0', True, 'two_sample vs hs_walk[alpha=0.7] level=0.01 lattice_spacing=0.12500 smoothed'),
+]
+
+#: SHA-256 of the same run's emitted files, reports.json without its
+#: timestamp line
+SKEW_LAW_SHA256 = {
+    "reports.json": "7be07325b7110793c9f63366231ff2cc3a9c7aa99cb482017792d056b128fb6a",
+    "curve_skew_density_alpha0.7.csv": "e03a1e0e7b03ba03de816a16c5d11bd53206325ad8318e8d4af16365f62328d4",
+    "curve_skew_empirical_density.csv": "bdd6f89fa05af27eb762c6d99d19a00468e17a229ad3c721d9a612fb0821d880",
+}
+
+
+def test_skew_law_pinned(tmp_path):
+    cfg = config_from_pairs({"suite": "skew_law", "paths": "1000", "steps": "256",
+                             "format": "json", "out": str(tmp_path)})
+    bundle = run_experiment(cfg)
+    digests = {}
+    for path in emit_report(bundle, cfg.fmt, cfg.out_dir):
+        with open(path, "rb") as f:
+            lines = [line for line in f if b'"timestamp":' not in line]
+        digests[os.path.basename(path)] = hashlib.sha256(b"".join(lines)).hexdigest()
+    assert [pin_row(r) for r in bundle.reports] == SKEW_LAW_PINS
+    assert digests == SKEW_LAW_SHA256

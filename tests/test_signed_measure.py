@@ -15,7 +15,6 @@ from skewlab.signed_measure import (
     PathRows,
     build_model,
     build_model_rows,
-    carried_by_check,
     density_products,
     equivalence_suite,
     martingale_drift_test,
@@ -31,6 +30,11 @@ from conftest import MASTER, martingale_row
 # regenerate with fine_mesh_touch_probability() below; value from N = 2^15,
 # 2 * 10^4 paths (se ~ 0.0033); the continuum value 2*Phi(-1) is 0.3173
 TOUCH_PROBABILITY_ORACLE = 0.3132
+
+
+def carried_by(fv, mask):
+    """Carried-by statistic of one path: the row kernel on a one-row block."""
+    return signed_measure._carried_rows(fv[None, :], mask[None, :])[0]
 
 
 def fine_mesh_touch_probability(n=2**15, paths=20_000):
@@ -50,6 +54,14 @@ class TestBuildModel:
         assert m.zeros.gbar[0] == 0
         assert np.all(m.d == 1.0)
         assert np.all(m.zeros.gamma == 0)
+
+    def test_trivial_holds_no_row_buffer(self, grid12, seed):
+        # D = 1 is a read-only broadcast of one value, whatever the block size
+        m = build_model_rows("trivial", grid12, [seed.with_path(i) for i in range(3)])
+        assert m.d.shape == (3, grid12.n_points)
+        assert m.d.strides == (0, 0)
+        assert not m.d.flags.writeable
+        assert np.all(m.d == 1.0)
 
     def test_shifted_brownian_consistency(self, grid12, seed):
         m = build_model("shifted_brownian", grid12, seed)
@@ -191,8 +203,7 @@ class TestQpResidual:
             dec = PROCESS_ZOO["bm_plus_local_time"](model, g, [s])
             assert qp_residual(dec, model).terminal < 0.05
             assert abs(covariation_rows(dec.total, model.d)[0, -1]) < 0.05
-            carried = carried_by_check(SamplePath(g, dec.fv_part[0]), model.zeros.events[0])
-            assert carried.passed
+            assert carried_by(dec.fv_part[0], model.zeros.events[0]) >= 0.95
             assert abs(covariation_rows(dec.martingale_part, model.d)[0, -1]) < 0.05
         assert checked >= 3
 
@@ -200,9 +211,7 @@ class TestQpResidual:
 class TestCarriedBy:
     def test_zero_variation_passes_vacuously(self, seed):
         g = make_grid(1.0, 2**8)
-        fv = SamplePath(g, np.zeros(g.n_points))
-        rep = carried_by_check(fv, np.zeros(g.n_points, dtype=bool))
-        assert rep.passed and rep.statistic == 1.0
+        assert carried_by(np.zeros(g.n_points), np.zeros(g.n_points, dtype=bool)) == 1.0
 
     def test_local_time_carried_by_h(self):
         g = make_grid(1.0, 2**16)
@@ -214,18 +223,13 @@ class TestCarriedBy:
                 continue
             found += 1
             lt = local_time(SamplePath(g, model.d[0]), "tanaka")
-            rep = carried_by_check(lt, model.zeros.events[0])
-            assert rep.passed
-            assert rep.statistic >= 0.95
+            assert carried_by(lt.values, model.zeros.events[0]) >= 0.95
         assert found >= 3
 
     def test_lebesgue_drift_fails_on_sparse_mask(self, grid12):
-        fv = SamplePath(grid12, grid12.times.copy())
         mask = np.zeros(grid12.n_points, dtype=bool)
         mask[::512] = True
-        rep = carried_by_check(fv, mask)
-        assert not rep.passed
-        assert rep.statistic < 0.5
+        assert carried_by(grid12.times, mask) < 0.5
 
 
 def product_family(base, label, n_steps=2**11, model_family="shifted_brownian"):

@@ -9,7 +9,7 @@ from skewlab.excursion import decompose_excursions
 from skewlab.grid_paths import SeedSpec, make_grid, sample_brownian
 from skewlab.signflip import AlphaSchedule, apply_sign, assign_signs, build_sign_path
 
-from conftest import MASTER, brownian, path_from_values
+from conftest import MASTER, brownian, excursion_runs, path_from_values
 
 
 class TestAlphaSchedule:
@@ -128,10 +128,8 @@ class TestBuildSignPath:
         ).reshape(exc.n_excursions, sched.n_cells)
         z = build_sign_path(exc, signs, sched).values
         cells = sched.cell_indices(p.grid.times)
-        for n, e in enumerate(exc.intervals):
-            on_exc = z[exc.ordinal == n]
-            assert np.all(on_exc == on_exc[0])
-            assert on_exc[0] == signs[n, cells[e.g_index]]
+        for n, (birth, lo, hi, _) in enumerate(excursion_runs(exc.rows)):
+            assert np.all(z[lo : hi + 1] == signs[n, cells[birth]])
         assert np.all(z[exc.zero_mask] == 0)
 
     def test_mismatched_assignment_rejected(self, seed):
@@ -158,9 +156,9 @@ class TestApplySign:
         # the excursions and Z*X = |X| there; both are 0 on the mask
         p = path_from_values([0, 1, 2, 0, -1, 0])
         exc = decompose_excursions(p)
-        own = np.array([[e.sign] for e in exc.intervals], dtype=np.int8)
+        own = np.array([[sign] for *_, sign in excursion_runs(exc.rows)], dtype=np.int8)
         z = build_sign_path(exc, own, AlphaSchedule.constant(0.5))
-        covered = exc.ordinal >= 0
+        covered = ~exc.zero_mask
         out_abs = apply_sign(z, p, mode="absolute")
         assert np.array_equal(out_abs.values[covered], p.values[covered])
         assert np.all(out_abs.values[~covered] == 0)
@@ -177,7 +175,7 @@ class TestApplySign:
                 exc, assign_signs(exc, sched, SeedSpec(MASTER, "inv", i)), sched
             )
             out = apply_sign(z, p, mode="signed")
-            covered = exc.ordinal >= 0
+            covered = ~exc.zero_mask
             assert np.array_equal(np.abs(out.values[covered]), np.abs(p.values[covered]))
 
     def test_grid_mismatch_rejected(self, seed):
