@@ -36,10 +36,8 @@ from .signed_measure import (
     InsufficientSamplesError,
     ModelRows,
     PROCESS_ZOO,
-    PathRows,
     TestReport,
     build_model,
-    density_products,
     equivalence_suite,
     martingale_drift_test,
     optional_representation_check,

@@ -40,9 +40,8 @@ from .localtime import (
 )
 from .signed_measure import (
     HYPOTHESIS_NOT_MET,
-    PROCESS_ZOO,
+    MIN_PATHS,
     TestReport,
-    density_products,
     martingale_drift_test,
     optional_representation_check,
     sigma_h_panel,
@@ -63,9 +62,8 @@ SUITE_RUNNERS: dict[str, Callable] = {}
 SUITE_BLURBS: dict[str, str] = {}
 
 
-#: suites whose statistical checks refuse fewer than ``_MIN_PATHS`` paths
+#: suites whose statistical checks refuse fewer than ``MIN_PATHS`` paths
 _PATH_STATISTIC_SUITES = ("martingale", "skew_law", "representation")
-_MIN_PATHS = 1000
 
 #: the ``tol.*`` keys the suites read
 _TOLERANCES = (
@@ -110,9 +108,9 @@ class ExperimentConfig:
             raise UsageError("steps must list at least one step count")
         if self.n_paths <= 0 or self.n_seeds <= 0 or any(n <= 0 for n in self.n_steps):
             raise UsageError("paths, seeds and steps must be positive")
-        if self.n_paths < _MIN_PATHS and self.suite in _PATH_STATISTIC_SUITES + ("all",):
+        if self.n_paths < MIN_PATHS and self.suite in _PATH_STATISTIC_SUITES + ("all",):
             raise UsageError(
-                f"suite {self.suite} needs at least {_MIN_PATHS} paths, got {self.n_paths}"
+                f"suite {self.suite} needs at least {MIN_PATHS} paths, got {self.n_paths}"
             )
         if self.master_seed < 0:
             raise UsageError(f"seed must be non-negative, got {self.master_seed}")
@@ -366,18 +364,16 @@ def run_martingale(cfg: ExperimentConfig, seed: SeedSpec):
     g = make_grid(1.0, n)
     reports = []
 
-    def family(base_name, tag):
-        return density_products("shifted_brownian", base_name, g, seed.child(f"mart/{tag}"))
+    def drift_test(base_name, tag, **kw):
+        rep = martingale_drift_test("shifted_brownian", base_name, g, seed.child(f"mart/{tag}"),
+                                    cfg.n_paths, [0.5, 1.0], **kw)
+        return replace(rep, seed=seed)
 
     for base_name in ("bm", "bm_plus_local_time"):
-        reports.append(martingale_drift_test(
-            family(base_name, base_name), cfg.n_paths, [0.5, 1.0],
-            seed=seed, threshold=cfg.tol("drift", 4.0), suite=f"martingale.{base_name}",
+        reports.append(drift_test(
+            base_name, base_name, threshold=cfg.tol("drift", 4.0), suite=f"martingale.{base_name}",
         ))
-    neg = martingale_drift_test(
-        family("bm_plus_drift", "neg"), cfg.n_paths, [0.5, 1.0], seed=seed,
-        suite="martingale.negative_control",
-    )
+    neg = drift_test("bm_plus_drift", "neg", suite="martingale.negative_control")
     thresh = cfg.tol("drift_reject", 5.0)
     reports.append(replace(
         neg, threshold=thresh, passed=neg.statistic > thresh,
@@ -518,11 +514,11 @@ def run_representation(cfg: ExperimentConfig, seed: SeedSpec):
         "omega": lambda m, models: True,
         "w_quarter_pos": lambda m, models: m[:, g.index_at(0.25)] > 0,
     }
-    family = PROCESS_ZOO["bm" if cfg.model == "trivial" else "bm_minus_frozen"]
+    base = "bm" if cfg.model == "trivial" else "bm_minus_frozen"
     reports = []
     for t_stop in (0.5, 1.0):
         rep = optional_representation_check(
-            family, t_stop, events, cfg.n_paths, cfg.model, g,
+            base, t_stop, events, cfg.n_paths, cfg.model, g,
             seed.child(f"rep/{t_stop:g}"), threshold=cfg.tol("representation", 4.0),
         )
         reports.append(replace(

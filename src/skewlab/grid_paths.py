@@ -251,6 +251,12 @@ def _check_finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _check_aligned(a, b) -> None:
+    """Require two paths or blocks (anything with a ``grid``) to share it."""
+    if not a.grid.same_as(b.grid):
+        raise ValueError("paths live on different grids")
+
+
 @dataclass(frozen=True)
 class SamplePath:
     """A discretized process: values aligned one-to-one with grid.times.

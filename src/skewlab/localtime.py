@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .excursion import ExcursionRows, _signs
-from .grid_paths import SamplePath, _check_finite
+from .grid_paths import SamplePath, _check_aligned, _check_finite
 
 __all__ = [
     "ResidualReport",
@@ -63,11 +63,6 @@ class ResidualReport:
         The magnitudes go to ``out`` when given, which may be ``residual``."""
         magnitude = np.abs(residual, out=out)
         return cls(sup_norm=float(np.max(magnitude)), terminal=float(magnitude[-1]))
-
-
-def _check_aligned(a: SamplePath, b: SamplePath) -> None:
-    if not a.grid.same_as(b.grid):
-        raise ValueError("paths live on different grids")
 
 
 def _increments(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

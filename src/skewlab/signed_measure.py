@@ -19,9 +19,10 @@ the simulated product process (``martingale_drift_test``).
 Models (:class:`ModelRows`) and processes with their split
 (:class:`DecompositionRows`) are blocks, one path per row.  The suites (the
 drift test, the equivalence suites, the optional representation check and
-the sigma_h panels) build them a row block at a time (``build_model_rows``
-and the ``PROCESS_ZOO`` row kernels), so each block is built once and read
-by everything the suite needs; ``build_model`` is the one-row case.
+the sigma_h panels) name their base process by its ``PROCESS_ZOO`` name and
+read it through one block reader, which builds each row block once
+(``build_model_rows`` and the zoo's row kernels) and hands it to everything
+the suite needs; ``build_model`` is the one-row case.
 Likewise the qp residual, the carried-by fraction and Sigma(H) membership
 are row kernels that work along the last axis of a block's arrays;
 ``qp_residual`` and ``sigma_h_check`` are the one-row case of the first and
@@ -38,7 +39,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .excursion import ExcursionRows, _signs, dilate
-from .grid_paths import SeedSpec, TimeGrid, block_rows, brownian_rows, make_grid
+from .grid_paths import SeedSpec, TimeGrid, _check_aligned, block_rows, brownian_rows, make_grid
 from .localtime import ResidualReport, covariation_rows, ito_rows, tanaka_rows
 from .signflip import AlphaSchedule, sign_path_rows
 
@@ -48,11 +49,10 @@ __all__ = [
     "HypothesisNotMetError",
     "ModelRows",
     "DecompositionRows",
-    "PathRows",
+    "MIN_PATHS",
     "TestReport",
     "build_model_rows",
     "build_model",
-    "density_products",
     "qp_residual",
     "martingale_drift_test",
     "sigma_h_check",
@@ -77,6 +77,10 @@ HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 
 class InsufficientSamplesError(ValueError):
     """Raised when a statistical check receives too few paths."""
+
+
+#: the fewest paths (or law samples) a statistical check accepts
+MIN_PATHS = 1000
 
 
 class HypothesisNotMetError(RuntimeError):
@@ -232,8 +236,7 @@ def _check_one_row(dec: DecompositionRows, model: ModelRows) -> None:
     for what, rows in (("model", len(model.d)), ("decomposition", len(dec.total))):
         if rows != 1:
             raise ValueError(f"need a one-row {what}, got {rows} rows")
-    if not model.grid.same_as(dec.grid):
-        raise ValueError("decomposition and model live on different grids")
+    _check_aligned(dec, model)
 
 
 def qp_residual(dec: DecompositionRows, model: ModelRows) -> ResidualReport:
@@ -277,21 +280,9 @@ def _carried_rows(fv: np.ndarray, mask: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathRows:
-    """A path family produced a block at a time, the one input of
-    :func:`martingale_drift_test`: ``rows(lo, hi)`` returns the values of
-    paths lo..hi-1 as a ``(hi - lo, n_points)`` array, and callers ask for
-    at most ``block`` rows per call (``block=1`` reads a per-path family)."""
-
-    grid: TimeGrid
-    block: int
-    rows: Callable[[int, int], np.ndarray]
-
-
 def _require_paths(n_paths: int) -> None:
-    if n_paths < 1000:
-        raise InsufficientSamplesError(f"need at least 1000 paths, got {n_paths}")
+    if n_paths < MIN_PATHS:
+        raise InsufficientSamplesError(f"need at least {MIN_PATHS} paths, got {n_paths}")
 
 
 def _checkpoint_pairs(n_paths: int, checkpoints: Sequence[float]) -> list[tuple[float, float]]:
@@ -349,31 +340,34 @@ def _drift_report(
 
 
 def martingale_drift_test(
-    process_family: PathRows,
+    model_family: str,
+    base: str,
+    grid: TimeGrid,
+    seed: SeedSpec,
     n_paths: int,
     checkpoints: Sequence[float],
-    seed: Optional[SeedSpec] = None,
     threshold: float = _THRESHOLD,
     suite: str = "martingale_drift",
 ) -> TestReport:
-    """Zero-conditional-drift test for a simulated process family.
+    """Zero-conditional-drift test of the products P = D * X of a model
+    family and the base process named ``base``, path p from
+    ``seed.with_path(p)`` (its model from that seed's ``model`` substream).
 
     For consecutive checkpoint pairs (s, t) and a fixed dictionary of bounded
     weights evaluated at or before s (constant 1, the sign of the path at
     s/2, the indicator that the path at s exceeds the cross-path median) the
     statistic is |mean w*(P_t - P_s)| over its standard error, maximised over
     pairs and weights.  Martingales stay below ``threshold`` standard errors.
-
-    ``process_family`` is read a block of rows at a time; only the
-    checkpoint columns of each path are kept.
+    Only the checkpoint columns of each path are kept.  The report carries
+    ``seed``.
     """
     pairs = _checkpoint_pairs(n_paths, checkpoints)
-    needed = _checkpoint_columns(process_family.grid, pairs)
-    values = np.empty((n_paths, len(needed)))
-    for lo in range(0, n_paths, process_family.block):
-        hi = min(lo + process_family.block, n_paths)
-        values[lo:hi] = process_family.rows(lo, hi)[:, needed]
-    return _drift_report(values, process_family.grid, pairs, seed, threshold, suite)
+    columns = _checkpoint_columns(grid, pairs)
+    _, (values,) = _read_blocks(
+        model_family, base, grid, seed,
+        [(n_paths, lambda models, dec, seeds: _product_at(models, dec.total, columns))],
+    )
+    return _drift_report(values, grid, pairs, seed, threshold, suite)
 
 
 # ---------------------------------------------------------------------------
@@ -497,49 +491,6 @@ PROCESS_ZOO: dict[str, Callable[..., DecompositionRows]] = {
 }
 
 
-def _zoo_rows(base) -> Callable[..., DecompositionRows]:
-    """Row kernel of a base process given as a zoo name or a zoo member."""
-    kernel = PROCESS_ZOO.get(base) if isinstance(base, str) else base
-    if kernel not in PROCESS_ZOO.values():
-        raise ValueError(f"unknown base process {base!r}: expected a PROCESS_ZOO name or member")
-    return kernel
-
-
-def _instances(model_family: str, base_rows, grid: TimeGrid, seed: SeedSpec, lo: int, hi: int):
-    """Models, base processes and seeds of paths lo..hi-1 as one block.  Path
-    p reads ``seed.with_path(p)`` and its model that seed's ``model``
-    substream, whatever block it falls in."""
-    seeds = [seed.with_path(p) for p in range(lo, hi)]
-    models = build_model_rows(model_family, grid, [s.child("model") for s in seeds])
-    return models, base_rows(models, grid, seeds), seeds
-
-
-def _block_bounds(grid: TimeGrid, n_paths: int) -> list[tuple[int, int]]:
-    """(lo, hi) path ranges of the row blocks covering paths 0..n_paths-1.
-    Callers build and read each block inside one function call, so a block
-    is freed before the next one is built."""
-    step = block_rows(grid.n_points)
-    return [(lo, min(lo + step, n_paths)) for lo in range(0, n_paths, step)]
-
-
-def density_products(
-    model_family: str,
-    base: Union[str, Callable[..., DecompositionRows]],
-    grid: TimeGrid,
-    seed: SeedSpec,
-) -> PathRows:
-    """The products D * X of a model family and a base process as a
-    :class:`PathRows`: path p reads ``seed.with_path(p)`` (its model the
-    ``model`` substream), and each block of rows is built in one call."""
-    kernel = _zoo_rows(base)
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        models, dec, _ = _instances(model_family, kernel, grid, seed, lo, hi)
-        return models.d * dec.total
-
-    return PathRows(grid, block_rows(grid.n_points), rows)
-
-
 # ---------------------------------------------------------------------------
 # Equivalence suites
 # ---------------------------------------------------------------------------
@@ -607,11 +558,14 @@ def _product_at(models: ModelRows, x: np.ndarray, columns) -> np.ndarray:
     return models.d[:, columns] * x[:, columns]
 
 
-def _read_blocks(model_family: str, base_rows, grid: TimeGrid, seed: SeedSpec, sides,
+def _read_blocks(model_family: str, base: str, grid: TimeGrid, seed: SeedSpec, sides,
                  n_probe: int = 0):
     """Read what a suite needs in one pass over its row blocks, so each block
     of models and base processes is built once.
 
+    Path p reads ``seed.with_path(p)``, its model that seed's ``model``
+    substream and its base process the zoo member named ``base``, whatever
+    block it falls in; blocks hold ``block_rows(grid.n_points)`` paths.
     Each side is a pair ``(n, side)``: ``side`` maps a block ``(models, dec,
     seeds)`` to one row per path and is gathered over the first n paths.
     The zeros of the first ``n_probe`` paths are checked against H, and the
@@ -620,40 +574,46 @@ def _read_blocks(model_family: str, base_rows, grid: TimeGrid, seed: SeedSpec, s
     Returns (probe violation fraction, side matrices or None when the probe
     failed).
     """
+    if base not in PROCESS_ZOO:
+        raise ValueError(f"unknown base process {base!r}: expected a PROCESS_ZOO name")
+    kernel = PROCESS_ZOO[base]
     gathered = [[] for _ in sides]
 
     def read_block(lo: int, hi: int) -> int:
-        models, dec, seeds = _instances(model_family, base_rows, grid, seed, lo, hi)
+        # the block dies with this call, before the next one is built
+        seeds = [seed.with_path(p) for p in range(lo, hi)]
+        models = build_model_rows(model_family, grid, [s.child("model") for s in seeds])
+        dec = kernel(models, grid, seeds)
         for out, (n, side) in zip(gathered, sides):
             if lo < n:
                 out.append(side(models, dec, seeds)[: min(hi, n) - lo])
         probed = min(hi, n_probe) - lo
         return _hypothesis_violations(models, dec, probed) if probed > 0 else 0
 
+    n_paths = max(n for n, _ in sides)
+    step = block_rows(grid.n_points)
     bad = 0
-    for lo, hi in _block_bounds(grid, max(n for n, _ in sides)):
+    for lo in range(0, n_paths, step):
+        hi = min(lo + step, n_paths)
         bad += read_block(lo, hi)
         if lo < n_probe <= hi and bad / n_probe > _HYP_FRAC:
             return bad / n_probe, None
     return (bad / n_probe if n_probe else 0.0), [np.concatenate(out) for out in gathered]
 
 
-def sigma_h_panel(model_family: str, base, grid: TimeGrid, seed: SeedSpec, n_paths: int,
+def sigma_h_panel(model_family: str, base: str, grid: TimeGrid, seed: SeedSpec, n_paths: int,
                   tol=_SIGMA_TOL):
     """sigma_h statistics and verdicts of paths 0..n_paths-1 of a model family
-    and a base process, path p from ``seed.with_path(p)`` as in
-    :func:`density_products`, each block of rows built and checked in one
-    call."""
-    _, (panel,) = _read_blocks(
-        model_family, _zoo_rows(base), grid, seed, [(n_paths, _sigma_side(tol=tol))]
-    )
+    and the base process named ``base``, read as :func:`_read_blocks` reads
+    them."""
+    _, (panel,) = _read_blocks(model_family, base, grid, seed, [(n_paths, _sigma_side(tol=tol))])
     return panel[:, 0], panel[:, 1].astype(bool)
 
 
 @dataclass
 class _SuiteContext:
     model_family: str
-    base_rows: Callable[..., DecompositionRows]
+    base: str
     alpha: float
     seed: SeedSpec
     n_paths: int
@@ -673,7 +633,7 @@ class _SuiteContext:
         """:func:`_read_blocks` on this suite's paths; with ``probe`` the
         first ``_PROBE_PATHS`` of them are probed."""
         n_probe = min(_PROBE_PATHS, self.n_paths) if probe else 0
-        return _read_blocks(self.model_family, self.base_rows, self.grid, self.seed, sides, n_probe)
+        return _read_blocks(self.model_family, self.base, self.grid, self.seed, sides, n_probe)
 
     def panel(self, split=None):
         """A side of sigma_h rows gathered over the first ``n_sigma_paths``."""
@@ -796,7 +756,7 @@ def _suite_abs_brownian(ctx: _SuiteContext) -> TestReport:
     _, (read,) = ctx.read([(ctx.n_paths, half_flips)])
     rep = ctx.drift(read[:, :-1], pairs, "equivalence.abs_brownian.drift")
     horizon = ctx.grid.horizon
-    ks = law_test(LawSample(read[:, -1], horizon), SkewLaw(0.5, horizon))
+    ks = law_test(LawSample(read[:, -1]), SkewLaw(0.5, horizon))
     stat = max(rep.statistic / _THRESHOLD, ks.statistic / ks.threshold)
     return ctx.below(
         "abs_brownian", stat,
@@ -823,7 +783,7 @@ EQUIVALENCE_SUITES = {
 def equivalence_suite(
     name: str,
     model_family: str,
-    base: Union[str, Callable[..., DecompositionRows]],
+    base: str,
     alpha: float,
     seed: SeedSpec,
     n_paths: int,
@@ -842,7 +802,7 @@ def equivalence_suite(
         raise ValueError(f"unknown equivalence suite {name!r}")
     ctx = _SuiteContext(
         model_family=model_family,
-        base_rows=_zoo_rows(base),
+        base=base,
         alpha=alpha,
         seed=seed,
         n_paths=n_paths,
@@ -858,7 +818,7 @@ def equivalence_suite(
 
 
 def optional_representation_check(
-    family: Callable[..., DecompositionRows],
+    base: str,
     stopping_rule: Union[float, Callable[[np.ndarray, ModelRows], np.ndarray]],
     events: dict,
     n_paths: int,
@@ -867,7 +827,9 @@ def optional_representation_check(
     seed: SeedSpec,
     threshold: float = _THRESHOLD,
 ) -> TestReport:
-    """Weak-form check of M_T - M_{gamma_T} = E[M_inf 1{gbar < T} | F_T].
+    """Weak-form check of M_T - M_{gamma_T} = E[M_inf 1{gbar < T} | F_T] for
+    the base process named ``base``, its paths read as :func:`_read_blocks`
+    reads them.
 
     Equality of conditional expectations is tested against a finite event
     dictionary: for each event A the paired statistic
@@ -875,25 +837,18 @@ def optional_representation_check(
     standard errors.  The caller is responsible for certifying the family as
     a signed-measure martingale with M_gbar = 0 (qp_residual / drift test).
 
-    Models and processes are built a row block at a time, and a callable
-    stopping rule and the events are row functions ``(m, models)`` of a
-    block's ``(rows, n_points)`` M values and its :class:`ModelRows`: the
-    stopping rule returns one grid index per row, an event one bool per row
-    or a scalar that broadcasts to every row.
+    A callable stopping rule and the events are row functions ``(m,
+    models)`` of a block's ``(rows, n_points)`` M values and its
+    :class:`ModelRows`: the stopping rule returns one grid index per row, an
+    event one bool per row or a scalar that broadcasts to every row.
     """
     if not events:
         raise ValueError("event dictionary must not be empty")
     _require_paths(n_paths)
-
-    names = list(events)
-    diffs = np.empty(n_paths)
-    hits = {name: np.empty(n_paths, dtype=bool) for name in names}
     fixed_t = None if callable(stopping_rule) else grid.index_at(float(stopping_rule))
 
-    kernel = _zoo_rows(family)
-
-    def read_block(lo: int, hi: int) -> None:
-        models, dec, _ = _instances(model_family, kernel, grid, seed, lo, hi)
+    def side(models: ModelRows, dec: DecompositionRows, seeds) -> np.ndarray:
+        """(lhs - rhs, hit of each event) of each path."""
         m = dec.total
         t_idx = stopping_rule(m, models) if fixed_t is None else fixed_t
         t_idx = np.broadcast_to(np.asarray(t_idx, dtype=int), len(m))
@@ -901,16 +856,14 @@ def optional_representation_check(
         g_t = models.zeros.gamma[r, t_idx]
         lhs = m[r, t_idx] - m[r, g_t]
         rhs = m[:, -1] * (models.zeros.gbar < t_idx)
-        diffs[lo:hi] = lhs - rhs
-        for name in names:
-            hits[name][lo:hi] = np.asarray(events[name](m, models), dtype=bool)
+        hits = [np.broadcast_to(np.asarray(event(m, models), dtype=bool), len(m))
+                for event in events.values()]
+        return np.column_stack([lhs - rhs] + hits)
 
-    for lo, hi in _block_bounds(grid, n_paths):
-        read_block(lo, hi)
-
+    _, (read,) = _read_blocks(model_family, base, grid, seed, [(n_paths, side)])
     worst, worst_name = 0.0, ""
-    for name in names:
-        stat = _t_stat(diffs * hits[name])
+    for j, name in enumerate(events, start=1):
+        stat = _t_stat(read[:, 0] * read[:, j])
         if stat >= worst:
             worst, worst_name = stat, name
     return TestReport.below(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excursion import ExcursionRows, ExcursionSet
-from .grid_paths import SamplePath, SeedSpec, TimeGrid, _draw_streams, stream_states
+from .grid_paths import SamplePath, SeedSpec, TimeGrid, _check_aligned, _draw_streams, stream_states
 
 __all__ = [
     "AlphaSchedule",
@@ -185,8 +185,7 @@ def draw_sign_path(
 
 def apply_sign(sign: SamplePath, path: SamplePath, mode: str = "signed") -> SamplePath:
     """Pointwise product Z*X (signed) or Z*|X| (absolute)."""
-    if not sign.grid.same_as(path.grid):
-        raise ValueError("sign path and target path live on different grids")
+    _check_aligned(sign, path)
     if mode == "signed":
         values = sign.values * path.values
     elif mode == "absolute":

@@ -25,11 +25,12 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .excursion import ExcursionRows, dilate
-from .grid_paths import SamplePath, SeedSpec, _check_finite, _draw_streams, stream_states
+from .grid_paths import (
+    SamplePath, SeedSpec, _check_aligned, _check_finite, _draw_streams, stream_states
+)
 from .localtime import (
     OCCUPATION_EXPONENT,
     ResidualReport,
-    _check_aligned,
     _increments_in_place,
     _occupation,
     ito_rows,
@@ -40,6 +41,7 @@ from .signed_measure import (
     DecompositionRows,
     HypothesisNotMetError,
     InsufficientSamplesError,
+    MIN_PATHS,
     ModelRows,
     TestReport,
     qp_residual,
@@ -68,7 +70,6 @@ class LawSample:
     """Terminal values of iid construction runs at one fixed time."""
 
     values: np.ndarray
-    t: float
     tag: str = ""
 
     def __post_init__(self):
@@ -185,8 +186,7 @@ def sde_residual(
     the 2 alpha (1 - alpha) fraction of boundaries that flipped and
     underestimates the local time by exactly that factor.
     """
-    if not x_alpha.grid.same_as(sign.grid):
-        raise ValueError("constructed path and sign path live on different grids")
+    _check_aligned(x_alpha, sign)
     w = _driving_noise(driver, sign, variant)
     x = x_alpha.values
     residual = x - x[0]
@@ -483,7 +483,7 @@ def harrison_shepp_terminals(
     out = np.empty(n_walks)
     for rows, terminals in _run_chunks(n_walks, chunk, job):
         out[rows] = terminals
-    return LawSample(out / math.sqrt(n_steps), t=1.0, tag=f"hs_walk[alpha={alpha:g}]")
+    return LawSample(out / math.sqrt(n_steps), tag=f"hs_walk[alpha={alpha:g}]")
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +628,7 @@ def skew_terminal_samples(
         for out, v in zip(outs, values):
             out[rows] = v
     return [
-        LawSample(out, t=1.0, tag=f"skew[{variant},{sched.kind}]")
+        LawSample(out, tag=f"skew[{variant},{sched.kind}]")
         for out, sched in zip(outs, schedules)
     ]
 
@@ -713,12 +713,12 @@ def law_test(
     handle: one-sample KS (midpoint convention) at the same level; the
     detail also reports the sign-probability discrepancy.
     """
-    if samples_a.n < 1000:
-        raise InsufficientSamplesError(f"need at least 1000 samples, got {samples_a.n}")
+    if samples_a.n < MIN_PATHS:
+        raise InsufficientSamplesError(f"need at least {MIN_PATHS} samples, got {samples_a.n}")
     if isinstance(reference, LawSample):
-        if reference.n < 1000:
+        if reference.n < MIN_PATHS:
             raise InsufficientSamplesError(
-                f"need at least 1000 reference samples, got {reference.n}"
+                f"need at least {MIN_PATHS} reference samples, got {reference.n}"
             )
         ref_values = reference.values
         note = ""

@@ -29,7 +29,6 @@ from skewlab.signed_measure import (
     DecompositionRows,
     PROCESS_ZOO,
     build_model,
-    density_products,
     equivalence_suite,
     martingale_drift_test,
     optional_representation_check,
@@ -257,8 +256,7 @@ def test_criterion_08_martingale_drift():
     stats = {}
     for name in ("bm", "bm_plus_local_time", "bm_plus_drift"):
         stats[name] = martingale_drift_test(
-            density_products("shifted_brownian", name, g, SEED.child(f"c8/{name}")),
-            10_000, [0.5, 1.0], seed=SEED,
+            "shifted_brownian", name, g, SEED.child(f"c8/{name}"), 10_000, [0.5, 1.0]
         ).statistic
     ok = stats["bm"] < 4 and stats["bm_plus_local_time"] < 4 and stats["bm_plus_drift"] > 5
     announce(
@@ -334,7 +332,7 @@ def test_criterion_11_optional_representation():
     for model_fam, base in (("trivial", "bm"), ("shifted_brownian", "bm_minus_frozen")):
         for t_stop in (0.5, 1.0):
             rep = optional_representation_check(
-                PROCESS_ZOO[base], t_stop, events, N_LAW, model_fam, g,
+                base, t_stop, events, N_LAW, model_fam, g,
                 SEED.child(f"c11/{model_fam}/{t_stop:g}"),
             )
             stats[f"{model_fam}@T={t_stop:g}"] = rep.statistic

@@ -30,10 +30,8 @@ from skewlab.signed_measure import (
     PROCESS_ZOO,
     DecompositionRows,
     ModelRows,
-    PathRows,
     build_model,
     build_model_rows,
-    density_products,
     equivalence_suite,
     martingale_drift_test,
     optional_representation_check,
@@ -179,15 +177,9 @@ def test_sign_path_rows_of_large_blocks_equal_draw_sign_path(n_rows, n_steps, pi
         assert same_bits(row, one.values)
 
 
-def per_path_products(model_family, base, grid, seed):
-    """The products D * X path by path, read as one-row blocks."""
-
-    def rows(lo, hi):
-        s = seed.with_path(lo)
-        model = build_model(model_family, grid, s.child("model"))
-        return model.d * PROCESS_ZOO[base](model, grid, [s]).total
-
-    return PathRows(grid, 1, rows)
+def run_at_block_size(elements, fn):
+    with drift_matrices() as seen, block_elements(elements):
+        return fn(), seen
 
 
 @settings(max_examples=12, deadline=None)
@@ -199,23 +191,17 @@ def per_path_products(model_family, base, grid, seed):
     elements=st.integers(1, 400),
 )
 def test_drift_matrix_equals_per_path_family(base, model_family, n_steps, extra, elements):
-    grid = make_grid(1.0, n_steps)
-    seed = SeedSpec(MASTER, f"dm/{base}")
-    n = 1000 + extra
-    with drift_matrices() as seen, block_elements(elements):
-        blocked = martingale_drift_test(
-            density_products(model_family, base, grid, seed), n, [0.25, 0.5, 1.0]
+    # one row per block is the per-path family
+    def run():
+        return martingale_drift_test(
+            model_family, base, make_grid(1.0, n_steps), SeedSpec(MASTER, f"dm/{base}"),
+            1000 + extra, [0.25, 0.5, 1.0],
         )
-        one_row = martingale_drift_test(
-            per_path_products(model_family, base, grid, seed), n, [0.25, 0.5, 1.0]
-        )
+
+    one_row, (seen_one,) = run_at_block_size(1, run)
+    blocked, (seen_blocked,) = run_at_block_size(elements, run)
     assert blocked == one_row
-    assert same_bits(seen[0], seen[1])
-
-
-def run_at_block_size(elements, fn):
-    with drift_matrices() as seen, block_elements(elements):
-        return fn(), seen
+    assert same_bits(seen_blocked, seen_one)
 
 
 @settings(max_examples=16, deadline=None)
@@ -265,7 +251,7 @@ def test_representation_block_size_free(model_family, base, n_steps, callable_st
 
     def run():
         return optional_representation_check(
-            PROCESS_ZOO[base], first_exit if callable_stop else 0.5, events,
+            base, first_exit if callable_stop else 0.5, events,
             1000 + extra, model_family, grid, SeedSpec(MASTER, "repb"),
         )
 
@@ -364,7 +350,7 @@ def test_check_kernels_equal_one_row_on_nonnegative_rows(n_rows, n_steps, reflec
 def test_later_blocks_leave_handed_out_paths_unchanged():
     grid = make_grid(1.0, 32)
     ctx = signed_measure._SuiteContext(
-        "shifted_brownian", PROCESS_ZOO["reflected_bm"], 0.7, SeedSpec(MASTER, "frz"),
+        "shifted_brownian", "reflected_bm", 0.7, SeedSpec(MASTER, "frz"),
         1000, grid, 12,
     )
     handed = []
@@ -389,7 +375,9 @@ def test_later_blocks_leave_handed_out_paths_unchanged():
             model.d[0, 0] = 1.0
 
 
-def test_sigma_h_suite_checks_each_split_once(tmp_path):
+def split_checks(fn):
+    """The rows of each split checked, so of each ``DecompositionRows``
+    built, while ``fn`` runs at one row per block."""
     calls = []
     check = signed_measure._check_split
 
@@ -400,12 +388,34 @@ def test_sigma_h_suite_checks_each_split_once(tmp_path):
     signed_measure._check_split = spy
     try:
         with block_elements(1):
-            cfg = config_from_pairs({"suite": "sigma_h", "steps": "64", "seeds": "9",
-                                     "out": str(tmp_path)})
-            run_experiment(cfg)
+            fn()
     finally:
         signed_measure._check_split = check
-    assert calls == [1] * (3 * 9)
+    return calls
+
+
+def test_sigma_h_suite_checks_each_split_once(tmp_path):
+    cfg = config_from_pairs({"suite": "sigma_h", "steps": "64", "seeds": "9",
+                             "out": str(tmp_path)})
+    assert split_checks(lambda: run_experiment(cfg)) == [1] * (3 * 9)
+
+
+GRID16 = make_grid(1.0, 16)
+
+
+@pytest.mark.parametrize("run", [
+    lambda seed: martingale_drift_test("shifted_brownian", "bm", GRID16, seed, 1000, [0.5, 1.0]),
+    lambda seed: optional_representation_check(
+        "bm_minus_frozen", 0.5, {"omega": lambda m, models: True}, 1000, "shifted_brownian",
+        GRID16, seed,
+    ),
+    lambda seed: signed_measure.sigma_h_panel("trivial", "reflected_bm", GRID16, seed, 1000),
+    lambda seed: equivalence_suite("abs_mart", "trivial", "shifted_bm", 0.7, seed, 1000,
+                                   grid=GRID16),
+], ids=["drift", "representation", "sigma_h_panel", "abs_mart"])
+def test_block_readers_build_each_path_once(run):
+    # every side of a suite reads the one block built for its paths
+    assert split_checks(lambda: run(SeedSpec(MASTER, "once"))) == [1] * 1000
 
 
 #: report rows (suite, repr(statistic), repr(threshold), n_paths, n_steps,

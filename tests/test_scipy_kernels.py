@@ -73,8 +73,8 @@ def test_density_and_cdf_equal_scipy_stats(alpha, t):
 @pytest.mark.parametrize("level", [0.01])
 def test_law_test_critical_value_equals_kstwobign(level):
     rng = np.random.default_rng(5)
-    sample = LawSample(rng.standard_normal(1500), 1.0)
-    other = LawSample(rng.standard_normal(2100), 1.0)
+    sample = LawSample(rng.standard_normal(1500))
+    other = LawSample(rng.standard_normal(2100))
     c_level = float(kstwobign.isf(level))
     one = law_test(sample, SkewLaw(0.5, 1.0))
     assert same_bits(one.threshold, c_level / math.sqrt(1500) + 0.0)

@@ -5,17 +5,15 @@ import pytest
 
 from skewlab import signed_measure
 from skewlab.excursion import decompose_excursions
-from skewlab.grid_paths import SamplePath, SeedSpec, block_rows, make_grid, sample_brownian
+from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, sample_brownian
 from skewlab.localtime import covariation_rows, ito_sum, local_time
 from skewlab.signed_measure import (
     DecompositionRows,
     InsufficientSamplesError,
     PROCESS_ZOO,
     ModelRows,
-    PathRows,
     build_model,
     build_model_rows,
-    density_products,
     equivalence_suite,
     martingale_drift_test,
     optional_representation_check,
@@ -232,50 +230,53 @@ class TestCarriedBy:
         assert carried_by(grid12.times, mask) < 0.5
 
 
-def product_family(base, label, n_steps=2**11, model_family="shifted_brownian"):
-    """D * X with path p from ``SeedSpec(MASTER, label, p)``."""
-    return density_products(model_family, base, make_grid(1.0, n_steps), SeedSpec(MASTER, label))
+def drift_test(base, label, n_paths, checkpoints, n_steps=2**11):
+    """Drift test of D * X on the shifted model, path p from
+    ``SeedSpec(MASTER, label, p)``."""
+    return martingale_drift_test(
+        "shifted_brownian", base, make_grid(1.0, n_steps), SeedSpec(MASTER, label), n_paths,
+        checkpoints,
+    )
 
 
 class TestMartingaleDrift:
-    def test_dw_passes(self, seed):
-        rep = martingale_drift_test(
-            product_family("bm", "drift"), 10_000, [0.5, 1.0], seed=seed
-        )
+    def test_dw_passes(self):
+        rep = drift_test("bm", "drift", 10_000, [0.5, 1.0])
         assert rep.passed
         assert rep.statistic < 4.0
 
-    def test_local_time_compensation_passes(self, seed):
-        rep = martingale_drift_test(
-            product_family("bm_plus_local_time", "drift"), 10_000, [0.5, 1.0], seed=seed
-        )
+    def test_local_time_compensation_passes(self):
+        rep = drift_test("bm_plus_local_time", "drift", 10_000, [0.5, 1.0])
         assert rep.passed
 
-    def test_drift_control_fails_loudly(self, seed):
-        rep = martingale_drift_test(
-            product_family("bm_plus_drift", "drift"), 10_000, [0.5, 1.0], seed=seed
-        )
+    def test_drift_control_fails_loudly(self):
+        rep = drift_test("bm_plus_drift", "drift", 10_000, [0.5, 1.0])
         assert not rep.passed
         assert rep.statistic > 5.0
 
-    def test_insufficient_samples(self, seed):
+    def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamplesError):
-            martingale_drift_test(product_family("bm", "drift"), 500, [1.0], seed=seed)
+            drift_test("bm", "drift", 500, [1.0])
+
+    def test_report_carries_seed(self):
+        assert drift_test("bm", "drift", 1000, [1.0], n_steps=16).seed == SeedSpec(MASTER, "drift")
 
     def test_relative_martingale_detected_as_drifting(self, seed):
         # W - W_gamma resets to zero at predictable times with a nonzero
         # conditional mean, so it is a relative martingale but not a
-        # martingale; the weighted drift test sees the resets
+        # martingale; the weighted drift test, read on X itself rather than
+        # on D * X, sees the resets
         g = make_grid(1.0, 2**10)
-
-        def rows(lo, hi):
-            seeds = [SeedSpec(MASTER, "wmg", p) for p in range(lo, hi)]
-            models = build_model_rows("shifted_brownian", g, [s.child("model") for s in seeds])
-            return PROCESS_ZOO["bm_minus_frozen"](models, g, seeds).total
-
-        fam = PathRows(g, block_rows(g.n_points), rows)
-        rep = martingale_drift_test(fam, 20_000, [0.25, 0.5, 1.0], seed=seed)
+        pairs = signed_measure._checkpoint_pairs(20_000, [0.25, 0.5, 1.0])
+        columns = signed_measure._checkpoint_columns(g, pairs)
+        _, (values,) = signed_measure._read_blocks(
+            "shifted_brownian", "bm_minus_frozen", g, SeedSpec(MASTER, "wmg"),
+            [(20_000, lambda models, dec, seeds: dec.total[:, columns])],
+        )
+        rep = signed_measure._drift_report(values, g, pairs, seed, 4.0, "martingale_drift")
         assert not rep.passed
+        # recorded when the test read its paths through its own block loop
+        assert rep.statistic == 15.492420389376361
 
 
 class TestSigmaH:
@@ -361,12 +362,12 @@ class TestEquivalenceSuites:
             equivalence_suite("gilat", "trivial", "bm", 0.5, SeedSpec(MASTER), 2000)
 
     def test_unknown_base(self):
-        # a base is a zoo name or a zoo member; a per-path factory outside
-        # the zoo has no row kernel
+        # a base is named by its zoo name only: neither a zoo member nor a
+        # per-path factory outside the zoo is one
         def custom(model, grid, seed):
             return PROCESS_ZOO["bm"](model, grid, seed)
 
-        for base in ("levy", custom):
+        for base in ("levy", custom, PROCESS_ZOO["bm"]):
             with pytest.raises(ValueError, match="unknown base process"):
                 equivalence_suite("abs_mart", "trivial", base, 0.5, SeedSpec(MASTER), 2000)
 
@@ -381,7 +382,7 @@ class TestOptionalRepresentation:
         g = make_grid(1.0, 2**10)
         for t_stop in (0.5, 1.0):
             rep = optional_representation_check(
-                PROCESS_ZOO["bm"], t_stop, self.EVENTS, 20_000,
+                "bm", t_stop, self.EVENTS, 20_000,
                 "trivial", g, SeedSpec(MASTER, f"rep/{t_stop}"),
             )
             assert rep.passed, rep.detail
@@ -391,7 +392,7 @@ class TestOptionalRepresentation:
         # representation identity genuinely fails for it before the horizon
         g = make_grid(1.0, 2**10)
         rep = optional_representation_check(
-            PROCESS_ZOO["bm_minus_frozen"], 0.5, self.EVENTS, 20_000,
+            "bm_minus_frozen", 0.5, self.EVENTS, 20_000,
             "shifted_brownian", g, SeedSpec(MASTER, "repneg"),
         )
         assert not rep.passed
@@ -405,7 +406,7 @@ class TestOptionalRepresentation:
             return np.where(above.any(axis=1), above.argmax(axis=1), g.n_steps)
 
         rep = optional_representation_check(
-            PROCESS_ZOO["bm"], hit_or_horizon, {"omega": lambda m, models: True},
+            "bm", hit_or_horizon, {"omega": lambda m, models: True},
             20_000, "trivial", g, SeedSpec(MASTER, "rephit"),
         )
         assert rep.passed, rep.detail
@@ -413,20 +414,20 @@ class TestOptionalRepresentation:
     def test_empty_events_rejected(self, grid12, seed):
         with pytest.raises(ValueError):
             optional_representation_check(
-                PROCESS_ZOO["bm"], 1.0, {}, 2000, "trivial", grid12, seed
+                "bm", 1.0, {}, 2000, "trivial", grid12, seed
             )
 
     def test_insufficient_samples(self, grid12, seed):
         with pytest.raises(InsufficientSamplesError):
             optional_representation_check(
-                PROCESS_ZOO["bm"], 1.0, self.EVENTS, 100, "trivial", grid12, seed
+                "bm", 1.0, self.EVENTS, 100, "trivial", grid12, seed
             )
 
 
 class TestDeterminism:
-    def test_drift_report_reproducible(self, seed):
-        a = martingale_drift_test(product_family("bm", "det"), 2000, [1.0], seed=seed)
-        b = martingale_drift_test(product_family("bm", "det"), 2000, [1.0], seed=seed)
+    def test_drift_report_reproducible(self):
+        a = drift_test("bm", "det", 2000, [1.0])
+        b = drift_test("bm", "det", 2000, [1.0])
         assert a == b
 
     def test_suite_report_reproducible(self):

@@ -353,14 +353,16 @@ class TestSdeResidual:
 
     @pytest.mark.parametrize("variant", ["signed", "absolute"])
     def test_driver_on_another_grid_rejected(self, seed, variant):
-        # a driver at horizon 2 against a sign path at horizon 1, both of 64
-        # steps: the same number of points, on different grids
-        x, _, z, sched = self._construction(seed, 64, 0.7, variant)
-        driver = sample_brownian(make_grid(2.0, 64), seed.child("base"))
+        # a driver, and then a constructed path, at horizon 2 against a sign
+        # path at horizon 1, all of 64 steps: the same number of points, on
+        # different grids
+        x, p, z, sched = self._construction(seed, 64, 0.7, variant)
+        other = sample_brownian(make_grid(2.0, 64), seed.child("base"))
         with pytest.raises(ValueError, match="paths live on different grids"):
-            _driving_noise(driver, z, variant)
-        with pytest.raises(ValueError, match="paths live on different grids"):
-            sde_residual(x, driver, z, sched, variant)
+            _driving_noise(other, z, variant)
+        for x_alpha, driver in ((x, other), (other, p)):
+            with pytest.raises(ValueError, match="paths live on different grids"):
+                sde_residual(x_alpha, driver, z, sched, variant)
 
     def test_signed_variant_residual_does_not_vanish(self):
         # flipping the signed driver re-randomizes excursion signs that are
@@ -714,7 +716,7 @@ class TestTerminalSamplers:
             s = SeedSpec(MASTER, "pp").with_path(k)
             out = build_skew("absolute", sched, *trivial_inputs(grid, s), s.child("signs"))
             terminals.append(out.values[-1])
-        rep = law_test(LawSample(np.array(terminals), 1.0), SkewLaw(0.7, 1.0))
+        rep = law_test(LawSample(np.array(terminals)), SkewLaw(0.7, 1.0))
         assert rep.passed
 
     def test_signed_flip_of_brownian_driver_stays_symmetric(self):
@@ -730,8 +732,8 @@ class TestTerminalSamplers:
 class TestLawTest:
     def test_identical_sample_distance_zero(self):
         vals = np.random.default_rng(MASTER).standard_normal(2000)
-        a = LawSample(vals, 1.0, "a")
-        rep = law_test(a, LawSample(vals.copy(), 1.0, "b"))
+        a = LawSample(vals, "a")
+        rep = law_test(a, LawSample(vals.copy(), "b"))
         assert rep.statistic == 0.0
         assert rep.passed
 
@@ -739,13 +741,13 @@ class TestLawTest:
         passes = 0
         for i in range(10):
             rng = np.random.default_rng(MASTER + i)
-            a = LawSample(rng.standard_normal(100_000), 1.0)
-            b = LawSample(rng.standard_normal(100_000), 1.0)
+            a = LawSample(rng.standard_normal(100_000))
+            b = LawSample(rng.standard_normal(100_000))
             passes += law_test(a, b).passed
         assert passes >= 8
 
     def test_insufficient_samples(self):
-        a = LawSample(np.zeros(10), 1.0)
+        a = LawSample(np.zeros(10))
         with pytest.raises(InsufficientSamplesError):
             law_test(a, SkewLaw(0.5, 1.0))
 

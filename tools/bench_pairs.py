@@ -20,6 +20,11 @@ per pair and its median change in percent.  Every metric is one where lower
 is better.  Each workload gets its own entry: run the script once per
 workload with the same ``--out``, and an existing file keeps the other
 workloads' entries.
+
+A benchmark run prints its metrics even when its output was wrong, so each
+entry also counts, per side, the runs that printed ``"correct": false`` or
+failed an operation; when any did, the script still writes the file but
+exits 1.
 """
 
 from __future__ import annotations
@@ -103,6 +108,15 @@ def summarise(runs: list[dict]) -> dict:
     return out
 
 
+def incorrect_runs(runs: list[dict]) -> dict:
+    """Per side, the runs that were not correct or failed an operation."""
+    counts = {"parent": 0, "change": 0}
+    for run in runs:
+        result = run["result"]
+        counts[run["side"]] += not result["correct"] or result["failed"] > 0
+    return counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -134,17 +148,22 @@ def main(argv=None) -> int:
         with open(args.out) as f:
             doc = json.load(f)
     doc["machine"] = _machine(args.change)
+    incorrect = incorrect_runs(runs)
     doc["workloads"][args.workload] = {
         "src_sha256": {side: _source_digest(path) for side, path in sides.items()},
         "command": ["perfbench/run.py", "--workload", args.workload, "--seed", "<seed>",
                     "--seconds", f"{args.seconds:g}", "--trace", str(args.trace)],
         "seeds": seeds,
         "summary": summarise(runs),
+        "incorrect_runs": incorrect,
         "runs": runs,
     }
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
+    if any(incorrect.values()):
+        print(f"incorrect or failing runs: {incorrect}", file=sys.stderr)
+        return 1
     return 0
 
 
