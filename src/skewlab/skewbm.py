@@ -18,9 +18,10 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -216,22 +217,48 @@ def _usable_cpus() -> int:
     return cpus or 1
 
 
+#: bytes of rows a sampler worker holds at a time: the bulk sampler's base
+#: path and sign uniform blocks, and the walk's step table and uniform blocks
+_BLOCK_BYTES = 2 << 20
+
+
+def _block_rows(row_bytes: int) -> int:
+    """As many ``row_bytes`` rows as fit in ``_BLOCK_BYTES``, at least one."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
+def _row_blocks(m: int, row_bytes: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` bounds of rows 0..m-1 in order, in blocks of
+    :func:`_block_rows` rows."""
+    rows = _block_rows(row_bytes)
+    return [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
+
+
 def _run_chunks(
     n_items: int, chunk: int, job: Callable[[int, int, int], Callable[[], object]]
-) -> list[tuple[slice, object]]:
+) -> Iterator[tuple[slice, object]]:
     """Items 0..n_items-1 in chunks of ``chunk``, run concurrently on a thread
     pool (one worker per usable CPU, at most one per chunk).
 
     ``job(c, lo, hi)`` runs in the calling thread and returns the
     zero-argument callable a worker runs for chunk c, so streams and
-    generators are built here and the workers run numpy only.  Returns each
-    chunk's output slice and result, in chunk order.
+    generators are built here and the workers run numpy only.  Chunk c is
+    prepared only once chunk c - workers has been collected, so at most one
+    chunk per worker is prepared and not yet collected, however many chunks
+    there are.  Yields each chunk's output slice and result, in chunk order.
     """
     _check_count("chunk", chunk)
     bounds = [slice(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
-    with ThreadPoolExecutor(max_workers=max(1, min(len(bounds), _usable_cpus()))) as pool:
-        futures = [pool.submit(job(c, b.start, b.stop)) for c, b in enumerate(bounds)]
-        return [(b, future.result()) for b, future in zip(bounds, futures)]
+    workers = max(1, min(len(bounds), _usable_cpus()))
+    pending = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for c, b in enumerate(bounds):
+            if len(pending) == workers:
+                done, future = pending.popleft()
+                yield done, future.result()
+            pending.append((b, pool.submit(job(c, b.start, b.stop))))
+        for done, future in pending:
+            yield done, future.result()
 
 
 def _check_time(t: float) -> None:
@@ -374,75 +401,92 @@ class SkewLaw:
 # Harrison-Shepp skew random walk
 # ---------------------------------------------------------------------------
 
-#: walks whose uniforms are drawn and coded before being transposed into the
-#: quad table
-_WALK_BLOCK = 32
+@functools.lru_cache(maxsize=2)
+def _octet_steps(from_zero_up: bool) -> np.ndarray:
+    """Change of e = ups - 4r over the eight steps from step 8r, by table
+    entry plus clip(e, -4, 4), with ups the up-steps so far: the state at
+    step 8r is 2e.  The table depends on alpha only through
+    ``from_zero_up`` (alpha >= 1/2), so each of the two is built once and
+    kept read-only.
 
-
-def _quad_steps(alpha: float) -> np.ndarray:
-    """Up-steps of one quad (four steps from step 4q) by table entry plus
-    clip(d, -2, 2), with d = ups - 2q: the state at step 4q is 2d.
-
-    An even step's code e = [u < alpha] + [u < 1/2] takes it up from any
-    state when e = 2 and from none when e = 0; one comparison implies the
-    other, so e = 1 takes it up from 0 iff alpha >= 1/2 and elsewhere iff
-    alpha < 1/2.  An odd step never starts from 0 and goes up iff its code
-    o = [u < 1/2].  Steps 4q and 4q + 2 start from 0 iff d = 0 and
-    d + (up-steps at 4q, 4q + 1) = 1; neither holds once |d| >= 2, which is
-    why d can be clipped.
+    A step's code c = [u < alpha] + [u < 1/2] takes it up from any state
+    when c = 2 and from none when c = 0; one comparison implies the other,
+    so c = 1 takes it up from 0 iff alpha >= 1/2 and elsewhere iff
+    alpha < 1/2.  Step 8r + j starts from 0 iff 2 * (e + up-steps since step
+    8r) = j; for j < 8 that never holds once |e| >= 4, which is why e can be
+    clipped.
     """
-    e0, o1, e2, o3, d = np.ix_(range(3), range(2), range(3), range(2), range(-2, 3))
+    *codes, e = np.ix_(*[range(3)] * 8, range(-4, 5))
+    ups = 0
+    for j, c in enumerate(codes):
+        from_zero = 2 * (e + ups) == j
+        ups = ups + ((c == 2) | ((c == 1) & (from_zero == from_zero_up)))
+    steps = (ups - 4).ravel()
+    steps.flags.writeable = False
+    return steps
 
-    def up(e, from_zero):
-        return (e == 2) | ((e == 1) & (from_zero == (alpha >= 0.5)))
 
-    first = up(e0, d == 0) + o1
-    return (first + up(e2, d + first == 1) + o3).ravel()
+def _walk_octets(states: Sequence[tuple[int, int]], n_steps: int, alpha: float) -> np.ndarray:
+    """Step table of the walks with PCG64 ``states``: entry (r, i) codes
+    steps 8r to 8r + 7 of walk i in one uint16.
 
-
-def _walk_quads(states: Sequence[tuple[int, int]], n_steps: int, alpha: float) -> np.ndarray:
-    """Quad table of the walks with PCG64 ``states``: entry (q, i) codes
-    steps 4q to 4q + 3 of walk i in one byte.
-
-    A pair of steps (an even step's e, then an odd step's o, as in
-    :func:`_quad_steps`) has code 2e + o in 0..5, a quad has code
-    6 * (first pair's) + second pair's in 0..35, and the entry is
-    5 * code + 2, the index of (code, d = 0) in :func:`_quad_steps`.  Row q
-    holds quad q of every walk, so the step loop reads one contiguous row
-    per quad.  Uniforms are drawn and coded ``_WALK_BLOCK`` walks at a time
-    and transposed into the table block by block; padding past n_steps
-    leaves uniforms of 1, which add no up-step.
+    An octet's code is the base-3 number of its eight steps' codes c (as in
+    :func:`_octet_steps`, first step first), in 0..6560, and the entry is
+    9 * code + 4, the index of (code, e = 0) in :func:`_octet_steps`.  Row r
+    holds octet r of every walk, so the step loop reads one contiguous row
+    per octet.  Uniforms are drawn and coded in :func:`_row_blocks` blocks of
+    walks and transposed into the table block by block; padding past
+    n_steps leaves uniforms of 1, which add no up-step.
     """
     m = len(states)
-    n_quads = (n_steps + 3) // 4
-    table = np.empty((n_quads, m), dtype=np.uint8)
-    u = np.ones((_WALK_BLOCK, 4 * n_quads))
-    for b in range(0, m, _WALK_BLOCK):
-        k = min(_WALK_BLOCK, m - b)
-        _draw_streams(states[b:b + k], lambda rng, row: rng.random(out=row[:n_steps]), u[:k])
-        even, odd = u[:k, 0::2], u[:k, 1::2]
-        pair = np.add(even < alpha, even < 0.5, dtype=np.uint8)
-        pair <<= 1
-        pair += odd < 0.5
-        table[:, b:b + k] = (30 * pair[:, 0::2] + 5 * pair[:, 1::2] + 2).T
+    n_octets = -(-n_steps // 8)
+    table = np.empty((n_octets, m), dtype=np.uint16)
+    blocks = _row_blocks(m, 8 * n_steps)
+    u = np.ones((blocks[0][1], 8 * n_octets))
+    codes = np.empty(u.shape, dtype=np.uint8)
+    below_half = np.empty(u.shape, dtype=bool)
+    for lo, hi in blocks:
+        k = hi - lo
+        _draw_streams(states[lo:hi], lambda rng, row: rng.random(out=row[:n_steps]), u[:k])
+        c = codes[:k]
+        np.less(u[:k], alpha, out=c.view(bool))
+        c += np.less(u[:k], 0.5, out=below_half[:k])
+        # merge neighbouring codes in place, little-endian: a uint16 lane
+        # of two codes (c0, c1) times 3 * 2**8 + 1 holds 3 * c0 + c1 in its
+        # high byte, which the shift brings down; lanes of 4 and of 8 steps
+        # merge two halves the same way, the last one scaled by 9
+        pairs = c.view(np.uint16)
+        pairs *= 3 << 8 | 1
+        pairs >>= 8
+        quads = c.view(np.uint32)
+        quads *= 9 << 16 | 1
+        quads >>= 16
+        octets = c.view(np.uint64)
+        octets *= 729 << 32 | 9
+        octets >>= 32
+        np.add(octets.T, 4, out=table[:, lo:hi], casting="unsafe")
     return table
 
 
 def _walk_terminals(states: Sequence[tuple[int, int]], n_steps: int, alpha: float) -> np.ndarray:
     """Integer terminal states of the skew walks with PCG64 ``states``.
 
-    The state after j steps is 2 * ups - j, with ups the number of up-steps
-    so far; each quad looks its up-steps up at its entry plus
-    clip(ups - 2q, -2, 2).
+    Each octet r adds to e = ups - 4r its entry in :func:`_octet_steps` at
+    its table entry plus clip(e, -4, 4); the padded octets end at ups - 4 *
+    n_octets, so the state after n_steps is 2 * e + 8 * n_octets - n_steps.
     """
-    steps = _quad_steps(alpha)
-    ups = np.zeros(len(states), dtype=np.int64)
-    d = np.empty_like(ups)
-    for q, quad in enumerate(_walk_quads(states, n_steps, alpha)):
-        np.clip(np.subtract(ups, 2 * q, out=d), -2, 2, out=d)
-        d += quad
-        ups += steps[d]
-    return 2 * ups - n_steps
+    steps = _octet_steps(alpha >= 0.5)
+    table = _walk_octets(states, n_steps, alpha)
+    e = np.zeros(len(states), dtype=np.int64)
+    d = np.empty_like(e)
+    change = np.empty_like(e)
+    for octet in table:
+        np.clip(e, -4, 4, out=d)
+        d += octet
+        # every index is in range, so "clip" only skips the bounds check
+        np.take(steps, d, out=change, mode="clip")
+        e += change
+    return 2 * e + 8 * len(table) - n_steps
 
 
 def harrison_shepp_terminals(
@@ -461,27 +505,33 @@ def harrison_shepp_terminals(
     fixed by k alone: unlike the bulk sampler's, this output depends on
     neither ``chunk`` nor the worker count nor the walk block size.
 
-    The calling thread derives each chunk's walk streams with
-    :func:`~skewlab.grid_paths.stream_states`; the chunks then run
-    concurrently on a thread pool (one worker per usable CPU, at most one
-    per chunk).  A worker sets a Generator to each walk's state in turn,
-    draws and codes its uniforms and steps the walks; the draws and the array passes
-    release the interpreter lock.  It writes only its own slice of the
-    output, so the result is bit-identical to a serial run.  Each
-    worker holds one quad table of ceil(n_steps / 4) * chunk bytes (8 MiB
-    at the default chunk and 2**12 steps) and one block of 32 * n_steps
-    float64 uniforms with their codes.
+    Walks run in units of at most ``chunk`` walks and at most
+    ``_BLOCK_BYTES`` of step table (2048 walks at 2**12 steps).  The calling
+    thread derives a unit's walk streams with
+    :func:`~skewlab.grid_paths.stream_states` when a worker is free to take
+    it; the units run concurrently on a thread pool (one worker per usable
+    CPU, at most one per unit).  A worker sets a Generator to each walk's
+    state in turn, draws and codes its uniforms and steps the walks; the
+    draws and the array passes release the interpreter lock.  It writes only
+    its own slice of the output, so the result is bit-identical to a serial
+    run.  Each worker holds one step table of about 2 MiB (two bytes per
+    eight steps of each walk) and one block of about 2 MiB of float64
+    uniforms with their codes, whatever n_steps up to 2**18 (past that, one
+    walk and one row).
     """
     _check_alpha(alpha)
     _check_count("n_steps", n_steps)
     _check_count("n_walks", n_walks)
+    _check_count("chunk", chunk)
+    # two bytes of step table per eight steps of a walk
+    unit = min(chunk, _block_rows(2 * -(-n_steps // 8)))
 
     def job(c: int, lo: int, hi: int):
         states = stream_states([seed.with_path(k) for k in range(lo, hi)])
         return functools.partial(_walk_terminals, states, n_steps, alpha)
 
     out = np.empty(n_walks)
-    for rows, terminals in _run_chunks(n_walks, chunk, job):
+    for rows, terminals in _run_chunks(n_walks, unit, job):
         out[rows] = terminals
     return LawSample(out / math.sqrt(n_steps), tag=f"hs_walk[alpha={alpha:g}]")
 
@@ -489,17 +539,6 @@ def harrison_shepp_terminals(
 # ---------------------------------------------------------------------------
 # Batched terminal sampling of the construction
 # ---------------------------------------------------------------------------
-
-#: bytes of rows the bulk sampler holds at a time: it draws and scans its
-#: base paths, and draws its sign uniforms, in row blocks of about this size
-_BLOCK_BYTES = 2 << 20
-
-
-def _row_blocks(m: int, row_bytes: int) -> list[tuple[int, int]]:
-    """``(lo, hi)`` bounds of rows 0..m-1 in order, in blocks of as many
-    ``row_bytes`` rows as fit in ``_BLOCK_BYTES`` (at least one)."""
-    rows = max(1, _BLOCK_BYTES // row_bytes)
-    return [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
 
 
 def _base_rows(

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 
 import pytest
@@ -45,6 +46,16 @@ def test_summary_spread_wins_and_gap(bench_pairs):
     assert wall["gap_over_parent_iqr"] == 0.5
 
 
+def test_summary_of_a_zero_count(bench_pairs):
+    # traced runs carry counters that read 0 on both sides
+    runs = canned_runs()
+    for run in runs:
+        run["result"]["metrics"]["calls"] = {"value": 0}
+    calls = bench_pairs.summarise(runs)["calls"]
+    assert (calls["change_wins"], calls["parent"]["median"]) == (0, 0)
+    assert math.isnan(calls["median_change_pct"]) and math.isnan(calls["gap_over_parent_iqr"])
+
+
 def test_incorrect_runs_counted_per_side(bench_pairs):
     assert bench_pairs.incorrect_runs(canned_runs()) == {"parent": 0, "change": 0}
     runs = canned_runs({(0, "change"): (False, 0), (2, "parent"): (True, 3),
@@ -73,3 +84,18 @@ def test_file_written_then_exit_code(bench_pairs, monkeypatch, tmp_path, bad, co
     entry = json.loads(out.read_text())["workloads"]["w"]
     assert entry["incorrect_runs"] == {"parent": code, "change": 0}
     assert entry["summary"]["wall_s"]["change_wins"] == 4
+
+
+def test_traced_runs_get_their_own_entry(bench_pairs, monkeypatch, tmp_path):
+    lines = {(r["pair"], r["side"]): r["result"] for r in canned_runs()}
+    monkeypatch.setattr(bench_pairs, "_run", lambda checkout, w, s, seed, t: lines[(seed, checkout)])
+    monkeypatch.setattr(bench_pairs, "_machine", lambda checkout: {})
+    monkeypatch.setattr(bench_pairs, "_source_digest", lambda checkout: checkout)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "parent", "--change", "change", "--workload", "w", "--pairs", "5",
+            "--seeds", "0,1,2,3,4", "--out", str(out)]
+    for trace in ("0", "1"):
+        assert bench_pairs.main(argv + ["--trace", trace]) == 0
+    entries = json.loads(out.read_text())["workloads"]
+    assert sorted(entries) == ["w", "w+trace"]
+    assert entries["w+trace"]["command"][-1] == "1"

@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -34,11 +35,13 @@ from skewlab.signflip import (
     build_sign_path,
     draw_sign_path,
 )
+from skewlab import skewbm
 from skewlab.skewbm import (
     LawSample,
     _base_rows,
     _bulk_chunk,
     _driving_noise,
+    _octet_steps,
     _skew_correction,
     SkewLaw,
     build_skew,
@@ -72,11 +75,11 @@ def walk_exact_distribution(alpha, n):
     return p
 
 
-def walk_terminals_reference(u, alpha):
+def walk_terminals_reference(u, alpha, start=0):
     """Column-loop reference for the batched walk: integer terminal states of
-    skew walks driven by uniform rows (one row per walk)."""
+    skew walks driven by uniform rows (one row per walk) from state ``start``."""
     n_walks, n_steps = u.shape
-    state = np.zeros(n_walks, dtype=np.int64)
+    state = np.full(n_walks, start, dtype=np.int64)
     for j in range(n_steps):
         thresh = np.where(state == 0, alpha, 0.5)
         state += np.where(u[:, j] < thresh, 1, -1)
@@ -523,17 +526,61 @@ class TestHarrisonSheppWalk:
         with pytest.raises(ValueError, match="n_walks"):
             harrison_shepp_terminals(0.7, 16, n_walks, seed)
 
-    def test_working_set_is_two_quad_tables_and_slack(self):
-        # two workers, each with a quad table of ceil(n_steps / 4) bytes per
-        # walk; the slack covers their blocks of 32 * n_steps float64
-        # uniforms (1 MiB each) and their codes, the streams and the output
-        n_steps, chunk = 2**12, 4096
-        tables = 2 * (n_steps // 4) * chunk
+    @pytest.mark.parametrize(
+        "alpha", [0.0, float(np.nextafter(0.5, 0)), 0.5, float(np.nextafter(0.5, 1)), 0.7, 1.0]
+    )
+    def test_octet_table_equals_step_rule(self, alpha):
+        # every octet code, from every start state 2e, clipped or not: one
+        # uniform per step code c = [u < alpha] + [u < 1/2] (above both,
+        # between, below both), codes that no uniform gives left out; u = 1
+        # is the padding past the horizon
+        steps = _octet_steps(alpha >= 0.5)
+        codes = np.arange(3**8)
+        digits = codes[:, None] // 3 ** np.arange(7, -1, -1) % 3
+        u = np.array([max(alpha, 0.5), min(alpha, 0.5), 0.0])[digits]
+        given_by_u = ((u < alpha).astype(int) + (u < 0.5) == digits).all(axis=1)
+        assert given_by_u.sum() >= 2**8
+        for e in range(-6, 7):
+            state = walk_terminals_reference(u[given_by_u], alpha, start=2 * e)
+            looked_up = steps[9 * codes[given_by_u] + 4 + np.clip(e, -4, 4)]
+            assert np.array_equal(looked_up, (state - 2 * e) // 2), e
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            lambda n_steps: 1,  # one walk per unit, one row per uniform block
+            lambda n_steps: 7 * 8 * n_steps + 1,  # blocks of 7 rows in units of 40
+            lambda n_steps: 2**40,  # one unit of every walk, one uniform block
+        ],
+        ids=["one_walk", "uneven", "one_unit"],
+    )
+    @pytest.mark.parametrize(
+        "alpha,n_steps,n_walks",
+        [
+            (float(np.nextafter(0.5, 0)), 37, 150),
+            (float(np.nextafter(0.5, 1)), 37, 150),
+            # more than 2**15 up-steps, n_steps % 8 == 1
+            (0.7, 70_001, 3),
+        ],
+    )
+    def test_block_size_does_not_change_walk(self, monkeypatch, budget, alpha, n_steps, n_walks):
+        seed = SeedSpec(MASTER, "hsblocks")
+        u = np.array([seed.with_path(k).rng().random(n_steps) for k in range(n_walks)])
+        expected = walk_terminals_reference(u, alpha) / math.sqrt(n_steps)
+        monkeypatch.setattr(skewbm, "_BLOCK_BYTES", budget(n_steps))
+        with usable_cpus(2):
+            walk = harrison_shepp_terminals(alpha, n_steps, n_walks, seed, chunk=40)
+        assert np.array_equal(walk.values, expected)
+
+    def test_working_set_does_not_grow_with_steps(self):
+        # two workers, each holding one 2 MiB step table and one 2 MiB block
+        # of uniforms with their codes; the slack covers the streams of the
+        # units in flight and the output
         seed = SeedSpec(MASTER, "hsmemory")
         with usable_cpus(2):
-            peak = traced_peak(lambda: harrison_shepp_terminals(0.7, n_steps, 2 * chunk, seed,
-                                                                chunk=chunk))
-        assert peak < tables + 6 * 2**20
+            for n_steps, n_walks in [(2**12, 16384), (2**14, 4096), (2**16, 1024), (2**18, 4)]:
+                peak = traced_peak(lambda: harrison_shepp_terminals(0.7, n_steps, n_walks, seed))
+                assert peak < 12 * 2**20, n_steps
 
 
 class TestTerminalSamplers:
@@ -674,6 +721,37 @@ class TestTerminalSamplers:
                 peak = traced_peak(lambda: skew_terminal_sample(sched, 2048, n_steps, seed,
                                                                 chunk=1024))
                 assert peak < 16 * 2**20, n_steps
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_chunks_prepared_one_per_worker_and_collected_in_order(self, monkeypatch, cpus):
+        # a spy job over 20 chunks; earlier chunks run longer, so later ones
+        # finish first whenever there are several workers
+        log = []
+        run_chunks = skewbm._run_chunks
+
+        def spy(n_items, chunk, job):
+            def prepare(c, lo, hi):
+                log.append(("prepare", c))
+                fn = job(c, lo, hi)
+                return lambda: (time.sleep(0.002 * (20 - c) / 20), fn())[1]
+
+            for rows, result in run_chunks(n_items, chunk, prepare):
+                log.append(("collect", rows.start // chunk))
+                yield rows, result
+
+        monkeypatch.setattr(skewbm, "_run_chunks", spy)
+        scheds = [AlphaSchedule.constant(0.4), AlphaSchedule.piecewise([0.0, 0.3], [0.2, 0.9])]
+        seed = SeedSpec(MASTER, "lookahead")
+        n_paths, n_steps, chunk = 20 * 16 - 5, 24, 16
+        with usable_cpus(cpus):
+            bulk = skew_terminal_samples(scheds, n_paths, n_steps, seed, chunk=chunk)
+        open_chunks = np.cumsum([1 if event == "prepare" else -1 for event, _ in log])
+        assert open_chunks.max() == min(cpus, 20) and open_chunks[-1] == 0
+        assert [c for event, c in log if event == "prepare"] == list(range(20))
+        assert [c for event, c in log if event == "collect"] == list(range(20))
+        ref = serial_bulk_reference(scheds, n_paths, n_steps, seed, chunk)
+        for sample, expected in zip(bulk, ref):
+            assert np.array_equal(sample.values, expected)
 
     def test_streams_and_public_calls_stay_in_calling_thread(self, monkeypatch):
         # the span tracer keeps a single stack, so the samplers' workers may

@@ -17,9 +17,10 @@ both sides alike.  Runs are sequential: two concurrent runs would share the
 CPUs they time.  The output records the machine, every run's JSON line, and
 per end-to-end metric each side's median and quartiles, the change's wins
 per pair and its median change in percent.  Every metric is one where lower
-is better.  Each workload gets its own entry: run the script once per
-workload with the same ``--out``, and an existing file keeps the other
-workloads' entries.
+is better.  Each workload gets its own entry, and its traced runs
+(``--trace 1``) another one keyed ``<workload>+trace``: run the script once
+per workload and trace setting with the same ``--out``, and an existing file
+keeps the other entries.
 
 A benchmark run prints its metrics even when its output was wrong, so each
 entry also counts, per side, the runs that printed ``"correct": false`` or
@@ -101,7 +102,8 @@ def summarise(runs: list[dict]) -> dict:
             "change": after,
             "change_wins": wins,
             "pairs": len(parent),
-            "median_change_pct": 100.0 * (after["median"] - before["median"]) / before["median"],
+            "median_change_pct": 100.0 * (after["median"] - before["median"])
+            / (before["median"] or float("nan")),
             "gap_over_parent_iqr": (before["median"] - after["median"])
             / ((before["q3"] - before["q1"]) or float("nan")),
         }
@@ -149,7 +151,8 @@ def main(argv=None) -> int:
             doc = json.load(f)
     doc["machine"] = _machine(args.change)
     incorrect = incorrect_runs(runs)
-    doc["workloads"][args.workload] = {
+    key = f"{args.workload}+trace" if args.trace else args.workload
+    doc["workloads"][key] = {
         "src_sha256": {side: _source_digest(path) for side, path in sides.items()},
         "command": ["perfbench/run.py", "--workload", args.workload, "--seed", "<seed>",
                     "--seconds", f"{args.seconds:g}", "--trace", str(args.trace)],
