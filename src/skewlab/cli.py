@@ -49,6 +49,7 @@ from .signed_measure import (
 from .signflip import AlphaSchedule, apply_sign, draw_sign_path
 from .skewbm import (
     SkewLaw,
+    _alongside,
     harrison_shepp_terminals,
     law_test,
     sde_residual,
@@ -432,9 +433,16 @@ def run_skew_law(cfg: ExperimentConfig, seed: SeedSpec):
     n = max(cfg.n_steps)
     sched = cfg.schedule()
     alpha = sched.values[-1]
-    sample = skew_terminal_sample(sched, cfg.n_paths, n, seed.child("law"))
+
+    def law():
+        return skew_terminal_sample(sched, cfg.n_paths, n, seed.child("law"))
+
     reports, curves = [], []
     if sched.kind == "constant":
+        # this thread steps the walk while the bulk sampler's workers draw
+        sample, walk = _alongside(
+            law, lambda: harrison_shepp_terminals(alpha, n, cfg.n_paths, seed.child("walk"))
+        )
         ks = law_test(sample, SkewLaw(alpha, 1.0), seed=seed)
         reports.append(replace(ks, suite="skew_law.ks", n_steps=n))
         # 0.01 is the acceptance band at 10^5 paths; at smaller sizes fall
@@ -446,7 +454,6 @@ def run_skew_law(cfg: ExperimentConfig, seed: SeedSpec):
             "skew_law.sign_probability", abs(frac - alpha), sign_tol, sample.n, n, seed,
             f"empirical {frac:.4f} vs alpha {alpha:g}",
         ))
-        walk = harrison_shepp_terminals(alpha, n, cfg.n_paths, seed.child("walk"))
         spacing = 2.0 / float(np.sqrt(n))
         allowance = cfg.tol("lattice_allowance", 0.005)
         wrep = law_test(
@@ -464,6 +471,7 @@ def run_skew_law(cfg: ExperimentConfig, seed: SeedSpec):
         # piecewise law: compare against an independently seeded equal-cell
         # homogeneous sample when the schedule is flat, else report the
         # sign fraction only
+        sample = law()
         frac = float(np.mean(sample.values > 0))
         reports.append(
             TestReport(

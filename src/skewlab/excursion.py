@@ -96,9 +96,14 @@ class ExcursionRows:
 
     @cached_property
     def starts(self) -> np.ndarray:
-        starts = self.covered.copy()
-        starts[:, 1:] &= self.sign[:, 1:] != self.sign[:, :-1]
-        return starts
+        """True on the first covered index of each excursion: a covered index
+        whose sign differs from the one before it (or that has none), as one
+        boolean mask with no full-size temporary."""
+        s = self.sign
+        starts = np.empty(s.shape, dtype=bool)
+        starts[:, 0] = True
+        np.not_equal(s[:, 1:], s[:, :-1], out=starts[:, 1:])
+        return np.logical_and(starts, s, out=starts)
 
     @cached_property
     def gamma(self) -> np.ndarray:

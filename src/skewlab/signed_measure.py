@@ -140,18 +140,35 @@ def build_model(family: str, grid: TimeGrid, seed: SeedSpec) -> ModelRows:
     return build_model_rows(family, grid, [seed])
 
 
+#: elements of each temporary of :func:`_check_split`
+_SPLIT_TILE = 2**14
+
+
 def _check_split(total: np.ndarray, mart: np.ndarray, fv: np.ndarray) -> None:
     """Require |total - recon| <= 1e-9 + 1e-9 |recon| everywhere, with
-    recon = mart + fv: ``np.allclose`` on finite values, computed in place
-    with two temporaries."""
-    recon = mart + fv
-    err = np.subtract(total, recon)
-    np.abs(err, out=err)
-    np.abs(recon, out=recon)
-    recon *= 1e-9
-    recon += 1e-9
-    if not (err <= recon).all():
-        raise ValueError("total must equal martingale_part + fv_part")
+    recon = mart + fv: ``np.allclose`` on finite values.  The (rows,
+    n_points) arrays, any of them broadcast, are checked in tiles of at most
+    ``_SPLIT_TILE`` elements (whole rows when they fit), so the two
+    temporaries stay that small, and the check stops at the first tile that
+    fails."""
+    total, mart, fv = np.broadcast_arrays(total, mart, fv)
+    n_rows, n_points = total.shape
+    cols = max(1, min(n_points, _SPLIT_TILE))
+    rows = _SPLIT_TILE // cols
+    buffers = np.empty((2, rows * cols))
+    for r in range(0, n_rows, rows):
+        for c in range(0, n_points, cols):
+            tile = np.s_[r:r + rows, c:c + cols]
+            t = total[tile]
+            recon, err = (b[:t.size].reshape(t.shape) for b in buffers)
+            np.add(mart[tile], fv[tile], out=recon)
+            np.subtract(t, recon, out=err)
+            np.abs(err, out=err)
+            np.abs(recon, out=recon)
+            recon *= 1e-9
+            recon += 1e-9
+            if not (err <= recon).all():
+                raise ValueError("total must equal martingale_part + fv_part")
 
 
 @dataclass(frozen=True, eq=False)

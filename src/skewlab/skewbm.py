@@ -20,6 +20,7 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -217,8 +218,9 @@ def _usable_cpus() -> int:
     return cpus or 1
 
 
-#: bytes of rows a sampler worker holds at a time: the bulk sampler's base
-#: path and sign uniform blocks, and the walk's step table and uniform blocks
+#: bytes of rows a sampler thread holds at a time: the bulk sampler's base
+#: path and sign uniform blocks, and the walk's step table (its uniform
+#: blocks hold an eighth of it)
 _BLOCK_BYTES = 2 << 20
 
 
@@ -234,6 +236,33 @@ def _row_blocks(m: int, row_bytes: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
 
 
+#: the task that the next :func:`_run_chunks` in this thread runs while it
+#: waits for its workers; set only by :func:`_alongside`
+_MEANWHILE: ContextVar[Optional[Callable[[], None]]] = ContextVar("meanwhile", default=None)
+
+
+def _alongside(main: Callable[[], object], meanwhile: Callable[[], object]) -> tuple:
+    """``(main(), meanwhile())``, both run in the calling thread: meanwhile()
+    runs inside main() while the first :func:`_run_chunks` there waits for
+    its workers, or after main() returns if none does.
+
+    The task reaches :func:`_run_chunks` through a context variable, so the
+    public calls that main() and meanwhile() make keep their arguments.
+    """
+    done = []
+
+    def task() -> None:
+        _MEANWHILE.set(None)  # once, and not from inside itself
+        done.append(meanwhile())
+
+    token = _MEANWHILE.set(task)
+    try:
+        first = main()
+    finally:
+        _MEANWHILE.reset(token)
+    return first, done[0] if done else meanwhile()
+
+
 def _run_chunks(
     n_items: int, chunk: int, job: Callable[[int, int, int], Callable[[], object]]
 ) -> Iterator[tuple[slice, object]]:
@@ -245,20 +274,30 @@ def _run_chunks(
     generators are built here and the workers run numpy only.  Chunk c is
     prepared only once chunk c - workers has been collected, so at most one
     chunk per worker is prepared and not yet collected, however many chunks
-    there are.  Yields each chunk's output slice and result, in chunk order.
+    there are.  Before it first waits for a result, the calling thread runs
+    the task that :func:`_alongside` set, if any, so it works beside the
+    workers instead of idling.  Yields each chunk's output slice and result,
+    in chunk order.
     """
     _check_count("chunk", chunk)
     bounds = [slice(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
     workers = max(1, min(len(bounds), _usable_cpus()))
     pending = deque()
+
+    def collect() -> tuple[slice, object]:
+        meanwhile = _MEANWHILE.get()
+        if meanwhile is not None:
+            meanwhile()
+        done, future = pending.popleft()
+        return done, future.result()
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for c, b in enumerate(bounds):
             if len(pending) == workers:
-                done, future = pending.popleft()
-                yield done, future.result()
+                yield collect()
             pending.append((b, pool.submit(job(c, b.start, b.stop))))
-        for done, future in pending:
-            yield done, future.result()
+        while pending:
+            yield collect()
 
 
 def _check_time(t: float) -> None:
@@ -434,14 +473,15 @@ def _walk_octets(states: Sequence[tuple[int, int]], n_steps: int, alpha: float) 
     :func:`_octet_steps`, first step first), in 0..6560, and the entry is
     9 * code + 4, the index of (code, e = 0) in :func:`_octet_steps`.  Row r
     holds octet r of every walk, so the step loop reads one contiguous row
-    per octet.  Uniforms are drawn and coded in :func:`_row_blocks` blocks of
-    walks and transposed into the table block by block; padding past
+    per octet.  Uniforms are drawn and coded in blocks of walks that hold an
+    eighth of ``_BLOCK_BYTES`` (8 rows at 2**12 steps; one draw per row
+    either way) and transposed into the table block by block; padding past
     n_steps leaves uniforms of 1, which add no up-step.
     """
     m = len(states)
     n_octets = -(-n_steps // 8)
     table = np.empty((n_octets, m), dtype=np.uint16)
-    blocks = _row_blocks(m, 8 * n_steps)
+    blocks = _row_blocks(m, 8 * (8 * n_steps))
     u = np.ones((blocks[0][1], 8 * n_octets))
     codes = np.empty(u.shape, dtype=np.uint8)
     below_half = np.empty(u.shape, dtype=bool)
@@ -502,22 +542,20 @@ def harrison_shepp_terminals(
     From state 0 a walk steps +1 with probability alpha; elsewhere it is
     symmetric.  Step j of walk k is up iff the j-th uniform of
     ``seed.with_path(k)``'s stream is below that probability, so walk k is
-    fixed by k alone: unlike the bulk sampler's, this output depends on
-    neither ``chunk`` nor the worker count nor the walk block size.
+    fixed by k alone: this output depends on neither ``chunk`` nor the
+    walk block size.
 
-    Walks run in units of at most ``chunk`` walks and at most
-    ``_BLOCK_BYTES`` of step table (2048 walks at 2**12 steps).  The calling
-    thread derives a unit's walk streams with
-    :func:`~skewlab.grid_paths.stream_states` when a worker is free to take
-    it; the units run concurrently on a thread pool (one worker per usable
-    CPU, at most one per unit).  A worker sets a Generator to each walk's
-    state in turn, draws and codes its uniforms and steps the walks; the
-    draws and the array passes release the interpreter lock.  It writes only
-    its own slice of the output, so the result is bit-identical to a serial
-    run.  Each worker holds one step table of about 2 MiB (two bytes per
-    eight steps of each walk) and one block of about 2 MiB of float64
-    uniforms with their codes, whatever n_steps up to 2**18 (past that, one
-    walk and one row).
+    The calling thread runs everything, one unit of at most ``chunk`` walks
+    and at most ``_BLOCK_BYTES`` of step table (2048 walks at 2**12 steps)
+    at a time: it derives the unit's streams with
+    :func:`~skewlab.grid_paths.stream_states`, sets a Generator to each
+    walk's state in turn, draws and codes its uniforms and steps the walks.
+    The walk is bound by the interpreter lock (a state reset and a draw call
+    per walk), so a second thread would gain it nothing; run beside the bulk
+    sampler's workers instead (see :func:`_alongside`), it uses a CPU they
+    leave idle.  It holds one step table of about 2 MiB (two bytes per eight
+    steps of each walk) and one block of float64 uniforms with their codes:
+    about 256 KiB up to 2**15 steps, one row (2 MiB at 2**18) past that.
     """
     _check_alpha(alpha)
     _check_count("n_steps", n_steps)
@@ -525,14 +563,11 @@ def harrison_shepp_terminals(
     _check_count("chunk", chunk)
     # two bytes of step table per eight steps of a walk
     unit = min(chunk, _block_rows(2 * -(-n_steps // 8)))
-
-    def job(c: int, lo: int, hi: int):
-        states = stream_states([seed.with_path(k) for k in range(lo, hi)])
-        return functools.partial(_walk_terminals, states, n_steps, alpha)
-
     out = np.empty(n_walks)
-    for rows, terminals in _run_chunks(n_walks, unit, job):
-        out[rows] = terminals
+    for lo in range(0, n_walks, unit):
+        hi = min(lo + unit, n_walks)
+        states = stream_states([seed.with_path(k) for k in range(lo, hi)])
+        out[lo:hi] = _walk_terminals(states, n_steps, alpha)
     return LawSample(out / math.sqrt(n_steps), tag=f"hs_walk[alpha={alpha:g}]")
 
 
@@ -549,8 +584,10 @@ def _base_rows(
 
     Rows are generated and scanned one ``_row_blocks`` block at a time, so
     only about ``_BLOCK_BYTES`` of the (m, n_steps) base-path matrix (128
-    rows at 2**12 steps) is ever held, whatever n_steps.  The birth is the
-    straddling excursion's g index on the full path, as
+    rows at 2**12 steps) is ever held, whatever n_steps.  A block's float32
+    rows are dropped once their int8 signs are taken, so the scan holds only
+    the signs and one boolean mask of starts, a quarter of the block each.
+    The birth is the straddling excursion's g index on the full path, as
     :class:`~skewlab.excursion.ExcursionRows` dates it: the exact zero just
     before its first covered index, else that index; 0 when the row has no
     excursion.
@@ -564,16 +601,18 @@ def _base_rows(
         path *= scale
         np.cumsum(path, axis=1, out=path)
         terminal[lo:hi] = path[:, -1]
+        rows = ExcursionRows(path)
+        del path
 
         # column c is path index c + 1 and the x0 = 0 column is implicit, so
         # a first covered column c is born at index c when c = 0 or column
         # c - 1 is an exact zero, and at c + 1 otherwise; only the last start
         # of each row is read (``rows.births`` would date every excursion)
-        rows = ExcursionRows(path)
         last = n_steps - 1 - np.argmax(rows.starts[:, ::-1], axis=1)
-        after_zero = (last == 0) | ~rows.covered[np.arange(hi - lo), last - 1]
+        after_zero = (last == 0) | (rows.sign[np.arange(hi - lo), last - 1] == 0)
         n_exc[lo:hi] = rows.counts
         birth[lo:hi] = np.where(rows.counts == 0, 0, np.where(after_zero, last, last + 1))
+        del rows  # before the next block is drawn
     return n_exc, birth, terminal
 
 
@@ -640,14 +679,18 @@ def skew_terminal_samples(
     law.
 
     The chunk size is part of the sampler's determinism contract; the
-    number of worker threads and the row block size are not.  Chunks run
-    concurrently on a thread pool (one worker per usable CPU, at most one
-    per chunk), and each writes only its own slice of the output, so the
-    result is bit-identical to a serial run.  Each worker holds a few
-    arrays of chunk values and one row block at a time: about 2 MiB of
-    float32 base paths (128 rows at 2**12 steps) with their int8 signs and
-    up to three boolean masks of that shape, or about 2 MiB of float64
-    sign uniforms, whatever n_steps up to 2**19 (past that, one row).
+    number of worker threads and the row block size are not.  The calling
+    thread derives each chunk's generators and collects the chunks in
+    order; the chunks run on a thread pool (one worker per usable CPU, at
+    most one per chunk) that runs numpy and private helpers only, and each
+    writes only its own slice of the output, so the result is bit-identical
+    to a serial run.  While the calling thread waits for them it runs the
+    task of an enclosing :func:`_alongside`, if any.  Each worker holds a
+    few arrays of chunk values and one row block at a time: about 2 MiB of
+    float32 base paths (128 rows at 2**12 steps) and their int8 signs, then
+    the signs and one boolean mask of excursion starts, or about 2 MiB of
+    float64 sign uniforms, whatever n_steps up to 2**19 (past that, one
+    row).
     """
     if variant not in ("signed", "absolute"):
         raise ValueError(f"unknown variant {variant!r}")

@@ -95,6 +95,39 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             DecompositionRows(g, recon * (1 + 1e-6), mart, fv)
 
+    @pytest.mark.parametrize("tile", [1, 7, 2**14])
+    @pytest.mark.parametrize("shape", [(3, 40), (50, 3), (2, 2**15 + 3)])
+    def test_split_check_tiles_find_last_element(self, monkeypatch, tile, shape):
+        # fv broadcast from one row; the last element alone decides, at the
+        # allclose boundary, and a NaN there fails too
+        monkeypatch.setattr(signed_measure, "_SPLIT_TILE", tile)
+        mart = np.random.default_rng(MASTER).standard_normal(shape)
+        fv = np.broadcast_to(np.linspace(0.0, 1.0, shape[1]), shape)
+        total = mart + fv
+        recon = total[-1, -1]
+        for value in (recon * (1 + 1e-12), recon + 0.9e-9, recon * (1 + 1e-6), recon + 2e-9,
+                      np.nan):
+            total[-1, -1] = value
+            close = bool(np.allclose(value, recon, rtol=1e-9, atol=1e-9))
+            if close:
+                signed_measure._check_split(total, mart, fv)
+            else:
+                with pytest.raises(ValueError, match=r"^total must equal martingale_part \+ fv_part$"):
+                    signed_measure._check_split(total, mart, fv)
+
+    @pytest.mark.parametrize("tile", [1, 7, 2**14])
+    def test_split_check_broadcast_total(self, monkeypatch, tile):
+        # total broadcast from one row, as a martingale block's fv is from 0
+        monkeypatch.setattr(signed_measure, "_SPLIT_TILE", tile)
+        shape = (9, 33)
+        total = np.broadcast_to(np.linspace(-1.0, 2.0, shape[1]), shape)
+        mart = np.array(total)
+        fv = np.broadcast_to(0.0, shape)
+        signed_measure._check_split(total, mart, fv)
+        mart[-1, -1] += 1e-6
+        with pytest.raises(ValueError, match="total must equal"):
+            signed_measure._check_split(total, mart, fv)
+
     @pytest.mark.parametrize("name", sorted(PROCESS_ZOO))
     def test_zoo_member_checks_its_split_once(self, name, monkeypatch):
         # a zoo member checks the split of the block it builds once

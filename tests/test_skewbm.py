@@ -36,6 +36,7 @@ from skewlab.signflip import (
     draw_sign_path,
 )
 from skewlab import skewbm
+from skewlab.cli import config_from_pairs, run_experiment
 from skewlab.skewbm import (
     LawSample,
     _base_rows,
@@ -549,7 +550,7 @@ class TestHarrisonSheppWalk:
         "budget",
         [
             lambda n_steps: 1,  # one walk per unit, one row per uniform block
-            lambda n_steps: 7 * 8 * n_steps + 1,  # blocks of 7 rows in units of 40
+            lambda n_steps: 7 * 64 * n_steps + 1,  # blocks of 7 rows in units of 40
             lambda n_steps: 2**40,  # one unit of every walk, one uniform block
         ],
         ids=["one_walk", "uneven", "one_unit"],
@@ -568,19 +569,17 @@ class TestHarrisonSheppWalk:
         u = np.array([seed.with_path(k).rng().random(n_steps) for k in range(n_walks)])
         expected = walk_terminals_reference(u, alpha) / math.sqrt(n_steps)
         monkeypatch.setattr(skewbm, "_BLOCK_BYTES", budget(n_steps))
-        with usable_cpus(2):
-            walk = harrison_shepp_terminals(alpha, n_steps, n_walks, seed, chunk=40)
+        walk = harrison_shepp_terminals(alpha, n_steps, n_walks, seed, chunk=40)
         assert np.array_equal(walk.values, expected)
 
     def test_working_set_does_not_grow_with_steps(self):
-        # two workers, each holding one 2 MiB step table and one 2 MiB block
-        # of uniforms with their codes; the slack covers the streams of the
-        # units in flight and the output
+        # the calling thread holds one 2 MiB step table and one block of
+        # uniforms with their codes (256 KiB, or one 2 MiB row at 2**18); the
+        # slack covers the unit's streams and the output
         seed = SeedSpec(MASTER, "hsmemory")
-        with usable_cpus(2):
-            for n_steps, n_walks in [(2**12, 16384), (2**14, 4096), (2**16, 1024), (2**18, 4)]:
-                peak = traced_peak(lambda: harrison_shepp_terminals(0.7, n_steps, n_walks, seed))
-                assert peak < 12 * 2**20, n_steps
+        for n_steps, n_walks in [(2**12, 16384), (2**14, 4096), (2**16, 1024), (2**18, 4)]:
+            peak = traced_peak(lambda: harrison_shepp_terminals(0.7, n_steps, n_walks, seed))
+            assert peak < 6 * 2**20, n_steps
 
 
 class TestTerminalSamplers:
@@ -712,27 +711,33 @@ class TestTerminalSamplers:
             skew_terminal_sample(AlphaSchedule.constant(0.7), n_paths, 16, seed)
 
     def test_working_set_does_not_grow_with_steps(self):
-        # two workers, each holding one 2 MiB float32 row block with its int8
-        # and boolean masks, or one 2 MiB block of sign uniforms
+        # two workers, each holding one 2 MiB float32 row block and its int8
+        # signs, then the signs and one boolean mask, or one 2 MiB block of
+        # sign uniforms
         sched = AlphaSchedule.constant(0.7)
         seed = SeedSpec(MASTER, "bulkmemory")
         with usable_cpus(2):
             for n_steps in (2**12, 2**14):
                 peak = traced_peak(lambda: skew_terminal_sample(sched, 2048, n_steps, seed,
                                                                 chunk=1024))
-                assert peak < 16 * 2**20, n_steps
+                assert peak < 8 * 2**20, n_steps
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     def test_chunks_prepared_one_per_worker_and_collected_in_order(self, monkeypatch, cpus):
         # a spy job over 20 chunks; earlier chunks run longer, so later ones
-        # finish first whenever there are several workers
+        # finish first whenever there are several workers.  A task set by
+        # _alongside runs once, after one chunk per worker is submitted and
+        # while the first is still running: chunk 0 waits for it
         log = []
         run_chunks = skewbm._run_chunks
+        task_ran = threading.Event()
 
         def spy(n_items, chunk, job):
             def prepare(c, lo, hi):
                 log.append(("prepare", c))
                 fn = job(c, lo, hi)
+                if c == 0:
+                    return lambda: (task_ran.wait(timeout=10) or log.append(("late", 0)), fn())[1]
                 return lambda: (time.sleep(0.002 * (20 - c) / 20), fn())[1]
 
             for rows, result in run_chunks(n_items, chunk, prepare):
@@ -744,7 +749,15 @@ class TestTerminalSamplers:
         seed = SeedSpec(MASTER, "lookahead")
         n_paths, n_steps, chunk = 20 * 16 - 5, 24, 16
         with usable_cpus(cpus):
-            bulk = skew_terminal_samples(scheds, n_paths, n_steps, seed, chunk=chunk)
+            bulk, _ = skewbm._alongside(
+                lambda: skew_terminal_samples(scheds, n_paths, n_steps, seed, chunk=chunk),
+                lambda: (log.append(("meanwhile", None)), task_ran.set()),
+            )
+        assert ("late", 0) not in log
+        assert log.count(("meanwhile", None)) == 1
+        first_collect = [event for event, _ in log].index("collect")
+        assert log.index(("meanwhile", None)) == first_collect - 1 == min(cpus, 20)
+        log.remove(("meanwhile", None))
         open_chunks = np.cumsum([1 if event == "prepare" else -1 for event, _ in log])
         assert open_chunks.max() == min(cpus, 20) and open_chunks[-1] == 0
         assert [c for event, c in log if event == "prepare"] == list(range(20))
@@ -753,23 +766,67 @@ class TestTerminalSamplers:
         for sample, expected in zip(bulk, ref):
             assert np.array_equal(sample.values, expected)
 
-    def test_streams_and_public_calls_stay_in_calling_thread(self, monkeypatch):
+    def test_streams_and_public_calls_stay_in_calling_thread(self, monkeypatch, tmp_path):
         # the span tracer keeps a single stack, so the samplers' workers may
-        # run only private helpers and numpy
+        # run only private helpers and numpy; skew_law steps the walk in the
+        # calling thread inside the bulk sampler's call, after its streams
         seed = SeedSpec(MASTER, "threadrule")
         scheds = [AlphaSchedule.constant(0.7), AlphaSchedule.piecewise([0.0, 0.5], [0.3, 0.8])]
         walk_ref = harrison_shepp_terminals(0.7, 32, 200, seed.child("walk"), chunk=16)
         bulk_ref = skew_terminal_samples(scheds, 300, 32, seed, chunk=64)
+        cfg = config_from_pairs({"suite": "skew_law", "paths": "1000", "steps": "32",
+                                 "out": str(tmp_path)})
+        law_ref = run_experiment(cfg).reports
         calls = record_caller_threads(monkeypatch)
         with usable_cpus(4):
             walk = harrison_shepp_terminals(0.7, 32, 200, seed.child("walk"), chunk=16)
             bulk = skew_terminal_samples(scheds, 300, 32, seed, chunk=64)
+            start = len(calls)
+            law = run_experiment(cfg).reports
         names = {name for name, _ in calls}
         assert {"skewlab.grid_paths.stream_states", "SeedSpec.rng"} <= names
         assert {ident for _, ident in calls} == {threading.get_ident()}
         assert np.array_equal(walk.values, walk_ref.values)
         for sample, ref in zip(bulk, bulk_ref):
             assert np.array_equal(sample.values, ref.values)
+        law_calls = [name for name, _ in calls[start:]]
+        bulk_at = law_calls.index("skewlab.skewbm.skew_terminal_samples")
+        walk_at = law_calls.index("skewlab.skewbm.harrison_shepp_terminals")
+        assert "SeedSpec.rng" in law_calls[bulk_at:walk_at]
+        assert "skewlab.grid_paths.stream_states" in law_calls[walk_at:]
+        assert repr(law) == repr(law_ref)
+
+    def test_overlapped_samplers_equal_references(self):
+        # skew_law's overlap with more bulk workers than cores, the walk in a
+        # non-main calling thread, and the interpreter switching threads as
+        # often as it can
+        sched = AlphaSchedule.constant(0.7)
+        seed = SeedSpec(MASTER, "overlapstress")
+        n_paths, n_steps, chunk = 24 * 64 + 10, 48, 64
+        n_walks, walk_steps = 150, 37
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with usable_cpus(8):
+                worker = threading.Thread(target=lambda: result.append(skewbm._alongside(
+                    lambda: skew_terminal_sample(sched, n_paths, n_steps, seed.child("law"),
+                                                 chunk=chunk),
+                    lambda: harrison_shepp_terminals(0.7, walk_steps, n_walks, seed.child("walk"),
+                                                     chunk=16),
+                )))
+                worker.start()
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and len(result) == 1
+        bulk, walk = result[0]
+        (bulk_ref,) = serial_bulk_reference([sched], n_paths, n_steps, seed.child("law"), chunk)
+        assert np.array_equal(bulk.values, bulk_ref)
+        u = np.array([seed.child("walk").with_path(k).rng().random(walk_steps)
+                      for k in range(n_walks)])
+        walk_ref = walk_terminals_reference(u, 0.7) / math.sqrt(walk_steps)
+        assert np.array_equal(walk.values, walk_ref)
 
     def test_bulk_deterministic(self):
         sched = AlphaSchedule.constant(0.6)
