@@ -28,11 +28,9 @@ from .localtime import (
     ResidualReport,
     identity_residual,
     ito_sum,
-    local_time,
 )
 from .signed_measure import (
     DecompositionRows,
-    HypothesisNotMetError,
     InsufficientSamplesError,
     ModelRows,
     PROCESS_ZOO,
@@ -41,20 +39,16 @@ from .signed_measure import (
     equivalence_suite,
     martingale_drift_test,
     optional_representation_check,
-    qp_residual,
     sigma_h_check,
 )
 from .signflip import (
     AlphaSchedule,
-    apply_sign,
     assign_signs,
     build_sign_path,
-    draw_sign_path,
 )
 from .skewbm import (
     LawSample,
     SkewLaw,
-    build_skew,
     harrison_shepp_terminals,
     law_test,
     sde_residual,

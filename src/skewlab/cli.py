@@ -46,7 +46,7 @@ from .signed_measure import (
     optional_representation_check,
     sigma_h_panel,
 )
-from .signflip import AlphaSchedule, apply_sign, draw_sign_path
+from .signflip import AlphaSchedule, sign_path_rows
 from .skewbm import (
     SkewLaw,
     _alongside,
@@ -510,9 +510,10 @@ def _sde_sup(p: SamplePath, sched: AlphaSchedule, signs: SeedSpec) -> float:
     next are built: a path or sign path left bound in the suite's scope
     would make the next level's buffers leapfrog it, and the heap grow by
     about one working set."""
-    z = draw_sign_path(p, sched, signs)
-    x = apply_sign(z, p, mode="absolute")
-    return sde_residual(x, p, z, sched, "absolute").sup_norm
+    z = SamplePath(p.grid, sign_path_rows(p.values[None, :], p.grid, sched, [signs])[0])
+    x = np.abs(p.values)
+    np.multiply(z.values, x, out=x)
+    return sde_residual(SamplePath(p.grid, x), p, z, sched, "absolute").sup_norm
 
 
 @_suite("weak-form optional representation identity over an event dictionary")

@@ -15,13 +15,13 @@ relied on everywhere downstream:
   exact zero just before it when there is one.  The sign-flip construction
   draws each excursion's sign in the schedule cell of its birth and gives it
   to every index the excursion covers; masked indices stay 0.
-* ``zero_events`` marks the discrete stand-ins for visits to zero: the masked
-  indices plus, for each sign change, the entry index i+1 of the new
-  excursion.  The last-zero curve gamma and the final zero gbar are computed
-  from this event set; when there are no events, gamma is identically 0 and
-  gbar = 0 (the 0-or-last-zero convention).  The O(sqrt(dt)) values at
-  crossing boundaries make these choices immaterial in the mesh limit, which
-  the test suite checks explicitly.
+* The zero events (``ExcursionRows.events``) are the discrete stand-ins for
+  visits to zero: the masked indices plus, for each sign change, the entry
+  index i+1 of the new excursion.  The last-zero curve gamma and the final
+  zero gbar are computed from this event set; when there are no events,
+  gamma is identically 0 and gbar = 0 (the 0-or-last-zero convention).  The
+  O(sqrt(dt)) values at crossing boundaries make these choices immaterial in
+  the mesh limit, which the test suite checks explicitly.
 
 The kernels work along the last axis of a ``(rows, n_points)`` block of
 paths (:class:`ExcursionRows`); :func:`decompose_excursions` and
@@ -139,16 +139,6 @@ class ExcursionSet:
 
     path: SamplePath
     rows: ExcursionRows
-
-    @property
-    def zero_mask(self) -> np.ndarray:
-        """True on the exact zeros."""
-        return ~self.rows.covered[0]
-
-    @property
-    def zero_events(self) -> np.ndarray:
-        """True on the zero events (see the module docstring)."""
-        return self.rows.events[0]
 
     @property
     def n_excursions(self) -> int:

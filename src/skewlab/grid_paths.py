@@ -279,10 +279,6 @@ class SamplePath:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def with_values(self, values: np.ndarray) -> "SamplePath":
-        """New path on the same grid."""
-        return SamplePath(self.grid, values)
-
     def __len__(self) -> int:
         return self.grid.n_points
 

@@ -9,10 +9,10 @@ which is what numpy.sign provides.
 
 ``ito_rows``, ``covariation_rows`` and ``tanaka_rows`` work along the last
 axis of an array, so one call serves a single path or a ``(rows, n_points)``
-block; ``ito_sum`` and ``local_time(path, "tanaka")`` are their one-path
-case.  Each builds its result in one output buffer (``out=`` differences,
-in-place products and ``cumsum``), with the same floating-point operations
-in the same order as the textbook ``np.diff``/``cumsum`` expressions.
+block; ``ito_sum`` is the one-path case of the first.  Each builds its
+result in one output buffer (``out=`` differences, in-place products and
+``cumsum``), with the same floating-point operations in the same order as
+the textbook ``np.diff``/``cumsum`` expressions.
 
 Each pathwise identity has one implementation, a private kernel on bare
 arrays of one path: ``identity_residual`` calls it on ``SamplePath`` inputs,
@@ -24,7 +24,6 @@ with the ``ValueError`` a ``SamplePath`` raises.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,7 +38,6 @@ __all__ = [
     "ito_sum",
     "covariation_rows",
     "tanaka_rows",
-    "local_time",
     "identity_residual",
 ]
 
@@ -133,29 +131,6 @@ def _occupation(x: np.ndarray, dt: float, eps: float) -> np.ndarray:
     hits *= dt / (2.0 * eps)
     np.cumsum(hits, out=hits)
     return curve
-
-
-def local_time(
-    path: SamplePath, method: str = "tanaka", bandwidth: Optional[float] = None
-) -> SamplePath:
-    """Estimate the symmetric local time of the path at level 0, as a path
-    on the same grid.
-
-    tanaka:      L_t = |X_t| - |X_0| - sum sgn(X_i) (X_{i+1} - X_i), the
-                 discrete Tanaka rearrangement with sgn(0) = 0; nondecreasing
-                 only up to discretization noise.
-    occupation:  L_t = (2 eps)^-1 * dt * #{i < t : |X_i| <= eps}, a kernel
-                 count with eps = bandwidth or dt**0.4 by default; exactly
-                 nondecreasing.
-    """
-    if method == "tanaka":
-        return SamplePath(path.grid, tanaka_rows(path.values))
-    if method == "occupation":
-        eps = float(bandwidth) if bandwidth is not None else path.grid.dt**OCCUPATION_EXPONENT
-        if not 0 < eps < math.inf:
-            raise ValueError(f"occupation bandwidth must be positive and finite, got {eps}")
-        return SamplePath(path.grid, _occupation(path.values, path.grid.dt, eps))
-    raise ValueError(f"unknown local time method {method!r}")
 
 
 # The identity kernels below work on bare arrays of one path and overwrite

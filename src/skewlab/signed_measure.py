@@ -13,8 +13,9 @@ equivalent to the pathwise condition
     int_0^t D dv + <M, D>_t = 0  for all t,
 
 so the harness checks the property two independent ways: the pathwise
-residual of that display (``qp_residual``) and a conditional-drift test on
-the simulated product process (``martingale_drift_test``).
+residual of that display (the qp residual, ``_qp_rows``) and a
+conditional-drift test on the simulated product process
+(``martingale_drift_test``).
 
 Models (:class:`ModelRows`) and processes with their split
 (:class:`DecompositionRows`) are blocks, one path per row.  The suites (the
@@ -25,8 +26,7 @@ read it through one block reader, which builds each row block once
 the suite needs; ``build_model`` is the one-row case.
 Likewise the qp residual, the carried-by fraction and Sigma(H) membership
 are row kernels that work along the last axis of a block's arrays;
-``qp_residual`` and ``sigma_h_check`` are the one-row case of the first and
-the last.
+``sigma_h_check`` is the one-row case of the last.
 """
 
 from __future__ import annotations
@@ -40,20 +40,18 @@ import numpy as np
 
 from .excursion import ExcursionRows, _signs, dilate
 from .grid_paths import SeedSpec, TimeGrid, _check_aligned, block_rows, brownian_rows, make_grid
-from .localtime import ResidualReport, covariation_rows, ito_rows, tanaka_rows
+from .localtime import covariation_rows, ito_rows, tanaka_rows
 from .signflip import AlphaSchedule, sign_path_rows
 
 __all__ = [
     "HYPOTHESIS_NOT_MET",
     "InsufficientSamplesError",
-    "HypothesisNotMetError",
     "ModelRows",
     "DecompositionRows",
     "MIN_PATHS",
     "TestReport",
     "build_model_rows",
     "build_model",
-    "qp_residual",
     "martingale_drift_test",
     "sigma_h_check",
     "sigma_h_panel",
@@ -81,11 +79,6 @@ class InsufficientSamplesError(ValueError):
 
 #: the fewest paths (or law samples) a statistical check accepts
 MIN_PATHS = 1000
-
-
-class HypothesisNotMetError(RuntimeError):
-    """Raised when a construction's standing hypotheses fail and the caller
-    demanded strict enforcement."""
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +235,9 @@ class TestReport:
 
 def _qp_rows(d: np.ndarray, total: np.ndarray, fv: Optional[np.ndarray] = None) -> np.ndarray:
     """Residual curves of  int_0^t D dv + <M, D>_t  along the last axis, for
-    M = total with finite-variation part fv (v = 0 when fv is None)."""
+    M = total with finite-variation part fv (v = 0 when fv is None).  A
+    residual near zero certifies the signed-measure local-martingale property
+    of M = m + v."""
     residual = covariation_rows(total, d)
     if fv is not None:
         residual += ito_rows(d, fv)
@@ -254,19 +249,6 @@ def _check_one_row(dec: DecompositionRows, model: ModelRows) -> None:
         if rows != 1:
             raise ValueError(f"need a one-row {what}, got {rows} rows")
     _check_aligned(dec, model)
-
-
-def qp_residual(dec: DecompositionRows, model: ModelRows) -> ResidualReport:
-    """Residual curve of  int_0^t D dv + <M, D>_t  for a one-row
-    decomposition and a one-row model: the one-row case of the qp row kernel.
-
-    A residual near zero certifies the signed-measure local-martingale
-    property of M = m + v; the caller asserts which part is the finite
-    variation one.
-    """
-    _check_one_row(dec, model)
-    residual = _qp_rows(model.d, dec.total, dec.fv_part)[0]
-    return ResidualReport.from_residual(residual)
 
 
 #: grid steps around a zero (of H, or of the base) that count as on it
@@ -852,7 +834,7 @@ def optional_representation_check(
     dictionary: for each event A the paired statistic
     |mean (lhs - rhs) 1_A| / SE is required to stay below ``threshold``
     standard errors.  The caller is responsible for certifying the family as
-    a signed-measure martingale with M_gbar = 0 (qp_residual / drift test).
+    a signed-measure martingale with M_gbar = 0 (qp residual / drift test).
 
     A callable stopping rule and the events are row functions ``(m,
     models)`` of a block's ``(rows, n_points)`` M values and its

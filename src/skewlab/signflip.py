@@ -20,15 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excursion import ExcursionRows, ExcursionSet
-from .grid_paths import SamplePath, SeedSpec, TimeGrid, _check_aligned, _draw_streams, stream_states
+from .grid_paths import SamplePath, SeedSpec, TimeGrid, _draw_streams, stream_states
 
 __all__ = [
     "AlphaSchedule",
     "assign_signs",
     "build_sign_path",
-    "draw_sign_path",
     "sign_path_rows",
-    "apply_sign",
 ]
 
 
@@ -77,9 +75,6 @@ class AlphaSchedule:
         return np.clip(
             np.searchsorted(self.boundaries, times, side="right") - 1, 0, self.n_cells - 1
         )
-
-    def alpha_at(self, times: np.ndarray) -> np.ndarray:
-        return np.asarray(self.values)[self.cell_indices(np.asarray(times))]
 
 
 def _draw_signs(
@@ -149,16 +144,11 @@ def sign_path_rows(
     grid: TimeGrid,
     schedule: AlphaSchedule,
     seeds,
-    pin_start: bool = False,
 ) -> np.ndarray:
     """Sign paths of a block of sign-flip runs: decompose each row of
     ``sources`` into excursions, draw its signs from ``seeds[row]`` and
-    assemble the ``(rows, n_points)`` sign rows.
-
-    With ``pin_start`` the excursion straddling t = 0 keeps sign +1 when the
-    source starts away from zero, so nothing is flipped before the first
-    zero.  The signs are drawn either way, so pinning leaves the signs of
-    later excursions unchanged.
+    assemble the ``(rows, n_points)`` sign rows.  This is the one
+    decompose -> sign -> assemble routine; a single run is a one-row block.
     """
     rows = ExcursionRows(sources)
     signs = np.concatenate(
@@ -168,29 +158,4 @@ def sign_path_rows(
             rows.counts,
         )
     )
-    if pin_start:
-        first = np.cumsum(rows.counts) - rows.counts
-        signs[first[sources[:, 0] != 0.0], :] = 1
     return _assemble(rows, signs, schedule, grid)
-
-
-def draw_sign_path(
-    source: SamplePath, schedule: AlphaSchedule, seed: SeedSpec, pin_start: bool = False
-) -> SamplePath:
-    """Sign path of one sign-flip run: the one-row case of
-    :func:`sign_path_rows`."""
-    z = sign_path_rows(source.values[None, :], source.grid, schedule, [seed], pin_start)
-    return SamplePath(source.grid, z[0])
-
-
-def apply_sign(sign: SamplePath, path: SamplePath, mode: str = "signed") -> SamplePath:
-    """Pointwise product Z*X (signed) or Z*|X| (absolute)."""
-    _check_aligned(sign, path)
-    if mode == "signed":
-        values = sign.values * path.values
-    elif mode == "absolute":
-        values = np.abs(path.values)
-        np.multiply(sign.values, values, out=values)
-    else:
-        raise ValueError(f"mode must be 'signed' or 'absolute', got {mode!r}")
-    return SamplePath(path.grid, values)

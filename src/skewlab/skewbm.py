@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .excursion import ExcursionRows, dilate
+from .excursion import ExcursionRows
 from .grid_paths import (
     SamplePath, SeedSpec, _check_aligned, _check_finite, _draw_streams, stream_states
 )
@@ -37,23 +37,12 @@ from .localtime import (
     _occupation,
     ito_rows,
 )
-from .signed_measure import (
-    _DILATION,
-    _check_one_row,
-    DecompositionRows,
-    HypothesisNotMetError,
-    InsufficientSamplesError,
-    MIN_PATHS,
-    ModelRows,
-    TestReport,
-    qp_residual,
-)
-from .signflip import AlphaSchedule, sign_path_rows
+from .signed_measure import InsufficientSamplesError, MIN_PATHS, TestReport
+from .signflip import AlphaSchedule
 
 __all__ = [
     "LawSample",
     "SkewLaw",
-    "build_skew",
     "sde_residual",
     "skew_transition_density",
     "skew_transition_cdf",
@@ -83,56 +72,6 @@ class LawSample:
     @property
     def n(self) -> int:
         return len(self.values)
-
-
-def check_construction_hypotheses(base: DecompositionRows, model: ModelRows) -> list[str]:
-    """Violations of the standing hypotheses for law-level claims, for a
-    one-row base and a one-row model.
-
-    Under the trivial model every condition is vacuous.  Otherwise the base
-    must vanish on H (its zero events, dilated by 2 grid steps, must cover H)
-    and be orthogonal to D; both are checked empirically on this realization.
-    """
-    if model.family == "trivial":
-        return []
-    problems = []
-    near = dilate(ExcursionRows(base.zero_path).events[0], _DILATION)
-    if not np.all(near[model.zeros.events[0]]):
-        problems.append("base process does not vanish on H")
-    qp = qp_residual(base, model)
-    if qp.terminal > 0.1:
-        problems.append(f"qp residual {qp.terminal:.3f} suggests <D, M> != 0 or bad split")
-    return problems
-
-
-def build_skew(variant: str, schedule: AlphaSchedule, base: DecompositionRows, model: ModelRows,
-               seed: SeedSpec, strict: bool = True) -> SamplePath:
-    """Run the sign-flip construction on a one-row base under a one-row
-    model and return the flipped path.
-
-    Variant ``signed`` flips the driving process itself, ``absolute`` flips
-    its reflection; either way the excursion structure is read off the
-    signed driver, ``base.zero_path`` (a reflected path has no sign changes
-    of its own to decompose).  With ``strict`` (the default) a violation of
-    the law-level hypotheses raises HypothesisNotMetError; pathwise residual
-    studies on models with a nontrivial H pass ``strict=False`` and assert
-    only the SDE identity.  When the driver starts away from zero the
-    excursion straddling t = 0 keeps sign +1, so the output starts where the
-    driver does (no flip before the first zero).  Piecewise schedules freeze
-    each excursion's sign at its birth cell (see
-    :func:`~skewlab.signflip.build_sign_path`).
-    """
-    if variant not in ("signed", "absolute"):
-        raise ValueError(f"variant must be 'signed' or 'absolute', got {variant!r}")
-    _check_one_row(base, model)
-    if strict:
-        problems = check_construction_hypotheses(base, model)
-        if problems:
-            raise HypothesisNotMetError("; ".join(problems))
-    src = base.zero_path
-    z = sign_path_rows(src, base.grid, schedule, [seed], pin_start=True)
-    z *= src if variant == "signed" else np.abs(src)
-    return SamplePath(base.grid, z[0])
 
 
 def _driving_noise(driver: SamplePath, sign: SamplePath, variant: str) -> np.ndarray:
@@ -425,9 +364,6 @@ class SkewLaw:
         _check_alpha(self.alpha)
         _check_time(self.t)
 
-    def density(self, y):
-        return skew_transition_density(self.alpha, self.t, y)
-
     def cdf(self, y):
         return skew_transition_cdf(self.alpha, self.t, y)
 
@@ -529,25 +465,24 @@ def _walk_terminals(states: Sequence[tuple[int, int]], n_steps: int, alpha: floa
     return 2 * e + 8 * len(table) - n_steps
 
 
-def harrison_shepp_terminals(
-    alpha: float,
-    n_steps: int,
-    n_walks: int,
-    seed: SeedSpec,
-    chunk: int = 8192,
-) -> LawSample:
+#: the most walks in one unit of :func:`harrison_shepp_terminals`; below
+#: 2**10 steps it, not ``_BLOCK_BYTES``, bounds a unit's ``stream_states`` list
+_WALK_UNIT = 8192
+
+
+def harrison_shepp_terminals(alpha: float, n_steps: int, n_walks: int, seed: SeedSpec) -> LawSample:
     """Terminal values of many independent skew walks, scaled by 1/sqrt(n)
     to the unit horizon.
 
     From state 0 a walk steps +1 with probability alpha; elsewhere it is
     symmetric.  Step j of walk k is up iff the j-th uniform of
     ``seed.with_path(k)``'s stream is below that probability, so walk k is
-    fixed by k alone: this output depends on neither ``chunk`` nor the
-    walk block size.
+    fixed by k alone: this output depends on neither the unit nor the walk
+    block size.
 
-    The calling thread runs everything, one unit of at most ``chunk`` walks
-    and at most ``_BLOCK_BYTES`` of step table (2048 walks at 2**12 steps)
-    at a time: it derives the unit's streams with
+    The calling thread runs everything, one unit of at most ``_WALK_UNIT``
+    walks and at most ``_BLOCK_BYTES`` of step table (2048 walks at 2**12
+    steps) at a time: it derives the unit's streams with
     :func:`~skewlab.grid_paths.stream_states`, sets a Generator to each
     walk's state in turn, draws and codes its uniforms and steps the walks.
     The walk is bound by the interpreter lock (a state reset and a draw call
@@ -560,9 +495,8 @@ def harrison_shepp_terminals(
     _check_alpha(alpha)
     _check_count("n_steps", n_steps)
     _check_count("n_walks", n_walks)
-    _check_count("chunk", chunk)
     # two bytes of step table per eight steps of a walk
-    unit = min(chunk, _block_rows(2 * -(-n_steps // 8)))
+    unit = min(_WALK_UNIT, _block_rows(2 * -(-n_steps // 8)))
     out = np.empty(n_walks)
     for lo in range(0, n_walks, unit):
         hi = min(lo + unit, n_walks)

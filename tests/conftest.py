@@ -48,6 +48,26 @@ def martingale_row(path, label=""):
     return DecompositionRows.martingale(path.grid, path.values[None, :], label)
 
 
+def qp_terminals(d, total, fv=None):
+    """|terminal qp residual| of each row of a block."""
+    from skewlab.signed_measure import _qp_rows
+
+    return np.abs(_qp_rows(d, total, fv)[:, -1])
+
+
+def shifted_qp_terminals(base, seed, n_steps, n_paths):
+    """qp terminals of paths 0..n_paths-1 of the zoo member ``base`` under
+    the shifted model, path p from ``seed.with_path(p)``, read through the
+    suites' block reader."""
+    from skewlab.signed_measure import _read_blocks
+
+    _, (terms,) = _read_blocks(
+        "shifted_brownian", base, make_grid(1.0, n_steps), seed,
+        [(n_paths, lambda models, dec, seeds: qp_terminals(models.d, dec.total, dec.fv_part))],
+    )
+    return terms
+
+
 def excursion_runs(rows, r=0):
     """(birth, first covered, last covered, sign) of each excursion of row r
     of an ``ExcursionRows``, read from its births, starts and coverage: an

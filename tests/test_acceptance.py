@@ -21,32 +21,29 @@ import numpy as np
 import pytest
 from scipy.stats import kstwobign, norm
 
-from skewlab.cli import _coupled_paths
+from skewlab.cli import _coupled_paths, _sde_sup
 from skewlab.excursion import decompose_excursions, last_zero_curve
-from skewlab.grid_paths import SeedSpec, make_grid, sample_brownian
-from skewlab.localtime import identity_residual, ito_sum, local_time
+from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, sample_brownian
+from skewlab.localtime import identity_residual
 from skewlab.signed_measure import (
-    DecompositionRows,
     PROCESS_ZOO,
     build_model,
     equivalence_suite,
     martingale_drift_test,
     optional_representation_check,
-    qp_residual,
     sigma_h_check,
 )
-from skewlab.signflip import AlphaSchedule, apply_sign, draw_sign_path
+from skewlab.signflip import AlphaSchedule, sign_path_rows
 from skewlab.skewbm import (
     SkewLaw,
-    build_skew,
     harrison_shepp_terminals,
     ks_statistic,
     law_test,
-    sde_residual,
     skew_terminal_sample,
     skew_terminal_samples,
-    two_sample_ks,
 )
+
+from conftest import shifted_qp_terminals
 
 SEED = SeedSpec(727272)
 LEVELS = (2**12, 2**14, 2**16)
@@ -103,16 +100,16 @@ def test_criterion_02_balayage_identity():
     exact_ok = True
     for i in range(32):
         for n, p in coupled("c2", i).items():
-            y = p.with_values(np.abs(p.values))
+            y = SamplePath(p.grid, np.abs(p.values))
             gamma, _ = last_zero_curve(decompose_excursions(p))
-            k = p.with_values(np.cos(p.grid.times[gamma]))
+            k = SamplePath(p.grid, np.cos(p.grid.times[gamma]))
             sups[n].append(
                 identity_residual(
                     "balayage_predictable", y=y, k=k, reference=p
                 ).sup_norm
             )
             if i == 0:
-                ones = p.with_values(np.ones(len(p)))
+                ones = SamplePath(p.grid, np.ones(len(p)))
                 r1 = identity_residual(
                     "balayage_predictable", y=y, k=ones, reference=p
                 )
@@ -167,25 +164,20 @@ def test_criterion_05_alpha_degeneracies(law_samples):
     grid = make_grid(1.0, 2**12)
     s = SEED.child("c5")
     driver = sample_brownian(grid, s.child("base"))
-    base = DecompositionRows.martingale(grid, driver.values[None, :])
-    model = build_model("trivial", grid, s)
 
-    reflected = build_skew(
-        "absolute", AlphaSchedule.constant(1.0), base, model, s.child("signs"),
-    )
-    bit_exact_abs = np.array_equal(reflected.values, np.abs(driver.values))
+    def signs(sched):
+        return sign_path_rows(driver.values[None, :], grid, sched, [s.child("signs")])[0]
+
+    reflected = signs(AlphaSchedule.constant(1.0)) * np.abs(driver.values)
+    bit_exact_abs = np.array_equal(reflected, np.abs(driver.values))
 
     half = law_samples[0][ALPHAS.index(0.5)]
     ks = ks_statistic(half.values, lambda y: norm.cdf(y))
     ks_ok = ks < kstwobign.isf(0.01) / math.sqrt(half.n)
 
-    const = build_skew(
-        "absolute", AlphaSchedule.constant(0.3), base, model, s.child("signs"),
-    )
-    single = build_skew(
-        "absolute", AlphaSchedule.piecewise([0.0], [0.3]), base, model, s.child("signs"),
-    )
-    bit_exact_cell = np.array_equal(const.values, single.values)
+    const = signs(AlphaSchedule.constant(0.3))
+    single = signs(AlphaSchedule.piecewise([0.0], [0.3]))
+    bit_exact_cell = np.array_equal(const, single)
 
     ok = bit_exact_abs and ks_ok and bit_exact_cell
     announce(
@@ -202,9 +194,7 @@ def test_criterion_06_inhomogeneous_construction():
     for i in range(32):
         signs = SEED.child("c6/signs").with_path(i)
         for n, p in coupled("c6", i).items():
-            z = draw_sign_path(p, sched, signs)
-            x = apply_sign(z, p, mode="absolute")
-            sups[n].append(sde_residual(x, p, z, sched, "absolute").sup_norm)
+            sups[n].append(_sde_sup(p, sched, signs))
     medians = {n: float(np.median(v)) for n, v in sups.items()}
     decreasing = medians[LEVELS[0]] > medians[LEVELS[1]] > medians[LEVELS[2]]
     bound = medians[LEVELS[2]] < 0.1
@@ -226,21 +216,9 @@ def test_criterion_06_inhomogeneous_construction():
 
 
 def test_criterion_07_qp_residuals():
-    g16 = make_grid(1.0, 2**16)
-    med = {}
-    for name in ("bm", "bm_plus_local_time"):
-        terms = []
-        for i in range(32):
-            s = SEED.child("c7").with_path(i)
-            model = build_model("shifted_brownian", g16, s.child("model"))
-            terms.append(qp_residual(PROCESS_ZOO[name](model, g16, [s]), model).terminal)
-        med[name] = float(np.median(terms))
-    g11 = make_grid(1.0, 2**11)
-    neg = []
-    for i in range(10_000):
-        s = SEED.child("c7neg").with_path(i)
-        model = build_model("shifted_brownian", g11, s.child("model"))
-        neg.append(qp_residual(PROCESS_ZOO["bm_plus_drift"](model, g11, [s]), model).terminal)
+    med = {name: float(np.median(shifted_qp_terminals(name, SEED.child("c7"), 2**16, 32)))
+           for name in ("bm", "bm_plus_local_time")}
+    neg = shifted_qp_terminals("bm_plus_drift", SEED.child("c7neg"), 2**11, 10_000)
     neg_mean = float(np.mean(neg))
     ok = med["bm"] < 0.05 and med["bm_plus_local_time"] < 0.05 and abs(neg_mean - 1.0) < 0.05
     announce(

@@ -43,26 +43,26 @@ class TestDecomposeExamples:
     def test_exact_zero_boundaries(self):
         exc = decompose_excursions(path_from_values([0, 1, 2, 0, -1, 0]))
         assert excursion_runs(exc.rows) == [(0, 1, 2, 1), (3, 4, 4, -1)]
-        assert list(np.flatnonzero(exc.zero_mask)) == [0, 3, 5]
-        assert list(np.flatnonzero(exc.zero_events)) == [0, 3, 5]
+        assert list(np.flatnonzero(~exc.rows.covered[0])) == [0, 3, 5]
+        assert list(np.flatnonzero(exc.rows.events[0])) == [0, 3, 5]
 
     def test_all_positive_single_interval(self):
         exc = decompose_excursions(path_from_values([1.0, 2.0, 0.5, 3.0]))
         assert excursion_runs(exc.rows) == [(0, 0, 3, 1)]
-        assert not exc.zero_mask.any()
-        assert not exc.zero_events.any()
+        assert exc.rows.covered[0].all()
+        assert not exc.rows.events[0].any()
 
     def test_everywhere_zero(self):
         exc = decompose_excursions(path_from_values([0.0, 0.0, 0.0]))
         assert exc.n_excursions == 0 and excursion_runs(exc.rows) == []
-        assert exc.zero_mask.all()
+        assert not exc.rows.covered[0].any()
 
     def test_strict_sign_change_boundary(self):
         # crossing between 0 and 1: neither endpoint masked, event at entry
         exc = decompose_excursions(path_from_values([1.0, -1.0]))
         assert excursion_runs(exc.rows) == [(0, 0, 0, 1), (1, 1, 1, -1)]
-        assert not exc.zero_mask.any()
-        assert list(np.flatnonzero(exc.zero_events)) == [1]
+        assert exc.rows.covered[0].all()
+        assert list(np.flatnonzero(exc.rows.events[0])) == [1]
 
     def test_snap_tolerance(self):
         vals = [0.5, 1e-12, -0.5]
@@ -70,7 +70,7 @@ class TestDecomposeExamples:
         assert excursion_runs(no_snap.rows) == [(0, 0, 1, 1), (2, 2, 2, -1)]
         snapped = decompose_excursions(path_from_values(vals), snap_tol=1e-9)
         assert excursion_runs(snapped.rows) == [(0, 0, 0, 1), (1, 2, 2, -1)]
-        assert list(np.flatnonzero(snapped.zero_mask)) == [1]
+        assert list(np.flatnonzero(~snapped.rows.covered[0])) == [1]
 
     def test_leading_and_trailing_zeros(self):
         exc = decompose_excursions(path_from_values([0, 0, 2, 0, 0]))
@@ -100,7 +100,7 @@ class TestDecomposeBrownian:
             cover = np.zeros(len(p.values), dtype=int)
             for _, lo, hi, _ in excursion_runs(exc.rows):
                 cover[lo : hi + 1] += 1
-            assert np.array_equal(cover, (~exc.zero_mask).astype(int))
+            assert np.array_equal(cover, exc.rows.covered[0].astype(int))
 
     def test_constant_sign_on_interiors(self):
         p = brownian(2**12, path_index=5, label="exc")
@@ -154,7 +154,7 @@ class TestLastZeroCurve:
             vals[rng.random(2**10) < 0.3] = 0.0
             exc = decompose_excursions(path_from_values(vals))
             gamma, gbar = last_zero_curve(exc)
-            expected = brute_force_gamma(exc.zero_events)
+            expected = brute_force_gamma(exc.rows.events[0])
             assert np.array_equal(gamma, expected)
             assert gbar == expected[-1]
 
@@ -170,9 +170,9 @@ class TestLastZeroCurve:
 class TestDilate:
     def test_dilate(self):
         exc = decompose_excursions(path_from_values([1, 1, 0, 1, 1, 1]))
-        d = dilate(exc.zero_mask, 1)
+        d = dilate(~exc.rows.covered[0], 1)
         assert list(np.flatnonzero(d)) == [1, 2, 3]
-        assert list(np.flatnonzero(exc.zero_mask)) == [2]
+        assert list(np.flatnonzero(~exc.rows.covered[0])) == [2]
 
     @pytest.mark.parametrize("radius", [0, 1, 2, 5])
     def test_block_dilates_row_by_row(self, radius):

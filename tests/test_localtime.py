@@ -6,11 +6,13 @@ import pytest
 from skewlab.excursion import decompose_excursions, last_zero_curve
 from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, refine_bridge, sample_brownian
 from skewlab.localtime import (
+    OCCUPATION_EXPONENT,
     _increments_in_place,
+    _occupation,
     covariation_rows,
     identity_residual,
     ito_sum,
-    local_time,
+    tanaka_rows,
 )
 
 from conftest import MASTER, brownian, independent_pair, path_from_values
@@ -28,13 +30,13 @@ def test_increments_in_place_equal_diff(n_points):
 class TestItoSum:
     def test_unit_integrand_telescopes(self):
         p = brownian(2**8, label="ito")
-        ones = p.with_values(np.ones(len(p)))
+        ones = SamplePath(p.grid, np.ones(len(p)))
         out = ito_sum(ones, p)
         assert np.allclose(out.values, p.values - p.values[0], atol=1e-12)
 
     def test_zero_integrand(self):
         p = brownian(2**8, label="ito")
-        zero = p.with_values(np.zeros(len(p)))
+        zero = SamplePath(p.grid, np.zeros(len(p)))
         assert np.all(ito_sum(zero, p).values == 0)
 
     def test_integration_by_parts_exact(self):
@@ -66,8 +68,7 @@ class TestQuadraticCovariation:
 
     def test_constant_second_argument(self):
         p = brownian(2**8)
-        c = p.with_values(np.full(len(p), 3.0))
-        assert np.all(covariation_rows(p.values, c.values) == 0)
+        assert np.all(covariation_rows(p.values, np.full(len(p), 3.0)) == 0)
 
     def test_independent_pair_vanishes(self):
         vals = []
@@ -80,22 +81,19 @@ class TestQuadraticCovariation:
 class TestLocalTime:
     def test_positive_path_tanaka_exactly_zero(self):
         p = path_from_values(2.0 + np.linspace(0, 1, 65) ** 2)
-        lt = local_time(p, "tanaka")
-        assert np.allclose(lt.values, 0.0, atol=1e-14)
+        assert np.allclose(tanaka_rows(p.values), 0.0, atol=1e-14)
 
     def test_positive_path_occupation_zero_for_small_bandwidth(self):
         p = path_from_values(2.0 + np.linspace(0, 1, 65) ** 2)
-        lt = local_time(p, "occupation", bandwidth=1.0)
-        assert np.all(lt.values == 0)
+        assert np.all(_occupation(p.values, p.grid.dt, 1.0) == 0)
 
     def test_occupation_nondecreasing_starts_at_zero(self):
         p = brownian(2**12, label="occ")
-        lt = local_time(p, "occupation")
-        assert lt.values[0] == 0
-        assert np.all(np.diff(lt.values) >= 0)
+        lt = _occupation(p.values, p.grid.dt, p.grid.dt**OCCUPATION_EXPONENT)
+        assert lt[0] == 0
+        assert np.all(np.diff(lt) >= 0)
         # the default bandwidth is dt**0.4
-        at_default = local_time(p, "occupation", bandwidth=p.grid.dt**0.4)
-        assert np.array_equal(lt.values, at_default.values)
+        assert np.array_equal(lt, _occupation(p.values, p.grid.dt, p.grid.dt**0.4))
 
     def test_estimators_agree_on_brownian(self):
         # occupation and tanaka are consistent estimators of the same local
@@ -103,8 +101,8 @@ class TestLocalTime:
         sups = []
         for i in range(32):
             p = sample_brownian(make_grid(1.0, 2**16), SeedSpec(MASTER, "agree", i))
-            occ = local_time(p, "occupation").values
-            tan = local_time(p, "tanaka").values
+            occ = _occupation(p.values, p.grid.dt, p.grid.dt**OCCUPATION_EXPONENT)
+            tan = tanaka_rows(p.values)
             sups.append(np.max(np.abs(occ - tan)))
         assert np.median(sups) < 0.1
 
@@ -118,7 +116,7 @@ class TestLocalTime:
                 p = refine_bridge(
                     sample_brownian(make_grid(1.0, 2**12), s), n // 2**12, s
                 )
-                curve = local_time(p, "tanaka").values
+                curve = tanaka_rows(p.values)
                 assert np.all(np.diff(curve) >= -1e-15)
 
     def test_abs_path_same_tanaka_when_zeros_are_exact(self):
@@ -127,23 +125,11 @@ class TestLocalTime:
         p = brownian(2**12, label="absL")
         exc = decompose_excursions(p)
         vals = p.values.copy()
-        vals[exc.zero_events] = 0.0
-        q = path_from_values(vals)
-        absq = path_from_values(np.abs(vals))
-        lt_q = local_time(q, "tanaka").values
-        lt_abs = local_time(absq, "tanaka").values
+        vals[exc.rows.events[0]] = 0.0
+        lt_q = tanaka_rows(vals)
+        lt_abs = tanaka_rows(np.abs(vals))
         assert np.array_equal(lt_q, lt_abs)
         assert lt_q[-1] > 0.1  # the path does visit zero
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            local_time(brownian(2**4), "kernel")
-
-    @pytest.mark.parametrize("bandwidth", [np.inf, np.nan])
-    def test_occupation_rejects_non_finite_bandwidth(self, bandwidth):
-        # the error names the bandwidth, not the path values
-        with pytest.raises(ValueError, match="occupation bandwidth"):
-            local_time(brownian(2**4), "occupation", bandwidth)
 
 
 class TestIdentityResidual:
@@ -169,8 +155,8 @@ class TestIdentityResidual:
 
     def test_balayage_unit_k_exact(self):
         p = brownian(2**10, label="bal")
-        y = p.with_values(np.abs(p.values))
-        k = y.with_values(np.ones(len(y)))
+        y = SamplePath(p.grid, np.abs(p.values))
+        k = SamplePath(y.grid, np.ones(len(y)))
         r = identity_residual("balayage_predictable", y=y, k=k)
         assert r.sup_norm < 1e-12
 
@@ -185,9 +171,9 @@ class TestIdentityResidual:
                 p = refine_bridge(
                     sample_brownian(make_grid(1.0, 2**12), s), n // 2**12, s
                 )
-                y = p.with_values(np.abs(p.values))
+                y = SamplePath(p.grid, np.abs(p.values))
                 gamma, _ = last_zero_curve(decompose_excursions(p))
-                k = p.with_values(np.cos(p.grid.times[gamma]))
+                k = SamplePath(p.grid, np.cos(p.grid.times[gamma]))
                 sups.append(
                     identity_residual(
                         "balayage_predictable", y=y, k=k, reference=p
@@ -204,17 +190,17 @@ class TestIdentityResidual:
         from skewlab.excursion import decompose_excursions as dec
 
         vals = p.values.copy()
-        vals[dec(p).zero_events] = 0.0
-        y = p.with_values(np.abs(vals))
-        snapped = p.with_values(vals)
+        vals[dec(p).rows.events[0]] = 0.0
+        y = SamplePath(p.grid, np.abs(vals))
+        snapped = SamplePath(p.grid, vals)
         gamma, _ = last_zero_curve(dec(snapped))
-        k = p.with_values(np.cos(p.grid.times[gamma]))
+        k = SamplePath(p.grid, np.cos(p.grid.times[gamma]))
         r = identity_residual("balayage_predictable", y=y, k=k, reference=snapped)
         assert r.sup_norm < 1e-12
 
     def test_balayage_accepts_callable_k(self):
         p = brownian(2**8, label="balc")
-        y = p.with_values(np.abs(p.values))
+        y = SamplePath(p.grid, np.abs(p.values))
         r = identity_residual("balayage_predictable", y=y, k=lambda t: np.ones_like(t))
         assert r.sup_norm < 1e-12
 
@@ -229,10 +215,10 @@ class TestIdentityResidual:
                 p = refine_bridge(
                     sample_brownian(make_grid(1.0, 2**12), s), n // 2**12, s
                 )
-                sgn = p.with_values(np.sign(p.values))
+                sgn = SamplePath(p.grid, np.sign(p.values))
                 m = ito_sum(sgn, p)
-                total = p.with_values(np.abs(p.values))
-                v = p.with_values(total.values - m.values)
+                total = SamplePath(p.grid, np.abs(p.values))
+                v = SamplePath(p.grid, total.values - m.values)
                 r = identity_residual(
                     "transform_c3",
                     total=total,

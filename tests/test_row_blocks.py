@@ -2,10 +2,10 @@
 
 Each row kernel has a one-row case: ``brownian_rows`` / ``sample_brownian``,
 ``ExcursionRows`` / ``decompose_excursions`` and ``last_zero_curve``,
-``sign_path_rows`` / ``draw_sign_path``, ``build_model_rows`` /
-``build_model``, and the qp and sigma_h kernels / ``qp_residual`` and
-``sigma_h_check``; the carried-by kernel, the ``PROCESS_ZOO`` members and
-``covariation_rows`` take a block of any size, one row included.  A block must
+``build_model_rows`` / ``build_model``, and the sigma_h kernel /
+``sigma_h_check``; ``sign_path_rows``, the qp and carried-by kernels, the
+``PROCESS_ZOO`` members and ``covariation_rows`` take a block of any size,
+one row included.  A block must
 reproduce the one-row case row by row whatever the block size, so the
 suites built on blocks give the same numbers at any block size, including
 one row per block; the pins at the end were recorded from the per-path
@@ -35,10 +35,9 @@ from skewlab.signed_measure import (
     equivalence_suite,
     martingale_drift_test,
     optional_representation_check,
-    qp_residual,
     sigma_h_check,
 )
-from skewlab.signflip import AlphaSchedule, draw_sign_path, sign_path_rows
+from skewlab.signflip import AlphaSchedule, sign_path_rows
 
 from conftest import MASTER, excursion_runs
 
@@ -111,8 +110,8 @@ def test_excursion_rows_equal_one_row(values):
     for r, row in enumerate(values):
         exc = decompose_excursions(SamplePath(make_grid(1.0, len(row) - 1), row))
         gamma, gbar = last_zero_curve(exc)
-        assert np.array_equal(rows.events[r], exc.zero_events)
-        assert np.array_equal(rows.covered[r], ~exc.zero_mask)
+        assert np.array_equal(rows.events[r], exc.rows.events[0])
+        assert np.array_equal(rows.covered[r], exc.rows.covered[0])
         assert np.array_equal(rows.starts[r], exc.rows.starts[0])
         assert same_bits(rows.gamma[r], gamma)
         assert rows.gbar[r] == gbar
@@ -145,36 +144,29 @@ def test_excursion_rows_partition_rows_with_exact_zeros(values):
 @given(
     values=integer_rows(),
     cuts=st.lists(st.floats(0.05, 0.95), max_size=2, unique=True),
-    pin_start=st.booleans(),
 )
-def test_sign_path_rows_equal_draw_sign_path(values, cuts, pin_start):
+def test_sign_path_rows_equal_one_row_blocks(values, cuts):
     grid = make_grid(1.0, values.shape[1] - 1)
     bounds = [0.0] + sorted(cuts)
     schedule = AlphaSchedule.piecewise(bounds, np.linspace(0.2, 0.8, len(bounds)))
     seeds = [SeedSpec(MASTER, "flip", p) for p in range(len(values))]
-    block = sign_path_rows(values, grid, schedule, seeds, pin_start)
+    block = sign_path_rows(values, grid, schedule, seeds)
     for row, source, seed in zip(block, values, seeds):
-        one = draw_sign_path(SamplePath(grid, source), schedule, seed, pin_start)
-        assert same_bits(row, one.values)
+        assert same_bits(row, sign_path_rows(source[None, :], grid, schedule, [seed])[0])
 
 
 @settings(max_examples=20, deadline=None)
-@given(
-    n_rows=st.integers(8, 48),
-    n_steps=STEPS,
-    pin_start=st.booleans(),
-)
-def test_sign_path_rows_of_large_blocks_equal_draw_sign_path(n_rows, n_steps, pin_start):
+@given(n_rows=st.integers(8, 48), n_steps=STEPS)
+def test_sign_path_rows_of_large_blocks_equal_one_row_blocks(n_rows, n_steps):
     # blocks larger than integer_rows draws
     steps = np.random.default_rng(n_rows * 1000 + n_steps).integers(-2, 3, (n_rows, n_steps + 1))
     values = np.cumsum(steps, axis=1).astype(float)
     grid = make_grid(1.0, n_steps)
     schedule = AlphaSchedule.piecewise([0.0, 0.4], [0.3, 0.8])
     seeds = [SeedSpec(MASTER, "flipblock", p) for p in range(n_rows)]
-    block = sign_path_rows(values, grid, schedule, seeds, pin_start)
+    block = sign_path_rows(values, grid, schedule, seeds)
     for row, source, seed in zip(block, values, seeds):
-        one = draw_sign_path(SamplePath(grid, source), schedule, seed, pin_start)
-        assert same_bits(row, one.values)
+        assert same_bits(row, sign_path_rows(source[None, :], grid, schedule, [seed])[0])
 
 
 def run_at_block_size(elements, fn):
@@ -294,8 +286,7 @@ def assert_kernels_equal_one_row(models, dec):
     sigma = signed_measure._sigma_rows(models, dec.zero_path, dec.martingale_part, dec.fv_part)
     for r in range(len(models.d)):
         model, one = models.row(r), row_of(dec, r)
-        rep = qp_residual(one, model)
-        assert rep.terminal == abs(qp[r, -1]) and rep.sup_norm == np.max(np.abs(qp[r]))
+        assert same_bits(qp[r], signed_measure._qp_rows(model.d, one.total, one.fv_part)[0])
         assert same_bits(cov[r], covariation_rows(one.total, model.d)[0])
         for values, stat in zip((one.fv_part, one.total), carried):
             one_row = signed_measure._carried_rows(values, mask[r][None, :])[0]

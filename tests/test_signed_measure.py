@@ -6,22 +6,20 @@ import pytest
 from skewlab import signed_measure
 from skewlab.excursion import decompose_excursions
 from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, sample_brownian
-from skewlab.localtime import covariation_rows, ito_sum, local_time
+from skewlab.localtime import covariation_rows, tanaka_rows
 from skewlab.signed_measure import (
     DecompositionRows,
     InsufficientSamplesError,
     PROCESS_ZOO,
-    ModelRows,
     build_model,
     build_model_rows,
     equivalence_suite,
     martingale_drift_test,
     optional_representation_check,
-    qp_residual,
     sigma_h_check,
 )
 
-from conftest import MASTER, martingale_row
+from conftest import MASTER, martingale_row, qp_terminals, shifted_qp_terminals
 
 
 # frozen fine-mesh Monte Carlo oracle for P(min over [0,1] of 1 + B <= 0):
@@ -65,7 +63,7 @@ class TestBuildModel:
         m = build_model("shifted_brownian", grid12, seed)
         assert m.d[0, 0] == 1.0
         exc = decompose_excursions(SamplePath(grid12, m.d[0]))
-        assert np.array_equal(m.zeros.events[0], exc.zero_events)
+        assert np.array_equal(m.zeros.events[0], exc.rows.events[0])
 
     def test_touch_fraction_matches_fine_mesh_oracle(self):
         g = make_grid(1.0, 2**12)
@@ -144,41 +142,24 @@ class TestDecomposition:
 
 class TestQpResidual:
     def test_independent_bm_small_terminal(self):
-        g = make_grid(1.0, 2**16)
-        terms = []
-        for i in range(32):
-            s = SeedSpec(MASTER, "qp", i)
-            model = build_model("shifted_brownian", g, s.child("model"))
-            terms.append(qp_residual(PROCESS_ZOO["bm"](model, g, [s]), model).terminal)
-        assert np.median(terms) < 0.05
+        assert np.median(shifted_qp_terminals("bm", SeedSpec(MASTER, "qp"), 2**16, 32)) < 0.05
 
     def test_local_time_drift_small_terminal(self):
-        g = make_grid(1.0, 2**16)
-        terms = []
-        for i in range(32):
-            s = SeedSpec(MASTER, "qp", i)
-            model = build_model("shifted_brownian", g, s.child("model"))
-            dec = PROCESS_ZOO["bm_plus_local_time"](model, g, [s])
-            terms.append(qp_residual(dec, model).terminal)
-        assert np.median(terms) < 0.05
+        assert np.median(shifted_qp_terminals("bm_plus_local_time", SeedSpec(MASTER, "qp"), 2**16, 32)) < 0.05
 
     def test_negative_control_mean_one(self):
         # E int_0^1 D_s ds = 1 because E D_s = 1
-        g = make_grid(1.0, 2**11)
-        vals = []
-        for i in range(10_000):
-            s = SeedSpec(MASTER, "qpneg", i)
-            model = build_model("shifted_brownian", g, s.child("model"))
-            dec = PROCESS_ZOO["bm_plus_drift"](model, g, [s])
-            vals.append(qp_residual(dec, model).terminal)
+        vals = shifted_qp_terminals("bm_plus_drift", SeedSpec(MASTER, "qpneg"), 2**11, 10_000)
         assert abs(np.mean(vals) - 1.0) < 0.05
 
     def test_grid_mismatch(self, seed):
+        # sigma_h_check, which reads the qp residual of the martingale part,
+        # refuses a model on another grid
         g1, g2 = make_grid(1.0, 2**8), make_grid(1.0, 2**9)
         model = build_model("trivial", g1, seed)
         dec = martingale_row(sample_brownian(g2, seed))
-        with pytest.raises(ValueError):
-            qp_residual(dec, model)
+        with pytest.raises(ValueError, match="paths live on different grids"):
+            sigma_h_check(dec, model)
 
     def test_multi_row_model_rejected(self, seed):
         g = make_grid(1.0, 2**6)
@@ -186,12 +167,11 @@ class TestQpResidual:
         dec = martingale_row(sample_brownian(g, seed))
         w = np.stack([sample_brownian(g, s).values for s in (seed, seed.with_path(1))])
         two = DecompositionRows.martingale(g, w)
-        for check in (qp_residual, sigma_h_check):
-            with pytest.raises(ValueError, match="one-row model"):
-                check(dec, models)
-            with pytest.raises(ValueError, match="one-row decomposition"):
-                check(two, models.row(1))
-            check(dec, models.row(1))
+        with pytest.raises(ValueError, match="one-row model"):
+            sigma_h_check(dec, models)
+        with pytest.raises(ValueError, match="one-row decomposition"):
+            sigma_h_check(two, models.row(1))
+        sigma_h_check(dec, models.row(1))
         assert np.array_equal(models.row(-1).d, models.d[1:])
         with pytest.raises(IndexError):
             models.row(2)
@@ -214,8 +194,7 @@ class TestQpResidual:
                 w = refine_bridge(
                     sample_brownian(coarse, s.child("w")), n // 2**12, s.child("w")
                 )
-                model = ModelRows("shifted_brownian", d.grid, d.values[None, :])
-                terms.append(qp_residual(martingale_row(w), model).terminal)
+                terms.append(qp_terminals(d.values[None, :], w.values[None, :])[0])
             medians.append(np.median(terms))
         assert medians[0] > medians[1] > medians[2]
 
@@ -232,7 +211,7 @@ class TestQpResidual:
                 continue
             checked += 1
             dec = PROCESS_ZOO["bm_plus_local_time"](model, g, [s])
-            assert qp_residual(dec, model).terminal < 0.05
+            assert qp_terminals(model.d, dec.total, dec.fv_part)[0] < 0.05
             assert abs(covariation_rows(dec.total, model.d)[0, -1]) < 0.05
             assert carried_by(dec.fv_part[0], model.zeros.events[0]) >= 0.95
             assert abs(covariation_rows(dec.martingale_part, model.d)[0, -1]) < 0.05
@@ -253,8 +232,8 @@ class TestCarriedBy:
             if not model.zeros.events.any():
                 continue
             found += 1
-            lt = local_time(SamplePath(g, model.d[0]), "tanaka")
-            assert carried_by(lt.values, model.zeros.events[0]) >= 0.95
+            lt = tanaka_rows(model.d[0])
+            assert carried_by(lt, model.zeros.events[0]) >= 0.95
         assert found >= 3
 
     def test_lebesgue_drift_fails_on_sparse_mask(self, grid12):

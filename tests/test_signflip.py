@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from skewlab.excursion import decompose_excursions
 from skewlab.grid_paths import SeedSpec, make_grid, sample_brownian
-from skewlab.signflip import AlphaSchedule, apply_sign, assign_signs, build_sign_path
+from skewlab.signflip import AlphaSchedule, assign_signs, build_sign_path
 
 from conftest import MASTER, brownian, excursion_runs, path_from_values
 
@@ -16,12 +16,12 @@ class TestAlphaSchedule:
     def test_constant(self):
         s = AlphaSchedule.constant(0.7)
         assert s.kind == "constant" and s.n_cells == 1
-        assert np.all(s.alpha_at(np.array([0.0, 0.3, 0.99])) == 0.7)
+        assert np.all(s.cell_indices(np.array([0.0, 0.3, 0.99])) == 0)
 
     def test_piecewise_lookup(self):
         s = AlphaSchedule.piecewise([0.0, 0.5], [0.3, 0.8])
         assert s.kind == "piecewise"
-        assert list(s.alpha_at(np.array([0.0, 0.49, 0.5, 1.0]))) == [0.3, 0.3, 0.8, 0.8]
+        assert list(s.cell_indices(np.array([0.0, 0.49, 0.5, 1.0]))) == [0, 0, 1, 1]
 
     @pytest.mark.parametrize(
         "bounds,vals",
@@ -130,7 +130,7 @@ class TestBuildSignPath:
         cells = sched.cell_indices(p.grid.times)
         for n, (birth, lo, hi, _) in enumerate(excursion_runs(exc.rows)):
             assert np.all(z[lo : hi + 1] == signs[n, cells[birth]])
-        assert np.all(z[exc.zero_mask] == 0)
+        assert np.all(z[~exc.rows.covered[0]] == 0)
 
     def test_mismatched_assignment_rejected(self, seed):
         exc = decompose_excursions(brownian(2**8, label="mm"))
@@ -143,13 +143,15 @@ class TestBuildSignPath:
 
 
 class TestApplySign:
+    """Products of a sign path Z with its source X: Z*X (the signed variant)
+    and Z*|X| (the absolute variant)."""
+
     def test_absolute_alpha_one_is_abs(self, seed):
         p = brownian(2**10, label="abs1")
         exc = decompose_excursions(p)
         sched = AlphaSchedule.constant(1.0)
         z = build_sign_path(exc, assign_signs(exc, sched, seed), sched)
-        out = apply_sign(z, p, mode="absolute")
-        assert np.array_equal(out.values, np.abs(p.values))
+        assert np.array_equal(z.values * np.abs(p.values), np.abs(p.values))
 
     def test_own_signs_recover_path(self):
         # Z carrying the path's own excursion signs satisfies Z*|X| = X on
@@ -158,12 +160,12 @@ class TestApplySign:
         exc = decompose_excursions(p)
         own = np.array([[sign] for *_, sign in excursion_runs(exc.rows)], dtype=np.int8)
         z = build_sign_path(exc, own, AlphaSchedule.constant(0.5))
-        covered = ~exc.zero_mask
-        out_abs = apply_sign(z, p, mode="absolute")
-        assert np.array_equal(out_abs.values[covered], p.values[covered])
-        assert np.all(out_abs.values[~covered] == 0)
-        out_signed = apply_sign(z, p, mode="signed")
-        assert np.array_equal(out_signed.values[covered], np.abs(p.values)[covered])
+        covered = exc.rows.covered[0]
+        out_abs = z.values * np.abs(p.values)
+        assert np.array_equal(out_abs[covered], p.values[covered])
+        assert np.all(out_abs[~covered] == 0)
+        out_signed = z.values * p.values
+        assert np.array_equal(out_signed[covered], np.abs(p.values)[covered])
 
     def test_absolute_value_invariance(self):
         # |Z^alpha X| and |X| agree off the zero mask for every alpha and seed
@@ -174,25 +176,6 @@ class TestApplySign:
             z = build_sign_path(
                 exc, assign_signs(exc, sched, SeedSpec(MASTER, "inv", i)), sched
             )
-            out = apply_sign(z, p, mode="signed")
-            covered = ~exc.zero_mask
-            assert np.array_equal(np.abs(out.values[covered]), np.abs(p.values[covered]))
-
-    def test_grid_mismatch_rejected(self, seed):
-        p = brownian(2**8)
-        q = brownian(2**9)
-        z = build_sign_path(
-            decompose_excursions(p),
-            assign_signs(decompose_excursions(p), AlphaSchedule.constant(0.5), seed),
-            AlphaSchedule.constant(0.5),
-        )
-        with pytest.raises(ValueError):
-            apply_sign(z, q)
-
-    def test_unknown_mode_rejected(self, seed):
-        p = brownian(2**8)
-        exc = decompose_excursions(p)
-        z = build_sign_path(exc, assign_signs(exc, AlphaSchedule.constant(1.0), seed),
-                            AlphaSchedule.constant(1.0))
-        with pytest.raises(ValueError):
-            apply_sign(z, p, mode="squared")
+            covered = exc.rows.covered[0]
+            out = z.values[covered] * p.values[covered]
+            assert np.array_equal(np.abs(out), np.abs(p.values[covered]))

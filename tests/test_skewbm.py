@@ -20,21 +20,10 @@ from scipy.stats import kstwobign, norm
 
 import skewlab
 from skewlab.excursion import decompose_excursions
-from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, sample_brownian
-from skewlab.localtime import covariation_rows, local_time
-from skewlab.signed_measure import (
-    DecompositionRows,
-    HypothesisNotMetError,
-    InsufficientSamplesError,
-    PROCESS_ZOO,
-    build_model,
-)
-from skewlab.signflip import (
-    AlphaSchedule,
-    apply_sign,
-    build_sign_path,
-    draw_sign_path,
-)
+from skewlab.grid_paths import SamplePath, SeedSpec, brownian_rows, make_grid, sample_brownian
+from skewlab.localtime import OCCUPATION_EXPONENT, _occupation, covariation_rows
+from skewlab.signed_measure import InsufficientSamplesError
+from skewlab.signflip import AlphaSchedule, build_sign_path, sign_path_rows
 from skewlab import skewbm
 from skewlab.cli import config_from_pairs, run_experiment
 from skewlab.skewbm import (
@@ -45,7 +34,6 @@ from skewlab.skewbm import (
     _octet_steps,
     _skew_correction,
     SkewLaw,
-    build_skew,
     harrison_shepp_terminals,
     ks_statistic,
     law_test,
@@ -57,7 +45,7 @@ from skewlab.skewbm import (
     two_sample_ks,
 )
 
-from conftest import MASTER, martingale_row
+from conftest import MASTER
 
 
 def walk_exact_distribution(alpha, n):
@@ -137,7 +125,7 @@ def pipeline_terminals(rows, uniforms, sched, dt):
             -1,
         ).astype(np.int8)
         z = build_sign_path(exc, signs, sched)
-        out.append(apply_sign(z, path, mode="absolute").values[-1])
+        out.append(z.values[-1] * abs(path.values[-1]))
     return np.array(out)
 
 
@@ -224,87 +212,40 @@ def record_caller_threads(monkeypatch):
     return calls
 
 
-def trivial_inputs(grid, seed):
-    """The one-row base (a Brownian driver from ``seed``'s ``base`` substream)
-    and the trivial model of a construction run."""
-    base = martingale_row(sample_brownian(grid, seed.child("base")), label="driver")
-    return base, build_model("trivial", grid, seed)
+def driver_and_signs(grid, seed, sched):
+    """A Brownian driver from ``seed``'s ``base`` substream and its sign path,
+    drawn from the ``signs`` substream."""
+    driver = sample_brownian(grid, seed.child("base"))
+    return driver, sign_path_rows(driver.values[None, :], grid, sched, [seed.child("signs")])[0]
 
 
 class TestBuildSkew:
+    """The absolute sign-flip construction Z*|W| of a Brownian driver W."""
+
     def test_alpha_one_absolute_is_reflection(self, seed):
-        grid = make_grid(1.0, 2**10)
-        base, model = trivial_inputs(grid, seed)
-        out = build_skew("absolute", AlphaSchedule.constant(1.0), base, model, seed.child("signs"))
-        assert np.array_equal(out.values, np.abs(base.total[0]))
+        driver, z = driver_and_signs(make_grid(1.0, 2**10), seed, AlphaSchedule.constant(1.0))
+        assert np.array_equal(z * np.abs(driver.values), np.abs(driver.values))
 
     def test_single_cell_piecewise_matches_constant(self, seed):
         grid = make_grid(1.0, 2**10)
-        base, model = trivial_inputs(grid, seed)
-        a = build_skew("absolute", AlphaSchedule.constant(0.3), base, model, seed.child("signs"))
-        piece = AlphaSchedule.piecewise([0.0], [0.3])
-        b = build_skew("absolute", piece, base, model, seed.child("signs"))
-        assert np.array_equal(a.values, b.values)
+        _, a = driver_and_signs(grid, seed, AlphaSchedule.constant(0.3))
+        _, b = driver_and_signs(grid, seed, AlphaSchedule.piecewise([0.0], [0.3]))
+        assert np.array_equal(a, b)
 
     def test_absolute_law_invariance(self, seed):
         grid = make_grid(1.0, 2**10)
         for i, alpha in enumerate([0.2, 0.7]):
-            s = seed.with_path(i)
-            base, model = trivial_inputs(grid, s)
-            out = build_skew("absolute", AlphaSchedule.constant(alpha), base, model,
-                             s.child("signs"))
-            assert np.array_equal(np.abs(out.values), np.abs(base.total[0]))
-
-    def test_nonzero_start_keeps_initial_sign(self, seed):
-        grid = make_grid(1.0, 2**8)
-        base = martingale_row(sample_brownian(grid, seed.child("base"), x0=0.4))
-        model = build_model("trivial", grid, seed)
-        # every unforced sign is -1
-        out = build_skew("signed", AlphaSchedule.constant(0.0), base, model, seed.child("signs"))
-        assert out.values[0] == 0.4  # no flip before the first zero
-
-    def test_strict_mode_rejects_bad_hypotheses(self, seed):
-        # under a model with nontrivial H, a driver not vanishing on H fails
-        grid = make_grid(1.0, 2**10)
-        model = None
-        for i in range(50):
-            m = build_model("shifted_brownian", grid, seed.with_path(i).child("model"))
-            if m.zeros.events.any():
-                model = m
-                roots_seed = seed.with_path(i)
-                break
-        assert model is not None
-        base = martingale_row(sample_brownian(grid, roots_seed.child("w")))
-        run = functools.partial(
-            build_skew, "signed", AlphaSchedule.constant(0.7), base, model,
-            roots_seed.child("signs"),
-        )
-        with pytest.raises(HypothesisNotMetError):
-            run()
-        out = run(strict=False)
-        assert len(out) == base.total.shape[1]
-
-    def test_invalid_variant_rejected(self, seed):
-        grid = make_grid(1.0, 16)
-        with pytest.raises(ValueError):
-            build_skew("upside", AlphaSchedule.constant(0.5), *trivial_inputs(grid, seed), seed)
-
-    def test_multi_row_base_rejected(self, seed):
-        grid = make_grid(1.0, 16)
-        base, model = trivial_inputs(grid, seed)
-        two = DecompositionRows.martingale(grid, np.repeat(base.total, 2, axis=0))
-        with pytest.raises(ValueError, match="one-row decomposition"):
-            build_skew("signed", AlphaSchedule.constant(0.5), two, model, seed)
+            driver, z = driver_and_signs(grid, seed.with_path(i), AlphaSchedule.constant(alpha))
+            out = z * np.abs(driver.values)
+            assert np.array_equal(np.abs(out), np.abs(driver.values))
 
 
 class TestSdeResidual:
     def _construction(self, seed, n_steps, alpha, variant):
-        grid = make_grid(1.0, n_steps)
-        driver = sample_brownian(grid, seed.child("base"))
         sched = AlphaSchedule.constant(alpha)
-        z = draw_sign_path(driver, sched, seed.child("signs"))
-        x = apply_sign(z, driver, mode=variant)
-        return x, driver, z, sched
+        driver, z = driver_and_signs(make_grid(1.0, n_steps), seed, sched)
+        x = z * (driver.values if variant == "signed" else np.abs(driver.values))
+        return SamplePath(driver.grid, x), driver, SamplePath(driver.grid, z), sched
 
     def test_alpha_one_absolute_reduces_to_tanaka_residual(self, seed):
         # Z == 1 on excursions, so the identity collapses to the reflection's
@@ -351,8 +292,9 @@ class TestSdeResidual:
         # reference reads alpha at every grid time
         sched = AlphaSchedule.piecewise(boundaries, values)
         x, _, _, _ = self._construction(seed, 2**10, 0.7, "absolute")
-        weights = 2.0 * sched.alpha_at(x.grid.times[:-1]) - 1.0
-        expected = np.cumsum(weights * np.diff(local_time(x, "occupation").values))
+        weights = 2.0 * np.asarray(sched.values)[sched.cell_indices(x.grid.times[:-1])] - 1.0
+        dt = x.grid.dt
+        expected = np.cumsum(weights * np.diff(_occupation(x.values, dt, dt**OCCUPATION_EXPONENT)))
         assert np.array_equal(_skew_correction(x, sched), expected)
 
     @pytest.mark.parametrize("variant", ["signed", "absolute"])
@@ -437,52 +379,27 @@ class TestHarrisonSheppWalk:
         alpha=st.one_of(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0)),
         n_steps=st.integers(1, 70),
         n_walks=st.integers(1, 150),
-        chunk=st.sampled_from([7, 40, 8192]),
-        cpus=st.sampled_from([1, 2, 3, 8]),
+        unit=st.sampled_from([7, 40, 8192]),
     )
-    @example(alpha=0.7, n_steps=1, n_walks=33, chunk=8192, cpus=1)
-    @example(alpha=0.0, n_steps=9, n_walks=101, chunk=40, cpus=2)
-    @example(alpha=0.5, n_steps=64, n_walks=150, chunk=7, cpus=8)
+    @example(alpha=0.7, n_steps=1, n_walks=33, unit=8192)
+    @example(alpha=0.0, n_steps=9, n_walks=101, unit=40)
+    @example(alpha=0.5, n_steps=64, n_walks=150, unit=7)
     # e = 1 takes an even step up from 0 for alpha >= 1/2, elsewhere below it
-    @example(alpha=float(np.nextafter(0.5, 0)), n_steps=5, n_walks=150, chunk=40, cpus=2)
-    @example(alpha=float(np.nextafter(0.5, 1)), n_steps=6, n_walks=150, chunk=7, cpus=3)
+    @example(alpha=float(np.nextafter(0.5, 0)), n_steps=5, n_walks=150, unit=40)
+    @example(alpha=float(np.nextafter(0.5, 1)), n_steps=6, n_walks=150, unit=7)
     # quads cut short by the horizon
-    @example(alpha=0.3, n_steps=2, n_walks=60, chunk=8192, cpus=1)
-    @example(alpha=0.7, n_steps=3, n_walks=60, chunk=40, cpus=2)
-    @example(alpha=1.0, n_steps=7, n_walks=60, chunk=7, cpus=8)
+    @example(alpha=0.3, n_steps=2, n_walks=60, unit=8192)
+    @example(alpha=0.7, n_steps=3, n_walks=60, unit=40)
+    @example(alpha=1.0, n_steps=7, n_walks=60, unit=7)
     # more than 2**15 up-steps: a 16-bit step counter would wrap
-    @example(alpha=0.7, n_steps=70_001, n_walks=3, chunk=8192, cpus=1)
-    def test_step_major_walk_equals_column_loop(self, alpha, n_steps, n_walks, chunk, cpus):
+    @example(alpha=0.7, n_steps=70_001, n_walks=3, unit=8192)
+    def test_step_major_walk_equals_column_loop(self, alpha, n_steps, n_walks, unit):
         seed = SeedSpec(MASTER, "hsprop")
         u = np.array([seed.with_path(k).rng().random(n_steps) for k in range(n_walks)])
         expected = walk_terminals_reference(u, alpha) / math.sqrt(n_steps)
-        with usable_cpus(cpus):
-            batch = harrison_shepp_terminals(alpha, n_steps, n_walks, seed, chunk=chunk)
+        with mock.patch.object(skewbm, "_WALK_UNIT", unit):
+            batch = harrison_shepp_terminals(alpha, n_steps, n_walks, seed)
         assert np.array_equal(batch.values, expected)
-
-    def test_concurrent_chunks_equal_column_loop(self):
-        # more chunks than workers and more workers than cores, with the
-        # interpreter switching threads as often as it can
-        seed = SeedSpec(MASTER, "hsstress")
-        alpha, n_steps, n_walks, chunk = 0.3, 48, 24 * 40 + 9, 40
-        result = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with usable_cpus(8):
-                worker = threading.Thread(
-                    target=lambda: result.append(
-                        harrison_shepp_terminals(alpha, n_steps, n_walks, seed, chunk=chunk)
-                    )
-                )
-                worker.start()
-                worker.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not worker.is_alive() and len(result) == 1
-        u = np.array([seed.with_path(k).rng().random(n_steps) for k in range(n_walks)])
-        expected = walk_terminals_reference(u, alpha) / math.sqrt(n_steps)
-        assert np.array_equal(result[0].values, expected)
 
     def test_symmetric_walk_clt_with_lattice_correction(self):
         w = harrison_shepp_terminals(0.5, 2**12, 100_000, SeedSpec(MASTER, "hs5"))
@@ -507,10 +424,8 @@ class TestHarrisonSheppWalk:
         assert abs((p_pos + 0.5 * p_zero) - alpha) < 0.005  # exact-oracle link
 
     @pytest.mark.parametrize(
-        "alpha,n_steps,chunk,match",
+        "alpha,n_steps,n_walks,match",
         [
-            (0.7, 16, 0, "chunk"),
-            (0.7, 16, -1, "chunk"),
             (0.7, 0, 8192, "n_steps"),
             (0.7, -3, 8192, "n_steps"),
             (1.5, 16, 8192, "alpha"),
@@ -518,9 +433,9 @@ class TestHarrisonSheppWalk:
             (float("nan"), 16, 8192, "alpha"),
         ],
     )
-    def test_terminals_reject_invalid_arguments(self, seed, alpha, n_steps, chunk, match):
+    def test_terminals_reject_invalid_arguments(self, seed, alpha, n_steps, n_walks, match):
         with pytest.raises(ValueError, match=match):
-            harrison_shepp_terminals(alpha, n_steps, 5, seed, chunk=chunk)
+            harrison_shepp_terminals(alpha, n_steps, n_walks, seed)
 
     @pytest.mark.parametrize("n_walks", [0, -3])
     def test_terminals_reject_walk_counts_below_one(self, seed, n_walks):
@@ -569,7 +484,8 @@ class TestHarrisonSheppWalk:
         u = np.array([seed.with_path(k).rng().random(n_steps) for k in range(n_walks)])
         expected = walk_terminals_reference(u, alpha) / math.sqrt(n_steps)
         monkeypatch.setattr(skewbm, "_BLOCK_BYTES", budget(n_steps))
-        walk = harrison_shepp_terminals(alpha, n_steps, n_walks, seed, chunk=40)
+        monkeypatch.setattr(skewbm, "_WALK_UNIT", 40)
+        walk = harrison_shepp_terminals(alpha, n_steps, n_walks, seed)
         assert np.array_equal(walk.values, expected)
 
     def test_working_set_does_not_grow_with_steps(self):
@@ -772,14 +688,15 @@ class TestTerminalSamplers:
         # calling thread inside the bulk sampler's call, after its streams
         seed = SeedSpec(MASTER, "threadrule")
         scheds = [AlphaSchedule.constant(0.7), AlphaSchedule.piecewise([0.0, 0.5], [0.3, 0.8])]
-        walk_ref = harrison_shepp_terminals(0.7, 32, 200, seed.child("walk"), chunk=16)
+        monkeypatch.setattr(skewbm, "_WALK_UNIT", 16)
+        walk_ref = harrison_shepp_terminals(0.7, 32, 200, seed.child("walk"))
         bulk_ref = skew_terminal_samples(scheds, 300, 32, seed, chunk=64)
         cfg = config_from_pairs({"suite": "skew_law", "paths": "1000", "steps": "32",
                                  "out": str(tmp_path)})
         law_ref = run_experiment(cfg).reports
         calls = record_caller_threads(monkeypatch)
         with usable_cpus(4):
-            walk = harrison_shepp_terminals(0.7, 32, 200, seed.child("walk"), chunk=16)
+            walk = harrison_shepp_terminals(0.7, 32, 200, seed.child("walk"))
             bulk = skew_terminal_samples(scheds, 300, 32, seed, chunk=64)
             start = len(calls)
             law = run_experiment(cfg).reports
@@ -796,7 +713,7 @@ class TestTerminalSamplers:
         assert "skewlab.grid_paths.stream_states" in law_calls[walk_at:]
         assert repr(law) == repr(law_ref)
 
-    def test_overlapped_samplers_equal_references(self):
+    def test_overlapped_samplers_equal_references(self, monkeypatch):
         # skew_law's overlap with more bulk workers than cores, the walk in a
         # non-main calling thread, and the interpreter switching threads as
         # often as it can
@@ -804,6 +721,7 @@ class TestTerminalSamplers:
         seed = SeedSpec(MASTER, "overlapstress")
         n_paths, n_steps, chunk = 24 * 64 + 10, 48, 64
         n_walks, walk_steps = 150, 37
+        monkeypatch.setattr(skewbm, "_WALK_UNIT", 16)
         result = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -812,8 +730,7 @@ class TestTerminalSamplers:
                 worker = threading.Thread(target=lambda: result.append(skewbm._alongside(
                     lambda: skew_terminal_sample(sched, n_paths, n_steps, seed.child("law"),
                                                  chunk=chunk),
-                    lambda: harrison_shepp_terminals(0.7, walk_steps, n_walks, seed.child("walk"),
-                                                     chunk=16),
+                    lambda: harrison_shepp_terminals(0.7, walk_steps, n_walks, seed.child("walk")),
                 )))
                 worker.start()
                 worker.join(timeout=120)
@@ -844,14 +761,12 @@ class TestTerminalSamplers:
 
     def test_perpath_law(self):
         # one full construction run per path, path k on seed.with_path(k)
-        sched = AlphaSchedule.constant(0.7)
         grid = make_grid(1.0, 256)
-        terminals = []
-        for k in range(2000):
-            s = SeedSpec(MASTER, "pp").with_path(k)
-            out = build_skew("absolute", sched, *trivial_inputs(grid, s), s.child("signs"))
-            terminals.append(out.values[-1])
-        rep = law_test(LawSample(np.array(terminals)), SkewLaw(0.7, 1.0))
+        seeds = [SeedSpec(MASTER, "pp").with_path(k) for k in range(2000)]
+        drivers = brownian_rows(grid, [s.child("base") for s in seeds])
+        z = sign_path_rows(drivers, grid, AlphaSchedule.constant(0.7),
+                           [s.child("signs") for s in seeds])
+        rep = law_test(LawSample(z[:, -1] * np.abs(drivers[:, -1])), SkewLaw(0.7, 1.0))
         assert rep.passed
 
     def test_signed_flip_of_brownian_driver_stays_symmetric(self):
