@@ -22,22 +22,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .excursion import ExcursionRows
-from .grid_paths import (
-    SamplePath,
-    SeedSpec,
-    _check_finite,
-    make_grid,
-    refine_bridge,
-    sample_brownian,
-)
-from .localtime import (
-    ResidualReport,
-    _increments,
-    _product_residual,
-    _tanaka_residual,
-    ito_rows,
-)
+from .grid_paths import SamplePath, SeedSpec, make_grid, refine_bridge, sample_brownian
+from .localtime import identity_residuals
 from .signed_measure import (
     HYPOTHESIS_NOT_MET,
     MIN_PATHS,
@@ -302,60 +288,23 @@ def _suite(blurb: str):
 @_suite("pathwise residuals: Tanaka, frozen-k balayage, f(v)M transform, across mesh levels")
 def run_identities(cfg: ExperimentConfig, seed: SeedSpec):
     _check_refinable(cfg.n_steps)
-    reports, curves = [], []
+    reports, tanaka = [], []
     kinds = {"tanaka": {}, "balayage": {}, "transform": {}}
     for i in range(cfg.n_seeds):
         # a comprehension, so no path outlives its seed (see _sde_sup)
-        levels = {n: _identity_sups(p, curves if i == 0 else None)
+        levels = {n: identity_residuals(p, tanaka if i == 0 else None)
                   for n, p in _coupled_paths(seed.child("identities"), cfg.n_steps, i).items()}
-        for n, sups in levels.items():
-            for kind, sup in sups.items():
-                kinds[kind].setdefault(n, []).append(sup)
+        for n, residuals in levels.items():
+            for kind, r in residuals.items():
+                kinds[kind].setdefault(n, []).append(r.sup_norm)
     tol = cfg.tol("identities", _mesh_tol(cfg.n_steps))
     for kind, by_level in kinds.items():
         reports += _mesh_reports(
             f"identities.{kind}", by_level, tol, seed, cfg.n_seeds,
             "median sup-norm at finest level",
         )
+    curves = [CurveSeries(f"tanaka_residual_n{g.n_steps}", g.times, c) for g, c in tanaka]
     return reports, curves
-
-
-def _identity_sups(p: SamplePath, curves: Optional[list]) -> dict:
-    """Sup norms of the Tanaka, balayage (k = cos) and transform (f = cos,
-    F = sin) residuals of one path, with the kernels of
-    :func:`~skewlab.localtime.identity_residual`.  sign(X), |X| and
-    int sgn(X) dX are computed once for all three, and each buffer is freed
-    or reused as soon as it is spent, so at most five path-length float
-    arrays are alive at once, the path included.  The Tanaka residual is
-    appended to ``curves`` when that is given."""
-    x, grid = p.values, p.grid
-    # balayage first, while the fewest arrays are alive
-    rows = ExcursionRows(x[None, :])
-    signs = rows.sign[0]
-    k_frozen = _check_finite(np.cos(grid.times))[rows.gamma[0]]
-    del rows
-    y = _check_finite(np.abs(x))
-    balayage = _product_residual(k_frozen, y, _increments(y))
-    sups = {"balayage": ResidualReport.from_residual(balayage, out=balayage).sup_norm}
-    del balayage, k_frozen
-
-    m = _check_finite(ito_rows(signs, x))
-    del signs
-    tanaka = _tanaka_residual(y, m, grid.dt)
-    if curves is None:
-        sups["tanaka"] = ResidualReport.from_residual(tanaka, out=tanaka).sup_norm
-    else:
-        sups["tanaka"] = ResidualReport.from_residual(tanaka).sup_norm
-        curves.append(CurveSeries(f"tanaka_residual_n{grid.n_steps}", grid.times, tanaka))
-    del tanaka
-
-    v = _check_finite(y - m)
-    dm = _increments(m)
-    del m
-    fv = np.cos(v)
-    transform = _product_residual(fv, y, dm, np.sin(v, out=v))
-    sups["transform"] = ResidualReport.from_residual(transform, out=transform).sup_norm
-    return sups
 
 
 @_suite("conditional-drift tests of the density-weighted product processes, "

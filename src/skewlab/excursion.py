@@ -145,14 +145,12 @@ class ExcursionSet:
         return int(self.rows.counts[0])
 
 
-def decompose_excursions(path: SamplePath, snap_tol: float = 0.0) -> ExcursionSet:
-    """Split a path into excursions and its discrete zero set.
-
-    Values of magnitude <= snap_tol are treated as exact zeros (default 0:
-    only true zeros).  An everywhere-zero path yields no excursions and a
-    full mask.  This is the one-row case of :class:`ExcursionRows`.
+def decompose_excursions(path: SamplePath) -> ExcursionSet:
+    """Split a path into excursions and its discrete zero set of exact
+    zeros.  An everywhere-zero path yields no excursions and a full mask.
+    This is the one-row case of :class:`ExcursionRows`.
     """
-    return ExcursionSet(path, ExcursionRows(path.values[None, :], snap_tol))
+    return ExcursionSet(path, ExcursionRows(path.values[None, :]))
 
 
 def last_zero_curve(excursions: ExcursionSet) -> tuple[np.ndarray, int]:

@@ -321,9 +321,9 @@ def brownian_rows(grid: TimeGrid, seeds, x0: float = 0.0) -> np.ndarray:
     return values
 
 
-def sample_brownian(grid: TimeGrid, seed: SeedSpec, x0: float = 0.0) -> SamplePath:
-    """Sample one Brownian path: the one-row case of :func:`brownian_rows`."""
-    return SamplePath(grid, brownian_rows(grid, [seed], x0)[0])
+def sample_brownian(grid: TimeGrid, seed: SeedSpec) -> SamplePath:
+    """Sample one Brownian path from 0: the one-row case of :func:`brownian_rows`."""
+    return SamplePath(grid, brownian_rows(grid, [seed])[0])
 
 
 def refine_bridge(path: SamplePath, factor: int, seed: SeedSpec) -> SamplePath:

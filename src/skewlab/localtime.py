@@ -14,18 +14,19 @@ result in one output buffer (``out=`` differences, in-place products and
 ``cumsum``), with the same floating-point operations in the same order as
 the textbook ``np.diff``/``cumsum`` expressions.
 
-Each pathwise identity has one implementation, a private kernel on bare
-arrays of one path: ``identity_residual`` calls it on ``SamplePath`` inputs,
-and the CLI's ``identities`` suite calls it directly, computing sign(X),
-|X| and int sgn(X) dX once per level for all three identities.  A kernel
-overwrites the buffers it consumes, and checks every intermediate finite,
-with the ``ValueError`` a ``SamplePath`` raises.
+The three pathwise identities (Tanaka, frozen-k balayage and the f(v)M
+transform) have one implementation, ``identity_residuals``: it computes
+sign(X), |X| and int sgn(X) dX once per path for all three, and the CLI's
+``identities`` suite calls it on every mesh level.  ``identity_residual`` is
+its one-kind front.  Its private kernels work on bare arrays, overwrite the
+buffers they consume, and check every intermediate finite, with the
+``ValueError`` a ``SamplePath`` raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "covariation_rows",
     "tanaka_rows",
     "identity_residual",
+    "identity_residuals",
 ]
 
 #: occupation bandwidth default: eps = dt**OCCUPATION_EXPONENT, balancing the
@@ -134,9 +136,9 @@ def _occupation(x: np.ndarray, dt: float, eps: float) -> np.ndarray:
 
 
 # The identity kernels below work on bare arrays of one path and overwrite
-# the buffers they are said to consume, so a caller holding |X| and
-# int sgn(X) dX computes each once for all three identities.  Each
-# intermediate is checked finite, with the ValueError a SamplePath raises.
+# the buffers they are said to consume, so identity_residuals computes |X|
+# and int sgn(X) dX once for all three identities.  Each intermediate is
+# checked finite, with the ValueError a SamplePath raises.
 
 
 def _tanaka_residual(y: np.ndarray, m: np.ndarray, dt: float) -> np.ndarray:
@@ -168,67 +170,62 @@ def _product_residual(
     return residual
 
 
-def identity_residual(kind: str, **inputs) -> ResidualReport:
-    """Pathwise residual of one of the named identities.
+def identity_residuals(path: SamplePath, curves: Optional[list] = None) -> dict:
+    """Residuals of the three pathwise identities on one path, keyed by kind:
 
     tanaka
-        requires ``path``; residual of
-        |X_t| - |X_0| - sum sgn(X) dX - L_t  with L estimated by the
+        |X_t| - |X_0| - sum sgn(X) dX - L_t with L estimated by the
         occupation kernel at its default bandwidth, so the discrete Tanaka
         rearrangement is checked against an independent estimator of the
         same local time.
-    balayage_predictable
-        requires ``y`` and ``k`` (a path of k_t values, or a callable
-        evaluated on the grid times); residual of
-        k_{gamma_t} Y_t - k_0 Y_0 - sum k_{gamma_i} dY  with gamma the
-        last-zero curve of Y.  An optional ``reference`` path supplies the
-        zero structure instead of Y itself; a nonnegative Y (for example a
-        reflected path) shows no sign changes on a discrete grid, so its
-        zero set must be read off the signed parent process.
-    transform_c3
-        requires ``total`` (M), ``martingale_part`` (m), ``fv_part`` (v) and
-        callables ``f`` and ``F`` with F(x) = int_0^x f; residual of
-        f(v_t) M_t - f(v_0) M_0 - sum f(v_i) dm - F(v_t), which presumes the
-        caller's normalization F(v_0) = 0.
+    balayage
+        k_{gamma_t} Y_t - k_0 Y_0 - sum k_{gamma_i} dY for Y = |X| and
+        k = cos, with gamma the last-zero curve of X: a nonnegative Y shows
+        no sign changes on a discrete grid, so its zero set is read off the
+        signed X.
+    transform
+        f(v_t) M_t - f(v_0) M_0 - sum f(v_i) dm - F(v_t) for M = |X|,
+        m = int sgn(X) dX, v = M - m, f = cos and F = sin, so F(v_0) = 0.
+
+    sign(X), |X| and int sgn(X) dX are computed once for all three, and each
+    buffer is freed or reused as soon as it is spent, so at most five
+    path-length float arrays are alive at once, the path included.  When
+    ``curves`` is given, ``(path.grid, tanaka residual)`` is appended to it.
     """
-    if kind == "tanaka":
-        path = _require(inputs, "path", kind)
-        x = path.values
-        y = _check_finite(np.abs(x))
-        residual = _tanaka_residual(y, _check_finite(ito_rows(_signs(x), x)), path.grid.dt)
-        return ResidualReport.from_residual(residual, out=residual)
+    x, grid = path.values, path.grid
+    # balayage first, while the fewest arrays are alive
+    rows = ExcursionRows(x[None, :])
+    signs = rows.sign[0]
+    k_frozen = _check_finite(np.cos(grid.times))[rows.gamma[0]]
+    del rows
+    y = _check_finite(np.abs(x))
+    balayage = _product_residual(k_frozen, y, _increments(y))
+    reports = {"balayage": ResidualReport.from_residual(balayage, out=balayage)}
+    del balayage, k_frozen
 
-    if kind == "balayage_predictable":
-        y = _require(inputs, "y", kind)
-        k = _require(inputs, "k", kind)
-        if callable(k):
-            k = SamplePath(y.grid, np.asarray(k(y.grid.times), dtype=float))
-        _check_aligned(k, y)
-        reference = inputs.get("reference") or y
-        _check_aligned(reference, y)
-        k_frozen = k.values[ExcursionRows(reference.values[None, :]).gamma[0]]
-        residual = _product_residual(k_frozen, y.values, _increments(y.values))
-        return ResidualReport.from_residual(residual, out=residual)
+    m = _check_finite(ito_rows(signs, x))
+    del signs
+    tanaka = _tanaka_residual(y, m, grid.dt)
+    if curves is None:
+        reports["tanaka"] = ResidualReport.from_residual(tanaka, out=tanaka)
+    else:
+        reports["tanaka"] = ResidualReport.from_residual(tanaka)
+        curves.append((grid, tanaka))
+    del tanaka
 
-    if kind == "transform_c3":
-        total = _require(inputs, "total", kind)
-        m = _require(inputs, "martingale_part", kind)
-        v = _require(inputs, "fv_part", kind)
-        f: Callable = _require(inputs, "f", kind)
-        big_f: Callable = _require(inputs, "F", kind)
-        _check_aligned(total, m)
-        _check_aligned(total, v)
-        # a copy, since the kernel overwrites it and f may return its input
-        fv = SamplePath(total.grid, np.asarray(f(v.values), dtype=float)).values.copy()
-        residual = _product_residual(
-            fv, total.values, _increments(m.values), np.asarray(big_f(v.values), dtype=float)
-        )
-        return ResidualReport.from_residual(residual, out=residual)
-
-    raise ValueError(f"unknown identity kind {kind!r}")
+    v = _check_finite(y - m)
+    dm = _increments(m)
+    del m
+    fv = np.cos(v)
+    transform = _product_residual(fv, y, dm, np.sin(v, out=v))
+    reports["transform"] = ResidualReport.from_residual(transform, out=transform)
+    return reports
 
 
-def _require(inputs: dict, key: str, kind: str):
-    if key not in inputs or inputs[key] is None:
-        raise ValueError(f"identity kind {kind!r} requires input {key!r}")
-    return inputs[key]
+def identity_residual(kind: str, path: SamplePath) -> ResidualReport:
+    """The ``kind`` entry of :func:`identity_residuals`: ``"tanaka"``,
+    ``"balayage"`` or ``"transform"``."""
+    reports = identity_residuals(path)
+    if kind not in reports:
+        raise ValueError(f"unknown identity kind {kind!r}")
+    return reports[kind]

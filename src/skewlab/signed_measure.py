@@ -110,10 +110,6 @@ class ModelRows:
     def zeros(self) -> ExcursionRows:
         return ExcursionRows(self.d)
 
-    def row(self, index: int) -> "ModelRows":
-        """Row ``index`` as a one-row block."""
-        return ModelRows(self.family, self.grid, self.d[index][None, :])
-
 
 def build_model_rows(family: str, grid: TimeGrid, seeds: Sequence[SeedSpec]) -> ModelRows:
     """Models of a block of paths, row j from ``seeds[j]``: ``trivial``
@@ -500,6 +496,10 @@ _PROBE_PATHS = 200
 _HYP_FRAC = 0.02
 #: the checkpoints of the equivalence suites' drift tests
 _CHECKPOINTS = (0.5, 1.0)
+#: the equivalence suites' grid
+_EQUIVALENCE_GRID = make_grid(1.0, 2**10)
+#: the paths of the equivalence suites' sigma_h and qp panels
+_SIGMA_PATHS = 32
 
 
 def _flip_rows(dec: DecompositionRows, alpha: float, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -617,7 +617,6 @@ class _SuiteContext:
     seed: SeedSpec
     n_paths: int
     grid: TimeGrid
-    n_sigma_paths: int
 
     def drift_columns(self):
         """Validated checkpoint pairs and the grid columns the drift
@@ -635,8 +634,8 @@ class _SuiteContext:
         return _read_blocks(self.model_family, self.base, self.grid, self.seed, sides, n_probe)
 
     def panel(self, split=None):
-        """A side of sigma_h rows gathered over the first ``n_sigma_paths``."""
-        return self.n_sigma_paths, _sigma_side(split)
+        """A side of sigma_h rows gathered over the first ``_SIGMA_PATHS``."""
+        return _SIGMA_PATHS, _sigma_side(split)
 
     def report(self, name, statistic, passed, detail, threshold=1.0) -> TestReport:
         """The report of suite ``name`` over this suite's paths, grid and seed."""
@@ -733,13 +732,13 @@ def _suite_qp_brownian(ctx: _SuiteContext) -> TestReport:
         qp = _qp_rows(models.d, dec.total, dec.fv_part)[:, -1]
         return np.column_stack((np.abs(qv - horizon), np.abs(qp)))
 
-    _, (panel,) = ctx.read([(ctx.n_sigma_paths, residuals)])
+    _, (panel,) = ctx.read([(_SIGMA_PATHS, residuals)])
     qv_errs, qp_terms = panel.T
     stat = max(float(np.median(qv_errs)) / 0.05, float(np.median(qp_terms)) / 0.05)
     return ctx.below(
         "qp_brownian", stat,
         f"median_qv_err={np.median(qv_errs):.4f} median_qp={np.median(qp_terms):.4f}",
-        n_paths=ctx.n_sigma_paths,
+        n_paths=_SIGMA_PATHS,
     )
 
 
@@ -786,10 +785,9 @@ def equivalence_suite(
     alpha: float,
     seed: SeedSpec,
     n_paths: int,
-    grid: Optional[TimeGrid] = None,
-    n_sigma_paths: int = 32,
 ) -> TestReport:
-    """Run one named equivalence suite and report the two-sided verdict.
+    """Run one named equivalence suite on ``_EQUIVALENCE_GRID`` (2**10 steps
+    on [0, 1]) and report the two-sided verdict.
 
     For the "iff" suites the report passes when the left and right verdicts
     agree (pass/pass on positive instances, fail/fail on negative controls);
@@ -805,8 +803,7 @@ def equivalence_suite(
         alpha=alpha,
         seed=seed,
         n_paths=n_paths,
-        grid=grid if grid is not None else make_grid(1.0, 2**10),
-        n_sigma_paths=n_sigma_paths,
+        grid=_EQUIVALENCE_GRID,
     )
     return EQUIVALENCE_SUITES[name](ctx)
 

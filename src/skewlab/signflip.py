@@ -150,6 +150,10 @@ def sign_path_rows(
     assemble the ``(rows, n_points)`` sign rows.  This is the one
     decompose -> sign -> assemble routine; a single run is a one-row block.
     """
+    if sources.shape[-1] != grid.n_points:
+        raise ValueError(
+            f"sources have {sources.shape[-1]} points per row, grid has {grid.n_points}"
+        )
     rows = ExcursionRows(sources)
     signs = np.concatenate(
         _draw_streams(

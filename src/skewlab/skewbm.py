@@ -557,14 +557,12 @@ def _bulk_chunk(
     m: int,
     n_steps: int,
     dt: float,
-    variant: str,
 ) -> list[np.ndarray]:
     """Terminal values of one chunk's m paths, one array per schedule; the
     base paths and then each schedule's sign uniforms are drawn one
     :func:`_row_blocks` block at a time."""
     n_exc, birth, terminal = _base_rows(rng_base, m, n_steps, dt)
-    if variant == "absolute":
-        np.abs(terminal, out=terminal)
+    np.abs(terminal, out=terminal)
     # ordinal of the excursion straddling the horizon = (#starts) - 1
     last_ord = np.maximum(n_exc - 1, 0)
     max_exc = int(n_exc.max())
@@ -588,18 +586,18 @@ def _bulk_chunk(
     return outs
 
 
-def skew_terminal_samples(
-    schedules: Sequence[AlphaSchedule],
-    n_paths: int,
-    n_steps: int,
-    seed: SeedSpec,
-    variant: str = "absolute",
-    chunk: int = 8192,
-) -> list[LawSample]:
-    """Bulk terminal sampling of the construction over shared driver paths,
-    at the unit horizon.
+#: paths per chunk of the bulk sampler; part of its determinism contract
+_BULK_CHUNK = 8192
 
-    Chunk c draws its driver increments from seed.child(f"bulk/base/{c}")
+
+def skew_terminal_samples(
+    schedules: Sequence[AlphaSchedule], n_paths: int, n_steps: int, seed: SeedSpec
+) -> list[LawSample]:
+    """Bulk terminal sampling of the construction's absolute variant,
+    Z_1 * |W_1|, over shared driver paths W, at the unit horizon.
+
+    The paths run in chunks of ``_BULK_CHUNK``.  Chunk c draws its driver
+    increments from seed.child(f"bulk/base/{c}")
     (row per path, float32) and, for schedule k, its sign uniforms from
     seed.child(f"bulk/signs/{k}/{c}") with one row of
     max_excursions * n_cells uniforms per path, consumed row-major exactly
@@ -612,7 +610,7 @@ def skew_terminal_samples(
     is a variance-reduction coupling; each individual sample keeps the exact
     law.
 
-    The chunk size is part of the sampler's determinism contract; the
+    ``_BULK_CHUNK`` is part of the sampler's determinism contract; the
     number of worker threads and the row block size are not.  The calling
     thread derives each chunk's generators and collects the chunks in
     order; the chunks run on a thread pool (one worker per usable CPU, at
@@ -626,8 +624,6 @@ def skew_terminal_samples(
     float64 sign uniforms, whatever n_steps up to 2**19 (past that, one
     row).
     """
-    if variant not in ("signed", "absolute"):
-        raise ValueError(f"unknown variant {variant!r}")
     _check_count("n_steps", n_steps)
     _check_count("n_paths", n_paths)
     dt = 1.0 / n_steps
@@ -636,30 +632,25 @@ def skew_terminal_samples(
         rng_signs = [seed.child(f"bulk/signs/{k}/{c}").rng() for k in range(len(schedules))]
         return functools.partial(
             _bulk_chunk, seed.child(f"bulk/base/{c}").rng(), rng_signs, schedules,
-            hi - lo, n_steps, dt, variant,
+            hi - lo, n_steps, dt,
         )
 
     outs = [np.empty(n_paths) for _ in schedules]
-    for rows, values in _run_chunks(n_paths, chunk, job):
+    for rows, values in _run_chunks(n_paths, _BULK_CHUNK, job):
         for out, v in zip(outs, values):
             out[rows] = v
     return [
-        LawSample(out, tag=f"skew[{variant},{sched.kind}]")
+        LawSample(out, tag=f"skew[absolute,{sched.kind}]")
         for out, sched in zip(outs, schedules)
     ]
 
 
 def skew_terminal_sample(
-    schedule: AlphaSchedule,
-    n_paths: int,
-    n_steps: int,
-    seed: SeedSpec,
-    variant: str = "absolute",
-    chunk: int = 8192,
+    schedule: AlphaSchedule, n_paths: int, n_steps: int, seed: SeedSpec
 ) -> LawSample:
     """Terminal values of many independent construction runs (trivial
     model): the one-schedule case of :func:`skew_terminal_samples`."""
-    return skew_terminal_samples([schedule], n_paths, n_steps, seed, variant, chunk)[0]
+    return skew_terminal_samples([schedule], n_paths, n_steps, seed)[0]
 
 
 # ---------------------------------------------------------------------------

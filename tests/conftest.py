@@ -20,11 +20,9 @@ def grid12():
     return make_grid(1.0, 2**12)
 
 
-def brownian(n_steps=2**12, path_index=0, label="test", x0=0.0, horizon=1.0):
-    """One Brownian path with a fully specified substream."""
-    return sample_brownian(
-        make_grid(horizon, n_steps), SeedSpec(MASTER, label, path_index), x0
-    )
+def brownian(n_steps=2**12, path_index=0, label="test", horizon=1.0):
+    """One Brownian path from 0 with a fully specified substream."""
+    return sample_brownian(make_grid(horizon, n_steps), SeedSpec(MASTER, label, path_index))
 
 
 def independent_pair(grid, seed):

@@ -22,9 +22,13 @@ import pytest
 from scipy.stats import kstwobign, norm
 
 from skewlab.cli import _coupled_paths, _sde_sup
-from skewlab.excursion import decompose_excursions, last_zero_curve
-from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, sample_brownian
-from skewlab.localtime import identity_residual
+from skewlab.grid_paths import SeedSpec, make_grid, sample_brownian
+from skewlab.localtime import (
+    ResidualReport,
+    _increments,
+    _product_residual,
+    identity_residual,
+)
 from skewlab.signed_measure import (
     PROCESS_ZOO,
     build_model,
@@ -100,18 +104,11 @@ def test_criterion_02_balayage_identity():
     exact_ok = True
     for i in range(32):
         for n, p in coupled("c2", i).items():
-            y = SamplePath(p.grid, np.abs(p.values))
-            gamma, _ = last_zero_curve(decompose_excursions(p))
-            k = SamplePath(p.grid, np.cos(p.grid.times[gamma]))
-            sups[n].append(
-                identity_residual(
-                    "balayage_predictable", y=y, k=k, reference=p
-                ).sup_norm
-            )
+            sups[n].append(identity_residual("balayage", path=p).sup_norm)
             if i == 0:
-                ones = SamplePath(p.grid, np.ones(len(p)))
-                r1 = identity_residual(
-                    "balayage_predictable", y=y, k=ones, reference=p
+                y = np.abs(p.values)
+                r1 = ResidualReport.from_residual(
+                    _product_residual(np.ones(len(p)), y, _increments(y))
                 )
                 exact_ok &= r1.sup_norm < 1e-12
     medians = {n: float(np.median(v)) for n, v in sups.items()}

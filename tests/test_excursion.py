@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from skewlab.excursion import decompose_excursions, dilate, last_zero_curve
+from skewlab.excursion import ExcursionRows, decompose_excursions, dilate, last_zero_curve
 from skewlab.grid_paths import SeedSpec, make_grid, refine_bridge, sample_brownian
 
 from conftest import MASTER, brownian, excursion_runs, path_from_values
@@ -68,9 +68,9 @@ class TestDecomposeExamples:
         vals = [0.5, 1e-12, -0.5]
         no_snap = decompose_excursions(path_from_values(vals))
         assert excursion_runs(no_snap.rows) == [(0, 0, 1, 1), (2, 2, 2, -1)]
-        snapped = decompose_excursions(path_from_values(vals), snap_tol=1e-9)
-        assert excursion_runs(snapped.rows) == [(0, 0, 0, 1), (1, 2, 2, -1)]
-        assert list(np.flatnonzero(~snapped.rows.covered[0])) == [1]
+        snapped = ExcursionRows(np.array([vals]), snap_tol=1e-9)
+        assert excursion_runs(snapped) == [(0, 0, 0, 1), (1, 2, 2, -1)]
+        assert list(np.flatnonzero(~snapped.covered[0])) == [1]
 
     def test_leading_and_trailing_zeros(self):
         exc = decompose_excursions(path_from_values([0, 0, 2, 0, 0]))

@@ -11,6 +11,7 @@ from skewlab.grid_paths import (
     SeedSpec,
     _draw_streams,
     _label_digest,
+    brownian_rows,
     make_grid,
     refine_bridge,
     sample_brownian,
@@ -149,13 +150,13 @@ class TestSamplePath:
 
 class TestSampleBrownian:
     def test_initial_condition(self):
-        p = sample_brownian(make_grid(1.0, 16), SeedSpec(1), x0=5.0)
-        assert p.values[0] == 5.0
+        assert sample_brownian(make_grid(1.0, 16), SeedSpec(1)).values[0] == 0.0
+        assert brownian_rows(make_grid(1.0, 16), [SeedSpec(1)], x0=5.0)[0, 0] == 5.0
 
     def test_determinism(self):
         g = make_grid(1.0, 64)
-        a = sample_brownian(g, SeedSpec(MASTER, "d"), 0.5)
-        b = sample_brownian(g, SeedSpec(MASTER, "d"), 0.5)
+        a = sample_brownian(g, SeedSpec(MASTER, "d"))
+        b = sample_brownian(g, SeedSpec(MASTER, "d"))
         assert np.array_equal(a.values, b.values)
 
     def test_terminal_variance(self):

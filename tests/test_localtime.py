@@ -3,19 +3,36 @@
 import numpy as np
 import pytest
 
-from skewlab.excursion import decompose_excursions, last_zero_curve
+from skewlab.excursion import decompose_excursions
 from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, refine_bridge, sample_brownian
 from skewlab.localtime import (
     OCCUPATION_EXPONENT,
+    ResidualReport,
+    _increments,
     _increments_in_place,
     _occupation,
+    _product_residual,
     covariation_rows,
     identity_residual,
+    identity_residuals,
     ito_sum,
     tanaka_rows,
 )
 
 from conftest import MASTER, brownian, independent_pair, path_from_values
+
+#: repr of (sup_norm, terminal) per identity on brownian(n, path_index=i,
+#: label="pin"), keyed (n, i)
+PINS = {
+    (1024, 0): {'tanaka': ('0.15313009039206077', '0.12090741670755711'), 'balayage': ('0.02100784743905762', '0.021007847439057592'), 'transform': ('0.0005872384433842637', '0.0005872384433842637')},
+    (1024, 1): {'tanaka': ('0.06286271354253939', '0.039653034160966466'), 'balayage': ('0.00043215075024044536', '0.00043215075024038985'), 'transform': ('2.385368408772126e-05', '2.385368408772126e-05')},
+    (1024, 2): {'tanaka': ('0.10278258326438122', '0.10278258326438122'), 'balayage': ('0.0030025876650242034', '0.003002587665023926'), 'transform': ('2.0735447806841112e-05', '2.0735447806619067e-05')},
+    (1024, 3): {'tanaka': ('0.44161513622005305', '0.3278863751214689'), 'balayage': ('0.0016227588858067328', '0.0016227588858067328'), 'transform': ('0.0004241578206083396', '0.0004241578206083396')},
+    (4096, 0): {'tanaka': ('0.08496555808447132', '0.07136320553296982'), 'balayage': ('0.0007133515699655479', '0.0007133515699626614'), 'transform': ('8.564052054077509e-05', '8.564052053966487e-05')},
+    (4096, 1): {'tanaka': ('0.04616897616749957', '0.04616897616749957'), 'balayage': ('0.0057805056768606145', '0.005780505676860392'), 'transform': ('7.99722895476751e-06', '7.997228954711999e-06')},
+    (4096, 2): {'tanaka': ('0.03847165528508553', '0.03847165528508553'), 'balayage': ('9.573509077842601e-05', '9.57350907768717e-05'), 'transform': ('2.6043364363681487e-06', '2.6043364304839667e-06')},
+    (4096, 3): {'tanaka': ('0.24552996304235242', '0.2307736943731883'), 'balayage': ('0.0011528980093677421', '0.0011528980093672425'), 'transform': ('7.729947225632028e-05', '7.729947225620926e-05')},
+}
 
 
 @pytest.mark.parametrize("n_points", [1, 2, 5, 9, 16, 17, 33])
@@ -155,10 +172,9 @@ class TestIdentityResidual:
 
     def test_balayage_unit_k_exact(self):
         p = brownian(2**10, label="bal")
-        y = SamplePath(p.grid, np.abs(p.values))
-        k = SamplePath(y.grid, np.ones(len(y)))
-        r = identity_residual("balayage_predictable", y=y, k=k)
-        assert r.sup_norm < 1e-12
+        y = np.abs(p.values)
+        residual = _product_residual(np.ones(len(p)), y, _increments(y))
+        assert ResidualReport.from_residual(residual).sup_norm < 1e-12
 
     def test_balayage_frozen_cos_converges(self):
         # Y = |B| with the zero structure read off the signed parent B and
@@ -171,14 +187,7 @@ class TestIdentityResidual:
                 p = refine_bridge(
                     sample_brownian(make_grid(1.0, 2**12), s), n // 2**12, s
                 )
-                y = SamplePath(p.grid, np.abs(p.values))
-                gamma, _ = last_zero_curve(decompose_excursions(p))
-                k = SamplePath(p.grid, np.cos(p.grid.times[gamma]))
-                sups.append(
-                    identity_residual(
-                        "balayage_predictable", y=y, k=k, reference=p
-                    ).sup_norm
-                )
+                sups.append(identity_residual("balayage", path=p).sup_norm)
             meds.append(np.median(sups))
         assert meds[0] > meds[1]
         assert meds[1] < 0.05
@@ -187,21 +196,9 @@ class TestIdentityResidual:
         # if Y is exactly zero at every gamma event the discrete balayage
         # identity telescopes with no error at all
         p = brownian(2**10, label="balz")
-        from skewlab.excursion import decompose_excursions as dec
-
         vals = p.values.copy()
-        vals[dec(p).rows.events[0]] = 0.0
-        y = SamplePath(p.grid, np.abs(vals))
-        snapped = SamplePath(p.grid, vals)
-        gamma, _ = last_zero_curve(dec(snapped))
-        k = SamplePath(p.grid, np.cos(p.grid.times[gamma]))
-        r = identity_residual("balayage_predictable", y=y, k=k, reference=snapped)
-        assert r.sup_norm < 1e-12
-
-    def test_balayage_accepts_callable_k(self):
-        p = brownian(2**8, label="balc")
-        y = SamplePath(p.grid, np.abs(p.values))
-        r = identity_residual("balayage_predictable", y=y, k=lambda t: np.ones_like(t))
+        vals[decompose_excursions(p).rows.events[0]] = 0.0
+        r = identity_residual("balayage", path=SamplePath(p.grid, vals))
         assert r.sup_norm < 1e-12
 
     def test_transform_c3_reflected_brownian(self):
@@ -215,30 +212,23 @@ class TestIdentityResidual:
                 p = refine_bridge(
                     sample_brownian(make_grid(1.0, 2**12), s), n // 2**12, s
                 )
-                sgn = SamplePath(p.grid, np.sign(p.values))
-                m = ito_sum(sgn, p)
-                total = SamplePath(p.grid, np.abs(p.values))
-                v = SamplePath(p.grid, total.values - m.values)
-                r = identity_residual(
-                    "transform_c3",
-                    total=total,
-                    martingale_part=m,
-                    fv_part=v,
-                    f=np.cos,
-                    F=np.sin,
-                )
-                per_seed.append(r.sup_norm)
+                per_seed.append(identity_residual("transform", path=p).sup_norm)
             sups[n] = np.median(per_seed)
         assert sups[2**12] > sups[2**16]
         assert sups[2**16] < 0.05
 
-    def test_missing_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            identity_residual("tanaka")
-        with pytest.raises(ValueError):
-            identity_residual("balayage_predictable", y=brownian(2**4))
-        with pytest.raises(ValueError):
-            identity_residual("transform_c3", total=brownian(2**4))
+    @pytest.mark.parametrize("n, i", sorted(PINS))
+    def test_residuals_pinned(self, n, i):
+        # recorded through the keyword-bag API that identity_residuals
+        # replaced: y = |p|, k = cos(gamma) with p's zeros, and M = |p|,
+        # m = int sgn(p) dp, v = M - m, f = cos, F = sin
+        p = brownian(n, path_index=i, label="pin")
+        got = {kind: (repr(r.sup_norm), repr(r.terminal))
+               for kind, r in identity_residuals(p).items()}
+        assert got == PINS[n, i]
+        for kind, pinned in PINS[n, i].items():
+            r = identity_residual(kind, path=p)
+            assert (repr(r.sup_norm), repr(r.terminal)) == pinned
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

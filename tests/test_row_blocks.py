@@ -15,6 +15,7 @@ implementation the blocks replaced.
 import contextlib
 import hashlib
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -99,7 +100,9 @@ def test_brownian_rows_equal_sample_brownian(n_rows, n_steps, x0):
     seeds = [SeedSpec(MASTER, "rows", p) for p in range(n_rows)]
     block = brownian_rows(grid, seeds, x0)
     for row, seed in zip(block, seeds):
-        assert same_bits(row, sample_brownian(grid, seed, x0).values)
+        # the start is added after the cumulative sum, so the sum of a row
+        # from 0 plus x0 is that row bit for bit
+        assert same_bits(row, sample_brownian(grid, seed).values + x0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -207,10 +210,11 @@ def test_drift_matrix_equals_per_path_family(base, model_family, n_steps, extra,
 )
 def test_equivalence_suite_block_size_free(name, base, model_family, n_steps, extra, elements):
     def run():
-        return equivalence_suite(
-            name, model_family, base, 0.7, SeedSpec(MASTER, f"eqb/{name}"), 1000 + extra,
-            grid=make_grid(1.0, n_steps), n_sigma_paths=5,
-        )
+        with mock.patch.multiple(signed_measure, _EQUIVALENCE_GRID=make_grid(1.0, n_steps),
+                                 _SIGMA_PATHS=5):
+            return equivalence_suite(
+                name, model_family, base, 0.7, SeedSpec(MASTER, f"eqb/{name}"), 1000 + extra,
+            )
 
     one_row, seen_one = run_at_block_size(1, run)
     blocked, seen_blocked = run_at_block_size(elements, run)
@@ -273,6 +277,11 @@ def row_of(dec, r):
                              cut(dec.fv_part), dec.label, cut(dec.zero_source))
 
 
+def model_row(models, r):
+    """Row r of a model block as a one-row block."""
+    return ModelRows(models.family, models.grid, models.d[r:r + 1])
+
+
 def assert_kernels_equal_one_row(models, dec):
     """Row r of each check's row kernel on the block equals the one-row
     check, or the kernel on a one-row block, of row r's model and
@@ -285,7 +294,7 @@ def assert_kernels_equal_one_row(models, dec):
     carried = [signed_measure._carried_rows(v, mask) for v in (dec.fv_part, dec.total)]
     sigma = signed_measure._sigma_rows(models, dec.zero_path, dec.martingale_part, dec.fv_part)
     for r in range(len(models.d)):
-        model, one = models.row(r), row_of(dec, r)
+        model, one = model_row(models, r), row_of(dec, r)
         assert same_bits(qp[r], signed_measure._qp_rows(model.d, one.total, one.fv_part)[0])
         assert same_bits(cov[r], covariation_rows(one.total, model.d)[0])
         for values, stat in zip((one.fv_part, one.total), carried):
@@ -341,13 +350,12 @@ def test_check_kernels_equal_one_row_on_nonnegative_rows(n_rows, n_steps, reflec
 def test_later_blocks_leave_handed_out_paths_unchanged():
     grid = make_grid(1.0, 32)
     ctx = signed_measure._SuiteContext(
-        "shifted_brownian", "reflected_bm", 0.7, SeedSpec(MASTER, "frz"),
-        1000, grid, 12,
+        "shifted_brownian", "reflected_bm", 0.7, SeedSpec(MASTER, "frz"), 1000, grid,
     )
     handed = []
 
     def side(models, dec, seeds):
-        handed.extend((models.row(j), dec, j, seeds[j]) for j in range(len(seeds)))
+        handed.extend((model_row(models, j), dec, j, seeds[j]) for j in range(len(seeds)))
         return np.zeros((len(seeds), 0))
 
     with block_elements(5 * grid.n_points):
@@ -394,6 +402,11 @@ def test_sigma_h_suite_checks_each_split_once(tmp_path):
 GRID16 = make_grid(1.0, 16)
 
 
+def abs_mart_on_grid16(seed):
+    with mock.patch.object(signed_measure, "_EQUIVALENCE_GRID", GRID16):
+        return equivalence_suite("abs_mart", "trivial", "shifted_bm", 0.7, seed, 1000)
+
+
 @pytest.mark.parametrize("run", [
     lambda seed: martingale_drift_test("shifted_brownian", "bm", GRID16, seed, 1000, [0.5, 1.0]),
     lambda seed: optional_representation_check(
@@ -401,8 +414,7 @@ GRID16 = make_grid(1.0, 16)
         GRID16, seed,
     ),
     lambda seed: signed_measure.sigma_h_panel("trivial", "reflected_bm", GRID16, seed, 1000),
-    lambda seed: equivalence_suite("abs_mart", "trivial", "shifted_bm", 0.7, seed, 1000,
-                                   grid=GRID16),
+    abs_mart_on_grid16,
 ], ids=["drift", "representation", "sigma_h_panel", "abs_mart"])
 def test_block_readers_build_each_path_once(run):
     # every side of a suite reads the one block built for its paths

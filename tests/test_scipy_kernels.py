@@ -23,6 +23,7 @@ from scipy.special import kolmogi, ndtr
 from scipy.stats import kstwobign, norm
 
 import skewlab
+from skewlab import signed_measure
 from skewlab.grid_paths import SeedSpec, make_grid
 from skewlab.signed_measure import equivalence_suite
 from skewlab.skewbm import (
@@ -112,10 +113,10 @@ ABS_BROWNIAN_PINS = [
 
 
 @pytest.mark.parametrize("base,horizon,statistic,threshold,detail", ABS_BROWNIAN_PINS)
-def test_abs_brownian_report_pinned(base, horizon, statistic, threshold, detail):
+def test_abs_brownian_report_pinned(monkeypatch, base, horizon, statistic, threshold, detail):
+    monkeypatch.setattr(signed_measure, "_EQUIVALENCE_GRID", make_grid(horizon, 2**10))
     rep = equivalence_suite("abs_brownian", "trivial", base, 0.5,
-                            SeedSpec(7).child(f"pin/abs_brownian/{base}"), 1000,
-                            grid=make_grid(horizon, 2**10))
+                            SeedSpec(7).child(f"pin/abs_brownian/{base}"), 1000)
     assert (repr(rep.statistic), repr(rep.threshold), rep.detail) == (statistic, threshold, detail)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from skewlab import signed_measure
 from skewlab.excursion import decompose_excursions
-from skewlab.grid_paths import SamplePath, SeedSpec, make_grid, sample_brownian
+from skewlab.grid_paths import SamplePath, SeedSpec, brownian_rows, make_grid, sample_brownian
 from skewlab.localtime import covariation_rows, tanaka_rows
 from skewlab.signed_measure import (
     DecompositionRows,
@@ -169,12 +169,11 @@ class TestQpResidual:
         two = DecompositionRows.martingale(g, w)
         with pytest.raises(ValueError, match="one-row model"):
             sigma_h_check(dec, models)
+        one = build_model("shifted_brownian", g, seed.with_path(1))
+        assert np.array_equal(one.d, models.d[1:])
         with pytest.raises(ValueError, match="one-row decomposition"):
-            sigma_h_check(two, models.row(1))
-        sigma_h_check(dec, models.row(1))
-        assert np.array_equal(models.row(-1).d, models.d[1:])
-        with pytest.raises(IndexError):
-            models.row(2)
+            sigma_h_check(two, one)
+        sigma_h_check(dec, one)
 
     def test_terminal_residual_decreases_with_mesh(self):
         # v = 0 and m independent of D: the terminal residual is pure
@@ -187,9 +186,9 @@ class TestQpResidual:
             for i in range(32):
                 s = SeedSpec(MASTER, "qpmesh", i)
                 coarse = make_grid(1.0, 2**12)
+                density = brownian_rows(coarse, [s.child("model/density")], x0=1.0)[0]
                 d = refine_bridge(
-                    sample_brownian(coarse, s.child("model/density"), x0=1.0),
-                    n // 2**12, s.child("model/density"),
+                    SamplePath(coarse, density), n // 2**12, s.child("model/density"),
                 )
                 w = refine_bridge(
                     sample_brownian(coarse, s.child("w")), n // 2**12, s.child("w")
@@ -318,7 +317,7 @@ class TestSigmaH:
     def test_nonzero_start_fails(self, seed):
         g = make_grid(1.0, 2**10)
         model = build_model("trivial", g, seed)
-        w = sample_brownian(g, seed.child("w"), x0=1.0)
+        w = SamplePath(g, brownian_rows(g, [seed.child("w")], x0=1.0)[0])
         rep = sigma_h_check(martingale_row(w, label="shifted"), model)
         assert not rep.passed
         assert "starts_ok=False" in rep.detail
@@ -349,15 +348,15 @@ class TestEquivalenceSuites:
         assert f"left={expected}" in rep.detail
         assert f"right={expected}" in rep.detail
 
-    def test_one_sided_suites(self):
-        for name, base, fam in [
-            ("ito_xdx", "reflected_bm", "trivial"),
-            ("qp_brownian", "bm", "shifted_brownian"),
-            ("abs_brownian", "bm", "trivial"),
+    def test_one_sided_suites(self, monkeypatch):
+        for name, base, fam, n_steps in [
+            ("ito_xdx", "reflected_bm", "trivial", 2**10),
+            ("qp_brownian", "bm", "shifted_brownian", 2**12),
+            ("abs_brownian", "bm", "trivial", 2**10),
         ]:
+            monkeypatch.setattr(signed_measure, "_EQUIVALENCE_GRID", make_grid(1.0, n_steps))
             rep = equivalence_suite(
                 name, fam, base, 0.5, SeedSpec(MASTER, f"eq1/{name}"), 4000,
-                grid=make_grid(1.0, 2**12) if name == "qp_brownian" else None,
             )
             assert rep.passed, f"{name}: {rep.detail}"
 

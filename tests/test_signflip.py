@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from skewlab.excursion import decompose_excursions
 from skewlab.grid_paths import SeedSpec, make_grid, sample_brownian
-from skewlab.signflip import AlphaSchedule, assign_signs, build_sign_path
+from skewlab.signflip import AlphaSchedule, assign_signs, build_sign_path, sign_path_rows
 
 from conftest import MASTER, brownian, excursion_runs, path_from_values
 
@@ -179,3 +179,14 @@ class TestApplySign:
             covered = exc.rows.covered[0]
             out = z.values[covered] * p.values[covered]
             assert np.array_equal(np.abs(out), np.abs(p.values[covered]))
+
+
+@pytest.mark.parametrize("n_steps", [16, 256])
+def test_sign_path_rows_rejects_rows_off_the_grid(n_steps):
+    # 65-point rows on another grid: a birth past a coarser grid's end
+    # raised IndexError in the assembly, and otherwise each birth was read
+    # at the wrong time, so in the wrong cell
+    sources = brownian(64, label="offgrid").values[None, :]
+    sched = AlphaSchedule.piecewise([0.0, 0.5], [0.3, 0.8])
+    with pytest.raises(ValueError, match=f"65 points per row, grid has {n_steps + 1}"):
+        sign_path_rows(sources, make_grid(1.0, n_steps), sched, [SeedSpec(MASTER)])

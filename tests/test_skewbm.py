@@ -146,7 +146,7 @@ def one_shot_chunk(seed, c, m, n_steps, schedules):
     return rows, n_exc, birth, uniforms
 
 
-def serial_bulk_reference(schedules, n_paths, n_steps, seed, chunk, variant="absolute"):
+def serial_bulk_reference(schedules, n_paths, n_steps, seed, chunk):
     """Bulk terminal values computed chunk by chunk from one-shot fills, one
     array per schedule (unit horizon)."""
     outs = [np.empty(n_paths) for _ in schedules]
@@ -155,9 +155,7 @@ def serial_bulk_reference(schedules, n_paths, n_steps, seed, chunk, variant="abs
         rows, n_exc, birth, uniforms = one_shot_chunk(seed, c, hi - lo, n_steps, schedules)
         birth_time = birth * (1.0 / n_steps)
         last_ord = np.maximum(n_exc - 1, 0)
-        terminal = rows[:, -1].astype(float)
-        if variant == "absolute":
-            terminal = np.abs(terminal)
+        terminal = np.abs(rows[:, -1].astype(float))
         for out, sched, u in zip(outs, schedules, uniforms):
             cell = sched.cell_indices(birth_time)
             pick = u[np.arange(hi - lo), last_ord * sched.n_cells + cell]
@@ -499,14 +497,15 @@ class TestHarrisonSheppWalk:
 
 
 class TestTerminalSamplers:
-    def test_bulk_equals_full_pipeline_on_shared_streams(self):
+    def test_bulk_equals_full_pipeline_on_shared_streams(self, monkeypatch):
         # the bulk sampler only materializes the straddling excursion's sign;
         # rebuild the full decompose/sign/apply pipeline from the same chunk
         # streams and demand bit-identical terminals
         sched = AlphaSchedule.piecewise([0.0, 0.5], [0.3, 0.8])
         seed = SeedSpec(MASTER, "bulkhonesty")
         n_paths, n_steps, chunk = 300, 512, 128
-        bulk = skew_terminal_sample(sched, n_paths, n_steps, seed, chunk=chunk)
+        monkeypatch.setattr(skewbm, "_BULK_CHUNK", chunk)
+        bulk = skew_terminal_sample(sched, n_paths, n_steps, seed)
         for c, lo in enumerate(range(0, n_paths, chunk)):
             hi = min(lo + chunk, n_paths)
             rows, _, _, (u,) = one_shot_chunk(seed, c, hi - lo, n_steps, [sched])
@@ -537,7 +536,8 @@ class TestTerminalSamplers:
             for c in cuts
         ]
         seed = SeedSpec(MASTER, "bulkprop")
-        bulk = skew_terminal_samples(scheds, n_paths, n_steps, seed, chunk=chunk)
+        with mock.patch.object(skewbm, "_BULK_CHUNK", chunk):
+            bulk = skew_terminal_samples(scheds, n_paths, n_steps, seed)
         ref = serial_bulk_reference(scheds, n_paths, n_steps, seed, chunk)
         for sample, expected in zip(bulk, ref):
             assert np.array_equal(sample.values, expected)
@@ -556,7 +556,7 @@ class TestTerminalSamplers:
         m, n_steps = 4000, 1024
         base = IntegerSteps()
         (bulk,) = _bulk_chunk(
-            base, [np.random.default_rng(MASTER + 1)], [sched], m, n_steps, 1.0, "absolute"
+            base, [np.random.default_rng(MASTER + 1)], [sched], m, n_steps, 1.0
         )
         assert base.calls == 8
         rows = np.cumsum(IntegerSteps().standard_normal((m, n_steps), np.float32), axis=1)
@@ -593,23 +593,20 @@ class TestTerminalSamplers:
         scheds = [AlphaSchedule.constant(0.4), AlphaSchedule.piecewise([0.0, 0.3], [0.2, 0.9])]
         seed = SeedSpec(MASTER, "bulkstress")
         n_paths, n_steps, chunk = 24 * 64 + 10, 48, 64
+        monkeypatch.setattr(skewbm, "_BULK_CHUNK", chunk)
         result = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             worker = threading.Thread(
-                target=lambda: result.append(
-                    skew_terminal_samples(
-                        scheds, n_paths, n_steps, seed, variant="signed", chunk=chunk
-                    )
-                )
+                target=lambda: result.append(skew_terminal_samples(scheds, n_paths, n_steps, seed))
             )
             worker.start()
             worker.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
         assert not worker.is_alive() and len(result) == 1
-        ref = serial_bulk_reference(scheds, n_paths, n_steps, seed, chunk, variant="signed")
+        ref = serial_bulk_reference(scheds, n_paths, n_steps, seed, chunk)
         for sample, expected in zip(result[0], ref):
             assert np.array_equal(sample.values, expected)
 
@@ -617,25 +614,26 @@ class TestTerminalSamplers:
         "n_steps,chunk,match",
         [(16, 0, "chunk"), (16, -1, "chunk"), (0, 8192, "n_steps"), (-2, 8192, "n_steps")],
     )
-    def test_bulk_rejects_invalid_sizes(self, seed, n_steps, chunk, match):
+    def test_bulk_rejects_invalid_sizes(self, monkeypatch, seed, n_steps, chunk, match):
+        monkeypatch.setattr(skewbm, "_BULK_CHUNK", chunk)
         with pytest.raises(ValueError, match=match):
-            skew_terminal_samples([AlphaSchedule.constant(0.7)], 5, n_steps, seed, chunk=chunk)
+            skew_terminal_samples([AlphaSchedule.constant(0.7)], 5, n_steps, seed)
 
     @pytest.mark.parametrize("n_paths", [0, -2])
     def test_bulk_rejects_path_counts_below_one(self, seed, n_paths):
         with pytest.raises(ValueError, match="n_paths"):
             skew_terminal_sample(AlphaSchedule.constant(0.7), n_paths, 16, seed)
 
-    def test_working_set_does_not_grow_with_steps(self):
+    def test_working_set_does_not_grow_with_steps(self, monkeypatch):
         # two workers, each holding one 2 MiB float32 row block and its int8
         # signs, then the signs and one boolean mask, or one 2 MiB block of
         # sign uniforms
         sched = AlphaSchedule.constant(0.7)
         seed = SeedSpec(MASTER, "bulkmemory")
+        monkeypatch.setattr(skewbm, "_BULK_CHUNK", 1024)
         with usable_cpus(2):
             for n_steps in (2**12, 2**14):
-                peak = traced_peak(lambda: skew_terminal_sample(sched, 2048, n_steps, seed,
-                                                                chunk=1024))
+                peak = traced_peak(lambda: skew_terminal_sample(sched, 2048, n_steps, seed))
                 assert peak < 8 * 2**20, n_steps
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
@@ -664,9 +662,10 @@ class TestTerminalSamplers:
         scheds = [AlphaSchedule.constant(0.4), AlphaSchedule.piecewise([0.0, 0.3], [0.2, 0.9])]
         seed = SeedSpec(MASTER, "lookahead")
         n_paths, n_steps, chunk = 20 * 16 - 5, 24, 16
+        monkeypatch.setattr(skewbm, "_BULK_CHUNK", chunk)
         with usable_cpus(cpus):
             bulk, _ = skewbm._alongside(
-                lambda: skew_terminal_samples(scheds, n_paths, n_steps, seed, chunk=chunk),
+                lambda: skew_terminal_samples(scheds, n_paths, n_steps, seed),
                 lambda: (log.append(("meanwhile", None)), task_ran.set()),
             )
         assert ("late", 0) not in log
@@ -690,14 +689,16 @@ class TestTerminalSamplers:
         scheds = [AlphaSchedule.constant(0.7), AlphaSchedule.piecewise([0.0, 0.5], [0.3, 0.8])]
         monkeypatch.setattr(skewbm, "_WALK_UNIT", 16)
         walk_ref = harrison_shepp_terminals(0.7, 32, 200, seed.child("walk"))
-        bulk_ref = skew_terminal_samples(scheds, 300, 32, seed, chunk=64)
+        with mock.patch.object(skewbm, "_BULK_CHUNK", 64):
+            bulk_ref = skew_terminal_samples(scheds, 300, 32, seed)
         cfg = config_from_pairs({"suite": "skew_law", "paths": "1000", "steps": "32",
                                  "out": str(tmp_path)})
         law_ref = run_experiment(cfg).reports
         calls = record_caller_threads(monkeypatch)
         with usable_cpus(4):
             walk = harrison_shepp_terminals(0.7, 32, 200, seed.child("walk"))
-            bulk = skew_terminal_samples(scheds, 300, 32, seed, chunk=64)
+            with mock.patch.object(skewbm, "_BULK_CHUNK", 64):
+                bulk = skew_terminal_samples(scheds, 300, 32, seed)
             start = len(calls)
             law = run_experiment(cfg).reports
         names = {name for name, _ in calls}
@@ -722,14 +723,14 @@ class TestTerminalSamplers:
         n_paths, n_steps, chunk = 24 * 64 + 10, 48, 64
         n_walks, walk_steps = 150, 37
         monkeypatch.setattr(skewbm, "_WALK_UNIT", 16)
+        monkeypatch.setattr(skewbm, "_BULK_CHUNK", chunk)
         result = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with usable_cpus(8):
                 worker = threading.Thread(target=lambda: result.append(skewbm._alongside(
-                    lambda: skew_terminal_sample(sched, n_paths, n_steps, seed.child("law"),
-                                                 chunk=chunk),
+                    lambda: skew_terminal_sample(sched, n_paths, n_steps, seed.child("law")),
                     lambda: harrison_shepp_terminals(0.7, walk_steps, n_walks, seed.child("walk")),
                 )))
                 worker.start()
@@ -771,12 +772,20 @@ class TestTerminalSamplers:
 
     def test_signed_flip_of_brownian_driver_stays_symmetric(self):
         # the documented law-level finding: a signed flip cannot skew a
-        # Brownian driver because its excursion signs are already symmetric
-        s = skew_terminal_sample(
-            AlphaSchedule.constant(0.7), 20_000, 512, SeedSpec(MASTER, "sym"), variant="signed"
-        )
-        frac = np.mean(s.values > 0)
-        assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / s.n)
+        # Brownian driver because its excursion signs are already symmetric;
+        # path k on seed.with_path(k), built 2000 paths at a time
+        grid = make_grid(1.0, 512)
+        sched = AlphaSchedule.constant(0.7)
+        seeds = [SeedSpec(MASTER, "sym").with_path(k) for k in range(20_000)]
+        terminals = []
+        for lo in range(0, len(seeds), 2000):
+            block = seeds[lo:lo + 2000]
+            drivers = brownian_rows(grid, [s.child("base") for s in block])
+            z = sign_path_rows(drivers, grid, sched, [s.child("signs") for s in block])
+            terminals.append(z[:, -1] * drivers[:, -1])
+        values = np.concatenate(terminals)
+        frac = np.mean(values > 0)
+        assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / len(values))
 
 
 class TestLawTest:
