@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .grid_paths import SamplePath, SeedSpec, make_grid, refine_bridge, sample_brownian
+from .grid_paths import SeedSpec, make_grid, refine_bridge, sample_brownian
 from .localtime import identity_residuals
 from .signed_measure import (
     HYPOTHESIS_NOT_MET,
@@ -32,7 +32,7 @@ from .signed_measure import (
     optional_representation_check,
     sigma_h_panel,
 )
-from .signflip import AlphaSchedule, sign_path_rows
+from .signflip import AlphaSchedule
 from .skewbm import (
     SkewLaw,
     _alongside,
@@ -263,14 +263,26 @@ def _mesh_reports(name: str, sups: dict, tol: float, seed: SeedSpec, n_paths: in
     return reports
 
 
-def _check_refinable(n_steps) -> None:
+def _mesh_sups(seed: SeedSpec, n_steps, n_seeds: int, residuals: Callable) -> dict:
+    """The sup norms of a mesh study, keyed by residual kind and then by step
+    count: ``residuals(i, path)`` maps each level of coupled driver i (see
+    :func:`_coupled_paths`) to one ``ResidualReport`` per kind."""
     coarse = min(n_steps)
     for n in n_steps:
         ratio = n // coarse
         if n % coarse or ratio & (ratio - 1):
-            raise UsageError(
-                "mesh levels must be power-of-two multiples of the coarsest"
-            )
+            raise UsageError("mesh levels must be power-of-two multiples of the coarsest")
+    sups = {}
+    for i in range(n_seeds):
+        # a comprehension, so no path outlives its seed and each residual's
+        # buffers die with its call: a path left bound here would make the
+        # next seed's buffers leapfrog it, and the heap grow by about one
+        # working set
+        levels = {n: residuals(i, p) for n, p in _coupled_paths(seed, n_steps, i).items()}
+        for n, reports in levels.items():
+            for kind, r in reports.items():
+                sups.setdefault(kind, {}).setdefault(n, []).append(r.sup_norm)
+    return sups
 
 
 def _suite(blurb: str):
@@ -287,20 +299,14 @@ def _suite(blurb: str):
 
 @_suite("pathwise residuals: Tanaka, frozen-k balayage, f(v)M transform, across mesh levels")
 def run_identities(cfg: ExperimentConfig, seed: SeedSpec):
-    _check_refinable(cfg.n_steps)
-    reports, tanaka = [], []
-    kinds = {"tanaka": {}, "balayage": {}, "transform": {}}
-    for i in range(cfg.n_seeds):
-        # a comprehension, so no path outlives its seed (see _sde_sup)
-        levels = {n: identity_residuals(p, tanaka if i == 0 else None)
-                  for n, p in _coupled_paths(seed.child("identities"), cfg.n_steps, i).items()}
-        for n, residuals in levels.items():
-            for kind, r in residuals.items():
-                kinds[kind].setdefault(n, []).append(r.sup_norm)
+    tanaka = []
+    sups = _mesh_sups(seed.child("identities"), cfg.n_steps, cfg.n_seeds,
+                      lambda i, p: identity_residuals(p, tanaka if i == 0 else None))
     tol = cfg.tol("identities", _mesh_tol(cfg.n_steps))
-    for kind, by_level in kinds.items():
+    reports = []
+    for kind in ("tanaka", "balayage", "transform"):
         reports += _mesh_reports(
-            f"identities.{kind}", by_level, tol, seed, cfg.n_seeds,
+            f"identities.{kind}", sups[kind], tol, seed, cfg.n_seeds,
             "median sup-norm at finest level",
         )
     curves = [CurveSeries(f"tanaka_residual_n{g.n_steps}", g.times, c) for g, c in tanaka]
@@ -316,7 +322,7 @@ def run_martingale(cfg: ExperimentConfig, seed: SeedSpec):
 
     def drift_test(base_name, tag, **kw):
         rep = martingale_drift_test("shifted_brownian", base_name, g, seed.child(f"mart/{tag}"),
-                                    cfg.n_paths, [0.5, 1.0], **kw)
+                                    cfg.n_paths, **kw)
         return replace(rep, seed=seed)
 
     for base_name in ("bm", "bm_plus_local_time"):
@@ -435,34 +441,18 @@ def run_skew_law(cfg: ExperimentConfig, seed: SeedSpec):
 
 @_suite("pathwise skew SDE residuals across mesh levels for the configured schedule")
 def run_skew_residual(cfg: ExperimentConfig, seed: SeedSpec):
-    _check_refinable(cfg.n_steps)
     sched = cfg.schedule()
-    sups = {}
-    for i in range(cfg.n_seeds):
-        signs = seed.child("sde/signs").with_path(i)
-        levels = {n: _sde_sup(p, sched, signs)
-                  for n, p in _coupled_paths(seed.child("sde/base"), cfg.n_steps, i).items()}
-        for n, sup in levels.items():
-            sups.setdefault(n, []).append(sup)
+    signs = seed.child("sde/signs")
+    sups = _mesh_sups(
+        seed.child("sde/base"), cfg.n_steps, cfg.n_seeds,
+        lambda i, p: {"skew_residual": sde_residual(p, sched, signs.with_path(i))},
+    )
     tol = cfg.tol("sde_residual", _mesh_tol(cfg.n_steps))
     reports = _mesh_reports(
-        "skew_residual", sups, tol, seed, cfg.n_seeds,
+        "skew_residual", sups["skew_residual"], tol, seed, cfg.n_seeds,
         "median sup-norm at finest level, absolute variant",
     )
     return reports, []
-
-
-def _sde_sup(p: SamplePath, sched: AlphaSchedule, signs: SeedSpec) -> float:
-    """Sup norm of the absolute variant's SDE residual on one driver.  Each
-    level's arrays die with this call, and each seed's paths with the
-    comprehension that calls it, so a level's buffers are freed before the
-    next are built: a path or sign path left bound in the suite's scope
-    would make the next level's buffers leapfrog it, and the heap grow by
-    about one working set."""
-    z = SamplePath(p.grid, sign_path_rows(p.values[None, :], p.grid, sched, [signs])[0])
-    x = np.abs(p.values)
-    np.multiply(z.values, x, out=x)
-    return sde_residual(SamplePath(p.grid, x), p, z, sched, "absolute").sup_norm
 
 
 @_suite("weak-form optional representation identity over an event dictionary")

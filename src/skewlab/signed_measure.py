@@ -280,19 +280,13 @@ def _require_paths(n_paths: int) -> None:
         raise InsufficientSamplesError(f"need at least {MIN_PATHS} paths, got {n_paths}")
 
 
-def _checkpoint_pairs(n_paths: int, checkpoints: Sequence[float]) -> list[tuple[float, float]]:
-    _require_paths(n_paths)
-    cps = sorted(float(t) for t in checkpoints)
-    if not cps:
-        raise ValueError("need at least one checkpoint")
-    if cps[0] > 0.0:
-        cps = [0.0] + cps
-    return list(zip(cps[:-1], cps[1:]))
+#: the checkpoint pairs (s, t) of every drift test
+_PAIRS = ((0.0, 0.5), (0.5, 1.0))
 
 
-def _checkpoint_columns(grid: TimeGrid, pairs) -> list[int]:
+def _checkpoint_columns(grid: TimeGrid) -> list[int]:
     """Grid indices the drift statistic reads: s, t and s/2 of each pair."""
-    return sorted({grid.index_at(t) for s, t in pairs for t in (s, t, s / 2.0)})
+    return sorted({grid.index_at(t) for s, t in _PAIRS for t in (s, t, s / 2.0)})
 
 
 #: default threshold of the drift and representation t statistics
@@ -308,17 +302,16 @@ def _t_stat(x: np.ndarray) -> float:
 def _drift_report(
     values: np.ndarray,
     grid: TimeGrid,
-    pairs,
     seed: Optional[SeedSpec],
     threshold: float,
     suite: str,
 ) -> TestReport:
     """The drift statistic of an (n_paths, k) matrix of checkpoint columns."""
-    pos = {ix: j for j, ix in enumerate(_checkpoint_columns(grid, pairs))}
+    pos = {ix: j for j, ix in enumerate(_checkpoint_columns(grid))}
     n_paths = len(values)
     worst = 0.0
     worst_tag = ""
-    for s, t in pairs:
+    for s, t in _PAIRS:
         incr = values[:, pos[grid.index_at(t)]] - values[:, pos[grid.index_at(s)]]
         at_half = values[:, pos[grid.index_at(s / 2.0)]]
         at_s = values[:, pos[grid.index_at(s)]]
@@ -340,7 +333,6 @@ def martingale_drift_test(
     grid: TimeGrid,
     seed: SeedSpec,
     n_paths: int,
-    checkpoints: Sequence[float],
     threshold: float = _THRESHOLD,
     suite: str = "martingale_drift",
 ) -> TestReport:
@@ -348,21 +340,21 @@ def martingale_drift_test(
     family and the base process named ``base``, path p from
     ``seed.with_path(p)`` (its model from that seed's ``model`` substream).
 
-    For consecutive checkpoint pairs (s, t) and a fixed dictionary of bounded
-    weights evaluated at or before s (constant 1, the sign of the path at
-    s/2, the indicator that the path at s exceeds the cross-path median) the
+    For the checkpoint pairs (s, t) of ``_PAIRS`` and a fixed dictionary of
+    bounded weights evaluated at or before s (constant 1, the sign of the path
+    at s/2, the indicator that the path at s exceeds the cross-path median) the
     statistic is |mean w*(P_t - P_s)| over its standard error, maximised over
     pairs and weights.  Martingales stay below ``threshold`` standard errors.
     Only the checkpoint columns of each path are kept.  The report carries
     ``seed``.
     """
-    pairs = _checkpoint_pairs(n_paths, checkpoints)
-    columns = _checkpoint_columns(grid, pairs)
+    _require_paths(n_paths)
+    columns = _checkpoint_columns(grid)
     _, (values,) = _read_blocks(
         model_family, base, grid, seed,
         [(n_paths, lambda models, dec, seeds: _product_at(models, dec.total, columns))],
     )
-    return _drift_report(values, grid, pairs, seed, threshold, suite)
+    return _drift_report(values, grid, seed, threshold, suite)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +486,6 @@ PROCESS_ZOO: dict[str, Callable[..., DecompositionRows]] = {
 #: the largest fraction of them that may fail
 _PROBE_PATHS = 200
 _HYP_FRAC = 0.02
-#: the checkpoints of the equivalence suites' drift tests
-_CHECKPOINTS = (0.5, 1.0)
 #: the equivalence suites' grid
 _EQUIVALENCE_GRID = make_grid(1.0, 2**10)
 #: the paths of the equivalence suites' sigma_h and qp panels
@@ -619,13 +609,13 @@ class _SuiteContext:
     grid: TimeGrid
 
     def drift_columns(self):
-        """Validated checkpoint pairs and the grid columns the drift
-        statistic reads."""
-        pairs = _checkpoint_pairs(self.n_paths, _CHECKPOINTS)
-        return pairs, _checkpoint_columns(self.grid, pairs)
+        """The grid columns the drift statistic reads, once the suite's path
+        count is checked."""
+        _require_paths(self.n_paths)
+        return _checkpoint_columns(self.grid)
 
-    def drift(self, values: np.ndarray, pairs, tag: str) -> TestReport:
-        return _drift_report(values, self.grid, pairs, self.seed, _THRESHOLD, tag)
+    def drift(self, values: np.ndarray, tag: str) -> TestReport:
+        return _drift_report(values, self.grid, self.seed, _THRESHOLD, tag)
 
     def read(self, sides, probe: bool = False):
         """:func:`_read_blocks` on this suite's paths; with ``probe`` the
@@ -665,7 +655,7 @@ def _iff_report(ctx, name, left_pass, right_pass, stat, extra="") -> TestReport:
 def _mart_suite(ctx: _SuiteContext, name: str, right_process) -> TestReport:
     """An iff suite of two drift tests: D * X on the left, D * right_process
     on the right, after the hypothesis probe."""
-    pairs, columns = ctx.drift_columns()
+    columns = ctx.drift_columns()
     frac, sides = ctx.read(
         [
             (ctx.n_paths, lambda models, dec, seeds: _product_at(models, dec.total, columns)),
@@ -681,8 +671,8 @@ def _mart_suite(ctx: _SuiteContext, name: str, right_process) -> TestReport:
             f"contained in H (violation fraction {frac:.3f})",
             threshold=_HYP_FRAC,
         )
-    left = ctx.drift(sides[0], pairs, f"equivalence.{name}.left")
-    right = ctx.drift(sides[1], pairs, f"equivalence.{name}.right")
+    left = ctx.drift(sides[0], f"equivalence.{name}.left")
+    right = ctx.drift(sides[1], f"equivalence.{name}.right")
     stat = max(left.statistic, right.statistic) / _THRESHOLD
     return _iff_report(ctx, name, left.passed, right.passed, stat)
 
@@ -699,14 +689,14 @@ def _sigma_suite(ctx: _SuiteContext, name: str, split) -> TestReport:
 
 
 def _suite_cmart(ctx: _SuiteContext) -> TestReport:
-    pairs, columns = ctx.drift_columns()
+    columns = ctx.drift_columns()
     _, (panel, half_flips) = ctx.read([
         ctx.panel(),
         (ctx.n_paths,
          lambda models, dec, seeds: _product_at(models, _flip_rows(dec, 0.5, seeds)[1], columns)),
     ])
     left_pass, left_stat = _majority(panel)
-    right = ctx.drift(half_flips, pairs, "equivalence.cmart.right")
+    right = ctx.drift(half_flips, "equivalence.cmart.right")
     stat = right.statistic / _THRESHOLD
     return _iff_report(
         ctx, "cmart", left_pass, right.passed, stat,
@@ -715,12 +705,12 @@ def _suite_cmart(ctx: _SuiteContext) -> TestReport:
 
 
 def _suite_ito_xdx(ctx: _SuiteContext) -> TestReport:
-    pairs, columns = ctx.drift_columns()
+    columns = ctx.drift_columns()
     _, (xdx,) = ctx.read(
         [(ctx.n_paths,
           lambda models, dec, seeds: _product_at(models, ito_rows(dec.total, dec.total), columns))]
     )
-    rep = ctx.drift(xdx, pairs, "equivalence.ito_xdx")
+    rep = ctx.drift(xdx, "equivalence.ito_xdx")
     return ctx.report("ito_xdx", rep.statistic / _THRESHOLD, rep.passed, rep.detail)
 
 
@@ -745,14 +735,14 @@ def _suite_qp_brownian(ctx: _SuiteContext) -> TestReport:
 def _suite_abs_brownian(ctx: _SuiteContext) -> TestReport:
     from .skewbm import LawSample, SkewLaw, law_test  # skewbm imports this module
 
-    pairs, columns = ctx.drift_columns()
+    columns = ctx.drift_columns()
 
     def half_flips(models, dec, seeds):
         _, x = _flip_rows(dec, 0.5, seeds)
         return np.column_stack((_product_at(models, x, columns), x[:, -1]))
 
     _, (read,) = ctx.read([(ctx.n_paths, half_flips)])
-    rep = ctx.drift(read[:, :-1], pairs, "equivalence.abs_brownian.drift")
+    rep = ctx.drift(read[:, :-1], "equivalence.abs_brownian.drift")
     horizon = ctx.grid.horizon
     ks = law_test(LawSample(read[:, -1]), SkewLaw(0.5, horizon))
     stat = max(rep.statistic / _THRESHOLD, ks.statistic / ks.threshold)

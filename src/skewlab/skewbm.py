@@ -8,9 +8,14 @@ sign path and multiply.  The flipped reflection solves
     X_t = x + B_t + (2 alpha - 1) L_t^0(X)
 
 weakly (and the time-inhomogeneous analogue for piecewise schedules), which
-the harness checks three independent ways: the pathwise SDE residual with
-the driving noise recovered as int Z dW, the closed-form skew transition
-density, and the lattice skew random walk.
+the harness checks three independent ways: the pathwise SDE residual, the
+closed-form skew transition density, and the lattice skew random walk.
+
+``sde_residual(driver, schedule, signs)`` is the one SDE check: it flips
+the reflection of a signed Brownian driver W into X = Z |W|, recovers the
+driving noise as int Z sgn(W) dW and subtracts the occupation correction.
+Only the reflection is flipped: a flip Z W of the signed driver re-randomizes
+signs that are already symmetric, so it follows the alpha = 1/2 law.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 
 from .excursion import ExcursionRows
 from .grid_paths import (
-    SamplePath, SeedSpec, _check_aligned, _check_finite, _draw_streams, stream_states
+    SamplePath, SeedSpec, TimeGrid, _check_finite, _draw_streams, stream_states
 )
 from .localtime import (
     OCCUPATION_EXPONENT,
@@ -38,7 +43,7 @@ from .localtime import (
     ito_rows,
 )
 from .signed_measure import InsufficientSamplesError, MIN_PATHS, TestReport
-from .signflip import AlphaSchedule
+from .signflip import AlphaSchedule, sign_path_rows
 
 __all__ = [
     "LawSample",
@@ -74,31 +79,23 @@ class LawSample:
         return len(self.values)
 
 
-def _driving_noise(driver: SamplePath, sign: SamplePath, variant: str) -> np.ndarray:
-    """The constructed driving noise of a flip of the signed ``driver`` M, as
-    an array checked finite: int Z dM (signed) or int Z dW with
-    W = int sgn(M) dM (absolute).  Either way the sign path must live on the
-    driver's grid.
+def _driving_noise(driver: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The driving noise B = int Z sgn(W) dW of the flip Z |W| of the signed
+    ``driver`` W, as an array checked finite.
 
-    The absolute variant must integrate against the reflection's martingale
-    part, not against |M| itself: the increments of |M| carry the local time
-    of M, and summing them with the flip signs injects a (2 alpha - 1) L
-    drift into what should be the Brownian driver."""
-    if variant not in ("signed", "absolute"):
-        raise ValueError(f"unknown variant {variant!r}")
-    _check_aligned(sign, driver)
-    integrand = sign.values
-    if variant == "absolute":
-        integrand = np.sign(driver.values)
-        _check_finite(np.multiply(sign.values, integrand, out=integrand))
-    return _check_finite(ito_rows(integrand, driver.values))
+    It must integrate against the reflection's martingale part, not against
+    |W| itself: the increments of |W| carry the local time of W, and summing
+    them with the flip signs injects a (2 alpha - 1) L drift into what should
+    be the Brownian driver."""
+    integrand = np.sign(driver)
+    _check_finite(np.multiply(sign, integrand, out=integrand))
+    return _check_finite(ito_rows(integrand, driver))
 
 
-def _skew_correction(x_alpha: SamplePath, schedule: AlphaSchedule) -> np.ndarray:
+def _skew_correction(x: np.ndarray, grid: TimeGrid, schedule: AlphaSchedule) -> np.ndarray:
     """sum_{i<j} (2 alpha(t_i) - 1) dL_i for j = 1..N, with L the occupation
-    local time of ``x_alpha`` at the default bandwidth."""
-    grid = x_alpha.grid
-    lt = _check_finite(_occupation(x_alpha.values, grid.dt, grid.dt**OCCUPATION_EXPONENT))
+    local time of the path ``x`` on ``grid`` at the default bandwidth."""
+    lt = _check_finite(_occupation(x, grid.dt, grid.dt**OCCUPATION_EXPONENT))
     steps = _increments_in_place(lt)
     # alpha(t_i) is constant on the runs of grid times between the
     # schedule's boundaries; times[lo:hi] is cell c's run
@@ -108,18 +105,12 @@ def _skew_correction(x_alpha: SamplePath, schedule: AlphaSchedule) -> np.ndarray
     return np.cumsum(steps, out=steps)
 
 
-def sde_residual(
-    x_alpha: SamplePath,
-    driver: SamplePath,
-    sign: SamplePath,
-    schedule: AlphaSchedule,
-    variant: str = "signed",
-) -> ResidualReport:
-    """Pathwise residual of the skew SDE for a path constructed from the
-    signed ``driver``.
+def sde_residual(driver: SamplePath, schedule: AlphaSchedule, signs: SeedSpec) -> ResidualReport:
+    """Pathwise residual of the skew SDE for the flip X = Z |W| of the
+    signed ``driver`` W, its excursion signs Z drawn from ``signs``.
 
-    residual_t = X_t - X_0 - W_t - sum (2 alpha(t_i) - 1) dL_i  with the
-    driving noise W recovered by ``_driving_noise`` and L the occupation
+    residual_t = X_t - X_0 - B_t - sum (2 alpha(t_i) - 1) dL_i  with the
+    driving noise B recovered by ``_driving_noise`` and L the occupation
     estimate (default bandwidth dt**0.4) on the constructed path.
     The occupation count is insensitive to the boundary microstructure; the
     crossing-counting tanaka estimate is not: a flipped path bounces off
@@ -127,13 +118,15 @@ def sde_residual(
     the 2 alpha (1 - alpha) fraction of boundaries that flipped and
     underestimates the local time by exactly that factor.
     """
-    _check_aligned(x_alpha, sign)
-    w = _driving_noise(driver, sign, variant)
-    x = x_alpha.values
+    w, grid = driver.values, driver.grid
+    z = sign_path_rows(w[None, :], grid, schedule, [signs])[0]
+    x = np.abs(w)
+    np.multiply(z, x, out=x)
+    b = _driving_noise(w, z)
     residual = x - x[0]
-    residual -= w
-    del w
-    residual[1:] -= _skew_correction(x_alpha, schedule)
+    residual -= b
+    del b
+    residual[1:] -= _skew_correction(x, grid, schedule)
     return ResidualReport.from_residual(residual, out=residual)
 
 

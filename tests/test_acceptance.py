@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstwobign, norm
 
-from skewlab.cli import _coupled_paths, _sde_sup
+from skewlab.cli import _mesh_sups
 from skewlab.grid_paths import SeedSpec, make_grid, sample_brownian
 from skewlab.localtime import (
     ResidualReport,
@@ -43,6 +43,7 @@ from skewlab.skewbm import (
     harrison_shepp_terminals,
     ks_statistic,
     law_test,
+    sde_residual,
     skew_terminal_sample,
     skew_terminal_samples,
 )
@@ -60,12 +61,6 @@ def announce(number: int, ok: bool, detail: str) -> None:
     print(f"[CRITERION {number:2d}] {'PASS' if ok else 'FAIL'}  {detail}")
 
 
-def coupled(seed_label: str, i: int) -> dict:
-    """Coarse Brownian path i refined through every level, keyed by step
-    count, as the CLI's long-row suites build it."""
-    return _coupled_paths(SEED.child(seed_label), LEVELS, i)
-
-
 @pytest.fixture(scope="module")
 def law_samples():
     """Ten independent terminal-law repetitions, alphas coupled on shared
@@ -78,10 +73,9 @@ def law_samples():
 
 
 def test_criterion_01_tanaka_identity():
-    sups = {n: [] for n in LEVELS}
-    for i in range(32):
-        for n, p in coupled("c1", i).items():
-            sups[n].append(identity_residual("tanaka", path=p).sup_norm)
+    # the CLI's mesh loop: coarse Brownian path i refined through every level
+    sups = _mesh_sups(SEED.child("c1"), LEVELS, 32,
+                      lambda i, p: {"tanaka": identity_residual("tanaka", path=p)})["tanaka"]
     medians = {n: float(np.median(v)) for n, v in sups.items()}
     decreasing = medians[LEVELS[0]] > medians[LEVELS[1]] > medians[LEVELS[2]]
     bound = medians[LEVELS[2]] < 0.05
@@ -100,17 +94,20 @@ def test_criterion_01_tanaka_identity():
 
 
 def test_criterion_02_balayage_identity():
-    sups = {n: [] for n in LEVELS}
     exact_ok = True
-    for i in range(32):
-        for n, p in coupled("c2", i).items():
-            sups[n].append(identity_residual("balayage", path=p).sup_norm)
-            if i == 0:
-                y = np.abs(p.values)
-                r1 = ResidualReport.from_residual(
-                    _product_residual(np.ones(len(p)), y, _increments(y))
-                )
-                exact_ok &= r1.sup_norm < 1e-12
+
+    def residuals(i, p):
+        nonlocal exact_ok
+        balayage = identity_residual("balayage", path=p)
+        if i == 0:
+            y = np.abs(p.values)
+            r1 = ResidualReport.from_residual(
+                _product_residual(np.ones(len(p)), y, _increments(y))
+            )
+            exact_ok &= r1.sup_norm < 1e-12
+        return {"balayage": balayage}
+
+    sups = _mesh_sups(SEED.child("c2"), LEVELS, 32, residuals)["balayage"]
     medians = {n: float(np.median(v)) for n, v in sups.items()}
     decreasing = medians[LEVELS[0]] > medians[LEVELS[1]] > medians[LEVELS[2]]
     bound = medians[LEVELS[2]] < 0.05
@@ -187,11 +184,9 @@ def test_criterion_05_alpha_degeneracies(law_samples):
 
 def test_criterion_06_inhomogeneous_construction():
     sched = AlphaSchedule.piecewise([0.0, 0.5], [0.3, 0.8])
-    sups = {n: [] for n in LEVELS}
-    for i in range(32):
-        signs = SEED.child("c6/signs").with_path(i)
-        for n, p in coupled("c6", i).items():
-            sups[n].append(_sde_sup(p, sched, signs))
+    signs = SEED.child("c6/signs")
+    sups = _mesh_sups(SEED.child("c6"), LEVELS, 32,
+                      lambda i, p: {"sde": sde_residual(p, sched, signs.with_path(i))})["sde"]
     medians = {n: float(np.median(v)) for n, v in sups.items()}
     decreasing = medians[LEVELS[0]] > medians[LEVELS[1]] > medians[LEVELS[2]]
     bound = medians[LEVELS[2]] < 0.1
@@ -231,7 +226,7 @@ def test_criterion_08_martingale_drift():
     stats = {}
     for name in ("bm", "bm_plus_local_time", "bm_plus_drift"):
         stats[name] = martingale_drift_test(
-            "shifted_brownian", name, g, SEED.child(f"c8/{name}"), 10_000, [0.5, 1.0]
+            "shifted_brownian", name, g, SEED.child(f"c8/{name}"), 10_000
         ).statistic
     ok = stats["bm"] < 4 and stats["bm_plus_local_time"] < 4 and stats["bm_plus_drift"] > 5
     announce(

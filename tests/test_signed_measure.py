@@ -1,5 +1,7 @@
 """Models, qp residuals, drift tests, Sigma(H) checks, equivalence suites."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -241,36 +243,35 @@ class TestCarriedBy:
         assert carried_by(grid12.times, mask) < 0.5
 
 
-def drift_test(base, label, n_paths, checkpoints, n_steps=2**11):
+def drift_test(base, label, n_paths, n_steps=2**11):
     """Drift test of D * X on the shifted model, path p from
     ``SeedSpec(MASTER, label, p)``."""
     return martingale_drift_test(
         "shifted_brownian", base, make_grid(1.0, n_steps), SeedSpec(MASTER, label), n_paths,
-        checkpoints,
     )
 
 
 class TestMartingaleDrift:
     def test_dw_passes(self):
-        rep = drift_test("bm", "drift", 10_000, [0.5, 1.0])
+        rep = drift_test("bm", "drift", 10_000)
         assert rep.passed
         assert rep.statistic < 4.0
 
     def test_local_time_compensation_passes(self):
-        rep = drift_test("bm_plus_local_time", "drift", 10_000, [0.5, 1.0])
+        rep = drift_test("bm_plus_local_time", "drift", 10_000)
         assert rep.passed
 
     def test_drift_control_fails_loudly(self):
-        rep = drift_test("bm_plus_drift", "drift", 10_000, [0.5, 1.0])
+        rep = drift_test("bm_plus_drift", "drift", 10_000)
         assert not rep.passed
         assert rep.statistic > 5.0
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamplesError):
-            drift_test("bm", "drift", 500, [1.0])
+            drift_test("bm", "drift", 500)
 
     def test_report_carries_seed(self):
-        assert drift_test("bm", "drift", 1000, [1.0], n_steps=16).seed == SeedSpec(MASTER, "drift")
+        assert drift_test("bm", "drift", 1000, n_steps=16).seed == SeedSpec(MASTER, "drift")
 
     def test_relative_martingale_detected_as_drifting(self, seed):
         # W - W_gamma resets to zero at predictable times with a nonzero
@@ -278,13 +279,14 @@ class TestMartingaleDrift:
         # martingale; the weighted drift test, read on X itself rather than
         # on D * X, sees the resets
         g = make_grid(1.0, 2**10)
-        pairs = signed_measure._checkpoint_pairs(20_000, [0.25, 0.5, 1.0])
-        columns = signed_measure._checkpoint_columns(g, pairs)
-        _, (values,) = signed_measure._read_blocks(
-            "shifted_brownian", "bm_minus_frozen", g, SeedSpec(MASTER, "wmg"),
-            [(20_000, lambda models, dec, seeds: dec.total[:, columns])],
-        )
-        rep = signed_measure._drift_report(values, g, pairs, seed, 4.0, "martingale_drift")
+        pairs = ((0.0, 0.25), (0.25, 0.5), (0.5, 1.0))
+        with mock.patch.object(signed_measure, "_PAIRS", pairs):
+            columns = signed_measure._checkpoint_columns(g)
+            _, (values,) = signed_measure._read_blocks(
+                "shifted_brownian", "bm_minus_frozen", g, SeedSpec(MASTER, "wmg"),
+                [(20_000, lambda models, dec, seeds: dec.total[:, columns])],
+            )
+            rep = signed_measure._drift_report(values, g, seed, 4.0, "martingale_drift")
         assert not rep.passed
         # recorded when the test read its paths through its own block loop
         assert rep.statistic == 15.492420389376361
@@ -437,8 +439,8 @@ class TestOptionalRepresentation:
 
 class TestDeterminism:
     def test_drift_report_reproducible(self):
-        a = drift_test("bm", "det", 2000, [1.0])
-        b = drift_test("bm", "det", 2000, [1.0])
+        a = drift_test("bm", "det", 2000)
+        b = drift_test("bm", "det", 2000)
         assert a == b
 
     def test_suite_report_reproducible(self):
