@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .grid_paths import SeedSpec, make_grid, refine_bridge, sample_brownian
+from .grid_paths import SeedSpec, _alongside, make_grid, refine_bridge, sample_brownian
 from .localtime import identity_residuals
 from .signed_measure import (
     HYPOTHESIS_NOT_MET,
@@ -35,7 +35,6 @@ from .signed_measure import (
 from .signflip import AlphaSchedule
 from .skewbm import (
     SkewLaw,
-    _alongside,
     harrison_shepp_terminals,
     law_test,
     sde_residual,

@@ -9,6 +9,11 @@ PCG64 generator.  The mix is stable across runs, processes and platforms;
 distinct triples yield streams indistinguishable from independent ones.
 :func:`stream_states` derives the PCG64 states of a whole block of
 substreams at once, equal to ``SeedSpec.rng``'s bit for bit.
+
+:func:`_run_chunks` is the one thread-pool helper: the calling thread
+derives the streams and allocates the arrays of each chunk of work, and the
+workers run private helpers and numpy on them, so every public call stays
+in the calling thread.
 """
 
 from __future__ import annotations
@@ -17,7 +22,12 @@ import functools
 import hashlib
 import math
 import operator
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -196,9 +206,10 @@ def _draw_streams(states, draw, rows) -> list:
 
     ``rng`` is one Generator, set to each state in turn and moved to the
     next one as soon as ``draw`` returns, so ``draw`` must be done with it
-    by then.  Every
-    caller of :func:`stream_states` draws through here, so no caller holds
-    two streams' generators at once.
+    by then.  Every caller of :func:`stream_states` draws through here, so
+    no caller holds two streams' generators at once.  It calls no public
+    function, so a worker thread may run it on states and rows that the
+    calling thread prepared (see :func:`_run_chunks`).
     """
     gen = np.random.Generator(np.random.PCG64(0))
     bits = gen.bit_generator
@@ -212,6 +223,88 @@ def _draw_streams(states, draw, rows) -> list:
         }
         out.append(draw(gen, row))
     return out
+
+
+def _check_count(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _usable_cpus() -> int:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
+#: the task that the next :func:`_run_chunks` in this thread runs while it
+#: waits for its workers; set only by :func:`_alongside`
+_MEANWHILE: ContextVar[Optional[Callable[[], None]]] = ContextVar("meanwhile", default=None)
+
+
+def _alongside(main: Callable[[], object], meanwhile: Callable[[], object]) -> tuple:
+    """``(main(), meanwhile())``, both run in the calling thread: meanwhile()
+    runs inside main() while the first :func:`_run_chunks` there waits for
+    its workers, or after main() returns if none does.
+
+    The task reaches :func:`_run_chunks` through a context variable, so the
+    public calls that main() and meanwhile() make keep their arguments.
+    """
+    done = []
+
+    def task() -> None:
+        _MEANWHILE.set(None)  # once, and not from inside itself
+        done.append(meanwhile())
+
+    token = _MEANWHILE.set(task)
+    try:
+        first = main()
+    finally:
+        _MEANWHILE.reset(token)
+    return first, done[0] if done else meanwhile()
+
+
+def _run_chunks(
+    n_items: int,
+    chunk: int,
+    job: Callable[[int, int, int], Callable[[], object]],
+    max_workers: Optional[int] = None,
+) -> Iterator[tuple[slice, object]]:
+    """Items 0..n_items-1 in chunks of ``chunk``, run concurrently on a thread
+    pool (one worker per usable CPU, at most one per chunk and at most
+    ``max_workers`` when given).
+
+    ``job(c, lo, hi)`` runs in the calling thread and returns the
+    zero-argument callable a worker runs for chunk c, so streams, generators
+    and output arrays are built here and the workers run private helpers
+    and numpy only: the bulk sampler's chunks, and the Gaussian rows that
+    the signed-measure block reader draws ahead of the block it reads.
+    Chunk c is prepared only once chunk c - workers has been collected, so
+    at most one chunk per worker is prepared and not yet collected, however
+    many chunks there are.  Before it first waits for a result, the calling
+    thread runs the task that :func:`_alongside` set, if any, so it works
+    beside the workers instead of idling.  Yields each chunk's output slice
+    and result, in chunk order.  Closing the generator early waits for the
+    chunks in flight and stops the pool.
+    """
+    _check_count("chunk", chunk)
+    bounds = [slice(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
+    cpus = _usable_cpus() if max_workers is None else min(max_workers, _usable_cpus())
+    workers = max(1, min(len(bounds), cpus))
+    pending = deque()
+
+    def collect() -> tuple[slice, object]:
+        meanwhile = _MEANWHILE.get()
+        if meanwhile is not None:
+            meanwhile()
+        done, future = pending.popleft()
+        return done, future.result()
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for c, b in enumerate(bounds):
+            if len(pending) == workers:
+                yield collect()
+            pending.append((b, pool.submit(job(c, b.start, b.stop))))
+        while pending:
+            yield collect()
 
 
 @dataclass(frozen=True)
@@ -304,6 +397,25 @@ def block_rows(n_points: int) -> int:
     return max(1, BLOCK_ELEMENTS // n_points)
 
 
+def _fill_normals(values: np.ndarray, states) -> np.ndarray:
+    """The fill step of :func:`brownian_rows`: N(0, 1) draws into columns
+    1.. of each row of ``values``, row j from the PCG64 state ``states[j]``."""
+    _draw_streams(states, lambda rng, row: rng.standard_normal(out=row), values[:, 1:])
+    return values
+
+
+def _finish_brownian(values: np.ndarray, grid: TimeGrid, x0: float) -> np.ndarray:
+    """The finish step of :func:`brownian_rows`, in place on the rows that
+    :func:`_fill_normals` filled: x0 in column 0, then the draws scaled by
+    sqrt(dt), summed along the row and shifted by x0."""
+    values[:, 0] = x0
+    steps = values[:, 1:]
+    steps *= math.sqrt(grid.dt)
+    np.cumsum(steps, axis=1, out=steps)
+    steps += x0
+    return values
+
+
 def brownian_rows(grid: TimeGrid, seeds, x0: float = 0.0) -> np.ndarray:
     """Sample a block of Brownian paths as a ``(len(seeds), n_points)`` array.
 
@@ -311,14 +423,8 @@ def brownian_rows(grid: TimeGrid, seeds, x0: float = 0.0) -> np.ndarray:
     ``seeds[j]``'s substream, so each row is reproducible on its own, bit
     for bit, whatever block it is sampled in.
     """
-    values = np.empty((len(seeds), grid.n_points))
-    values[:, 0] = x0
-    steps = values[:, 1:]
-    _draw_streams(stream_states(seeds), lambda rng, row: rng.standard_normal(out=row), steps)
-    steps *= math.sqrt(grid.dt)
-    np.cumsum(steps, axis=1, out=steps)
-    steps += x0
-    return values
+    values = _fill_normals(np.empty((len(seeds), grid.n_points)), stream_states(seeds))
+    return _finish_brownian(values, grid, x0)
 
 
 def sample_brownian(grid: TimeGrid, seed: SeedSpec) -> SamplePath:

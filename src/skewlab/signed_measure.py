@@ -23,7 +23,10 @@ drift test, the equivalence suites, the optional representation check and
 the sigma_h panels) name their base process by its ``PROCESS_ZOO`` name and
 read it through one block reader, which builds each row block once
 (``build_model_rows`` and the zoo's row kernels) and hands it to everything
-the suite needs; ``build_model`` is the one-row case.
+the suite needs; ``build_model`` is the one-row case.  The reader has a
+worker thread draw the Gaussian rows of the next block while the calling
+thread builds and reads the current one; the models and kernels finish
+those rows in the calling thread, which makes every public call.
 Likewise the qp residual, the carried-by fraction and Sigma(H) membership
 are row kernels that work along the last axis of a block's arrays;
 ``sigma_h_check`` is the one-row case of the last.
@@ -32,6 +35,7 @@ are row kernels that work along the last axis of a block's arrays;
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
@@ -39,7 +43,18 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .excursion import ExcursionRows, _signs, dilate
-from .grid_paths import SeedSpec, TimeGrid, _check_aligned, block_rows, brownian_rows, make_grid
+from .grid_paths import (
+    SeedSpec,
+    TimeGrid,
+    _check_aligned,
+    _fill_normals,
+    _finish_brownian,
+    _run_chunks,
+    block_rows,
+    brownian_rows,
+    make_grid,
+    stream_states,
+)
 from .localtime import covariation_rows, ito_rows, tanaka_rows
 from .signflip import AlphaSchedule, sign_path_rows
 
@@ -111,14 +126,21 @@ class ModelRows:
         return ExcursionRows(self.d)
 
 
-def build_model_rows(family: str, grid: TimeGrid, seeds: Sequence[SeedSpec]) -> ModelRows:
+def build_model_rows(family: str, grid: TimeGrid, seeds: Sequence[SeedSpec],
+                     drawn: Optional[np.ndarray] = None) -> ModelRows:
     """Models of a block of paths, row j from ``seeds[j]``: ``trivial``
     (D = 1, a read-only broadcast of 1.0 that holds no row of its own) or
-    ``shifted_brownian`` (D = 1 + B from the seed's ``density`` substream)."""
+    ``shifted_brownian`` (D = 1 + B from the seed's ``density`` substream).
+    The block reader passes B's N(0, 1) draws, made ahead in columns 1.. of
+    ``drawn``, and D is finished from them in place; otherwise B is drawn
+    here."""
     if family == "trivial":
         return ModelRows(family, grid, np.broadcast_to(1.0, (len(seeds), grid.n_points)))
     if family == "shifted_brownian":
-        d = brownian_rows(grid, [s.child("density") for s in seeds], x0=1.0)
+        if drawn is None:
+            d = brownian_rows(grid, [s.child("density") for s in seeds], x0=1.0)
+        else:
+            d = _finish_brownian(drawn, grid, 1.0)
         return ModelRows(family, grid, d)
     raise ValueError(f"unknown model family {family!r}")
 
@@ -238,6 +260,33 @@ def _qp_rows(d: np.ndarray, total: np.ndarray, fv: Optional[np.ndarray] = None) 
     if fv is not None:
         residual += ito_rows(d, fv)
     return residual
+
+
+def _qp_terminal(d: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """|<M, D>_T| of each row: the absolute last column of ``_qp_rows(d,
+    m)``, without building a path-length row.  The increment products are
+    summed in tiles of at most ``_SPLIT_TILE`` elements, and each tile's
+    first product takes the running sum of the tiles before it, so the
+    additions are the cumsum's, in its order, and the result is
+    bit-identical."""
+    n_rows, n_steps = m.shape[0], m.shape[1] - 1
+    cols = max(1, min(n_steps, _SPLIT_TILE))
+    rows = max(1, _SPLIT_TILE // cols)
+    buffers = np.empty((2, rows * cols))
+    terminal = np.empty(n_rows)
+    for r in range(0, n_rows, rows):
+        band = slice(r, min(r + rows, n_rows))
+        for c in range(0, n_steps, cols):
+            hi = min(c + cols, n_steps)
+            shape = (band.stop - band.start, hi - c)
+            steps, dd = (b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
+            np.subtract(m[band, c + 1:hi + 1], m[band, c:hi], out=steps)
+            steps *= np.subtract(d[band, c + 1:hi + 1], d[band, c:hi], out=dd)
+            if c:
+                steps[:, 0] += terminal[band]
+            np.cumsum(steps, axis=1, out=steps)
+            terminal[band] = steps[:, -1]
+    return np.abs(terminal, out=terminal)
 
 
 def _check_one_row(dec: DecompositionRows, model: ModelRows) -> None:
@@ -370,7 +419,7 @@ def _sigma_rows(models: ModelRows, src, mart, fv, tol=_SIGMA_TOL):
     snap = np.where(nonneg, 2.0 * math.sqrt(models.grid.dt), 0.0)
     mask = ExcursionRows(src, snap_tol=snap[:, None]).events | models.zeros.events
     carried = _carried_rows(fv, mask)
-    qp = np.abs(_qp_rows(models.d, mart)[:, -1])
+    qp = _qp_terminal(models.d, mart)
     starts_ok = (fv[:, 0] == 0.0) & (mart[:, 0] == 0.0)
     passed = (carried >= 1.0 - tol) & (qp < _SIGMA_TOL) & starts_ok
     return carried, qp, starts_ok, passed
@@ -414,59 +463,53 @@ def sigma_h_check(dec: DecompositionRows, model: ModelRows) -> TestReport:
 # ---------------------------------------------------------------------------
 
 
-def _w(grid: TimeGrid, seeds: Sequence[SeedSpec], x0: float = 0.0) -> np.ndarray:
-    return brownian_rows(grid, [s.child("w") for s in seeds], x0)
-
-
-def make_bm(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
+def make_bm(models: ModelRows, grid: TimeGrid, w: np.ndarray) -> DecompositionRows:
     """W independent of D (its own substream), so <W, D> = 0."""
-    return DecompositionRows.martingale(grid, _w(grid, seeds), label="bm")
+    return DecompositionRows.martingale(grid, w, label="bm")
 
 
-def make_bm_plus_local_time(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
+def make_bm_plus_local_time(models: ModelRows, grid: TimeGrid, w: np.ndarray) -> DecompositionRows:
     """W + 2 L^0(D): the finite-variation part is carried by H."""
-    w = _w(grid, seeds)
     v = tanaka_rows(models.d)
     v *= 2.0
     return DecompositionRows(grid, w + v, w, v, label="bm_plus_local_time")
 
 
-def make_bm_plus_drift(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
+def make_bm_plus_drift(models: ModelRows, grid: TimeGrid, w: np.ndarray) -> DecompositionRows:
     """Negative control W + t: Lebesgue drift is carried by nothing useful."""
-    w = _w(grid, seeds)
     t = np.broadcast_to(grid.times, w.shape)
     return DecompositionRows(grid, w + grid.times, w, t, label="bm_plus_drift")
 
 
-def make_bm_minus_frozen(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
+def make_bm_minus_frozen(models: ModelRows, grid: TimeGrid, w: np.ndarray) -> DecompositionRows:
     """W - W_gamma with gamma the last zero of D: a martingale null on H."""
-    w = _w(grid, seeds)
     frozen = np.take_along_axis(w, models.zeros.gamma, axis=1)
     return DecompositionRows.martingale(grid, w - frozen, label="bm_minus_frozen")
 
 
-def make_reflected_bm(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
+def make_reflected_bm(models: ModelRows, grid: TimeGrid, w: np.ndarray) -> DecompositionRows:
     """X = |W| split by Tanaka: M = int sgn(W) dW, A = L^0(W)."""
-    w = _w(grid, seeds)
     m = ito_rows(_signs(w), w)
     total = np.abs(w)
     return DecompositionRows(grid, total, m, total - m, label="reflected_bm", zero_source=w)
 
 
-def make_shifted_bm(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
+def make_shifted_bm(models: ModelRows, grid: TimeGrid, w: np.ndarray) -> DecompositionRows:
     """3 + W: a martingale that almost never hits zero on [0, 1]."""
-    return DecompositionRows.martingale(grid, _w(grid, seeds, 3.0), label="shifted_bm")
+    return DecompositionRows.martingale(grid, w + 3.0, label="shifted_bm")
 
 
-def make_shifted_bm_drift(models: ModelRows, grid: TimeGrid, seeds) -> DecompositionRows:
+def make_shifted_bm_drift(models: ModelRows, grid: TimeGrid, w: np.ndarray) -> DecompositionRows:
     """Negative control 3 + W + t, still zero-free but drifting."""
-    w = _w(grid, seeds, 3.0)
+    w = w + 3.0
     t = np.broadcast_to(grid.times, w.shape)
     return DecompositionRows(grid, w + grid.times, w, t, label="shifted_bm_drift")
 
 
-#: the process zoo: name -> row kernel ``(models, grid, seeds) ->
-#: DecompositionRows``, row j from ``seeds[j]`` and the model in row j
+#: the process zoo: name -> row kernel ``(models, grid, w) ->
+#: DecompositionRows`` of a block of models and a block of Brownian paths W
+#: from 0, row j of the output from row j of each (the suites draw path p's
+#: W from ``seed.with_path(p)``'s ``w`` substream)
 PROCESS_ZOO: dict[str, Callable[..., DecompositionRows]] = {
     "bm": make_bm,
     "bm_plus_local_time": make_bm_plus_local_time,
@@ -547,6 +590,12 @@ def _product_at(models: ModelRows, x: np.ndarray, columns) -> np.ndarray:
     return models.d[:, columns] * x[:, columns]
 
 
+#: workers of :func:`_read_blocks`: while the calling thread reads block k,
+#: one has block k + 1's draws done or under way and the other starts block
+#: k + 2's once block k is released
+_DRAW_WORKERS = 2
+
+
 def _read_blocks(model_family: str, base: str, grid: TimeGrid, seed: SeedSpec, sides,
                  n_probe: int = 0):
     """Read what a suite needs in one pass over its row blocks, so each block
@@ -560,19 +609,45 @@ def _read_blocks(model_family: str, base: str, grid: TimeGrid, seed: SeedSpec, s
     The zeros of the first ``n_probe`` paths are checked against H, and the
     pass stops after the probe when more than ``_HYP_FRAC`` of them fail.
 
+    The Gaussian draws of each block's W substreams (and of D's ``density``
+    substreams in the ``shifted_brownian`` family) are made ahead through
+    :func:`~skewlab.grid_paths._run_chunks`: the calling thread derives
+    their PCG64 states and allocates their rows, a worker thread fills the
+    rows while the calling thread builds and reads the block before, and
+    the model and W are then finished from them in place.  The workers run
+    only private helpers and numpy, so every public call stays in the
+    calling thread, and each row comes from its own stream by the same
+    operations, so the output is bit-identical for any number of workers.
+    With ``_DRAW_WORKERS`` workers, one block of draws is held ahead of the
+    block being read, whatever the number of CPUs.
+
     Returns (probe violation fraction, side matrices or None when the probe
     failed).
     """
     if base not in PROCESS_ZOO:
         raise ValueError(f"unknown base process {base!r}: expected a PROCESS_ZOO name")
     kernel = PROCESS_ZOO[base]
+    tags = ["w", "model/density"] if model_family == "shifted_brownian" else ["w"]
     gathered = [[] for _ in sides]
 
-    def read_block(lo: int, hi: int) -> int:
-        # the block dies with this call, before the next one is built
+    def draw_ahead(c: int, lo: int, hi: int):
+        # the calling thread makes the block's seeds, stream states and rows
         seeds = [seed.with_path(p) for p in range(lo, hi)]
-        models = build_model_rows(model_family, grid, [s.child("model") for s in seeds])
-        dec = kernel(models, grid, seeds)
+        states = {t: stream_states([s.child(t) for s in seeds]) for t in tags}
+        rows = {t: np.empty((hi - lo, grid.n_points)) for t in tags}
+
+        def fill():  # runs in a worker
+            for t in tags:
+                _fill_normals(rows[t], states[t])
+            return seeds, rows
+
+        return fill
+
+    def read_block(lo: int, hi: int, seeds, drawn) -> int:
+        # the block's intermediates die with this call
+        models = build_model_rows(model_family, grid, [s.child("model") for s in seeds],
+                                  drawn.get("model/density"))
+        dec = kernel(models, grid, _finish_brownian(drawn["w"], grid, 0.0))
         for out, (n, side) in zip(gathered, sides):
             if lo < n:
                 out.append(side(models, dec, seeds)[: min(hi, n) - lo])
@@ -580,13 +655,14 @@ def _read_blocks(model_family: str, base: str, grid: TimeGrid, seed: SeedSpec, s
         return _hypothesis_violations(models, dec, probed) if probed > 0 else 0
 
     n_paths = max(n for n, _ in sides)
-    step = block_rows(grid.n_points)
     bad = 0
-    for lo in range(0, n_paths, step):
-        hi = min(lo + step, n_paths)
-        bad += read_block(lo, hi)
-        if lo < n_probe <= hi and bad / n_probe > _HYP_FRAC:
-            return bad / n_probe, None
+    chunks = _run_chunks(n_paths, block_rows(grid.n_points), draw_ahead, _DRAW_WORKERS)
+    with closing(chunks) as blocks:
+        for paths, block in blocks:
+            bad += read_block(paths.start, paths.stop, *block)
+            del block  # before the next block's rows are allocated
+            if paths.start < n_probe <= paths.stop and bad / n_probe > _HYP_FRAC:
+                return bad / n_probe, None
     return (bad / n_probe if n_probe else 0.0), [np.concatenate(out) for out in gathered]
 
 

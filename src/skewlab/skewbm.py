@@ -22,18 +22,21 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .excursion import ExcursionRows
 from .grid_paths import (
-    SamplePath, SeedSpec, TimeGrid, _check_finite, _draw_streams, stream_states
+    SamplePath,
+    SeedSpec,
+    TimeGrid,
+    _check_count,
+    _check_finite,
+    _draw_streams,
+    _run_chunks,
+    stream_states,
 )
 from .localtime import (
     OCCUPATION_EXPONENT,
@@ -140,16 +143,6 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
-def _check_count(name: str, value: int) -> None:
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-
-
-def _usable_cpus() -> int:
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return cpus or 1
-
-
 #: bytes of rows a sampler thread holds at a time: the bulk sampler's base
 #: path and sign uniform blocks, and the walk's step table (its uniform
 #: blocks hold an eighth of it)
@@ -166,70 +159,6 @@ def _row_blocks(m: int, row_bytes: int) -> list[tuple[int, int]]:
     :func:`_block_rows` rows."""
     rows = _block_rows(row_bytes)
     return [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
-
-
-#: the task that the next :func:`_run_chunks` in this thread runs while it
-#: waits for its workers; set only by :func:`_alongside`
-_MEANWHILE: ContextVar[Optional[Callable[[], None]]] = ContextVar("meanwhile", default=None)
-
-
-def _alongside(main: Callable[[], object], meanwhile: Callable[[], object]) -> tuple:
-    """``(main(), meanwhile())``, both run in the calling thread: meanwhile()
-    runs inside main() while the first :func:`_run_chunks` there waits for
-    its workers, or after main() returns if none does.
-
-    The task reaches :func:`_run_chunks` through a context variable, so the
-    public calls that main() and meanwhile() make keep their arguments.
-    """
-    done = []
-
-    def task() -> None:
-        _MEANWHILE.set(None)  # once, and not from inside itself
-        done.append(meanwhile())
-
-    token = _MEANWHILE.set(task)
-    try:
-        first = main()
-    finally:
-        _MEANWHILE.reset(token)
-    return first, done[0] if done else meanwhile()
-
-
-def _run_chunks(
-    n_items: int, chunk: int, job: Callable[[int, int, int], Callable[[], object]]
-) -> Iterator[tuple[slice, object]]:
-    """Items 0..n_items-1 in chunks of ``chunk``, run concurrently on a thread
-    pool (one worker per usable CPU, at most one per chunk).
-
-    ``job(c, lo, hi)`` runs in the calling thread and returns the
-    zero-argument callable a worker runs for chunk c, so streams and
-    generators are built here and the workers run numpy only.  Chunk c is
-    prepared only once chunk c - workers has been collected, so at most one
-    chunk per worker is prepared and not yet collected, however many chunks
-    there are.  Before it first waits for a result, the calling thread runs
-    the task that :func:`_alongside` set, if any, so it works beside the
-    workers instead of idling.  Yields each chunk's output slice and result,
-    in chunk order.
-    """
-    _check_count("chunk", chunk)
-    bounds = [slice(lo, min(lo + chunk, n_items)) for lo in range(0, n_items, chunk)]
-    workers = max(1, min(len(bounds), _usable_cpus()))
-    pending = deque()
-
-    def collect() -> tuple[slice, object]:
-        meanwhile = _MEANWHILE.get()
-        if meanwhile is not None:
-            meanwhile()
-        done, future = pending.popleft()
-        return done, future.result()
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for c, b in enumerate(bounds):
-            if len(pending) == workers:
-                yield collect()
-            pending.append((b, pool.submit(job(c, b.start, b.stop))))
-        while pending:
-            yield collect()
 
 
 def _check_time(t: float) -> None:
@@ -480,8 +409,8 @@ def harrison_shepp_terminals(alpha: float, n_steps: int, n_walks: int, seed: See
     walk's state in turn, draws and codes its uniforms and steps the walks.
     The walk is bound by the interpreter lock (a state reset and a draw call
     per walk), so a second thread would gain it nothing; run beside the bulk
-    sampler's workers instead (see :func:`_alongside`), it uses a CPU they
-    leave idle.  It holds one step table of about 2 MiB (two bytes per eight
+    sampler's workers instead (see :func:`~skewlab.grid_paths._alongside`),
+    it uses a CPU they leave idle.  It holds one step table of about 2 MiB (two bytes per eight
     steps of each walk) and one block of float64 uniforms with their codes:
     about 256 KiB up to 2**15 steps, one row (2 MiB at 2**18) past that.
     """
@@ -606,11 +535,12 @@ def skew_terminal_samples(
     ``_BULK_CHUNK`` is part of the sampler's determinism contract; the
     number of worker threads and the row block size are not.  The calling
     thread derives each chunk's generators and collects the chunks in
-    order; the chunks run on a thread pool (one worker per usable CPU, at
-    most one per chunk) that runs numpy and private helpers only, and each
-    writes only its own slice of the output, so the result is bit-identical
-    to a serial run.  While the calling thread waits for them it runs the
-    task of an enclosing :func:`_alongside`, if any.  Each worker holds a
+    order; the chunks run through :func:`~skewlab.grid_paths._run_chunks`
+    on a thread pool (one worker per usable CPU, at most one per chunk) that
+    runs numpy and private helpers only, and each writes only its own slice
+    of the output, so the result is bit-identical to a serial run.  While
+    the calling thread waits for them it runs the task of an enclosing
+    :func:`~skewlab.grid_paths._alongside`, if any.  Each worker holds a
     few arrays of chunk values and one row block at a time: about 2 MiB of
     float32 base paths (128 rows at 2**12 steps) and their int8 signs, then
     the signs and one boolean mask of excursion starts, or about 2 MiB of

@@ -53,6 +53,15 @@ def qp_terminals(d, total, fv=None):
     return np.abs(_qp_rows(d, total, fv)[:, -1])
 
 
+def zoo_block(base, models, grid, seeds):
+    """The zoo member ``base`` on a block of models, row j's W drawn from
+    ``seeds[j]``'s ``w`` substream as the suites' block reader draws it."""
+    from skewlab.grid_paths import brownian_rows
+    from skewlab.signed_measure import PROCESS_ZOO
+
+    return PROCESS_ZOO[base](models, grid, brownian_rows(grid, [s.child("w") for s in seeds]))
+
+
 def shifted_qp_terminals(base, seed, n_steps, n_paths):
     """qp terminals of paths 0..n_paths-1 of the zoo member ``base`` under
     the shifted model, path p from ``seed.with_path(p)``, read through the

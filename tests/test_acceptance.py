@@ -30,7 +30,6 @@ from skewlab.localtime import (
     identity_residual,
 )
 from skewlab.signed_measure import (
-    PROCESS_ZOO,
     build_model,
     equivalence_suite,
     martingale_drift_test,
@@ -48,7 +47,7 @@ from skewlab.skewbm import (
     skew_terminal_samples,
 )
 
-from conftest import shifted_qp_terminals
+from conftest import shifted_qp_terminals, zoo_block
 
 SEED = SeedSpec(727272)
 LEVELS = (2**12, 2**14, 2**16)
@@ -249,7 +248,7 @@ def test_criterion_09_sigma_h():
         for i in range(5):
             s = SEED.child(f"c9/{name}").with_path(i)
             model = build_model(fam, g, s.child("model"))
-            reps.append(sigma_h_check(PROCESS_ZOO[name](model, g, [s]), model))
+            reps.append(sigma_h_check(zoo_block(name, model, g, [s]), model))
         if positive:
             outcomes[name] = all(r.passed and r.statistic >= 0.95 for r in reps)
         else:

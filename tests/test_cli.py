@@ -386,3 +386,28 @@ def test_long_row_suite_working_set(suite, extra):
         tracemalloc.stop()
     arrays = (peak - held) / (8 * (n + 1))
     assert arrays <= LONG_ROW_ARRAYS, f"{suite} peaked at {arrays:.2f} arrays above its curves"
+
+
+#: path-length float arrays that the sigma_h suite may hold at its peak at
+#: 2**16 steps, where each row block is one path: the block being read (8.66
+#: measured, 6.66 with no block drawn ahead, as on one CPU) with the W and D
+#: rows of the next block, which a worker draws meanwhile.  A second block
+#: drawn ahead takes it past the bound.
+SIGMA_H_ARRAYS = 9
+
+
+def test_sigma_h_working_set(monkeypatch):
+    # four usable CPUs, so the reader's own worker count sets the look-ahead
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    n = 2**16
+    cfg = config_from_pairs(dict(suite="sigma_h", steps=str(n), seeds="3", seed="7"))
+    runner = cli.SUITE_RUNNERS["sigma_h"]
+    runner(cfg, SeedSpec(7))  # first calls fill the library's small caches
+    tracemalloc.start()
+    try:
+        runner(cfg, SeedSpec(7))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = (peak - held) / (8 * (n + 1))
+    assert arrays <= SIGMA_H_ARRAYS, f"sigma_h peaked at {arrays:.2f} arrays"

@@ -40,7 +40,7 @@ from skewlab.signed_measure import (
 )
 from skewlab.signflip import AlphaSchedule, sign_path_rows
 
-from conftest import MASTER, excursion_runs
+from conftest import MASTER, excursion_runs, zoo_block
 
 X0 = st.sampled_from([0.0, 1.0, -0.5, 3.0])
 STEPS = st.integers(1, 64)
@@ -318,7 +318,7 @@ def test_check_kernels_equal_one_row_on_zoo_blocks(base, model_family, n_rows, n
     grid = make_grid(1.0, n_steps)
     seeds = [SeedSpec(MASTER, f"kern/{base}", p) for p in range(n_rows)]
     models = build_model_rows(model_family, grid, [s.child("model") for s in seeds])
-    assert_kernels_equal_one_row(models, PROCESS_ZOO[base](models, grid, seeds))
+    assert_kernels_equal_one_row(models, zoo_block(base, models, grid, seeds))
 
 
 @settings(max_examples=100, deadline=None)
@@ -364,7 +364,7 @@ def test_later_blocks_leave_handed_out_paths_unchanged():
     for p, (model, dec, j, seed) in enumerate(handed):
         assert seed == SeedSpec(MASTER, "frz").with_path(p)
         fresh_model = build_model("shifted_brownian", grid, seed.child("model"))
-        fresh = PROCESS_ZOO["reflected_bm"](fresh_model, grid, [seed])
+        fresh = zoo_block("reflected_bm", fresh_model, grid, [seed])
         assert same_bits(model.d, fresh_model.d)
         for field in ("total", "martingale_part", "fv_part", "zero_source"):
             assert same_bits(getattr(dec, field)[j], getattr(fresh, field)[0])

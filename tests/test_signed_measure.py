@@ -1,5 +1,8 @@
 """Models, qp residuals, drift tests, Sigma(H) checks, equivalence suites."""
 
+import inspect
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -21,7 +24,7 @@ from skewlab.signed_measure import (
     sigma_h_check,
 )
 
-from conftest import MASTER, martingale_row, qp_terminals, shifted_qp_terminals
+from conftest import MASTER, martingale_row, qp_terminals, shifted_qp_terminals, zoo_block
 
 
 # frozen fine-mesh Monte Carlo oracle for P(min over [0,1] of 1 + B <= 0):
@@ -138,7 +141,7 @@ class TestDecomposition:
         )
         g = make_grid(1.0, 64)
         model = build_model("shifted_brownian", g, SeedSpec(MASTER, "spy/model"))
-        PROCESS_ZOO[name](model, g, [SeedSpec(MASTER, "spy")])
+        zoo_block(name, model, g, [SeedSpec(MASTER, "spy")])
         assert len(calls) == 1
 
 
@@ -153,6 +156,19 @@ class TestQpResidual:
         # E int_0^1 D_s ds = 1 because E D_s = 1
         vals = shifted_qp_terminals("bm_plus_drift", SeedSpec(MASTER, "qpneg"), 2**11, 10_000)
         assert abs(np.mean(vals) - 1.0) < 0.05
+
+    @pytest.mark.parametrize("tile", [1, 7, 64, 2**14])
+    @pytest.mark.parametrize("shape", [(3, 40), (50, 3), (2, 2**15 + 3)])
+    def test_terminal_sum_equals_last_column(self, monkeypatch, tile, shape):
+        # the tiles of the terminal-only sum split rows and columns; D is a
+        # block or a broadcast of 1.0, as the trivial model's is
+        monkeypatch.setattr(signed_measure, "_SPLIT_TILE", tile)
+        rng = np.random.default_rng(MASTER)
+        m = np.cumsum(rng.standard_normal(shape), axis=1)
+        for d in (1.0 + np.cumsum(rng.standard_normal(shape), axis=1),
+                  np.broadcast_to(1.0, shape)):
+            expected = np.abs(signed_measure._qp_rows(d, m)[:, -1])
+            assert np.array_equal(signed_measure._qp_terminal(d, m), expected)
 
     def test_grid_mismatch(self, seed):
         # sigma_h_check, which reads the qp residual of the martingale part,
@@ -211,7 +227,7 @@ class TestQpResidual:
             if not model.zeros.events.any():
                 continue
             checked += 1
-            dec = PROCESS_ZOO["bm_plus_local_time"](model, g, [s])
+            dec = zoo_block("bm_plus_local_time", model, g, [s])
             assert qp_terminals(model.d, dec.total, dec.fv_part)[0] < 0.05
             assert abs(covariation_rows(dec.total, model.d)[0, -1]) < 0.05
             assert carried_by(dec.fv_part[0], model.zeros.events[0]) >= 0.95
@@ -297,7 +313,7 @@ class TestSigmaH:
         g = make_grid(1.0, 2**14)
         s = SeedSpec(MASTER, "sig", 0)
         model = build_model("trivial", g, s.child("model"))
-        rep = sigma_h_check(PROCESS_ZOO["reflected_bm"](model, g, [s]), model)
+        rep = sigma_h_check(zoo_block("reflected_bm", model, g, [s]), model)
         assert rep.passed
         assert rep.statistic >= 0.95
 
@@ -306,14 +322,14 @@ class TestSigmaH:
         for i in range(6):
             s = SeedSpec(MASTER, "sig", i)
             model = build_model("shifted_brownian", g, s.child("model"))
-            rep = sigma_h_check(PROCESS_ZOO["bm_plus_local_time"](model, g, [s]), model)
+            rep = sigma_h_check(zoo_block("bm_plus_local_time", model, g, [s]), model)
             assert rep.passed
 
     def test_lebesgue_drift_fails(self):
         g = make_grid(1.0, 2**14)
         s = SeedSpec(MASTER, "sig", 1)
         model = build_model("shifted_brownian", g, s.child("model"))
-        rep = sigma_h_check(PROCESS_ZOO["bm_plus_drift"](model, g, [s]), model)
+        rep = sigma_h_check(zoo_block("bm_plus_drift", model, g, [s]), model)
         assert not rep.passed
 
     def test_nonzero_start_fails(self, seed):
@@ -370,6 +386,34 @@ class TestEquivalenceSuites:
         assert rep.hypothesis_not_met
         assert not rep.passed
 
+    def test_failed_probe_stops_the_draws(self, monkeypatch):
+        # the 200 probed paths end in the fourth block of 63, with the next
+        # blocks' rows still being drawn; the pass stops there, closes the
+        # block generator itself (the spy keeps it from the collector) and
+        # leaves no worker thread behind
+        generators = []
+        run_chunks = signed_measure._run_chunks
+
+        def spy(*args):
+            generators.append(run_chunks(*args))
+            return generators[-1]
+
+        monkeypatch.setattr(signed_measure, "_run_chunks", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        before = threading.active_count()
+        rep = equivalence_suite(
+            "zalpha_mart", "shifted_brownian", "bm", 0.7, SeedSpec(MASTER, "earlystop"), 4000
+        )
+        assert repr(rep) == (
+            "TestReport(suite='equivalence.zalpha_mart', statistic=1.0, threshold=0.02, "
+            "n_paths=4000, n_steps=1024, seed=SeedSpec(master_seed=314159, "
+            "stream_label='earlystop', path_index=0), passed=False, detail='hypothesis-not-met: "
+            "zeros of the base process are not contained in H (violation fraction 1.000)')"
+        )
+        assert len(generators) == 1
+        assert inspect.getgeneratorstate(generators[0]) == inspect.GEN_CLOSED
+        assert threading.active_count() == before
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             equivalence_suite("gilat", "trivial", "bm", 0.5, SeedSpec(MASTER), 2000)
@@ -377,8 +421,8 @@ class TestEquivalenceSuites:
     def test_unknown_base(self):
         # a base is named by its zoo name only: neither a zoo member nor a
         # per-path factory outside the zoo is one
-        def custom(model, grid, seed):
-            return PROCESS_ZOO["bm"](model, grid, seed)
+        def custom(model, grid, w):
+            return PROCESS_ZOO["bm"](model, grid, w)
 
         for base in ("levy", custom, PROCESS_ZOO["bm"]):
             with pytest.raises(ValueError, match="unknown base process"):

@@ -24,9 +24,9 @@ from skewlab.grid_paths import SamplePath, SeedSpec, brownian_rows, make_grid, s
 from skewlab.localtime import (
     OCCUPATION_EXPONENT, ResidualReport, _occupation, covariation_rows, ito_rows
 )
-from skewlab.signed_measure import InsufficientSamplesError
+from skewlab.signed_measure import InsufficientSamplesError, equivalence_suite
 from skewlab.signflip import AlphaSchedule, build_sign_path, sign_path_rows
-from skewlab import skewbm
+from skewlab import grid_paths, signed_measure, skewbm
 from skewlab.cli import config_from_pairs, run_experiment
 from skewlab.skewbm import (
     LawSample,
@@ -186,7 +186,9 @@ def usable_cpus(n):
 
 def record_caller_threads(monkeypatch):
     """Wrap ``SeedSpec.rng`` and every public skewlab function, at every
-    module binding, so that each call appends ``(name, thread id)``."""
+    module binding and in every module-level dict that holds it (such as
+    ``PROCESS_ZOO`` and ``SUITE_RUNNERS``), as the benchmark's span tracer
+    does, so that each call appends ``(name, thread id)``."""
     calls = []
 
     def recording(fn, name):
@@ -206,8 +208,14 @@ def record_caller_threads(monkeypatch):
     }
     for ns in [skewlab] + modules:
         for name, obj in list(vars(ns).items()):
+            if name.startswith("__"):
+                continue
             if inspect.isfunction(obj) and obj in wrapped:
                 monkeypatch.setattr(ns, name, wrapped[obj])
+            elif isinstance(obj, dict):
+                for key, value in list(obj.items()):
+                    if inspect.isfunction(value) and value in wrapped:
+                        monkeypatch.setitem(obj, key, wrapped[value])
     monkeypatch.setattr(SeedSpec, "rng", recording(SeedSpec.rng, "SeedSpec.rng"))
     return calls
 
@@ -694,7 +702,7 @@ class TestTerminalSamplers:
         n_paths, n_steps, chunk = 20 * 16 - 5, 24, 16
         monkeypatch.setattr(skewbm, "_BULK_CHUNK", chunk)
         with usable_cpus(cpus):
-            bulk, _ = skewbm._alongside(
+            bulk, _ = grid_paths._alongside(
                 lambda: skew_terminal_samples(scheds, n_paths, n_steps, seed),
                 lambda: (log.append(("meanwhile", None)), task_ran.set()),
             )
@@ -759,7 +767,7 @@ class TestTerminalSamplers:
         sys.setswitchinterval(1e-6)
         try:
             with usable_cpus(8):
-                worker = threading.Thread(target=lambda: result.append(skewbm._alongside(
+                worker = threading.Thread(target=lambda: result.append(grid_paths._alongside(
                     lambda: skew_terminal_sample(sched, n_paths, n_steps, seed.child("law")),
                     lambda: harrison_shepp_terminals(0.7, walk_steps, n_walks, seed.child("walk")),
                 )))
@@ -816,6 +824,88 @@ class TestTerminalSamplers:
         values = np.concatenate(terminals)
         frac = np.mean(values > 0)
         assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / len(values))
+
+
+#: criterion 10's equivalence cases: suite -> bases
+CRITERION_10_CASES = {
+    "abs_mart": ("shifted_bm", "shifted_bm_drift"),
+    "zalpha_mart": ("shifted_bm", "shifted_bm_drift"),
+    "abs_sigma": ("bm", "bm_plus_drift"),
+    "zalpha_sigma": ("bm", "bm_plus_drift"),
+    "cmart": ("reflected_bm", "bm_plus_drift"),
+}
+
+
+def block_reader_reports(tmp_path):
+    """Reports of the martingale, representation (shifted model) and sigma_h
+    suites and of criterion 10's equivalence cases, each read in several row
+    blocks of 63 paths at 2**10 steps."""
+    reports = []
+    for suite, extra in [("martingale", {}), ("representation", {"model": "shifted_brownian"}),
+                         ("sigma_h", {"seeds": "130"})]:
+        cfg = config_from_pairs(dict(extra, suite=suite, paths="1000", steps="1024",
+                                     out=str(tmp_path)))
+        reports.append(run_experiment(cfg).reports)
+    for name, bases in CRITERION_10_CASES.items():
+        for base in bases:
+            reports.append(equivalence_suite(
+                name, "trivial", base, 0.5 if name == "cmart" else 0.7,
+                SeedSpec(MASTER, f"readerthreads/{name}/{base}"), 1000,
+            ))
+    return reports
+
+
+class TestBlockReaderThreads:
+    """The signed-measure block reader draws each block's Gaussian rows on
+    worker threads while the calling thread reads the block before."""
+
+    def test_draws_ahead_keep_public_calls_in_calling_thread(self, monkeypatch, tmp_path):
+        # the span tracer keeps a single stack, so the workers may run only
+        # private helpers and numpy; they fill rows, and nothing else
+        with usable_cpus(1):
+            serial = block_reader_reports(tmp_path)
+        fills = []
+        fill = signed_measure._fill_normals
+        monkeypatch.setattr(signed_measure, "_fill_normals",
+                            lambda *a: fills.append(threading.get_ident()) or fill(*a))
+        calls = record_caller_threads(monkeypatch)
+        with usable_cpus(4):
+            ahead = block_reader_reports(tmp_path)
+        names = {name for name, _ in calls}
+        assert {
+            "skewlab.grid_paths.stream_states",
+            "skewlab.signed_measure.build_model_rows",
+            "skewlab.cli.run_sigma_h",
+        } | {f"skewlab.signed_measure.make_{base}" for base in signed_measure.PROCESS_ZOO} <= names
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+        assert fills and threading.get_ident() not in fills
+        assert repr(ahead) == repr(serial)
+
+    def test_draws_ahead_under_thread_switching_equal_serial(self, monkeypatch):
+        # blocks of 8 paths, the reader in a non-main thread, and the
+        # interpreter switching threads as often as it can
+        grid = make_grid(1.0, 64)
+        seed = SeedSpec(MASTER, "readerstress")
+        monkeypatch.setattr(grid_paths, "BLOCK_ELEMENTS", 8 * grid.n_points)
+
+        def drift_test():
+            return signed_measure.martingale_drift_test(
+                "shifted_brownian", "bm_plus_local_time", grid, seed, 1000
+            )
+
+        with usable_cpus(1):
+            serial = drift_test()
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with usable_cpus(8):
+                reader = threading.Thread(target=lambda: result.append(drift_test()))
+                reader.start()
+                reader.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive() and result == [serial]
 
 
 class TestLawTest:
