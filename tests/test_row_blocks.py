@@ -572,3 +572,38 @@ def test_skew_law_pinned(tmp_path):
         digests[os.path.basename(path)] = hashlib.sha256(b"".join(lines)).hexdigest()
     assert [pin_row(r) for r in bundle.reports] == SKEW_LAW_PINS
     assert digests == SKEW_LAW_SHA256
+
+
+#: report rows of the sigma_h suite at 256 steps and master seed 7, for an
+#: even and an odd panel (8 and 9 paths)
+SIGMA_H_PINS = [
+    ('sigma_h.reflected_bm', '0.999999999999999', '0.95', 8, 256, '7:sigma_h:0', True, 'pass fraction 1.00 over 8 paths'),
+    ('sigma_h.bm_plus_local_time', '1.0', '0.95', 8, 256, '7:sigma_h:0', True, 'pass fraction 0.62 over 8 paths'),
+    ('sigma_h.negative_control', '0.17578125', '0.95', 8, 256, '7:sigma_h:0', True, 'pass fraction 0.00 over 8 paths; acceptance region below threshold'),
+    ('sigma_h.reflected_bm', '0.9999999999999988', '0.95', 9, 256, '7:sigma_h:0', True, 'pass fraction 1.00 over 9 paths'),
+    ('sigma_h.bm_plus_local_time', '1.0', '0.95', 9, 256, '7:sigma_h:0', True, 'pass fraction 0.67 over 9 paths'),
+    ('sigma_h.negative_control', '0.1640625', '0.95', 9, 256, '7:sigma_h:0', True, 'pass fraction 0.00 over 9 paths; acceptance region below threshold'),
+]
+
+
+def test_sigma_h_pinned(tmp_path):
+    rows = []
+    for seeds in ("8", "9"):
+        cfg = config_from_pairs({"suite": "sigma_h", "steps": "256", "seeds": seeds, "seed": "7",
+                                 "out": str(tmp_path)})
+        rows += [pin_row(r) for r in run_experiment(cfg).reports]
+    assert rows == SIGMA_H_PINS
+
+
+#: the report row of a piecewise-schedule skew_law run at 1000 paths and 256
+#: steps
+SKEW_LAW_PIECEWISE_PINS = [
+    ('skew_law.sign_fraction', '0.532', '1.0', 1000, 256, '20240817:skew_law:0', True, 'informational: piecewise schedules have no closed-form terminal density here'),
+]
+
+
+def test_skew_law_piecewise_pinned(tmp_path):
+    cfg = config_from_pairs({"suite": "skew_law", "schedule.boundaries": "0,0.5",
+                             "schedule.values": "0.3,0.8", "paths": "1000", "steps": "256",
+                             "out": str(tmp_path)})
+    assert [pin_row(r) for r in run_experiment(cfg).reports] == SKEW_LAW_PIECEWISE_PINS
