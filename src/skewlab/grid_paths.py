@@ -384,8 +384,7 @@ def make_grid(horizon: float, n_steps: int) -> TimeGrid:
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    _check_count("n_steps", n_steps)
     times = np.linspace(0.0, float(horizon), n_steps + 1)
     return TimeGrid(float(horizon), int(n_steps), times)
 

@@ -13,8 +13,8 @@ equivalent to the pathwise condition
     int_0^t D dv + <M, D>_t = 0  for all t,
 
 so the harness checks the property two independent ways: the pathwise
-residual of that display (the qp residual, ``_qp_rows``) and a
-conditional-drift test on the simulated product process
+terminal residual of that display (the qp residual, ``_qp_terminal``) and
+a conditional-drift test on the simulated product process
 (``martingale_drift_test``).
 
 Models (:class:`ModelRows`) and processes with their split
@@ -23,10 +23,12 @@ drift test, the equivalence suites, the optional representation check and
 the sigma_h panels) name their base process by its ``PROCESS_ZOO`` name and
 read it through one block reader, which builds each row block once
 (``build_model_rows`` and the zoo's row kernels) and hands it to everything
-the suite needs; ``build_model`` is the one-row case.  The reader has a
-worker thread draw the Gaussian rows of the next block while the calling
-thread builds and reads the current one; the models and kernels finish
-those rows in the calling thread, which makes every public call.
+the suite needs; ``build_model`` is the one-row case.  The reader only
+gathers sides (one row per path); the *_mart suites' probe of the base's
+zeros against H is one of them.  It has a worker thread draw the Gaussian
+rows of the next block while the calling thread builds and reads the
+current one; the models and kernels finish those rows in the calling
+thread, which makes every public call.
 Likewise the qp residual, the carried-by fraction and Sigma(H) membership
 are row kernels that work along the last axis of a block's arrays;
 ``sigma_h_check`` is the one-row case of the last.
@@ -151,35 +153,42 @@ def build_model(family: str, grid: TimeGrid, seed: SeedSpec) -> ModelRows:
     return build_model_rows(family, grid, [seed])
 
 
-#: elements of each temporary of :func:`_check_split`
+#: elements of each temporary of :func:`_check_split` and :func:`_qp_terminal`
 _SPLIT_TILE = 2**14
+
+
+def _tiles(n_rows: int, n_cols: int):
+    """Tiles of an (n_rows, n_cols) array of at most ``_SPLIT_TILE``
+    elements (whole rows when they fit), band of rows by band of rows and
+    left to right within a band: each tile's (rows, cols) slices and two
+    scratch arrays of its shape, views of one buffer that the tiles share."""
+    cols = max(1, min(n_cols, _SPLIT_TILE))
+    rows = _SPLIT_TILE // cols
+    buffers = np.empty((2, rows * cols))
+    for r in range(0, n_rows, rows):
+        band = slice(r, min(r + rows, n_rows))
+        for c in range(0, n_cols, cols):
+            cut = slice(c, min(c + cols, n_cols))
+            shape = (band.stop - band.start, cut.stop - cut.start)
+            yield band, cut, [b[:shape[0] * shape[1]].reshape(shape) for b in buffers]
 
 
 def _check_split(total: np.ndarray, mart: np.ndarray, fv: np.ndarray) -> None:
     """Require |total - recon| <= 1e-9 + 1e-9 |recon| everywhere, with
     recon = mart + fv: ``np.allclose`` on finite values.  The (rows,
-    n_points) arrays, any of them broadcast, are checked in tiles of at most
-    ``_SPLIT_TILE`` elements (whole rows when they fit), so the two
-    temporaries stay that small, and the check stops at the first tile that
-    fails."""
+    n_points) arrays, any of them broadcast, are checked in the tiles of
+    :func:`_tiles`, so the two temporaries stay tile-sized, and the check
+    stops at the first tile that fails."""
     total, mart, fv = np.broadcast_arrays(total, mart, fv)
-    n_rows, n_points = total.shape
-    cols = max(1, min(n_points, _SPLIT_TILE))
-    rows = _SPLIT_TILE // cols
-    buffers = np.empty((2, rows * cols))
-    for r in range(0, n_rows, rows):
-        for c in range(0, n_points, cols):
-            tile = np.s_[r:r + rows, c:c + cols]
-            t = total[tile]
-            recon, err = (b[:t.size].reshape(t.shape) for b in buffers)
-            np.add(mart[tile], fv[tile], out=recon)
-            np.subtract(t, recon, out=err)
-            np.abs(err, out=err)
-            np.abs(recon, out=recon)
-            recon *= 1e-9
-            recon += 1e-9
-            if not (err <= recon).all():
-                raise ValueError("total must equal martingale_part + fv_part")
+    for band, cut, (recon, err) in _tiles(*total.shape):
+        np.add(mart[band, cut], fv[band, cut], out=recon)
+        np.subtract(total[band, cut], recon, out=err)
+        np.abs(err, out=err)
+        np.abs(recon, out=recon)
+        recon *= 1e-9
+        recon += 1e-9
+        if not (err <= recon).all():
+            raise ValueError("total must equal martingale_part + fv_part")
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,41 +260,27 @@ class TestReport:
 # ---------------------------------------------------------------------------
 
 
-def _qp_rows(d: np.ndarray, total: np.ndarray, fv: Optional[np.ndarray] = None) -> np.ndarray:
-    """Residual curves of  int_0^t D dv + <M, D>_t  along the last axis, for
-    M = total with finite-variation part fv (v = 0 when fv is None).  A
-    residual near zero certifies the signed-measure local-martingale property
-    of M = m + v."""
-    residual = covariation_rows(total, d)
-    if fv is not None:
-        residual += ito_rows(d, fv)
-    return residual
+def _qp_terminal(d: np.ndarray, m: np.ndarray, fv: Optional[np.ndarray] = None) -> np.ndarray:
+    """|int_0^T D dv + <M, D>_T| of each row, for M = m with finite-variation
+    part fv (v = 0 when fv is None).  A residual near zero certifies the
+    signed-measure local-martingale property of M = m + v.
 
-
-def _qp_terminal(d: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """|<M, D>_T| of each row: the absolute last column of ``_qp_rows(d,
-    m)``, without building a path-length row.  The increment products are
-    summed in tiles of at most ``_SPLIT_TILE`` elements, and each tile's
+    <M, D>_T is summed without building a path-length row: the increment
+    products are summed in the tiles of :func:`_tiles`, and each tile's
     first product takes the running sum of the tiles before it, so the
-    additions are the cumsum's, in its order, and the result is
-    bit-identical."""
-    n_rows, n_steps = m.shape[0], m.shape[1] - 1
-    cols = max(1, min(n_steps, _SPLIT_TILE))
-    rows = max(1, _SPLIT_TILE // cols)
-    buffers = np.empty((2, rows * cols))
-    terminal = np.empty(n_rows)
-    for r in range(0, n_rows, rows):
-        band = slice(r, min(r + rows, n_rows))
-        for c in range(0, n_steps, cols):
-            hi = min(c + cols, n_steps)
-            shape = (band.stop - band.start, hi - c)
-            steps, dd = (b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
-            np.subtract(m[band, c + 1:hi + 1], m[band, c:hi], out=steps)
-            steps *= np.subtract(d[band, c + 1:hi + 1], d[band, c:hi], out=dd)
-            if c:
-                steps[:, 0] += terminal[band]
-            np.cumsum(steps, axis=1, out=steps)
-            terminal[band] = steps[:, -1]
+    additions are those of ``covariation_rows(m, d)``'s cumsum, in its
+    order, and the sum is bit-identical to that curve's last column."""
+    terminal = np.empty(m.shape[0])
+    for band, cut, (steps, dd) in _tiles(m.shape[0], m.shape[1] - 1):
+        ahead = slice(cut.start + 1, cut.stop + 1)
+        np.subtract(m[band, ahead], m[band, cut], out=steps)
+        steps *= np.subtract(d[band, ahead], d[band, cut], out=dd)
+        if cut.start:
+            steps[:, 0] += terminal[band]
+        np.cumsum(steps, axis=1, out=steps)
+        terminal[band] = steps[:, -1]
+    if fv is not None:
+        terminal += ito_rows(d, fv)[:, -1]
     return np.abs(terminal, out=terminal)
 
 
@@ -399,7 +394,7 @@ def martingale_drift_test(
     """
     _require_paths(n_paths)
     columns = _checkpoint_columns(grid)
-    _, (values,) = _read_blocks(
+    (values,) = _read_blocks(
         model_family, base, grid, seed,
         [(n_paths, lambda models, dec, seeds: _product_at(models, dec.total, columns))],
     )
@@ -525,8 +520,8 @@ PROCESS_ZOO: dict[str, Callable[..., DecompositionRows]] = {
 # Equivalence suites
 # ---------------------------------------------------------------------------
 
-#: paths whose zeros are checked against H before a *_mart suite runs, and
-#: the largest fraction of them that may fail
+#: paths whose zeros a *_mart suite checks against H, and the largest
+#: fraction of them that may fail
 _PROBE_PATHS = 200
 _HYP_FRAC = 0.02
 #: the equivalence suites' grid
@@ -571,18 +566,18 @@ def _sigma_side(split=None, tol: float = _SIGMA_TOL):
     return side
 
 
-def _majority(panel: np.ndarray) -> tuple[bool, float]:
-    """Majority verdict over a panel of sigma_h rows and the median statistic."""
-    passed = int(panel[:, 1].sum()) >= (len(panel) + 1) // 2
-    return passed, float(np.median(panel[:, 0]))
+def _majority(stats: np.ndarray, passes: np.ndarray) -> tuple[bool, float]:
+    """Majority verdict over a panel of sigma_h statistics and verdicts (at
+    least half of them pass) and the median statistic."""
+    passed = int(passes.sum()) >= (len(passes) + 1) // 2
+    return passed, float(np.median(stats))
 
 
-def _hypothesis_violations(models: ModelRows, dec: DecompositionRows, k: int) -> int:
-    """Paths among the block's first k whose zeros are not within H (up to
-    grid dilation): an empirical check of {t : base_t = 0} subset H."""
-    events = ExcursionRows(dec.zero_path[:k]).events
-    near_h = dilate(models.zeros.events[:k], _DILATION)
-    return int(np.count_nonzero((events & ~near_h).any(axis=1)))
+def _hypothesis_violations(models: ModelRows, dec: DecompositionRows, seeds) -> np.ndarray:
+    """A side flagging each path whose zeros are not within H (up to grid
+    dilation): an empirical check of {t : base_t = 0} subset H."""
+    near_h = dilate(models.zeros.events, _DILATION)
+    return (ExcursionRows(dec.zero_path).events & ~near_h).any(axis=1)
 
 
 def _product_at(models: ModelRows, x: np.ndarray, columns) -> np.ndarray:
@@ -596,8 +591,7 @@ def _product_at(models: ModelRows, x: np.ndarray, columns) -> np.ndarray:
 _DRAW_WORKERS = 2
 
 
-def _read_blocks(model_family: str, base: str, grid: TimeGrid, seed: SeedSpec, sides,
-                 n_probe: int = 0):
+def _read_blocks(model_family: str, base: str, grid: TimeGrid, seed: SeedSpec, sides):
     """Read what a suite needs in one pass over its row blocks, so each block
     of models and base processes is built once.
 
@@ -606,8 +600,8 @@ def _read_blocks(model_family: str, base: str, grid: TimeGrid, seed: SeedSpec, s
     block it falls in; blocks hold ``block_rows(grid.n_points)`` paths.
     Each side is a pair ``(n, side)``: ``side`` maps a block ``(models, dec,
     seeds)`` to one row per path and is gathered over the first n paths.
-    The zeros of the first ``n_probe`` paths are checked against H, and the
-    pass stops after the probe when more than ``_HYP_FRAC`` of them fail.
+    The pass reads every block; only an exception from a side ends it early,
+    after the draws in flight are waited for.
 
     The Gaussian draws of each block's W substreams (and of D's ``density``
     substreams in the ``shifted_brownian`` family) are made ahead through
@@ -621,8 +615,7 @@ def _read_blocks(model_family: str, base: str, grid: TimeGrid, seed: SeedSpec, s
     With ``_DRAW_WORKERS`` workers, one block of draws is held ahead of the
     block being read, whatever the number of CPUs.
 
-    Returns (probe violation fraction, side matrices or None when the probe
-    failed).
+    Returns the side matrices, in the order of ``sides``.
     """
     if base not in PROCESS_ZOO:
         raise ValueError(f"unknown base process {base!r}: expected a PROCESS_ZOO name")
@@ -643,7 +636,7 @@ def _read_blocks(model_family: str, base: str, grid: TimeGrid, seed: SeedSpec, s
 
         return fill
 
-    def read_block(lo: int, hi: int, seeds, drawn) -> int:
+    def read_block(lo: int, hi: int, seeds, drawn) -> None:
         # the block's intermediates die with this call
         models = build_model_rows(model_family, grid, [s.child("model") for s in seeds],
                                   drawn.get("model/density"))
@@ -651,19 +644,14 @@ def _read_blocks(model_family: str, base: str, grid: TimeGrid, seed: SeedSpec, s
         for out, (n, side) in zip(gathered, sides):
             if lo < n:
                 out.append(side(models, dec, seeds)[: min(hi, n) - lo])
-        probed = min(hi, n_probe) - lo
-        return _hypothesis_violations(models, dec, probed) if probed > 0 else 0
 
     n_paths = max(n for n, _ in sides)
-    bad = 0
     chunks = _run_chunks(n_paths, block_rows(grid.n_points), draw_ahead, _DRAW_WORKERS)
     with closing(chunks) as blocks:
         for paths, block in blocks:
-            bad += read_block(paths.start, paths.stop, *block)
+            read_block(paths.start, paths.stop, *block)
             del block  # before the next block's rows are allocated
-            if paths.start < n_probe <= paths.stop and bad / n_probe > _HYP_FRAC:
-                return bad / n_probe, None
-    return (bad / n_probe if n_probe else 0.0), [np.concatenate(out) for out in gathered]
+    return [np.concatenate(out) for out in gathered]
 
 
 def sigma_h_panel(model_family: str, base: str, grid: TimeGrid, seed: SeedSpec, n_paths: int,
@@ -671,7 +659,7 @@ def sigma_h_panel(model_family: str, base: str, grid: TimeGrid, seed: SeedSpec, 
     """sigma_h statistics and verdicts of paths 0..n_paths-1 of a model family
     and the base process named ``base``, read as :func:`_read_blocks` reads
     them."""
-    _, (panel,) = _read_blocks(model_family, base, grid, seed, [(n_paths, _sigma_side(tol=tol))])
+    (panel,) = _read_blocks(model_family, base, grid, seed, [(n_paths, _sigma_side(tol=tol))])
     return panel[:, 0], panel[:, 1].astype(bool)
 
 
@@ -693,11 +681,9 @@ class _SuiteContext:
     def drift(self, values: np.ndarray, tag: str) -> TestReport:
         return _drift_report(values, self.grid, self.seed, _THRESHOLD, tag)
 
-    def read(self, sides, probe: bool = False):
-        """:func:`_read_blocks` on this suite's paths; with ``probe`` the
-        first ``_PROBE_PATHS`` of them are probed."""
-        n_probe = min(_PROBE_PATHS, self.n_paths) if probe else 0
-        return _read_blocks(self.model_family, self.base, self.grid, self.seed, sides, n_probe)
+    def read(self, sides):
+        """:func:`_read_blocks` on this suite's paths."""
+        return _read_blocks(self.model_family, self.base, self.grid, self.seed, sides)
 
     def panel(self, split=None):
         """A side of sigma_h rows gathered over the first ``_SIGMA_PATHS``."""
@@ -729,34 +715,34 @@ def _iff_report(ctx, name, left_pass, right_pass, stat, extra="") -> TestReport:
 
 
 def _mart_suite(ctx: _SuiteContext, name: str, right_process) -> TestReport:
-    """An iff suite of two drift tests: D * X on the left, D * right_process
-    on the right, after the hypothesis probe."""
+    """An iff suite of two drift tests, D * X on the left and D * right_process
+    on the right, unless more than ``_HYP_FRAC`` of the first
+    ``_PROBE_PATHS`` paths have zeros outside H."""
     columns = ctx.drift_columns()
-    frac, sides = ctx.read(
-        [
-            (ctx.n_paths, lambda models, dec, seeds: _product_at(models, dec.total, columns)),
-            (ctx.n_paths,
-             lambda models, dec, seeds: _product_at(models, right_process(dec, seeds), columns)),
-        ],
-        probe=True,
-    )
-    if sides is None:
+    flags, left, right = ctx.read([
+        (min(_PROBE_PATHS, ctx.n_paths), _hypothesis_violations),
+        (ctx.n_paths, lambda models, dec, seeds: _product_at(models, dec.total, columns)),
+        (ctx.n_paths,
+         lambda models, dec, seeds: _product_at(models, right_process(dec, seeds), columns)),
+    ])
+    frac = int(np.count_nonzero(flags)) / len(flags)
+    if frac > _HYP_FRAC:
         return ctx.report(
             name, frac, False,
             f"{HYPOTHESIS_NOT_MET}: zeros of the base process are not "
             f"contained in H (violation fraction {frac:.3f})",
             threshold=_HYP_FRAC,
         )
-    left = ctx.drift(sides[0], f"equivalence.{name}.left")
-    right = ctx.drift(sides[1], f"equivalence.{name}.right")
+    left = ctx.drift(left, f"equivalence.{name}.left")
+    right = ctx.drift(right, f"equivalence.{name}.right")
     stat = max(left.statistic, right.statistic) / _THRESHOLD
     return _iff_report(ctx, name, left.passed, right.passed, stat)
 
 
 def _sigma_suite(ctx: _SuiteContext, name: str, split) -> TestReport:
     """An iff suite of two sigma_h panels, the base and its transform."""
-    _, panels = ctx.read([ctx.panel(), ctx.panel(split)])
-    (left_pass, left_stat), (right_pass, right_stat) = map(_majority, panels)
+    panels = ctx.read([ctx.panel(), ctx.panel(split)])
+    (left_pass, left_stat), (right_pass, right_stat) = (_majority(*p.T) for p in panels)
     stat = 1.0 - min(left_stat, right_stat)
     return _iff_report(
         ctx, name, left_pass, right_pass, stat,
@@ -766,12 +752,12 @@ def _sigma_suite(ctx: _SuiteContext, name: str, split) -> TestReport:
 
 def _suite_cmart(ctx: _SuiteContext) -> TestReport:
     columns = ctx.drift_columns()
-    _, (panel, half_flips) = ctx.read([
+    panel, half_flips = ctx.read([
         ctx.panel(),
         (ctx.n_paths,
          lambda models, dec, seeds: _product_at(models, _flip_rows(dec, 0.5, seeds)[1], columns)),
     ])
-    left_pass, left_stat = _majority(panel)
+    left_pass, left_stat = _majority(*panel.T)
     right = ctx.drift(half_flips, "equivalence.cmart.right")
     stat = right.statistic / _THRESHOLD
     return _iff_report(
@@ -782,7 +768,7 @@ def _suite_cmart(ctx: _SuiteContext) -> TestReport:
 
 def _suite_ito_xdx(ctx: _SuiteContext) -> TestReport:
     columns = ctx.drift_columns()
-    _, (xdx,) = ctx.read(
+    (xdx,) = ctx.read(
         [(ctx.n_paths,
           lambda models, dec, seeds: _product_at(models, ito_rows(dec.total, dec.total), columns))]
     )
@@ -795,10 +781,10 @@ def _suite_qp_brownian(ctx: _SuiteContext) -> TestReport:
 
     def residuals(models, dec, seeds):
         qv = covariation_rows(dec.total, dec.total)[:, -1]
-        qp = _qp_rows(models.d, dec.total, dec.fv_part)[:, -1]
-        return np.column_stack((np.abs(qv - horizon), np.abs(qp)))
+        qp = _qp_terminal(models.d, dec.total, dec.fv_part)
+        return np.column_stack((np.abs(qv - horizon), qp))
 
-    _, (panel,) = ctx.read([(_SIGMA_PATHS, residuals)])
+    (panel,) = ctx.read([(_SIGMA_PATHS, residuals)])
     qv_errs, qp_terms = panel.T
     stat = max(float(np.median(qv_errs)) / 0.05, float(np.median(qp_terms)) / 0.05)
     return ctx.below(
@@ -817,7 +803,7 @@ def _suite_abs_brownian(ctx: _SuiteContext) -> TestReport:
         _, x = _flip_rows(dec, 0.5, seeds)
         return np.column_stack((_product_at(models, x, columns), x[:, -1]))
 
-    _, (read,) = ctx.read([(ctx.n_paths, half_flips)])
+    (read,) = ctx.read([(ctx.n_paths, half_flips)])
     rep = ctx.drift(read[:, :-1], "equivalence.abs_brownian.drift")
     horizon = ctx.grid.horizon
     ks = law_test(LawSample(read[:, -1]), SkewLaw(0.5, horizon))
@@ -922,7 +908,7 @@ def optional_representation_check(
                 for event in events.values()]
         return np.column_stack([lhs - rhs] + hits)
 
-    _, (read,) = _read_blocks(model_family, base, grid, seed, [(n_paths, side)])
+    (read,) = _read_blocks(model_family, base, grid, seed, [(n_paths, side)])
     worst, worst_name = 0.0, ""
     for j, name in enumerate(events, start=1):
         stat = _t_stat(read[:, 0] * read[:, j])

@@ -48,9 +48,9 @@ def martingale_row(path, label=""):
 
 def qp_terminals(d, total, fv=None):
     """|terminal qp residual| of each row of a block."""
-    from skewlab.signed_measure import _qp_rows
+    from skewlab.signed_measure import _qp_terminal
 
-    return np.abs(_qp_rows(d, total, fv)[:, -1])
+    return _qp_terminal(d, total, fv)
 
 
 def zoo_block(base, models, grid, seeds):
@@ -68,7 +68,7 @@ def shifted_qp_terminals(base, seed, n_steps, n_paths):
     suites' block reader."""
     from skewlab.signed_measure import _read_blocks
 
-    _, (terms,) = _read_blocks(
+    (terms,) = _read_blocks(
         "shifted_brownian", base, make_grid(1.0, n_steps), seed,
         [(n_paths, lambda models, dec, seeds: qp_terminals(models.d, dec.total, dec.fv_part))],
     )

@@ -288,14 +288,14 @@ def assert_kernels_equal_one_row(models, dec):
     decomposition.  The carried-by fraction is also taken of the total,
     whose Gaussian increments make a masked row sum round differently from
     a compaction."""
-    qp = signed_measure._qp_rows(models.d, dec.total, dec.fv_part)
+    qp = signed_measure._qp_terminal(models.d, dec.total, dec.fv_part)
     cov = covariation_rows(dec.total, models.d)
     mask = models.zeros.events | ExcursionRows(dec.zero_path).events
     carried = [signed_measure._carried_rows(v, mask) for v in (dec.fv_part, dec.total)]
     sigma = signed_measure._sigma_rows(models, dec.zero_path, dec.martingale_part, dec.fv_part)
     for r in range(len(models.d)):
         model, one = model_row(models, r), row_of(dec, r)
-        assert same_bits(qp[r], signed_measure._qp_rows(model.d, one.total, one.fv_part)[0])
+        assert same_bits(qp[r], signed_measure._qp_terminal(model.d, one.total, one.fv_part)[0])
         assert same_bits(cov[r], covariation_rows(one.total, model.d)[0])
         for values, stat in zip((one.fv_part, one.total), carried):
             one_row = signed_measure._carried_rows(values, mask[r][None, :])[0]
@@ -359,7 +359,7 @@ def test_later_blocks_leave_handed_out_paths_unchanged():
         return np.zeros((len(seeds), 0))
 
     with block_elements(5 * grid.n_points):
-        _, (read,) = ctx.read([(12, side)])
+        (read,) = ctx.read([(12, side)])
     assert len(read) == len(handed) == 12
     for p, (model, dec, j, seed) in enumerate(handed):
         assert seed == SeedSpec(MASTER, "frz").with_path(p)

@@ -167,7 +167,7 @@ class TestQpResidual:
         m = np.cumsum(rng.standard_normal(shape), axis=1)
         for d in (1.0 + np.cumsum(rng.standard_normal(shape), axis=1),
                   np.broadcast_to(1.0, shape)):
-            expected = np.abs(signed_measure._qp_rows(d, m)[:, -1])
+            expected = np.abs(covariation_rows(m, d)[:, -1])
             assert np.array_equal(signed_measure._qp_terminal(d, m), expected)
 
     def test_grid_mismatch(self, seed):
@@ -298,7 +298,7 @@ class TestMartingaleDrift:
         pairs = ((0.0, 0.25), (0.25, 0.5), (0.5, 1.0))
         with mock.patch.object(signed_measure, "_PAIRS", pairs):
             columns = signed_measure._checkpoint_columns(g)
-            _, (values,) = signed_measure._read_blocks(
+            (values,) = signed_measure._read_blocks(
                 "shifted_brownian", "bm_minus_frozen", g, SeedSpec(MASTER, "wmg"),
                 [(20_000, lambda models, dec, seeds: dec.total[:, columns])],
             )
@@ -386,11 +386,10 @@ class TestEquivalenceSuites:
         assert rep.hypothesis_not_met
         assert not rep.passed
 
-    def test_failed_probe_stops_the_draws(self, monkeypatch):
-        # the 200 probed paths end in the fourth block of 63, with the next
-        # blocks' rows still being drawn; the pass stops there, closes the
-        # block generator itself (the spy keeps it from the collector) and
-        # leaves no worker thread behind
+    @staticmethod
+    def spy_block_generators(monkeypatch):
+        """The block generators the reader makes, kept from the collector,
+        while the reader sees 4 usable CPUs."""
         generators = []
         run_chunks = signed_measure._run_chunks
 
@@ -400,6 +399,14 @@ class TestEquivalenceSuites:
 
         monkeypatch.setattr(signed_measure, "_run_chunks", spy)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        return generators
+
+    def test_failed_probe_reads_every_block(self, monkeypatch):
+        # the 200 probed paths end in the fourth block of 63; the probe is a
+        # side like the drift sides, so the pass reads all 64 blocks before
+        # the suite reports the violations, the block generator runs to its
+        # end and no worker thread is left behind
+        generators = self.spy_block_generators(monkeypatch)
         before = threading.active_count()
         rep = equivalence_suite(
             "zalpha_mart", "shifted_brownian", "bm", 0.7, SeedSpec(MASTER, "earlystop"), 4000
@@ -410,6 +417,30 @@ class TestEquivalenceSuites:
             "stream_label='earlystop', path_index=0), passed=False, detail='hypothesis-not-met: "
             "zeros of the base process are not contained in H (violation fraction 1.000)')"
         )
+        assert len(generators) == 1
+        assert inspect.getgeneratorstate(generators[0]) == inspect.GEN_CLOSED
+        assert threading.active_count() == before
+
+    def test_side_error_stops_the_draws(self, monkeypatch):
+        # a side raises in the fourth block of 63, with the next blocks' rows
+        # still being drawn; the error reaches the caller, the reader closes
+        # the block generator itself and no worker thread is left behind
+        generators = self.spy_block_generators(monkeypatch)
+        read = []
+
+        def side(models, dec, seeds):
+            if len(read) == 3:
+                raise ArithmeticError("side failed")
+            read.append(seeds[0].path_index)
+            return dec.total[:, -1:]
+
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="side failed"):
+            signed_measure._read_blocks(
+                "shifted_brownian", "bm", make_grid(1.0, 2**10), SeedSpec(MASTER, "sideerr"),
+                [(4000, side)],
+            )
+        assert read == [0, 63, 126]
         assert len(generators) == 1
         assert inspect.getgeneratorstate(generators[0]) == inspect.GEN_CLOSED
         assert threading.active_count() == before
